@@ -5,6 +5,7 @@ from .core_graph import (
     SpectralDecomposition,
     degrees,
     eigendecompose,
+    from_arrays,
     from_dense,
     laplacian,
     matrix_exponential,
@@ -32,6 +33,7 @@ from .tasks import (
     discretize,
     kmeans,
     label_propagate,
+    propagate_labels,
     sgc_fit_predict,
     simoncelli_response,
     spectral_cluster,

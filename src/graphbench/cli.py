@@ -8,7 +8,7 @@ import math
 import os
 import sys
 
-from .core_graph import write_graph
+from .core_graph import normalize, write_graph
 from .harness import (
     DatasetError,
     RunConfig,
@@ -48,10 +48,11 @@ def cmd_infer(args) -> int:
         gamma=args.gamma,
         sigma=args.sigma,
     )
-    g = build_graph(bundle.features, cfg)
-    from .core_graph import normalize
-
-    g = normalize(g, VARIANT_ALIASES[args.variant])
+    try:
+        g = normalize(build_graph(bundle.features, cfg), VARIANT_ALIASES[args.variant])
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     write_graph(g, args.out)
     print(f"wrote {g.n_edges} edges to {args.out}")
     return 0

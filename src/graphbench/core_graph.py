@@ -6,6 +6,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 VARIANTS = ("raw", "sym_norm", "augmented", "augmented_sym_norm")
 
@@ -16,16 +17,23 @@ class IsolatedVertexWarning(UserWarning):
     """Raised when symmetric normalization meets a degree-zero vertex."""
 
 
+EDGE_DTYPE = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
+
+
 @dataclass
 class Graph:
     """Sparse symmetric weighted graph.
 
-    Edges are stored upper-triangular as (i, j, w) with i < j and w > 0.
-    Self-loop weights live in ``diagonal`` (all zeros unless augmented).
+    ``edges`` is a NumPy structured array of ``EDGE_DTYPE``: one record per
+    undirected edge, with fields ``i``, ``j`` (int64, 0 <= i < j < n) and
+    ``w`` (float64, finite and > 0). The constructor accepts that array or
+    a list of (i, j, w) tuples and keeps the given order; records
+    unpack as ``for i, j, w in g.edges``. Self-loop weights live in
+    ``diagonal`` (all zeros unless augmented).
     """
 
     n: int
-    edges: list = field(default_factory=list)
+    edges: np.ndarray = field(default_factory=list)
     diagonal: np.ndarray = None
     variant: str = "raw"
 
@@ -37,38 +45,61 @@ class Graph:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.diagonal.shape != (self.n,):
             raise ValueError("diagonal length must equal vertex count")
-        seen = set()
-        for i, j, w in self.edges:
-            if not (0 <= i < j < self.n):
-                raise ValueError(f"bad edge ({i}, {j}): need 0 <= i < j < n")
-            if w <= 0:
-                raise ValueError(f"edge ({i}, {j}) has non-positive weight {w}")
-            if (i, j) in seen:
-                raise ValueError(f"duplicate edge ({i}, {j})")
-            seen.add((i, j))
+        if not np.all(np.isfinite(self.diagonal)):
+            raise ValueError("self-loop weights must be finite")
+        self.edges = np.array(self.edges, dtype=EDGE_DTYPE)
+        if self.edges.ndim != 1:
+            raise ValueError("edges must be (i, j, w) triples")
+        i, j, w = _columns(self.edges)
+        duplicate = np.ones(i.size, dtype=bool)
+        duplicate[np.unique(i * self.n + j, return_index=True)[1]] = False
+        for bad, rule in (
+            (~((0 <= i) & (i < j) & (j < self.n)), "need 0 <= i < j < n"),
+            (~((w > 0) & np.isfinite(w)), "weight must be finite and positive"),
+            (duplicate, "duplicate edge"),
+        ):
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise ValueError(f"bad edge ({i[k]}, {j[k]}, {w[k]}): {rule}")
         if self.variant in ("raw", "sym_norm") and np.any(self.diagonal != 0):
             raise ValueError(f"variant {self.variant!r} forbids self-loops")
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return self.edges.size
 
     def to_dense(self) -> np.ndarray:
         """Full symmetric adjacency matrix including the diagonal."""
+        i, j, w = _columns(self.edges)
         A = np.zeros((self.n, self.n))
-        for i, j, w in self.edges:
-            A[i, j] = w
-            A[j, i] = w
+        A[i, j] = w
+        A[j, i] = w
         A[np.diag_indices(self.n)] = self.diagonal
         return A
 
+    def to_sparse(self) -> sparse.csr_matrix:
+        """Adjacency matrix in CSR form, diagonal entries stored explicitly."""
+        i, j, w = _columns(self.edges)
+        v = np.arange(self.n)
+        rows, cols = np.concatenate([i, j, v]), np.concatenate([j, i, v])
+        vals = np.concatenate([w, w, self.diagonal])
+        return sparse.csr_matrix((vals, (rows, cols)), shape=(self.n, self.n))
+
     def neighbor_counts(self) -> np.ndarray:
         """Number of incident edges per vertex (self-loops excluded)."""
-        counts = np.zeros(self.n, dtype=int)
-        for i, j, _ in self.edges:
-            counts[i] += 1
-            counts[j] += 1
-        return counts
+        i, j, _ = _columns(self.edges)
+        return np.bincount(np.concatenate([i, j]), minlength=self.n)
+
+
+def _columns(edges: np.ndarray):
+    return edges["i"], edges["j"], edges["w"]
+
+
+def from_arrays(n: int, i, j, w, diagonal=None, variant: str = "raw") -> Graph:
+    """Build a Graph from parallel arrays of edge endpoints (i < j) and weights."""
+    edges = np.empty(len(w), dtype=EDGE_DTYPE)
+    edges["i"], edges["j"], edges["w"] = i, j, w
+    return Graph(n, edges, diagonal, variant)
 
 
 def from_dense(A: np.ndarray, variant: str = "raw", threshold: float = 0.0) -> Graph:
@@ -79,21 +110,16 @@ def from_dense(A: np.ndarray, variant: str = "raw", threshold: float = 0.0) -> G
         raise ValueError("adjacency must be square")
     if np.max(np.abs(A - A.T), initial=0.0) > SYMMETRY_TOL:
         raise ValueError("adjacency must be symmetric")
-    edges = []
-    iu, ju = np.triu_indices(n, k=1)
-    for i, j in zip(iu, ju):
-        w = A[i, j]
-        if w > threshold:
-            edges.append((int(i), int(j), float(w)))
-    return Graph(n=n, edges=edges, diagonal=np.diag(A).copy(), variant=variant)
+    i, j = np.nonzero(np.triu(A > threshold, k=1))
+    return from_arrays(n, i, j, A[i, j], np.diag(A).copy(), variant)
 
 
 def degrees(g: Graph) -> np.ndarray:
     """Per-vertex weighted degree: incident edge weights plus self-loop weight."""
+    # one addition per endpoint, in edge order, so sums match a plain loop bit for bit
+    i, j, w = _columns(g.edges)
     d = g.diagonal.copy()
-    for i, j, w in g.edges:
-        d[i] += w
-        d[j] += w
+    np.add.at(d, np.stack([i, j], axis=1).ravel(), np.repeat(w, 2))
     return d
 
 
@@ -111,17 +137,13 @@ def normalize(g: Graph, target_variant: str) -> Graph:
         raise ValueError(f"unknown variant {target_variant!r}")
 
     if target_variant == "raw":
-        return Graph(g.n, list(g.edges), g.diagonal.copy(), "raw")
-
-    diagonal = g.diagonal.copy()
-    edges = list(g.edges)
-    if target_variant in ("augmented", "augmented_sym_norm"):
-        diagonal = diagonal + 1.0
+        return Graph(g.n, g.edges, g.diagonal.copy(), "raw")
+    if target_variant.startswith("augmented"):
+        g = Graph(g.n, g.edges, g.diagonal + 1.0, "augmented")
         if target_variant == "augmented":
-            return Graph(g.n, edges, diagonal, "augmented")
+            return g
 
-    work = Graph(g.n, edges, diagonal, "augmented") if np.any(diagonal) else g
-    d = degrees(work)
+    d = degrees(g)
     isolated = d <= 0
     if np.any(isolated):
         warnings.warn(
@@ -131,13 +153,11 @@ def normalize(g: Graph, target_variant: str) -> Graph:
         )
     inv_sqrt = np.zeros_like(d)
     inv_sqrt[~isolated] = 1.0 / np.sqrt(d[~isolated])
-    new_edges = [
-        (i, j, w * inv_sqrt[i] * inv_sqrt[j])
-        for i, j, w in edges
-        if inv_sqrt[i] > 0 and inv_sqrt[j] > 0
-    ]
-    new_diag = diagonal * inv_sqrt**2
-    return Graph(g.n, new_edges, new_diag, target_variant)
+    # an isolated vertex has no edges, so every edge keeps a positive weight
+    i, j, w = _columns(g.edges)
+    return from_arrays(
+        g.n, i, j, w * inv_sqrt[i] * inv_sqrt[j], g.diagonal * inv_sqrt**2, target_variant
+    )
 
 
 def laplacian(g: Graph) -> np.ndarray:
@@ -185,17 +205,19 @@ def write_graph(g: Graph, path) -> None:
         for i in range(g.n):
             if g.diagonal[i] != 0:
                 fh.write(f"{i}\t{i}\t{float(g.diagonal[i])!r}\n")
-        for i, j, w in g.edges:
-            fh.write(f"{i}\t{j}\t{float(w)!r}\n")
+        for i, j, w in g.edges.tolist():
+            fh.write(f"{i}\t{j}\t{w!r}\n")
 
 
 def read_graph(path) -> Graph:
-    """Parse a graph file written by write_graph."""
+    """Parse a graph file written by write_graph; malformed input raises ValueError."""
     with open(path) as fh:
         header = fh.readline().strip()
         if not header.startswith("#"):
             raise ValueError("missing graph header line")
-        fields = dict(part.split("=", 1) for part in header[1:].split())
+        fields = dict(part.partition("=")[::2] for part in header[1:].split())
+        if not fields.get("n", "").isdigit():
+            raise ValueError("line 1: header needs n=<vertex count>")
         n = int(fields["n"])
         variant = fields.get("variant", "raw")
         diagonal = np.zeros(n)
@@ -207,7 +229,14 @@ def read_graph(path) -> Graph:
             parts = line.split("\t")
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: expected i<TAB>j<TAB>w")
-            i, j, w = int(parts[0]), int(parts[1]), float(parts[2])
+            try:
+                i, j, w = int(parts[0]), int(parts[1]), float(parts[2])
+            except ValueError:
+                raise ValueError(f"line {lineno}: non-numeric field in {line!r}") from None
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"line {lineno}: vertex index outside 0..{n - 1}")
+            if not np.isfinite(w):
+                raise ValueError(f"line {lineno}: non-finite weight {w}")
             if i == j:
                 diagonal[i] = w
             elif i < j:

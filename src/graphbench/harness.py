@@ -22,7 +22,7 @@ from .inference import (
     nnk_graph,
     smooth_graph,
 )
-from .similarity import pairwise_sq_euclidean, rbf_kernel
+from .similarity import pairwise_sq_euclidean
 from .tasks import SemiSupervisedLabels, SgcParams
 
 TABLE1_K = (5, 10, 20, 30, 40, 50, 100, 200, 500, 1000)
@@ -154,7 +154,10 @@ def load_dataset(path) -> DatasetBundle:
     reference_graph = None
     graph_file = root / "graph.tsv"
     if graph_file.exists():
-        reference_graph = read_graph(graph_file)
+        try:
+            reference_graph = read_graph(graph_file)
+        except ValueError as exc:
+            raise DatasetError(f"graph.tsv: {exc}") from None
         if reference_graph.n != features.shape[1] and reference_graph.n != features.shape[0]:
             raise DatasetError("graph.tsv vertex count matches neither N nor F")
 
@@ -271,7 +274,7 @@ def run_task2(bundle: DatasetBundle, cfg: RunConfig) -> RunResult:
         for i, mask in enumerate(masks):
             y = SemiSupervisedLabels(bundle.labels, mask)
             if exp_W is not None:
-                pred = _propagate(exp_W, y)
+                pred = tasks.propagate_labels(exp_W, y)
                 accs.append(metrics.accuracy(pred, bundle.labels, ~mask))
             else:
                 p = SgcParams(seed=[cfg.seed, i, 7])
@@ -288,23 +291,6 @@ def run_task2(bundle: DatasetBundle, cfg: RunConfig) -> RunResult:
         dispersion=float(accs.std(ddof=1)) if accs.size > 1 else 0.0,
         auxiliary={"warnings": len(caught)},
     )
-
-
-def _propagate(exp_W: np.ndarray, y: SemiSupervisedLabels) -> np.ndarray:
-    C = y.n_classes
-    n = y.labels.size
-    Y0 = np.zeros((n, C))
-    obs = np.flatnonzero(y.observed_mask)
-    Y0[obs, y.labels[obs]] = 1.0
-    Yhat = exp_W @ Y0
-    counts = np.bincount(y.labels[obs], minlength=C)
-    pred = y.labels.copy()
-    unobs = np.flatnonzero(~y.observed_mask)
-    pred[unobs] = np.argmax(Yhat[unobs], axis=1)
-    dead = Yhat[unobs].max(axis=1) <= 0
-    if dead.any():
-        pred[unobs[dead]] = int(np.argmax(counts))
-    return pred
 
 
 def run_task3(bundle: DatasetBundle, cfg: RunConfig) -> RunResult:
@@ -326,21 +312,8 @@ def run_task3(bundle: DatasetBundle, cfg: RunConfig) -> RunResult:
             if g.variant == "raw" and cfg.adjacency_variant != "raw":
                 g = normalize(g, cfg.adjacency_variant)
         else:
-            # vertices are features; distances from the single observation
-            Z = pairwise_sq_euclidean(bundle.features, axis="cols")
-            if cfg.method == "smooth":
-                g = smooth_graph(Z, SmoothConfig(cfg.k, cfg.sigma))
-            else:
-                gamma = cfg.gamma if cfg.gamma is not None else 1.0 / bundle.features.shape[0]
-                S = rbf_kernel(Z, gamma)
-                if cfg.method == "nnk":
-                    g = nnk_graph(bundle.features.T, NnkConfig("rbf", cfg.k, cfg.sigma, gamma))
-                else:
-                    from .inference import knn_select
-
-                    k = cfg.k if cfg.k is not None else S.shape[0] - 1
-                    g = knn_select(S, k)
-            g = normalize(g, cfg.adjacency_variant)
+            # the vertices are the feature columns, so graphs come from the transpose
+            g = normalize(build_graph(bundle.features.T, cfg), cfg.adjacency_variant)
         tau, snr = tasks.best_tau_denoise(g, noisy, clean)
     return RunResult(cfg, snr, auxiliary={"tau": tau, "warnings": len(caught)})
 

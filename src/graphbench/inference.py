@@ -9,7 +9,7 @@ from typing import Optional
 import numpy as np
 from scipy import sparse
 
-from .core_graph import Graph
+from .core_graph import Graph, from_arrays, from_dense
 from .similarity import (
     cosine_similarity,
     covariance_similarity,
@@ -48,7 +48,7 @@ class NnkConfig:
 
     def __post_init__(self):
         if self.kernel_kind not in SIMILARITY_KINDS:
-            raise ValueError(f"unknown kernel {self.kernel_kind!r}")
+            raise ValueError(f"unknown kernel similarity {self.kernel_kind!r}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.sigma <= 0:
@@ -67,10 +67,18 @@ class SmoothConfig:
             raise ValueError("sigma must be positive")
 
 
-def _topk_indices(row: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest entries, ties broken by lower index."""
-    # stable sort on the negated row: descending value, ascending index on ties
-    return np.argsort(-row, kind="stable")[:k]
+def _knn_indices(S: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k most similar other vertices, ties broken by lower index."""
+    # stable sort of the negated matrix: descending value, ascending index on ties
+    M = -S
+    np.fill_diagonal(M, np.inf)
+    return np.argsort(M, axis=1, kind="stable")[:, :k].copy()
+
+
+def _undirected(n: int, rows: np.ndarray, cols: np.ndarray, **unique_args):
+    """Sorted distinct undirected edges i < j of directed pairs, and np.unique's index array."""
+    keys, extra = np.unique(np.minimum(rows, cols) * n + np.maximum(rows, cols), **unique_args)
+    return keys // n, keys % n, extra
 
 
 def knn_select(S: np.ndarray, k: int) -> Graph:
@@ -83,17 +91,13 @@ def knn_select(S: np.ndarray, k: int) -> Graph:
     n = S.shape[0]
     if k >= n:
         raise ValueError(f"k={k} must be smaller than n={n}")
-    M = S.copy()
-    np.fill_diagonal(M, -np.inf)
-    selected = {}
-    for i in range(n):
-        for j in _topk_indices(M[i], k):
-            w = S[i, j]
-            if w > 0:
-                key = (min(i, int(j)), max(i, int(j)))
-                selected.setdefault(key, w)
-    edges = [(i, j, float(w)) for (i, j), w in sorted(selected.items())]
-    return Graph(n=n, edges=edges, variant="raw")
+    rows = np.repeat(np.arange(n), k)
+    cols = _knn_indices(S, k).ravel()
+    keep = S[rows, cols] > 0
+    rows, cols = rows[keep], cols[keep]
+    # an edge selected from both ends keeps the weight of its first selection
+    i, j, first = _undirected(n, rows, cols, return_index=True)
+    return from_arrays(n, i, j, S[rows[first], cols[first]])
 
 
 def _similarity_matrix(X: np.ndarray, kind: str, gamma: Optional[float]) -> np.ndarray:
@@ -185,28 +189,27 @@ def nnk_graph(X, cfg: NnkConfig) -> Graph:
     if cfg.k >= n:
         raise ValueError(f"k={cfg.k} must be smaller than n={n}")
     S = _nnk_kernel(X, cfg.kernel_kind, cfg.gamma)
-    M = S.copy()
-    np.fill_diagonal(M, -np.inf)
-    directed = {}
+    nbrs = _knn_indices(S, cfg.k)
+    theta = np.zeros(nbrs.shape)  # directed weight of i -> nbrs[i, m]
     for i in range(n):
-        nbrs = _topk_indices(M[i], cfg.k)
-        nbrs = nbrs[S[i, nbrs] > 0]
-        if nbrs.size == 0:
+        pos = np.flatnonzero(S[i, nbrs[i]] > 0)
+        if pos.size == 0:
             continue
-        K_SS = S[np.ix_(nbrs, nbrs)]
-        k_Si = S[nbrs, i]
-        theta, ok = nnls_solve(K_SS, k_Si)
-        if not ok:
-            theta = k_Si  # fall back to plain k-NN weights for this vertex
-        for j, w in zip(nbrs, theta):
-            if w > cfg.sigma:
-                directed[(i, int(j))] = float(w)
-    merged = {}
-    for (i, j), w in directed.items():
-        key = (min(i, j), max(i, j))
-        merged[key] = merged.get(key, 0.0) + w / 2.0
-    edges = [(i, j, w) for (i, j), w in sorted(merged.items()) if w > cfg.sigma]
-    g = Graph(n=n, edges=edges, variant="raw")
+        sel = nbrs[i, pos]
+        k_Si = S[sel, i]
+        t, ok = nnls_solve(S[np.ix_(sel, sel)], k_Si)
+        theta[i, pos] = t if ok else k_Si  # fall back to plain k-NN weights for this vertex
+    rows = np.repeat(np.arange(n), cfg.k)
+    cols = nbrs.ravel()
+    w = theta.ravel()
+    keep = w > cfg.sigma
+    rows, cols, w = rows[keep], cols[keep], w[keep]
+    # each undirected edge sums the halves of its directed weights, in directed order
+    i, j, slot = _undirected(n, rows, cols, return_inverse=True)
+    merged = np.zeros(i.size)
+    np.add.at(merged, slot, w / 2.0)
+    keep = merged > cfg.sigma
+    g = from_arrays(n, i[keep], j[keep], merged[keep])
     if np.any(g.neighbor_counts() == 0):
         warnings.warn("NNK produced isolated vertices")
     return g
@@ -293,8 +296,6 @@ def smooth_graph(Z, cfg: SmoothConfig) -> Graph:
     Zu = Z / off_mean if off_mean > 0 else Z
 
     def build(theta: float) -> Graph:
-        from .core_graph import from_dense
-
         # scaling identity: argmin with distances theta*Z equals (1/theta) times
         # the argmin with distances Z and beta = 1/theta^2; the reformulation
         # keeps the iteration well-conditioned on the sparse side (theta >= 1)

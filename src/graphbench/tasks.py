@@ -198,16 +198,18 @@ def spectral_cluster(g: Graph, C: int, seed=0, skip_first: bool = True) -> Parti
 
 
 def label_propagate(g: Graph, y: SemiSupervisedLabels) -> np.ndarray:
-    """Diffuse one-hot labels once through exp(W); argmax per vertex.
+    """Diffuse one-hot labels once through exp(W); argmax per vertex (see propagate_labels)."""
+    return propagate_labels(matrix_exponential(g.to_dense()), y)
+
+
+def propagate_labels(E: np.ndarray, y: SemiSupervisedLabels) -> np.ndarray:
+    """Diffuse one-hot labels once through the operator E; argmax per vertex.
 
     Unobserved vertices receiving zero mass fall back to the majority
     observed class (lowest index on ties).
     """
-    n = g.n
     C = y.n_classes
-    W = g.to_dense()
-    E = matrix_exponential(W)
-    Y0 = np.zeros((n, C))
+    Y0 = np.zeros((y.labels.size, C))
     obs = np.flatnonzero(y.observed_mask)
     Y0[obs, y.labels[obs]] = 1.0
     Yhat = E @ Y0
@@ -269,18 +271,7 @@ def train_logistic_regression(
 
 def diffuse_features(g: Graph, X: np.ndarray, hops: int = 2) -> np.ndarray:
     """Repeated sparse multiplication by the graph operator (never densified W^2)."""
-    from scipy import sparse
-
-    n = g.n
-    if g.edges:
-        i, j, w = zip(*g.edges)
-        rows = np.concatenate([i, j, np.arange(n)])
-        cols = np.concatenate([j, i, np.arange(n)])
-        vals = np.concatenate([w, w, g.diagonal])
-    else:
-        rows = cols = np.arange(n)
-        vals = g.diagonal
-    W = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    W = g.to_sparse()
     out = np.asarray(X, dtype=float)
     for _ in range(hops):
         out = W @ out

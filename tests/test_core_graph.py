@@ -1,7 +1,15 @@
+import math
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphbench.core_graph import (
+    VARIANTS,
     Graph,
     IsolatedVertexWarning,
     degrees,
@@ -240,3 +248,120 @@ class TestGraphFile:
         path.write_text("0\t1\t0.5\n")
         with pytest.raises(ValueError):
             read_graph(path)
+
+
+# Property tests: the array-backed Graph against plain-Python references that
+# loop over (i, j, w) triples the way the original list-of-tuples code did.
+
+WEIGHTS = st.one_of(
+    st.floats(min_value=1e-6, max_value=1e3),
+    st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf]),
+)
+
+
+@st.composite
+def any_edges(draw):
+    n = draw(st.integers(1, 6))
+    index = st.integers(-1, n)
+    return n, draw(st.lists(st.tuples(index, index, WEIGHTS), max_size=12))
+
+
+@st.composite
+def valid_graphs(draw):
+    n = draw(st.integers(1, 7))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    weight = st.floats(min_value=1e-3, max_value=1e3)
+    return Graph(n, [(i, j, draw(weight)) for i, j in chosen])
+
+
+def reference_is_valid(n, edges):
+    seen = set()
+    for i, j, w in edges:
+        if not (0 <= i < j < n) or not (w > 0 and math.isfinite(w)) or (i, j) in seen:
+            return False
+        seen.add((i, j))
+    return True
+
+
+def reference_dense(n, edges, diagonal):
+    A = np.zeros((n, n))
+    for i, j, w in edges:
+        A[i, j] = A[j, i] = w
+    for v in range(n):
+        A[v, v] = diagonal[v]
+    return A
+
+
+def reference_degrees(edges, diagonal):
+    d = [float(x) for x in diagonal]
+    for i, j, w in edges:
+        d[i] += w
+        d[j] += w
+    return np.array(d)
+
+
+def reference_normalize(n, edges, target):
+    """(edges, diagonal, warned) of the requested variant of a raw graph."""
+    diagonal = [1.0 if target.startswith("augmented") else 0.0] * n
+    if not target.endswith("sym_norm"):
+        return edges, diagonal, False
+    d = reference_degrees(edges, diagonal)
+    inv = [1.0 / math.sqrt(x) if x > 0 else 0.0 for x in d]
+    new_edges = [(i, j, w * inv[i] * inv[j]) for i, j, w in edges]
+    return new_edges, [x * inv[v] ** 2 for v, x in enumerate(diagonal)], bool(np.any(d <= 0))
+
+
+def triples(g):
+    return [(int(i), int(j), float(w)) for i, j, w in g.edges]
+
+
+class TestGraphProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(any_edges())
+    def test_validation_rejects_exactly_bad_edges(self, case):
+        n, edges = case
+        if reference_is_valid(n, edges):
+            assert triples(Graph(n, edges)) == edges
+        else:
+            with pytest.raises(ValueError):
+                Graph(n, edges)
+
+    @settings(max_examples=200, deadline=None)
+    @given(valid_graphs())
+    def test_matrices_match_reference(self, g):
+        edges = triples(g)
+        assert np.array_equal(g.to_dense(), reference_dense(g.n, edges, g.diagonal))
+        assert np.array_equal(g.to_sparse().toarray(), g.to_dense())
+        assert np.array_equal(degrees(g), reference_degrees(edges, g.diagonal))
+        counts = np.zeros(g.n, dtype=int)
+        for i, j, _ in edges:
+            counts[i] += 1
+            counts[j] += 1
+        assert np.array_equal(g.neighbor_counts(), counts)
+
+    @settings(max_examples=200, deadline=None)
+    @given(valid_graphs(), st.sampled_from(VARIANTS))
+    def test_normalize_matches_reference(self, g, target):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            h = normalize(g, target)
+        edges, diagonal, warned = reference_normalize(g.n, triples(g), target)
+        assert h.variant == target
+        assert triples(h) == edges
+        assert np.array_equal(h.diagonal, diagonal)
+        assert any(issubclass(w.category, IsolatedVertexWarning) for w in caught) == warned
+
+    @pytest.mark.filterwarnings("ignore::graphbench.core_graph.IsolatedVertexWarning")
+    @settings(max_examples=100, deadline=None)
+    @given(valid_graphs(), st.sampled_from(VARIANTS))
+    def test_file_round_trip_is_exact(self, g, target):
+        h = normalize(g, target)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "g.tsv"
+            write_graph(h, path)
+            back = read_graph(path)
+        assert (back.n, back.variant) == (h.n, h.variant)
+        assert triples(back) == triples(h)
+        assert np.array_equal(back.diagonal, h.diagonal)
+

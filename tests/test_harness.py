@@ -317,6 +317,40 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert out.read_text().startswith("#n=30 variant=sym_norm")
 
+    @pytest.mark.parametrize("method", ["naive", "nnk"])
+    def test_infer_without_similarity_is_usage_error(self, tmp_path, method):
+        write_blob_dataset(tmp_path / "d")
+        out = tmp_path / "g.tsv"
+        proc = self.run_cli(
+            "infer",
+            "--data", str(tmp_path / "d"),
+            "--method", method,
+            "--k", "3",
+            "--out", str(out),
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:") and "similarity" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "graph_text, reason",
+        [
+            ("#variant=raw\n0\t1\t1.0\n", "line 1: header needs n="),
+            ("#n=3 variant=raw\n5\t5\t1.0\n", "line 2: vertex index outside 0..2"),
+            ("#n=24 variant=raw\n0\t1\tone\n", "line 2: non-numeric field"),
+            ("#n=24 variant=raw\n0\t1\tnan\n", "line 2: non-finite weight"),
+        ],
+        ids=["missing-n", "index-out-of-range", "non-numeric", "nan-weight"],
+    )
+    def test_validate_malformed_graph(self, tmp_path, graph_text, reason):
+        write_signal_dataset(tmp_path / "d")
+        (tmp_path / "d" / "graph.tsv").write_text(graph_text)
+        proc = self.run_cli("datasets", "validate", str(tmp_path / "d"))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("invalid: graph.tsv: " + reason)
+        assert "Traceback" not in proc.stderr
+
     def test_run_with_grid_file(self, tmp_path):
         write_blob_dataset(tmp_path / "d")
         grid_file = tmp_path / "grid.json"
