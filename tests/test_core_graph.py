@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphbench.core_graph import (
@@ -309,7 +309,10 @@ def reference_normalize(n, edges, target):
     d = reference_degrees(edges, diagonal)
     inv = [1.0 / math.sqrt(x) if x > 0 else 0.0 for x in d]
     new_edges = [(i, j, w * inv[i] * inv[j]) for i, j, w in edges]
-    return new_edges, [x * inv[v] ** 2 for v, x in enumerate(diagonal)], bool(np.any(d <= 0))
+    # square by multiplication as NumPy's ``**2`` does; Python's ``** 2`` calls
+    # pow(), which can round the last bit differently
+    new_diagonal = [x * (inv[v] * inv[v]) for v, x in enumerate(diagonal)]
+    return new_edges, new_diagonal, bool(np.any(d <= 0))
 
 
 def triples(g):
@@ -342,6 +345,11 @@ class TestGraphProperties:
 
     @settings(max_examples=200, deadline=None)
     @given(valid_graphs(), st.sampled_from(VARIANTS))
+    @example(
+        Graph(4, [(0, 1, 76.43994447919606), (0, 2, 1.0), (0, 3, 1.0), (2, 3, 1.0),
+                  (1, 2, 1000.0), (1, 3, 1000.0)]),
+        "augmented_sym_norm",
+    )
     def test_normalize_matches_reference(self, g, target):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
