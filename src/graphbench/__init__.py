@@ -35,6 +35,7 @@ from .tasks import (
     label_propagate,
     propagate_labels,
     sgc_fit_predict,
+    sgc_predict,
     simoncelli_response,
     spectral_cluster,
     spectral_embed,

@@ -277,13 +277,8 @@ def run_task2(bundle: DatasetBundle, cfg: RunConfig) -> RunResult:
                 pred = tasks.propagate_labels(exp_W, y)
                 accs.append(metrics.accuracy(pred, bundle.labels, ~mask))
             else:
-                p = SgcParams(seed=[cfg.seed, i, 7])
-                obs = mask
-                W, b = tasks.train_logistic_regression(
-                    Xhat[obs], bundle.labels[obs], bundle.C, p
-                )
-                pred_unobs = np.argmax(Xhat[~obs] @ W + b, axis=1)
-                accs.append(float(np.mean(pred_unobs == bundle.labels[~obs])))
+                _, acc = tasks.sgc_predict(Xhat, y, SgcParams(seed=[cfg.seed, i, 7]))
+                accs.append(acc)
     accs = np.array(accs)
     return RunResult(
         cfg,

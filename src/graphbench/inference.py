@@ -191,6 +191,7 @@ def nnk_graph(X, cfg: NnkConfig) -> Graph:
     S = _nnk_kernel(X, cfg.kernel_kind, cfg.gamma)
     nbrs = _knn_indices(S, cfg.k)
     theta = np.zeros(nbrs.shape)  # directed weight of i -> nbrs[i, m]
+    fallbacks = 0
     for i in range(n):
         pos = np.flatnonzero(S[i, nbrs[i]] > 0)
         if pos.size == 0:
@@ -199,6 +200,9 @@ def nnk_graph(X, cfg: NnkConfig) -> Graph:
         k_Si = S[sel, i]
         t, ok = nnls_solve(S[np.ix_(sel, sel)], k_Si)
         theta[i, pos] = t if ok else k_Si  # fall back to plain k-NN weights for this vertex
+        fallbacks += not ok
+    if fallbacks:
+        warnings.warn(f"NNLS did not converge for {fallbacks} vertices; they keep k-NN weights")
     rows = np.repeat(np.arange(n), cfg.k)
     cols = nbrs.ravel()
     w = theta.ravel()

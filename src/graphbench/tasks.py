@@ -10,6 +10,10 @@ import numpy as np
 
 from .core_graph import Graph, eigendecompose, laplacian, matrix_exponential
 
+# Eigenvalues this close to zero (absolute, or relative to lambda_max in
+# denoise) count as the Laplacian's null space: eigh returns them as +-1e-16.
+NULL_SPACE_TOL = 1e-8
+
 
 @dataclass
 class Partition:
@@ -191,7 +195,7 @@ def spectral_cluster(g: Graph, C: int, seed=0, skip_first: bool = True) -> Parti
     if C + 1 > g.n:
         raise ValueError("need C + 1 <= n")
     dec = eigendecompose(laplacian(g))
-    null_dim = int(np.sum(np.abs(dec.eigenvalues) < 1e-8))
+    null_dim = int(np.sum(np.abs(dec.eigenvalues) < NULL_SPACE_TOL))
     lo = 1 if (skip_first and null_dim < 2) else 0
     emb = _embedding_columns(dec, C, lo, g.n)
     return discretize(emb, seed=seed)
@@ -281,12 +285,17 @@ def diffuse_features(g: Graph, X: np.ndarray, hops: int = 2) -> np.ndarray:
 def sgc_fit_predict(
     g: Graph, X, y: SemiSupervisedLabels, p: SgcParams
 ) -> tuple[np.ndarray, float]:
-    """Two-hop feature diffusion + logistic regression; returns (pred, test accuracy)."""
+    """Two-hop feature diffusion + logistic regression (see sgc_predict)."""
     X = np.asarray(X, dtype=float)
-    C = y.n_classes
-    Xhat = diffuse_features(g, X, hops=p.diffusion_hops)
+    return sgc_predict(diffuse_features(g, X, hops=p.diffusion_hops), y, p)
+
+
+def sgc_predict(
+    Xhat: np.ndarray, y: SemiSupervisedLabels, p: SgcParams
+) -> tuple[np.ndarray, float]:
+    """Logistic regression on already-diffused features; returns (pred, test accuracy)."""
     obs = y.observed_mask
-    W, b = train_logistic_regression(Xhat[obs], y.labels[obs], C, p)
+    W, b = train_logistic_regression(Xhat[obs], y.labels[obs], y.n_classes, p)
     pred = y.labels.copy()
     unobs = ~obs
     pred[unobs] = np.argmax(Xhat[unobs] @ W + b, axis=1)
@@ -306,18 +315,37 @@ def simoncelli_response(lambda_norm: float, tau: float) -> float:
     return math.cos(math.pi / 2.0 * math.log2(2.0 * lam / tau))
 
 
-def denoise(g: Graph, x_noisy, tau: float) -> np.ndarray:
-    """Filter a graph signal through the low-pass response in the Laplacian basis."""
+def denoise(g: Graph, x_noisy, tau) -> np.ndarray:
+    """Filter a graph signal through the low-pass response in the Laplacian basis.
+
+    tau is one cutoff, or a 1-D sequence of cutoffs; a sequence returns one
+    filtered row per cutoff, all from a single eigendecomposition. Each row
+    equals the scalar call bit for bit. tau = 0 keeps only the null space:
+    the mean of x over each connected component.
+    """
     x = np.asarray(x_noisy, dtype=float)
     if x.shape != (g.n,):
         raise ValueError("signal length must equal vertex count")
+    taus = np.asarray(tau, dtype=float)
+    if taus.ndim > 1:
+        raise ValueError("tau must be a number or a 1-D sequence")
+    bad = ~(np.isfinite(taus) & (taus >= 0))
+    if bad.any():
+        raise ValueError(f"cutoffs must be finite and >= 0, got {taus[bad].tolist()}")
     dec = eigendecompose(laplacian(g))
     if dec.lambda_max <= 0:
-        return x.copy()  # empty graph: all-pass
-    lam = dec.eigenvalues / dec.lambda_max
-    gains = np.array([simoncelli_response(l, tau) for l in lam])
-    F = dec.eigenvectors
-    return F @ (gains * (F.T @ x))
+        out = np.tile(x, (taus.size, 1))  # empty graph: all-pass
+    else:
+        lam = dec.eigenvalues / dec.lambda_max
+        lam[np.abs(lam) <= NULL_SPACE_TOL] = 0.0
+        F = dec.eigenvectors
+        coeffs = F.T @ x
+        out = np.empty((taus.size, g.n))
+        for r, t in enumerate(taus.ravel().tolist()):
+            gains = np.array([simoncelli_response(l, t) for l in lam])
+            # one matrix-vector product per cutoff: a batched product may round differently
+            out[r] = F @ (gains * coeffs)
+    return out[0] if taus.ndim == 0 else out
 
 
 def best_tau_denoise(g: Graph, x_noisy, x_clean) -> tuple[float, float]:
@@ -329,8 +357,8 @@ def best_tau_denoise(g: Graph, x_noisy, x_clean) -> tuple[float, float]:
         raise ValueError("clean signal has zero power")
     taus = np.round(np.arange(0, 41) * 0.025, 6)
     best_tau, best_snr = None, -math.inf
-    for tau in taus:
-        snr = snr_db(x_clean, denoise(g, x_noisy, float(tau)))
+    for tau, out in zip(taus.tolist(), denoise(g, x_noisy, taus)):
+        snr = snr_db(x_clean, out)
         if snr > best_snr:  # strict: ties keep the smaller tau
-            best_tau, best_snr = float(tau), snr
+            best_tau, best_snr = tau, snr
     return best_tau, best_snr

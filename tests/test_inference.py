@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import graphbench.inference as inference_module
 from graphbench.core_graph import from_dense
 from graphbench.inference import (
     CalibrationError,
@@ -280,6 +283,30 @@ class TestNnkGraph:
         X = rng.standard_normal((10, 3))
         g = nnk_graph(X, NnkConfig("cosine", 3))
         assert all(w > 0 for _, _, w in g.edges)
+
+
+    def test_nnls_fallbacks_warn_once_per_graph(self, monkeypatch):
+        real = inference_module.nnls_solve
+
+        def not_converged(K, b):
+            return real(K, b)[0], False
+
+        monkeypatch.setattr(inference_module, "nnls_solve", not_converged)
+        X = np.random.default_rng(32).standard_normal((9, 2))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            g = nnk_graph(X, NnkConfig("rbf", 3, gamma=0.5))
+        messages = [str(w.message) for w in caught if "NNLS" in str(w.message)]
+        assert messages == ["NNLS did not converge for 9 vertices; they keep k-NN weights"]
+        # the fallback keeps plain k-NN weights, so every k-NN edge survives
+        assert edge_set(g) == edge_set(naive_graph(X, NaiveConfig("rbf", 3, gamma=0.5)))
+
+    def test_converged_solves_do_not_warn(self):
+        X = np.random.default_rng(33).standard_normal((9, 2))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            nnk_graph(X, NnkConfig("rbf", 3, gamma=0.5))
+        assert not [w for w in caught if "NNLS" in str(w.message)]
 
 
 def golden_section(f, lo, hi, iters=200):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import graphbench.tasks as tasks_module
 from graphbench.core_graph import Graph, from_dense, laplacian
 from graphbench.metrics import add_noise_to_snr, ami, snr_db
 from graphbench.tasks import (
@@ -11,10 +12,12 @@ from graphbench.tasks import (
     SgcParams,
     best_tau_denoise,
     denoise,
+    diffuse_features,
     discretize,
     kmeans,
     label_propagate,
     sgc_fit_predict,
+    sgc_predict,
     simoncelli_response,
     spectral_cluster,
     spectral_embed,
@@ -227,6 +230,18 @@ class TestSgc:
         pred_lr = np.argmax(X[~mask] @ W + b, axis=1)
         assert np.array_equal(pred_sgc[~mask], pred_lr)
 
+    def test_fit_predict_is_diffusion_then_predict(self):
+        X, labels = self.blobs(2)
+        g = two_block_graph(20, bridge=0.3)
+        mask = np.zeros(40, dtype=bool)
+        mask[::5] = True
+        y = SemiSupervisedLabels(labels, mask)
+        p = SgcParams(seed=4)
+        pred_a, acc_a = sgc_fit_predict(g, X, y, p)
+        pred_b, acc_b = sgc_predict(diffuse_features(g, X, hops=p.diffusion_hops), y, p)
+        assert np.array_equal(pred_a, pred_b)
+        assert acc_a == acc_b
+
     def test_separable_blobs_perfect_accuracy(self):
         X, labels = self.blobs(1)
         mask = np.zeros(40, dtype=bool)
@@ -390,6 +405,62 @@ class TestBestTau:
         tau, snr = best_tau_denoise(g, noisy, clean)
         assert 0.0 < tau < 1.0
         assert snr > 7.0
+
+
+BENCH_TAUS = np.round(np.arange(0, 41) * 0.025, 6)
+
+
+def path_graph(n):
+    return Graph(n, [(i, i + 1, 1.0) for i in range(n - 1)])
+
+
+class TestDenoiseSweep:
+    def test_rows_equal_scalar_calls_bit_for_bit(self):
+        rng = np.random.default_rng(90)
+        A = rng.random((30, 30)) * (rng.random((30, 30)) < 0.3)
+        g = from_dense(np.triu(A, 1) + np.triu(A, 1).T)
+        x = rng.standard_normal(30)
+        rows = denoise(g, x, BENCH_TAUS)
+        assert rows.shape == (BENCH_TAUS.size, 30)
+        for r, tau in enumerate(BENCH_TAUS):
+            assert np.array_equal(rows[r], denoise(g, x, float(tau)))
+
+    def test_best_tau_decomposes_once(self, monkeypatch):
+        calls = []
+        real = tasks_module.eigendecompose
+
+        def counting(A):
+            calls.append(1)
+            return real(A)
+
+        monkeypatch.setattr(tasks_module, "eigendecompose", counting)
+        g = two_block_graph(10)
+        clean = np.concatenate([np.ones(10), -np.ones(10)])
+        best_tau_denoise(g, add_noise_to_snr(clean, 7.0, seed=91), clean)
+        assert len(calls) == 1
+
+    def test_empty_graph_returns_one_copy_per_cutoff(self):
+        x = np.array([1.0, -2.0, 0.5])
+        rows = denoise(Graph(3), x, [0.0, 0.5, 1.0])
+        assert rows.shape == (3, 3)
+        assert all(np.array_equal(row, x) for row in rows)
+
+    def test_tau_zero_on_path_graph_gives_mean(self):
+        x = np.array([3.0, -1.0, 4.0, 1.0, -5.0])
+        assert np.allclose(denoise(path_graph(5), x, 0.0), x.mean(), atol=1e-12)
+
+    def test_tau_zero_gives_component_means(self):
+        g, labels = clique_union([3, 4, 5])
+        x = np.random.default_rng(92).standard_normal(12)
+        means = np.array([x[labels == c].mean() for c in range(3)])
+        assert np.allclose(denoise(g, x, 0.0), means[labels], atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "tau", [-0.1, -1e-300, math.nan, math.inf, -math.inf, [0.5, -0.1], [0.5, math.nan], [[0.5]]]
+    )
+    def test_invalid_cutoffs_rejected(self, tau):
+        with pytest.raises(ValueError):
+            denoise(path_graph(4), np.ones(4), tau)
 
 
 class TestPartitionTypes:
