@@ -18,6 +18,7 @@ from .harness import (
     load_dataset,
     run_grid,
 )
+from .inference import CalibrationError
 
 VARIANT_ALIASES = {
     "raw": "raw",
@@ -50,7 +51,7 @@ def cmd_infer(args) -> int:
     )
     try:
         g = normalize(build_graph(bundle.features, cfg), VARIANT_ALIASES[args.variant])
-    except ValueError as exc:
+    except (ValueError, CalibrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     write_graph(g, args.out)

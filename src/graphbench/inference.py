@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
 
 from .core_graph import Graph, from_arrays, from_dense
 from .similarity import (
@@ -219,15 +219,6 @@ def nnk_graph(X, cfg: NnkConfig) -> Graph:
     return g
 
 
-def _degree_sum_operator(n: int) -> sparse.csr_matrix:
-    """Sparse operator mapping upper-triangular edge weights to vertex degrees."""
-    iu, ju = np.triu_indices(n, k=1)
-    m = iu.size
-    rows = np.concatenate([iu, ju])
-    cols = np.concatenate([np.arange(m), np.arange(m)])
-    return sparse.csr_matrix((np.ones(2 * m), (rows, cols)), shape=(n, m))
-
-
 def learn_log_degree_weights(
     Z: np.ndarray,
     alpha: float = 1.0,
@@ -244,38 +235,55 @@ def learn_log_degree_weights(
     diagonal, using forward-backward-forward primal-dual iterations. Stops
     when the relative objective decrease over `patience` iterations falls
     below `rel_tol`. Returns the dense weight matrix.
+
+    On reaching `max_iter` without meeting the stopping rule it returns the
+    last iterate as it is, and says nothing. Reporting non-convergence waits
+    for the run trace (ROADMAP item 1): a warning would change the CSV
+    `warnings` column of grids whose solves hit the cap.
     """
     Z = np.asarray(Z, dtype=float)
     n = Z.shape[0]
     iu, ju = np.triu_indices(n, k=1)
     z = Z[iu, ju]
-    S = _degree_sum_operator(n)
-    St = S.T.tocsr()
+    # S maps edge weights to vertex degrees, S' vertex values v to v_i + v_j per
+    # edge. A degree sums its edge weights one by one from 0.0, edges (j, i)
+    # with j < i first, then (i, j) with j > i: the row order of S as a CSR
+    # matrix, so every iterate is bit-identical to the sparse matrix product.
+    ends = np.concatenate([ju, iu])
+
+    def degrees(x: np.ndarray) -> np.ndarray:
+        return np.bincount(ends, weights=np.concatenate((x, x)), minlength=n)
 
     gamma = step_size / (2.0 * beta + np.sqrt(2.0 * (n - 1)))
+    two_beta = 2.0 * beta
+    two_z = 2.0 * z
+    gamma_two_z = 2.0 * gamma * z
+    four_alpha_gamma = 4.0 * alpha * gamma
     w = np.zeros_like(z)
     v = np.zeros(n)
 
-    def objective(wv: np.ndarray) -> float:
-        d = S @ wv
-        if np.any(d <= 0):
+    def objective(wv: np.ndarray, d: np.ndarray) -> float:
+        if (d <= 0).any():
             return np.inf
-        return float(2.0 * z @ wv - alpha * np.log(d).sum() + beta * wv @ wv)
+        return float(two_z @ wv - alpha * np.log(d).sum() + beta * wv @ wv)
 
-    history = [objective(w)]
+    d = degrees(w)
+    history = [objective(w, d)]
     for it in range(max_iter):
-        Y = w - gamma * (2.0 * beta * w + St @ v)
-        y = v + gamma * (S @ w)
-        P = np.maximum(Y - 2.0 * gamma * z, 0.0)
-        p = (y - np.sqrt(y * y + 4.0 * alpha * gamma)) / 2.0
-        Q = P - gamma * (2.0 * beta * P + St @ p)
-        q = p + gamma * (S @ P)
+        # S'v = (v_i + v_j) is formed before it joins 2 beta w, as in S' @ v
+        Y = w - gamma * (two_beta * w + (v[iu] + v[ju]))
+        y = v + gamma * d
+        P = np.maximum(Y - gamma_two_z, 0.0)
+        p = (y - np.sqrt(y * y + four_alpha_gamma)) / 2.0
+        Q = P - gamma * (two_beta * P + (p[iu] + p[ju]))
+        q = p + gamma * degrees(P)
         w = w - Y + Q
         v = v - y + q
-        history.append(objective(w))
+        d = degrees(w)
+        history.append(objective(w, d))
         if it >= patience:
             prev, cur = history[-1 - patience], history[-1]
-            if np.isfinite(cur) and np.isfinite(prev):
+            if math.isfinite(cur) and math.isfinite(prev):
                 if (prev - cur) / max(abs(cur), 1.0) < rel_tol:
                     break
     W = np.zeros((n, n))
@@ -289,8 +297,10 @@ def smooth_graph(Z, cfg: SmoothConfig) -> Graph:
     """Smoothness-based graph with mean degree calibrated to cfg.k.
 
     Works on the unit-mean rescaling of Z with alpha = beta = 1 and bisects a
-    multiplicative distance scale until the pruned mean degree lands within
-    25% of the target.
+    multiplicative distance scale theta in 1e-4..1e4 until the pruned mean
+    degree lands within 25% of the target. Raises CalibrationError at once
+    when the graphs at both ends of that range show the target band out of
+    reach, and after 40 bisection steps when no step lands in it.
     """
     Z = np.asarray(Z, dtype=float)
     n = Z.shape[0]
@@ -309,9 +319,19 @@ def smooth_graph(Z, cfg: SmoothConfig) -> Graph:
             W = learn_log_degree_weights(theta * Zu)
         return from_dense(W, threshold=cfg.sigma)
 
-    lo_exp, hi_exp = np.log(1e-4), np.log(1e4)
-    lo_deg = hi_deg = None
+    lo_theta, hi_theta = 1e-4, 1e4
     target_lo, target_hi = 0.75 * cfg.k, 1.25 * cfg.k
+    # the mean degree falls as theta grows, so the ends of the range bound
+    # every degree the bisection can reach; their graphs are never returned
+    densest = 2.0 * build(lo_theta).n_edges / n
+    sparsest = 2.0 * build(hi_theta).n_edges / n
+    if sparsest > target_hi or densest < target_lo:
+        raise CalibrationError(
+            f"mean degree {cfg.k} is out of reach: distance scales "
+            f"{lo_theta:g}..{hi_theta:g} give mean degrees {densest:.3g}..{sparsest:.3g}"
+        )
+    lo_exp, hi_exp = np.log(lo_theta), np.log(hi_theta)
+    lo_deg = hi_deg = None
     achieved = []
     for _ in range(40):
         mid = np.exp((lo_exp + hi_exp) / 2.0)

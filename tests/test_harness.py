@@ -334,6 +334,22 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "options, reach",
+        [(["--k", "1"], "mean degrees 8..2"), (["--k", "3", "--sigma", "1e6"], "mean degrees 0..0")],
+        ids=["k-below-sparsest", "sigma-prunes-all"],
+    )
+    def test_infer_smooth_unreachable_degree_is_error(self, tmp_path, options, reach):
+        write_blob_dataset(tmp_path / "d", n_per=3)
+        out = tmp_path / "g.tsv"
+        proc = self.run_cli(
+            "infer", "--data", str(tmp_path / "d"), "--method", "smooth", *options, "--out", str(out)
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:") and reach in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "graph_text, reason",
         [
             ("#variant=raw\n0\t1\t1.0\n", "line 1: header needs n="),

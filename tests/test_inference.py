@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import graphbench.inference as inference_module
 from graphbench.core_graph import from_dense
@@ -329,6 +330,60 @@ def golden_section(f, lo, hi, iters=200):
     return m
 
 
+def sparse_operator_log_degree_weights(
+    Z, alpha=1.0, beta=1.0, max_iter=10000, rel_tol=1e-6, patience=50, step_size=0.5
+):
+    """Reference primal-dual solver with a sparse CSR edge-to-vertex operator S.
+
+    Returns the weight matrix and the number of iterations run.
+    """
+    Z = np.asarray(Z, dtype=float)
+    n = Z.shape[0]
+    iu, ju = np.triu_indices(n, k=1)
+    z = Z[iu, ju]
+    m = iu.size
+    edge = np.arange(m)
+    S = sparse.csr_matrix(
+        (np.ones(2 * m), (np.concatenate([iu, ju]), np.concatenate([edge, edge]))), shape=(n, m)
+    )
+    St = S.T.tocsr()
+    gamma = step_size / (2.0 * beta + np.sqrt(2.0 * (n - 1)))
+    w = np.zeros_like(z)
+    v = np.zeros(n)
+
+    def objective(wv):
+        d = S @ wv
+        if np.any(d <= 0):
+            return np.inf
+        return float(2.0 * z @ wv - alpha * np.log(d).sum() + beta * wv @ wv)
+
+    history = [objective(w)]
+    for it in range(max_iter):
+        Y = w - gamma * (2.0 * beta * w + St @ v)
+        y = v + gamma * (S @ w)
+        P = np.maximum(Y - 2.0 * gamma * z, 0.0)
+        p = (y - np.sqrt(y * y + 4.0 * alpha * gamma)) / 2.0
+        Q = P - gamma * (2.0 * beta * P + St @ p)
+        q = p + gamma * (S @ P)
+        w = w - Y + Q
+        v = v - y + q
+        history.append(objective(w))
+        if it >= patience:
+            prev, cur = history[-1 - patience], history[-1]
+            if np.isfinite(cur) and np.isfinite(prev):
+                if (prev - cur) / max(abs(cur), 1.0) < rel_tol:
+                    break
+    W = np.zeros((n, n))
+    wpos = np.maximum(w, 0.0)
+    W[iu, ju] = wpos
+    W[ju, iu] = wpos
+    return W, len(history) - 1
+
+
+def random_sq_distances(n, seed):
+    return pairwise_sq_euclidean(np.random.default_rng(seed).standard_normal((n, 3)))
+
+
 class TestSmoothLearner:
     def two_node_objective(self, z, alpha=1.0, beta=1.0):
         return lambda w: 2 * z * w - 2 * alpha * np.log(max(w, 1e-300)) + 2 * (beta / 2) * w**2
@@ -375,6 +430,25 @@ class TestSmoothLearner:
                 assert edge_set(g) <= prev
             prev = edge_set(g)
 
+    @pytest.mark.parametrize("beta", [1.0, 1e-4, 1e-8])
+    @pytest.mark.parametrize("n", [2, 7, 40])
+    def test_bit_identical_to_sparse_operator(self, n, beta):
+        Z = random_sq_distances(n, seed=n)
+        W_ref, _ = sparse_operator_log_degree_weights(Z, beta=beta)
+        assert np.array_equal(learn_log_degree_weights(Z, beta=beta), W_ref)
+
+    def test_bit_identical_at_iteration_cap(self):
+        Z = random_sq_distances(40, seed=41)
+        W_ref, iterations = sparse_operator_log_degree_weights(Z, beta=1e-4, max_iter=300)
+        assert iterations == 300  # stopped by the cap, not by rel_tol
+        assert np.array_equal(learn_log_degree_weights(Z, beta=1e-4, max_iter=300), W_ref)
+
+    def test_bit_identical_on_rel_tol_stop(self):
+        Z = random_sq_distances(7, seed=42)
+        W_ref, iterations = sparse_operator_log_degree_weights(Z, rel_tol=1e-3)
+        assert iterations < 10000  # stopped by rel_tol, not by the cap
+        assert np.array_equal(learn_log_degree_weights(Z, rel_tol=1e-3), W_ref)
+
 
 class TestSmoothGraph:
     def test_mean_degree_calibrated(self):
@@ -406,3 +480,37 @@ class TestSmoothGraph:
         Z = pairwise_sq_euclidean(rng.standard_normal((6, 2)))
         with pytest.raises(CalibrationError):
             smooth_graph(Z, SmoothConfig(5, sigma=1e6))
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """The beta of every learn_log_degree_weights call smooth_graph makes."""
+        calls = []
+        solve = inference_module.learn_log_degree_weights
+
+        def counting(Z, **kwargs):
+            calls.append(kwargs.get("beta", 1.0))
+            return solve(Z, **kwargs)
+
+        monkeypatch.setattr(inference_module, "learn_log_degree_weights", counting)
+        return calls
+
+    def test_target_below_sparsest_degree_fails_after_two_solves(self, solves):
+        Z = pairwise_sq_euclidean(np.random.default_rng(36).standard_normal((6, 2)))
+        with pytest.raises(CalibrationError, match=r"mean degrees 5\.\.1\.33"):
+            smooth_graph(Z, SmoothConfig(1))
+        assert solves == [1.0, 1e-8]  # the densest and the sparsest end of the range
+
+    def test_target_above_densest_degree_fails_after_two_solves(self, solves):
+        Z = pairwise_sq_euclidean(np.random.default_rng(36).standard_normal((6, 2)))
+        with pytest.raises(CalibrationError, match=r"mean degrees 0\.\.0"):
+            smooth_graph(Z, SmoothConfig(5, sigma=1e6))
+        assert len(solves) == 2
+
+    @pytest.mark.parametrize("k, bisection_steps", [(3, 5), (8, 1)])
+    def test_reachable_target_costs_two_extra_solves(self, solves, k, bisection_steps):
+        # same inputs as test_mean_degree_calibrated; the bisection needs
+        # bisection_steps solves to land in the band on them
+        Z = pairwise_sq_euclidean(np.random.default_rng(34).standard_normal((30, 4)))
+        smooth_graph(Z, SmoothConfig(k))
+        assert len(solves) == 2 + bisection_steps
+        assert solves[:3] == [1.0, 1e-8, pytest.approx(1.0)]  # both ends, then theta = 1
