@@ -168,26 +168,39 @@ def laplacian(g: Graph) -> np.ndarray:
 
 @dataclass
 class SpectralDecomposition:
-    """Eigendecomposition of a symmetric operator, eigenvalues ascending."""
+    """Eigendecomposition of a symmetric operator, eigenvalues ascending.
+
+    A partial decomposition (``eigendecompose(A, lowest=m)``) holds only the
+    m lowest eigenpairs, so ``reconstruct`` then gives a rank-m operator.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    lambda_max: float
 
     def reconstruct(self) -> np.ndarray:
         F = self.eigenvectors
         return (F * self.eigenvalues) @ F.T
 
 
-def eigendecompose(A: np.ndarray) -> SpectralDecomposition:
-    """Dense symmetric eigendecomposition, ascending eigenvalue order."""
+def eigendecompose(A: np.ndarray, lowest: int | None = None) -> SpectralDecomposition:
+    """Dense symmetric eigendecomposition, ascending eigenvalue order.
+
+    With ``lowest`` below the dimension, only the eigenpairs 0..lowest-1 are
+    computed, by LAPACK's MRRR driver (dsyevr); otherwise all of them.
+    """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("operator must be square")
     if np.max(np.abs(A - A.T), initial=0.0) > SYMMETRY_TOL:
         raise ValueError("operator must be symmetric")
-    vals, vecs = np.linalg.eigh(A)
-    return SpectralDecomposition(vals, vecs, float(vals[-1]))
+    if lowest is not None and lowest < A.shape[0]:
+        # imported here: scipy.linalg adds ~0.06 s to `import graphbench`
+        from scipy.linalg import eigh
+
+        vals, vecs = eigh(A, subset_by_index=[0, lowest - 1])
+    else:
+        vals, vecs = np.linalg.eigh(A)
+    return SpectralDecomposition(vals, vecs)
 
 
 def matrix_exponential(A: np.ndarray) -> np.ndarray:

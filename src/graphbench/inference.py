@@ -21,6 +21,9 @@ SIMILARITY_KINDS = ("cosine", "covariance", "rbf")
 
 KKT_TOL = 1e-8
 
+# Rows per block in _knn_indices: bounds its temporaries to a few n-wide arrays.
+KNN_BLOCK_ROWS = 256
+
 
 class CalibrationError(RuntimeError):
     """Sparsity calibration could not bracket the requested mean degree."""
@@ -68,11 +71,33 @@ class SmoothConfig:
 
 
 def _knn_indices(S: np.ndarray, k: int) -> np.ndarray:
-    """Each row's k most similar other vertices, ties broken by lower index."""
-    # stable sort of the negated matrix: descending value, ascending index on ties
-    M = -S
-    np.fill_diagonal(M, np.inf)
-    return np.argsort(M, axis=1, kind="stable")[:, :k].copy()
+    """Each row's k most similar other vertices, most similar first, ties broken by lower index.
+
+    Equals the first k columns of a stable argsort of -S with the diagonal set
+    to +inf (NaN sorting last). Works in blocks of rows; for k < n/2 it
+    selects by partition and sorts only the k picks, for larger k sorting
+    whole rows is cheaper.
+    """
+    n = S.shape[0]
+    out = np.empty((n, k), dtype=np.intp)
+    for start in range(0, n, KNN_BLOCK_ROWS):
+        M = -S[start : start + KNN_BLOCK_ROWS]
+        b = M.shape[0]
+        M[np.arange(b), np.arange(start, start + b)] = np.inf
+        if 2 * k >= n:
+            out[start : start + b] = np.argsort(M, axis=1, kind="stable")[:, :k]
+            continue
+        kth = np.partition(M, k - 1, axis=1)[:, k - 1 : k]
+        # a NaN kth value means the row has fewer than k non-NaN entries
+        nan, nan_kth = np.isnan(M), np.isnan(kth)
+        below = (M < kth) | (nan_kth & ~nan)
+        tied = (M == kth) | (nan_kth & nan)
+        # of the entries tied with the kth value, keep the lowest-index ones
+        tied &= np.cumsum(tied, axis=1) <= k - np.sum(below, axis=1, keepdims=True)
+        cols = np.nonzero(below | tied)[1].reshape(b, k)
+        order = np.argsort(np.take_along_axis(M, cols, axis=1), axis=1, kind="stable")
+        out[start : start + b] = np.take_along_axis(cols, order, axis=1)
+    return out
 
 
 def _undirected(n: int, rows: np.ndarray, cols: np.ndarray, **unique_args):

@@ -57,30 +57,34 @@ class SgcParams:
     seed: int = 0
 
 
-def _embedding_columns(dec, C: int, lo: int, n: int) -> np.ndarray:
+def spectral_embed(g: Graph, C: int, skip_first: bool = True) -> np.ndarray:
+    """Embed vertices on low-frequency Laplacian eigenvectors.
+
+    Default reading keeps eigenvector indices 1..C (the near-constant index-0
+    vector skipped); skip_first=False keeps indices 0..C-1 instead. On a
+    disconnected graph the zero eigenvalue is degenerate and no single
+    eigenvector is the privileged constant; skipping one would trade an
+    indicator dimension for a high-frequency one and break exact component
+    recovery, so the full low-frequency basis 0..C-1 is used instead. Each
+    column is sign-fixed so its largest-magnitude entry is positive.
+    """
+    lo = 1 if skip_first else 0
+    if C + lo > g.n:
+        raise ValueError(f"need C + {lo} <= n")
+    # index lo + C is computed only for the multiplicity check at the boundary
+    dec = eigendecompose(laplacian(g), lowest=lo + C + 1)
+    vals = dec.eigenvalues
+    if np.sum(np.abs(vals) < NULL_SPACE_TOL) >= 2:
+        lo = 0
     cols = dec.eigenvectors[:, lo : lo + C].copy()
     upper = lo + C
-    if upper < n and abs(dec.eigenvalues[upper] - dec.eigenvalues[upper - 1]) < 1e-10:
+    if upper < vals.size and abs(vals[upper] - vals[upper - 1]) < 1e-10:
         warnings.warn("eigenvalue multiplicity across the embedding boundary: basis ambiguous")
     for c in range(cols.shape[1]):
         pivot = int(np.argmax(np.abs(cols[:, c])))
         if cols[pivot, c] < 0:
             cols[:, c] = -cols[:, c]
     return cols
-
-
-def spectral_embed(g: Graph, C: int, skip_first: bool = True) -> np.ndarray:
-    """Embed vertices on low-frequency Laplacian eigenvectors.
-
-    Default reading keeps eigenvector indices 1..C (the near-constant index-0
-    vector skipped); skip_first=False keeps indices 0..C-1 instead. Each
-    column is sign-fixed so its largest-magnitude entry is positive.
-    """
-    lo = 1 if skip_first else 0
-    if C + lo > g.n:
-        raise ValueError(f"need C + {lo} <= n")
-    dec = eigendecompose(laplacian(g))
-    return _embedding_columns(dec, C, lo, g.n)
 
 
 def _kmeans_pp_init(points: np.ndarray, C: int, rng: np.random.Generator) -> np.ndarray:
@@ -105,13 +109,14 @@ def kmeans(points, C: int, seed, n_restarts: int = 10, max_iter: int = 300) -> P
     if n < C:
         raise ValueError("need at least C points")
     rng = np.random.default_rng(seed)
+    point_sq = np.sum(points**2, axis=1)[:, None]
     best_assign, best_wcss = None, np.inf
     for _ in range(n_restarts):
         centers = _kmeans_pp_init(points, C, rng)
         assign = np.full(n, -1)
         for _ in range(max_iter):
             d2 = (
-                np.sum(points**2, axis=1)[:, None]
+                point_sq
                 - 2.0 * points @ centers.T
                 + np.sum(centers**2, axis=1)[None, :]
             )
@@ -183,22 +188,10 @@ def discretize(
 
 
 def spectral_cluster(g: Graph, C: int, seed=0, skip_first: bool = True) -> Partition:
-    """Spectral embedding followed by rotation-based discretization.
-
-    On a disconnected graph the zero eigenvalue is degenerate and no single
-    eigenvector is the privileged constant; skipping one would trade an
-    indicator dimension for a high-frequency one and break exact component
-    recovery, so the full low-frequency basis 0..C-1 is used instead.
-    """
+    """Spectral embedding (see spectral_embed) followed by rotation-based discretization."""
     if C == 1:
         return Partition(np.zeros(g.n, dtype=int), 1)
-    if C + 1 > g.n:
-        raise ValueError("need C + 1 <= n")
-    dec = eigendecompose(laplacian(g))
-    null_dim = int(np.sum(np.abs(dec.eigenvalues) < NULL_SPACE_TOL))
-    lo = 1 if (skip_first and null_dim < 2) else 0
-    emb = _embedding_columns(dec, C, lo, g.n)
-    return discretize(emb, seed=seed)
+    return discretize(spectral_embed(g, C, skip_first), seed=seed)
 
 
 def label_propagate(g: Graph, y: SemiSupervisedLabels) -> np.ndarray:
@@ -333,10 +326,11 @@ def denoise(g: Graph, x_noisy, tau) -> np.ndarray:
     if bad.any():
         raise ValueError(f"cutoffs must be finite and >= 0, got {taus[bad].tolist()}")
     dec = eigendecompose(laplacian(g))
-    if dec.lambda_max <= 0:
+    lambda_max = dec.eigenvalues[-1]
+    if lambda_max <= 0:
         out = np.tile(x, (taus.size, 1))  # empty graph: all-pass
     else:
-        lam = dec.eigenvalues / dec.lambda_max
+        lam = dec.eigenvalues / lambda_max
         lam[np.abs(lam) <= NULL_SPACE_TOL] = 0.0
         F = dec.eigenvectors
         coeffs = F.T @ x

@@ -189,6 +189,48 @@ class TestEigendecompose:
             assert int(np.sum(np.abs(vals) < 1e-6)) == n_comp
 
 
+class TestPartialEigendecompose:
+    @staticmethod
+    def operators():
+        rng = np.random.default_rng(4)
+        for n in (2, 7, 40, 120):
+            M = rng.standard_normal((n, n))
+            yield (M + M.T) / 2
+            A = np.triu(rng.random((n, n)) * (rng.random((n, n)) < 0.2), 1)
+            yield laplacian(from_dense(A + A.T))
+
+    def test_lowest_eigenpairs_match_full_call(self):
+        for A in self.operators():
+            n = A.shape[0]
+            full = eigendecompose(A).eigenvalues
+            for m in sorted({1, 2, n // 2, n - 1} - {0}):
+                dec = eigendecompose(A, lowest=m)
+                vals, V = dec.eigenvalues, dec.eigenvectors
+                assert vals.shape == (m,) and V.shape == (n, m)
+                assert np.all(np.abs(vals - full[:m]) <= 1e-12 * np.maximum(1.0, np.abs(full[:m])))
+                assert np.max(np.abs(V.T @ V - np.eye(m))) < 1e-10
+                residual = np.linalg.norm(A @ V - V * vals, axis=0)
+                assert np.all(residual < 1e-10 * max(1.0, np.linalg.norm(A, 2)))
+
+    def test_lowest_at_least_n_is_the_full_call(self):
+        for A in self.operators():
+            n = A.shape[0]
+            full = eigendecompose(A)
+            for m in (n, n + 3):
+                dec = eigendecompose(A, lowest=m)
+                assert np.array_equal(dec.eigenvalues, full.eigenvalues)
+                assert np.array_equal(dec.eigenvectors, full.eigenvectors)
+
+    def test_rejects_asymmetric(self):
+        A = np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(ValueError):
+            eigendecompose(A, lowest=1)
+
+    def test_rejects_empty_request(self):
+        with pytest.raises(ValueError):
+            eigendecompose(laplacian(triangle()), lowest=0)
+
+
 class TestMatrixExponential:
     def test_zero(self):
         assert np.allclose(matrix_exponential(np.zeros((3, 3))), np.eye(3))

@@ -2,11 +2,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 import graphbench.inference as inference_module
 from graphbench.core_graph import from_dense
 from graphbench.inference import (
+    KNN_BLOCK_ROWS,
     CalibrationError,
     NaiveConfig,
     NnkConfig,
@@ -125,6 +128,49 @@ class TestKnnSelect:
         for k in (1, 3, 5):
             g = knn_select(S, k)
             assert g.neighbor_counts().min() >= k
+
+
+def knn_reference(S, k):
+    """First k columns of a stable argsort of -S with the diagonal at +inf."""
+    M = -S
+    np.fill_diagonal(M, np.inf)
+    return np.argsort(M, axis=1, kind="stable")[:, :k]
+
+
+@st.composite
+def tied_similarities(draw):
+    """(S, k): a small matrix of few distinct values, so most rows have ties."""
+    n = draw(st.integers(2, 12))
+    k = draw(st.integers(1, n - 1))
+    values = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0, -np.inf, np.nan])
+    S = np.array(draw(st.lists(values, min_size=n * n, max_size=n * n))).reshape(n, n)
+    return S, k
+
+
+class TestKnnIndices:
+    @settings(max_examples=400, deadline=None)
+    @given(tied_similarities())
+    def test_equals_stable_argsort(self, case):
+        S, k = case
+        assert np.array_equal(inference_module._knn_indices(S, k), knn_reference(S, k))
+
+    def test_rows_short_of_k_non_nan_entries(self):
+        rng = np.random.default_rng(23)
+        S = rng.integers(0, 3, (40, 40)).astype(float)
+        S[rng.random((40, 40)) < 0.9] = np.nan
+        for k in (1, 5, 19):
+            assert np.array_equal(inference_module._knn_indices(S, k), knn_reference(S, k))
+
+    @pytest.mark.parametrize("k", [1, 10, 599])
+    def test_rows_across_blocks(self, k):
+        n = 600
+        assert n > 2 * KNN_BLOCK_ROWS
+        rng = np.random.default_rng(22)
+        for S in (rng.integers(0, 4, (n, n)).astype(float), rng.random((n, n))):
+            S = S + S.T
+            S_before = S.copy()
+            assert np.array_equal(inference_module._knn_indices(S, k), knn_reference(S, k))
+            assert np.array_equal(S, S_before)
 
 
 class TestNaiveGraph:

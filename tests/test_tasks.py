@@ -1,10 +1,14 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import graphbench.core_graph as core_graph_module
 import graphbench.tasks as tasks_module
-from graphbench.core_graph import Graph, from_dense, laplacian
+from graphbench.core_graph import VARIANTS, Graph, from_dense, laplacian, normalize
+from graphbench.harness import RunConfig, build_graph, load_dataset
 from graphbench.metrics import add_noise_to_snr, ami, snr_db
 from graphbench.tasks import (
     Partition,
@@ -168,6 +172,73 @@ class TestSpectralCluster:
         p1 = spectral_cluster(g, 3, seed=2)
         p2 = spectral_cluster(gp, 3, seed=2)
         assert ami(p1.assignment[perm], p2.assignment) == pytest.approx(1.0)
+
+
+def load_perfbench_gen():
+    """The benchmark's seeded bundle generator, imported from perfbench/gen.py."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def full_spectrum_cluster(g, C, seed=0):
+    """Reference spectral clustering from every eigenpair of np.linalg.eigh."""
+    vals, vecs = np.linalg.eigh(laplacian(g))
+    lo = 0 if np.sum(np.abs(vals) < tasks_module.NULL_SPACE_TOL) >= 2 else 1
+    emb = vecs[:, lo : lo + C].copy()
+    for c in range(C):
+        if emb[np.argmax(np.abs(emb[:, c])), c] < 0:
+            emb[:, c] = -emb[:, c]
+    return discretize(emb, seed=seed)
+
+
+class TestPartialSpectrum:
+    def test_cluster_embeds_through_spectral_embed(self, monkeypatch):
+        g, _ = clique_union([4, 4])
+        seen = []
+
+        def capturing(emb, seed=0):
+            seen.append(emb)
+            return discretize(emb, seed=seed)
+
+        monkeypatch.setattr(tasks_module, "discretize", capturing)
+        spectral_cluster(g, 2)
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], spectral_embed(g, 2))
+
+    def test_requested_spectra(self, monkeypatch):
+        requests = []
+        real = core_graph_module.eigendecompose
+
+        def recording(A, lowest=None):
+            requests.append(lowest)
+            return real(A, lowest)
+
+        monkeypatch.setattr(tasks_module, "eigendecompose", recording)
+        monkeypatch.setattr(core_graph_module, "eigendecompose", recording)
+        g, _ = clique_union([4, 4, 5])
+        spectral_cluster(g, 3)
+        assert requests == [3 + 2]
+        denoise(g, np.ones(13), [0.25, 0.5])
+        core_graph_module.matrix_exponential(g.to_dense())
+        assert requests == [3 + 2, None, None]
+
+    def test_same_ami_as_full_decomposition(self, tmp_path):
+        # Cora-shaped bundles as in the benchmark, at n=200; every seed is asserted
+        gen = load_perfbench_gen()
+        graphs = (("naive", "cosine"), ("naive", "rbf"), ("nnk", "cosine"))
+        for seed in range(10):
+            root = gen.cora_like(tmp_path / str(seed), seed, 200, 1433, 40, 0.42)
+            bundle = load_dataset(root)
+            for method, similarity in graphs:
+                raw = build_graph(bundle.features, RunConfig("ucv", method, similarity, k=10))
+                for variant in VARIANTS:
+                    g = normalize(raw, variant)
+                    got = ami(spectral_cluster(g, bundle.C).assignment, bundle.labels)
+                    want = ami(full_spectrum_cluster(g, bundle.C).assignment, bundle.labels)
+                    assert round(got, 6) == round(want, 6), (seed, method, similarity, variant)
 
 
 class TestLabelPropagate:
