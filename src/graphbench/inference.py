@@ -74,19 +74,17 @@ def _knn_indices(S: np.ndarray, k: int) -> np.ndarray:
     """Each row's k most similar other vertices, most similar first, ties broken by lower index.
 
     Equals the first k columns of a stable argsort of -S with the diagonal set
-    to +inf (NaN sorting last). Works in blocks of rows; for k < n/2 it
-    selects by partition and sorts only the k picks, for larger k sorting
-    whole rows is cheaper.
+    to +inf (NaN sorting last). Works in blocks of rows, selects by partition
+    and sorts only the k picks.
     """
     n = S.shape[0]
     out = np.empty((n, k), dtype=np.intp)
+    if k == 0:
+        return out
     for start in range(0, n, KNN_BLOCK_ROWS):
         M = -S[start : start + KNN_BLOCK_ROWS]
         b = M.shape[0]
         M[np.arange(b), np.arange(start, start + b)] = np.inf
-        if 2 * k >= n:
-            out[start : start + b] = np.argsort(M, axis=1, kind="stable")[:, :k]
-            continue
         kth = np.partition(M, k - 1, axis=1)[:, k - 1 : k]
         # a NaN kth value means the row has fewer than k non-NaN entries
         nan, nan_kth = np.isnan(M), np.isnan(kth)

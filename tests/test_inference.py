@@ -121,6 +121,10 @@ class TestKnnSelect:
         g = knn_select(S, 2)
         assert edge_set(g) == {(0, 2)}
 
+    def test_k_zero_selects_nothing(self):
+        g = knn_select(np.full((3, 3), 0.5), 0)
+        assert (g.n, g.n_edges) == (3, 0)
+
     def test_min_neighbor_count_at_least_k(self):
         rng = np.random.default_rng(21)
         S = rng.uniform(0.1, 1.0, (12, 12))
@@ -141,7 +145,7 @@ def knn_reference(S, k):
 def tied_similarities(draw):
     """(S, k): a small matrix of few distinct values, so most rows have ties."""
     n = draw(st.integers(2, 12))
-    k = draw(st.integers(1, n - 1))
+    k = draw(st.integers(0, n - 1))
     values = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0, -np.inf, np.nan])
     S = np.array(draw(st.lists(values, min_size=n * n, max_size=n * n))).reshape(n, n)
     return S, k
@@ -161,7 +165,7 @@ class TestKnnIndices:
         for k in (1, 5, 19):
             assert np.array_equal(inference_module._knn_indices(S, k), knn_reference(S, k))
 
-    @pytest.mark.parametrize("k", [1, 10, 599])
+    @pytest.mark.parametrize("k", [1, 10, 300, 599])
     def test_rows_across_blocks(self, k):
         n = 600
         assert n > 2 * KNN_BLOCK_ROWS
@@ -179,6 +183,11 @@ class TestNaiveGraph:
         a = rng.normal([10, 0, 0], 0.05, size=(20, 3))
         b = rng.normal([-10, 5, 0], 0.05, size=(20, 3))
         return np.vstack([a, b])
+
+    @pytest.mark.parametrize("kind", ["rbf", "cosine"])
+    def test_single_vertex_dense_graph_is_empty(self, kind):
+        g = naive_graph(np.ones((1, 3)), NaiveConfig(kind, None))
+        assert (g.n, g.n_edges) == (1, 0)
 
     def test_separated_blobs_disconnect(self):
         X = self.make_blobs()
