@@ -32,9 +32,7 @@ from .tasks import (
     denoise,
     discretize,
     kmeans,
-    label_propagate,
     propagate_labels,
-    sgc_fit_predict,
     sgc_predict,
     simoncelli_response,
     spectral_cluster,

@@ -10,6 +10,8 @@ import sys
 
 from .core_graph import normalize, write_graph
 from .harness import (
+    GRAPH_METHODS,
+    TASKS,
     DatasetError,
     RunConfig,
     build_graph,
@@ -18,7 +20,7 @@ from .harness import (
     load_dataset,
     run_grid,
 )
-from .inference import CalibrationError
+from .inference import SIMILARITY_KINDS, CalibrationError
 
 VARIANT_ALIASES = {
     "raw": "raw",
@@ -51,10 +53,10 @@ def cmd_infer(args) -> int:
     )
     try:
         g = normalize(build_graph(bundle.features, cfg), VARIANT_ALIASES[args.variant])
-    except (ValueError, CalibrationError) as exc:
+        write_graph(g, args.out)
+    except (OSError, ValueError, CalibrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    write_graph(g, args.out)
     print(f"wrote {g.n_edges} edges to {args.out}")
     return 0
 
@@ -90,7 +92,11 @@ def cmd_run(args) -> int:
         print(f"error: bad grid spec: {exc}", file=sys.stderr)
         return 1
     results, best = run_grid(bundle, configs, jobs=args.jobs)
-    emit_report(results, args.report, bundle.name, timing=args.timing)
+    try:
+        emit_report(results, args.report, bundle.name, timing=args.timing)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     n_failed = sum(r.failed for r in results)
     if best is not None:
         cfg = best.config
@@ -126,8 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_infer = sub.add_parser("infer", help="build a graph from a dataset directory")
     p_infer.add_argument("--data", required=True)
-    p_infer.add_argument("--method", required=True, choices=["naive", "nnk", "smooth"])
-    p_infer.add_argument("--similarity", choices=["cosine", "covariance", "rbf"])
+    p_infer.add_argument("--method", required=True, choices=GRAPH_METHODS)
+    p_infer.add_argument("--similarity", choices=SIMILARITY_KINDS)
     p_infer.add_argument("--k", type=int, required=True)
     p_infer.add_argument("--gamma", type=float)
     p_infer.add_argument("--sigma", type=float, default=1e-4)
@@ -136,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_infer.set_defaults(func=cmd_infer)
 
     p_run = sub.add_parser("run", help="run a task grid and write a CSV report")
-    p_run.add_argument("--task", required=True, choices=["ucv", "sscv-lp", "sscv-sgc", "dgs"])
+    p_run.add_argument("--task", required=True, choices=TASKS)
     p_run.add_argument("--data", required=True)
     p_run.add_argument("--grid", default="full", help="'full' or a JSON grid file")
     p_run.add_argument("--seed", type=int, default=None)

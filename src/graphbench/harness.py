@@ -13,8 +13,9 @@ from typing import Optional
 import numpy as np
 
 from . import metrics, tasks
-from .core_graph import Graph, matrix_exponential, normalize, read_graph
+from .core_graph import VARIANTS, Graph, matrix_exponential, normalize, read_graph
 from .inference import (
+    SIMILARITY_KINDS,
     NaiveConfig,
     NnkConfig,
     SmoothConfig,
@@ -27,7 +28,8 @@ from .tasks import SemiSupervisedLabels, SgcParams
 
 TABLE1_K = (5, 10, 20, 30, 40, 50, 100, 200, 500, 1000)
 TASKS = ("ucv", "sscv-lp", "sscv-sgc", "dgs")
-METHODS = ("naive", "nnk", "smooth", "cmeans-baseline", "logreg-baseline", "reference-graph")
+GRAPH_METHODS = ("naive", "nnk", "smooth")
+METHODS = (*GRAPH_METHODS, "cmeans-baseline", "logreg-baseline", "reference-graph")
 
 DGS_INPUT_SNR_DB = 7.0
 
@@ -52,25 +54,33 @@ class DatasetBundle:
         return self.features.shape[0]
 
 
+def _lines(path: Path):
+    """Yield (line number, stripped line) for each non-blank line of a bundle file."""
+    try:
+        with open(path) as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if line:
+                    yield lineno, line
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DatasetError(f"{path.name}: unreadable ({exc})") from None
+
+
 def _load_matrix(path: Path) -> np.ndarray:
     rows = []
     width = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = [float(tok) for tok in line.split()]
-            except ValueError as exc:
-                raise DatasetError(f"{path.name} line {lineno}: non-numeric entry ({exc})")
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise DatasetError(
-                    f"{path.name} line {lineno}: expected {width} columns, got {len(row)}"
-                )
-            rows.append(row)
+    for lineno, line in _lines(path):
+        try:
+            row = [float(tok) for tok in line.split()]
+        except ValueError as exc:
+            raise DatasetError(f"{path.name} line {lineno}: non-numeric entry ({exc})")
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise DatasetError(
+                f"{path.name} line {lineno}: expected {width} columns, got {len(row)}"
+            )
+        rows.append(row)
     if not rows:
         raise DatasetError(f"{path.name}: empty file")
     return np.array(rows)
@@ -78,15 +88,11 @@ def _load_matrix(path: Path) -> np.ndarray:
 
 def _load_int_vector(path: Path) -> np.ndarray:
     out = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append(int(line))
-            except ValueError:
-                raise DatasetError(f"{path.name} line {lineno}: expected one integer")
+    for lineno, line in _lines(path):
+        try:
+            out.append(int(line))
+        except ValueError:
+            raise DatasetError(f"{path.name} line {lineno}: expected one integer")
     return np.array(out, dtype=int)
 
 
@@ -103,21 +109,22 @@ def load_dataset(path) -> DatasetBundle:
     meta = {}
     meta_file = root / "meta.txt"
     if meta_file.exists():
-        with open(meta_file) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise DatasetError(f"meta.txt line {lineno}: expected key=value")
-                key, value = line.split("=", 1)
-                key = key.strip()
-                if key not in ("name", "C", "seed"):
-                    raise DatasetError(f"meta.txt line {lineno}: unknown key {key!r}")
-                meta[key] = value.strip()
+        for lineno, line in _lines(meta_file):
+            if line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise DatasetError(f"meta.txt line {lineno}: expected key=value")
+            key, value = line.split("=", 1)
+            key, value = key.strip(), value.strip()
+            if key not in ("name", "C", "seed"):
+                raise DatasetError(f"meta.txt line {lineno}: unknown key {key!r}")
+            try:
+                meta[key] = value if key == "name" else int(value)
+            except ValueError:
+                raise DatasetError(f"meta.txt line {lineno}: {key}={value!r} is not an integer")
 
     labels = None
-    C = int(meta["C"]) if "C" in meta else None
+    C = meta.get("C")
     labels_file = root / "labels.txt"
     if labels_file.exists():
         labels = _load_int_vector(labels_file)
@@ -156,7 +163,7 @@ def load_dataset(path) -> DatasetBundle:
     if graph_file.exists():
         try:
             reference_graph = read_graph(graph_file)
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             raise DatasetError(f"graph.tsv: {exc}") from None
         if reference_graph.n != features.shape[1] and reference_graph.n != features.shape[0]:
             raise DatasetError("graph.tsv vertex count matches neither N nor F")
@@ -169,7 +176,7 @@ def load_dataset(path) -> DatasetBundle:
         noisy_signal=noisy_signal,
         reference_graph=reference_graph,
         C=C,
-        seed=int(meta.get("seed", 0)),
+        seed=meta.get("seed", 0),
     )
 
 
@@ -224,67 +231,73 @@ def split_generator(n: int, fraction: float, n_splits: int, master_seed: int):
 
 def build_graph(X: np.ndarray, cfg: RunConfig) -> Graph:
     """Dispatch to the configured inference method (raw variant)."""
+    if cfg.method not in GRAPH_METHODS:
+        raise ValueError(f"method {cfg.method!r} does not build a graph")
     if cfg.method == "naive":
         return naive_graph(X, NaiveConfig(cfg.similarity, cfg.k, cfg.gamma))
     if cfg.method == "nnk":
         return nnk_graph(X, NnkConfig(cfg.similarity, cfg.k, cfg.sigma, cfg.gamma))
-    if cfg.method == "smooth":
-        Z = pairwise_sq_euclidean(X, axis="rows")
-        return smooth_graph(Z, SmoothConfig(cfg.k, cfg.sigma))
-    raise ValueError(f"method {cfg.method!r} does not build a graph")
+    Z = pairwise_sq_euclidean(X, axis="rows")
+    return smooth_graph(Z, SmoothConfig(cfg.k, cfg.sigma))
+
+
+def point_graph(bundle: DatasetBundle, cfg: RunConfig) -> Graph:
+    """The graph a grid point scores: its inferred or reference graph, in its variant."""
+    if cfg.method == "reference-graph":
+        g = bundle.reference_graph
+        if g is None:
+            raise DatasetError("bundle has no reference graph")
+        if g.variant == "raw":
+            return normalize(g, cfg.adjacency_variant)
+        if g.variant != cfg.adjacency_variant:
+            raise ValueError(
+                f"reference graph is {g.variant}; it cannot be made {cfg.adjacency_variant}"
+            )
+        return g
+    # dgs vertices are the feature columns, so its graphs come from the transpose
+    X = bundle.features.T if cfg.task == "dgs" else bundle.features
+    return normalize(build_graph(X, cfg), cfg.adjacency_variant)
 
 
 def run_task1(bundle: DatasetBundle, cfg: RunConfig) -> RunResult:
     """Unsupervised vertex clustering scored by AMI against the ground truth."""
     if bundle.labels is None:
         raise DatasetError("task ucv needs labels")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        if cfg.method == "cmeans-baseline":
-            part = tasks.kmeans(bundle.features, bundle.C, cfg.seed)
-        else:
-            g = build_graph(bundle.features, cfg)
-            g = normalize(g, cfg.adjacency_variant)
-            part = tasks.spectral_cluster(g, bundle.C, cfg.seed)
-    score = metrics.ami(part.assignment, bundle.labels)
-    return RunResult(cfg, score, auxiliary={"warnings": len(caught)})
+    if cfg.method == "cmeans-baseline":
+        part = tasks.kmeans(bundle.features, bundle.C, cfg.seed)
+    else:
+        part = tasks.spectral_cluster(point_graph(bundle, cfg), bundle.C, cfg.seed)
+    return RunResult(cfg, metrics.ami(part.assignment, bundle.labels))
 
 
 def run_task2(bundle: DatasetBundle, cfg: RunConfig) -> RunResult:
     """Semi-supervised classification: mean/std accuracy over random splits."""
     if bundle.labels is None:
         raise DatasetError("task sscv needs labels")
-    n = bundle.n
-    masks = split_generator(n, cfg.split_fraction, cfg.n_splits, cfg.seed)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        exp_W = None
-        Xhat = None
-        if cfg.method == "logreg-baseline":
-            Xhat = bundle.features
+    masks = split_generator(bundle.n, cfg.split_fraction, cfg.n_splits, cfg.seed)
+    exp_W = None
+    Xhat = bundle.features
+    if cfg.method != "logreg-baseline":
+        g = point_graph(bundle, cfg)
+        if cfg.task == "sscv-lp":
+            exp_W = matrix_exponential(g.to_dense())
         else:
-            g = build_graph(bundle.features, cfg)
-            g = normalize(g, cfg.adjacency_variant)
-            if cfg.task == "sscv-lp":
-                exp_W = matrix_exponential(g.to_dense())
-            else:
-                Xhat = tasks.diffuse_features(g, bundle.features, hops=2)
+            Xhat = tasks.diffuse_features(g, bundle.features)
 
-        accs = []
-        for i, mask in enumerate(masks):
-            y = SemiSupervisedLabels(bundle.labels, mask)
-            if exp_W is not None:
-                pred = tasks.propagate_labels(exp_W, y)
-                accs.append(metrics.accuracy(pred, bundle.labels, ~mask))
-            else:
-                _, acc = tasks.sgc_predict(Xhat, y, SgcParams(seed=[cfg.seed, i, 7]))
-                accs.append(acc)
+    accs = []
+    for i, mask in enumerate(masks):
+        y = SemiSupervisedLabels(bundle.labels, mask)
+        if exp_W is not None:
+            pred = tasks.propagate_labels(exp_W, y)
+            accs.append(metrics.accuracy(pred, bundle.labels, ~mask))
+        else:
+            _, acc = tasks.sgc_predict(Xhat, y, SgcParams(seed=[cfg.seed, i, 7]))
+            accs.append(acc)
     accs = np.array(accs)
     return RunResult(
         cfg,
         float(accs.mean()),
         dispersion=float(accs.std(ddof=1)) if accs.size > 1 else 0.0,
-        auxiliary={"warnings": len(caught)},
     )
 
 
@@ -292,25 +305,14 @@ def run_task3(bundle: DatasetBundle, cfg: RunConfig) -> RunResult:
     """Graph-signal denoising: best SNR over the tau sweep."""
     if bundle.clean_signal is None:
         raise DatasetError("task dgs needs a clean signal")
-    if cfg.method in ("naive", "nnk") and cfg.similarity != "rbf":
+    if cfg.method in GRAPH_METHODS and cfg.similarity not in (None, "rbf"):
         raise ValueError("dgs supports only the rbf similarity")
     clean = bundle.clean_signal
     noisy = bundle.noisy_signal
     if noisy is None:
         noisy = metrics.add_noise_to_snr(clean, DGS_INPUT_SNR_DB, bundle.seed)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        if cfg.method == "reference-graph":
-            if bundle.reference_graph is None:
-                raise DatasetError("bundle has no reference graph")
-            g = bundle.reference_graph
-            if g.variant == "raw" and cfg.adjacency_variant != "raw":
-                g = normalize(g, cfg.adjacency_variant)
-        else:
-            # the vertices are the feature columns, so graphs come from the transpose
-            g = normalize(build_graph(bundle.features.T, cfg), cfg.adjacency_variant)
-        tau, snr = tasks.best_tau_denoise(g, noisy, clean)
-    return RunResult(cfg, snr, auxiliary={"tau": tau, "warnings": len(caught)})
+    tau, snr = tasks.best_tau_denoise(point_graph(bundle, cfg), noisy, clean)
+    return RunResult(cfg, snr, auxiliary={"tau": tau})
 
 
 _RUNNERS = {
@@ -325,7 +327,10 @@ def run_one(bundle: DatasetBundle, cfg: RunConfig) -> RunResult:
     """Execute one grid point; failures become a failed RunResult, never a raise."""
     start = time.perf_counter()
     try:
-        result = _RUNNERS[cfg.task](bundle, cfg)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = _RUNNERS[cfg.task](bundle, cfg)
+        result.auxiliary["warnings"] = len(caught)
     except Exception as exc:  # failed grid points are recorded, grid continues
         result = RunResult(cfg, math.nan, auxiliary={"error": f"{type(exc).__name__}: {exc}"})
     result.auxiliary["seconds"] = time.perf_counter() - start
@@ -335,7 +340,6 @@ def run_one(bundle: DatasetBundle, cfg: RunConfig) -> RunResult:
 def full_grid(task: str, bundle: DatasetBundle, master_seed: int = 0) -> list[RunConfig]:
     """Task-appropriate cartesian grid over methods, similarities, k, variants."""
     n = bundle.n
-    variants = ("raw", "sym_norm", "augmented", "augmented_sym_norm")
     configs = []
     if task == "ucv":
         configs.append(RunConfig(task, "cmeans-baseline", seed=master_seed))
@@ -344,15 +348,18 @@ def full_grid(task: str, bundle: DatasetBundle, master_seed: int = 0) -> list[Ru
     if task == "dgs":
         n_vertices = bundle.features.shape[1]
         if bundle.reference_graph is not None:
-            configs.append(RunConfig(task, "reference-graph", seed=master_seed))
+            variant = bundle.reference_graph.variant
+            configs.append(
+                RunConfig(task, "reference-graph", adjacency_variant=variant, seed=master_seed)
+            )
         ks = [k for k in TABLE1_K if k < n_vertices]
         for k in ks + [None]:
-            for variant in variants:
+            for variant in VARIANTS:
                 configs.append(
                     RunConfig(task, "naive", "rbf", k, adjacency_variant=variant, seed=master_seed)
                 )
         for k in ks:
-            for variant in variants:
+            for variant in VARIANTS:
                 configs.append(
                     RunConfig(task, "nnk", "rbf", k, adjacency_variant=variant, seed=master_seed)
                 )
@@ -361,9 +368,9 @@ def full_grid(task: str, bundle: DatasetBundle, master_seed: int = 0) -> list[Ru
                 )
         return configs
     ks = [k for k in TABLE1_K if k < n]
-    for sim in ("cosine", "covariance", "rbf"):
+    for sim in SIMILARITY_KINDS:
         for k in ks:
-            for variant in variants:
+            for variant in VARIANTS:
                 configs.append(
                     RunConfig(task, "naive", sim, k, adjacency_variant=variant, seed=master_seed)
                 )
@@ -371,7 +378,7 @@ def full_grid(task: str, bundle: DatasetBundle, master_seed: int = 0) -> list[Ru
                     RunConfig(task, "nnk", sim, k, adjacency_variant=variant, seed=master_seed)
                 )
     for k in ks:
-        for variant in variants:
+        for variant in VARIANTS:
             configs.append(
                 RunConfig(task, "smooth", None, k, adjacency_variant=variant, seed=master_seed)
             )

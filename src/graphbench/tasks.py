@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core_graph import Graph, eigendecompose, laplacian, matrix_exponential
+from .core_graph import Graph, eigendecompose, laplacian
 
 # Eigenvalues this close to zero (absolute, or relative to lambda_max in
 # denoise) count as the Laplacian's null space: eigh returns them as +-1e-16.
@@ -50,7 +50,6 @@ class SemiSupervisedLabels:
 class SgcParams:
     epochs: int = 100
     learning_rate: float = 0.001
-    diffusion_hops: int = 2
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
@@ -194,11 +193,6 @@ def spectral_cluster(g: Graph, C: int, seed=0, skip_first: bool = True) -> Parti
     return discretize(spectral_embed(g, C, skip_first), seed=seed)
 
 
-def label_propagate(g: Graph, y: SemiSupervisedLabels) -> np.ndarray:
-    """Diffuse one-hot labels once through exp(W); argmax per vertex (see propagate_labels)."""
-    return propagate_labels(matrix_exponential(g.to_dense()), y)
-
-
 def propagate_labels(E: np.ndarray, y: SemiSupervisedLabels) -> np.ndarray:
     """Diffuse one-hot labels once through the operator E; argmax per vertex.
 
@@ -273,14 +267,6 @@ def diffuse_features(g: Graph, X: np.ndarray, hops: int = 2) -> np.ndarray:
     for _ in range(hops):
         out = W @ out
     return out
-
-
-def sgc_fit_predict(
-    g: Graph, X, y: SemiSupervisedLabels, p: SgcParams
-) -> tuple[np.ndarray, float]:
-    """Two-hop feature diffusion + logistic regression (see sgc_predict)."""
-    X = np.asarray(X, dtype=float)
-    return sgc_predict(diffuse_features(g, X, hops=p.diffusion_hops), y, p)
 
 
 def sgc_predict(

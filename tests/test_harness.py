@@ -4,10 +4,12 @@ import sys
 import numpy as np
 import pytest
 
-from graphbench.core_graph import Graph, write_graph
+from graphbench.core_graph import VARIANTS, Graph, IsolatedVertexWarning, normalize, write_graph
 from graphbench.harness import (
+    CSV_HEADER,
     DatasetError,
     RunConfig,
+    build_graph,
     emit_report,
     full_grid,
     load_dataset,
@@ -18,6 +20,8 @@ from graphbench.harness import (
     run_task3,
     split_generator,
 )
+from graphbench.metrics import add_noise_to_snr
+from graphbench.tasks import best_tau_denoise
 
 
 def write_blob_dataset(root, n_per=10, seed=0, name="blobs"):
@@ -44,6 +48,24 @@ def write_signal_dataset(root, f=24, seed=1):
     write_graph(Graph(f, edges), root / "graph.tsv")
     (root / "meta.txt").write_text("name=toy-signal\nseed=3\n")
     return clean
+
+
+def write_outlier_dataset(root, n=30, seed=0):
+    """Positive rows plus one all-negative row: a cosine k-NN graph isolates the last vertex."""
+    rng = np.random.default_rng(seed)
+    X = np.vstack([rng.uniform(0.5, 1.5, size=(n, 4)), -np.ones((1, 4))])
+    root.mkdir(parents=True, exist_ok=True)
+    np.savetxt(root / "features.txt", X)
+    (root / "labels.txt").write_text("\n".join(str(i % 3) for i in range(n + 1)) + "\n")
+    (root / "meta.txt").write_text("name=outlier\nseed=2\n")
+    return n  # index of the isolated vertex
+
+
+def warning_cells(results, path):
+    """The report's `warnings` column, one cell per grid point."""
+    emit_report(results, path, "d")
+    index = CSV_HEADER.split(",").index("warnings")
+    return [line.split(",")[index] for line in path.read_text().splitlines()[1:]]
 
 
 class TestLoadDataset:
@@ -100,6 +122,29 @@ class TestLoadDataset:
         (root / "features.txt").write_text("1 2 3\n1 2\n")
         with pytest.raises(DatasetError, match="line 2"):
             load_dataset(root)
+
+    @pytest.mark.parametrize("entry", ["C=abc", "seed=x", "C=2.0"])
+    def test_non_integer_meta_value_rejected(self, tmp_path, entry):
+        write_blob_dataset(tmp_path / "d")
+        (tmp_path / "d" / "meta.txt").write_text(f"name=blobs\n{entry}\n")
+        with pytest.raises(DatasetError, match="meta.txt line 2: .* is not an integer"):
+            load_dataset(tmp_path / "d")
+
+    def test_non_utf8_features_rejected(self, tmp_path):
+        root = tmp_path / "d"
+        root.mkdir()
+        (root / "features.txt").write_bytes(b"\xff1 2\n3 4\n")
+        with pytest.raises(DatasetError, match="features.txt"):
+            load_dataset(root)
+
+    @pytest.mark.parametrize("name", ["features.txt", "meta.txt", "graph.tsv"])
+    def test_directory_in_place_of_file_rejected(self, tmp_path, name):
+        write_signal_dataset(tmp_path / "s")
+        target = tmp_path / "s" / name
+        target.unlink()
+        target.mkdir()
+        with pytest.raises(DatasetError, match=name):
+            load_dataset(tmp_path / "s")
 
 
 class TestSplitGenerator:
@@ -182,6 +227,22 @@ class TestRunTask2:
 
 
 class TestRunTask3:
+    def test_non_raw_reference_graph_keeps_its_variant(self, tmp_path):
+        clean = write_signal_dataset(tmp_path / "s")
+        chain = Graph(clean.size, [(i, i + 1, 1.0) for i in range(clean.size - 1)])
+        write_graph(normalize(chain, "sym_norm"), tmp_path / "s" / "graph.tsv")
+        bundle = load_dataset(tmp_path / "s")
+        reference = [cfg for cfg in full_grid("dgs", bundle) if cfg.method == "reference-graph"]
+        assert [cfg.adjacency_variant for cfg in reference] == ["sym_norm"]
+        res = run_one(bundle, reference[0])
+        assert not res.failed
+        noisy = add_noise_to_snr(clean, 7.0, bundle.seed)
+        assert res.primary_score == best_tau_denoise(bundle.reference_graph, noisy, clean)[1]
+        for variant in ("raw", "augmented"):
+            res = run_one(bundle, RunConfig("dgs", "reference-graph", adjacency_variant=variant))
+            assert res.failed
+            assert "sym_norm" in res.auxiliary["error"] and variant in res.auxiliary["error"]
+
     def test_reference_graph_denoises(self, tmp_path):
         write_signal_dataset(tmp_path / "s")
         bundle = load_dataset(tmp_path / "s")
@@ -249,6 +310,67 @@ class TestRunGrid:
         r2, _ = run_grid(bundle, self.small_grid(), jobs=2)
         for a, b in zip(r1, r2):
             assert a.primary_score == b.primary_score
+
+    def test_mixed_grid_reports_match_across_jobs(self, tmp_path):
+        write_outlier_dataset(tmp_path / "d")
+        write_signal_dataset(tmp_path / "s")
+        labelled = [
+            RunConfig(task, method, "cosine", 4, adjacency_variant=v, seed=11, n_splits=20)
+            for task in ("ucv", "sscv-lp")
+            for method in ("naive", "nnk")
+            for v in VARIANTS
+        ]
+        signal = [
+            RunConfig("dgs", method, similarity, 4, adjacency_variant=v, seed=11)
+            for method, similarity in (("naive", "rbf"), ("nnk", "rbf"), ("reference-graph", None))
+            for v in VARIANTS
+        ]
+        for name, grid in (("d", labelled), ("s", signal)):
+            bundle = load_dataset(tmp_path / name)
+            reports = []
+            for jobs in (1, 2):
+                results, _ = run_grid(bundle, grid, jobs=jobs)
+                assert not any(r.failed for r in results)
+                out = tmp_path / f"{name}{jobs}.csv"
+                emit_report(results, out, bundle.name)
+                reports.append(out.read_bytes())
+            assert reports[0] == reports[1]
+
+
+class TestWarningCount:
+    def test_counts_each_points_warnings(self, tmp_path):
+        isolated = write_outlier_dataset(tmp_path / "d")
+        bundle = load_dataset(tmp_path / "d")
+        lp = dict(seed=4, n_splits=20, split_fraction=0.2)
+        grid = [
+            RunConfig("ucv", "naive", "cosine", 4, adjacency_variant="raw"),
+            RunConfig("ucv", "naive", "cosine", 4, adjacency_variant="sym_norm"),
+            RunConfig("sscv-lp", "naive", "cosine", 4, adjacency_variant="raw", **lp),
+            RunConfig("sscv-lp", "naive", "cosine", 4, adjacency_variant="sym_norm", **lp),
+        ]
+        masks = split_generator(bundle.n, lp["split_fraction"], lp["n_splits"], lp["seed"])
+        # one "disconnected from all labels" warning per split leaving the isolated vertex out
+        dead = sum(not mask[isolated] for mask in masks)
+        assert 0 < dead < len(masks)
+        results, _ = run_grid(bundle, grid)
+        assert not any(r.failed for r in results)
+        cells = warning_cells(results, tmp_path / "r.csv")
+        # sym_norm adds one IsolatedVertexWarning per point
+        assert cells == ["0", "1", str(dead), str(dead + 1)]
+
+    def test_failed_point_reports_zero(self, tmp_path):
+        root = tmp_path / "d"
+        root.mkdir()
+        np.savetxt(root / "features.txt", [[1.0, 0.0], [1.0, 0.1], [-1.0, -1.0]])
+        (root / "labels.txt").write_text("0\n1\n2\n")
+        bundle = load_dataset(root)
+        # the point warns while normalizing, then fails: 3 classes need 4 eigenpairs of 3
+        cfg = RunConfig("ucv", "naive", "cosine", 1, adjacency_variant="sym_norm")
+        with pytest.warns(IsolatedVertexWarning):
+            normalize(build_graph(bundle.features, cfg), cfg.adjacency_variant)
+        results, _ = run_grid(bundle, [cfg])
+        assert results[0].failed
+        assert warning_cells(results, tmp_path / "r.csv") == ["0"]
 
 
 class TestEmitReport:
@@ -365,6 +487,46 @@ class TestCli:
         proc = self.run_cli("datasets", "validate", str(tmp_path / "d"))
         assert proc.returncode == 1
         assert proc.stderr.startswith("invalid: graph.tsv: " + reason)
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("entry", ["C=abc", "seed=x"])
+    def test_validate_non_integer_meta_value(self, tmp_path, entry):
+        write_blob_dataset(tmp_path / "d")
+        (tmp_path / "d" / "meta.txt").write_text(f"name=blobs\n{entry}\n")
+        proc = self.run_cli("datasets", "validate", str(tmp_path / "d"))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("invalid: meta.txt line 2:")
+        assert "Traceback" not in proc.stderr
+
+    def test_infer_unwritable_out_is_error(self, tmp_path):
+        write_blob_dataset(tmp_path / "d")
+        out = tmp_path / "missing" / "g.tsv"
+        proc = self.run_cli(
+            "infer",
+            "--data", str(tmp_path / "d"),
+            "--method", "naive",
+            "--similarity", "cosine",
+            "--k", "3",
+            "--out", str(out),
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:") and "g.tsv" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_run_unwritable_report_is_error(self, tmp_path):
+        write_blob_dataset(tmp_path / "d")
+        grid_file = tmp_path / "grid.json"
+        grid_file.write_text('[{"method": "cmeans-baseline"}]')
+        report = tmp_path / "missing" / "r.csv"
+        proc = self.run_cli(
+            "run",
+            "--task", "ucv",
+            "--data", str(tmp_path / "d"),
+            "--grid", str(grid_file),
+            "--report", str(report),
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:") and "r.csv" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_run_with_grid_file(self, tmp_path):

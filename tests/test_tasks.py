@@ -7,7 +7,14 @@ import pytest
 
 import graphbench.core_graph as core_graph_module
 import graphbench.tasks as tasks_module
-from graphbench.core_graph import VARIANTS, Graph, from_dense, laplacian, normalize
+from graphbench.core_graph import (
+    VARIANTS,
+    Graph,
+    from_dense,
+    laplacian,
+    matrix_exponential,
+    normalize,
+)
 from graphbench.harness import RunConfig, build_graph, load_dataset
 from graphbench.metrics import add_noise_to_snr, ami, snr_db
 from graphbench.tasks import (
@@ -19,8 +26,7 @@ from graphbench.tasks import (
     diffuse_features,
     discretize,
     kmeans,
-    label_propagate,
-    sgc_fit_predict,
+    propagate_labels,
     sgc_predict,
     simoncelli_response,
     spectral_cluster,
@@ -246,19 +252,19 @@ class TestLabelPropagate:
         g = Graph(3)
         y = SemiSupervisedLabels([1, 1, 0], [True, True, False])
         with pytest.warns(UserWarning, match="disconnected"):
-            pred = label_propagate(g, y)
+            pred = propagate_labels(matrix_exponential(g.to_dense()), y)
         assert pred[2] == 1
 
     def test_path_single_source(self):
         g = Graph(2, [(0, 1, 1.0)])
         y = SemiSupervisedLabels([0, 0], [True, False])
-        pred = label_propagate(g, y)
+        pred = propagate_labels(matrix_exponential(g.to_dense()), y)
         assert pred[1] == 0
 
     def test_triangle_tie_goes_to_class_zero(self):
         g, _ = clique_union([3])
         y = SemiSupervisedLabels([0, 1, 0], [True, True, False])
-        pred = label_propagate(g, y)
+        pred = propagate_labels(matrix_exponential(g.to_dense()), y)
         assert pred[2] == 0
 
     def test_onehot_scale_invariance(self):
@@ -266,8 +272,6 @@ class TestLabelPropagate:
         # equivalent check: predictions from exp(2W) differ, from 3*Y0 do not
         g, _ = clique_union([4, 3])
         y = SemiSupervisedLabels([0, 0, 0, 0, 1, 1, 1], [True, False, True, False, True, False, True])
-        from graphbench.core_graph import matrix_exponential
-
         E = matrix_exponential(g.to_dense())
         Y0 = np.zeros((7, 2))
         obs = np.flatnonzero(y.observed_mask)
@@ -296,29 +300,18 @@ class TestSgc:
         y = SemiSupervisedLabels(labels, mask)
         p = SgcParams(seed=3)
         g = self.identity_graph(40)
-        pred_sgc, _ = sgc_fit_predict(g, X, y, p)
+        pred_sgc, _ = sgc_predict(diffuse_features(g, X), y, p)
         W, b = train_logistic_regression(X[mask], labels[mask], 2, p)
         pred_lr = np.argmax(X[~mask] @ W + b, axis=1)
         assert np.array_equal(pred_sgc[~mask], pred_lr)
-
-    def test_fit_predict_is_diffusion_then_predict(self):
-        X, labels = self.blobs(2)
-        g = two_block_graph(20, bridge=0.3)
-        mask = np.zeros(40, dtype=bool)
-        mask[::5] = True
-        y = SemiSupervisedLabels(labels, mask)
-        p = SgcParams(seed=4)
-        pred_a, acc_a = sgc_fit_predict(g, X, y, p)
-        pred_b, acc_b = sgc_predict(diffuse_features(g, X, hops=p.diffusion_hops), y, p)
-        assert np.array_equal(pred_a, pred_b)
-        assert acc_a == acc_b
 
     def test_separable_blobs_perfect_accuracy(self):
         X, labels = self.blobs(1)
         mask = np.zeros(40, dtype=bool)
         mask[[0, 1, 20, 21]] = True
         y = SemiSupervisedLabels(labels, mask)
-        _, acc = sgc_fit_predict(self.identity_graph(40), X, y, SgcParams(seed=0))
+        g = self.identity_graph(40)
+        _, acc = sgc_predict(diffuse_features(g, X), y, SgcParams(seed=0))
         assert acc == 1.0
 
     def test_duplicated_column_delta_identity(self):
@@ -366,8 +359,8 @@ class TestSgc:
         mask[::3] = True
         y = SemiSupervisedLabels(labels, mask)
         g = self.identity_graph(40)
-        p1, a1 = sgc_fit_predict(g, X, y, SgcParams(seed=9))
-        p2, a2 = sgc_fit_predict(g, X, y, SgcParams(seed=9))
+        p1, a1 = sgc_predict(diffuse_features(g, X), y, SgcParams(seed=9))
+        p2, a2 = sgc_predict(diffuse_features(g, X), y, SgcParams(seed=9))
         assert np.array_equal(p1, p2) and a1 == a2
 
 
