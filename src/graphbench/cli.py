@@ -8,17 +8,18 @@ import math
 import os
 import sys
 
-from .core_graph import normalize, write_graph
+from .core_graph import write_graph
 from .harness import (
     GRAPH_METHODS,
     TASKS,
     DatasetError,
     RunConfig,
-    build_graph,
     emit_report,
     full_grid,
     load_dataset,
+    point_graph,
     run_grid,
+    summary_path,
 )
 from .inference import SIMILARITY_KINDS, CalibrationError
 
@@ -31,10 +32,11 @@ VARIANT_ALIASES = {
 
 
 def _master_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("GRAPHBENCH_SEED")
-    return int(env) if env else 0
+    env = os.environ.get("GRAPHBENCH_SEED") or "0"
+    try:
+        return args.seed if args.seed is not None else int(env)
+    except ValueError:
+        raise ValueError(f"GRAPHBENCH_SEED={env!r} is not an integer") from None
 
 
 def cmd_infer(args) -> int:
@@ -44,15 +46,16 @@ def cmd_infer(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     cfg = RunConfig(
-        task="ucv",  # placeholder, infer only uses graph fields
+        task="ucv",  # placeholder: point_graph reads only the graph fields
         method=args.method,
         similarity=args.similarity,
         k=args.k,
         gamma=args.gamma,
         sigma=args.sigma,
+        adjacency_variant=VARIANT_ALIASES[args.variant],
     )
     try:
-        g = normalize(build_graph(bundle.features, cfg), VARIANT_ALIASES[args.variant])
+        g = point_graph(bundle, cfg)
         write_graph(g, args.out)
     except (OSError, ValueError, CalibrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -76,6 +79,8 @@ def _load_grid(spec: str, task: str, bundle, master_seed: int) -> list[RunConfig
                 entry["adjacency_variant"], entry["adjacency_variant"]
             )
         configs.append(RunConfig(**entry))
+    if not configs:
+        raise ValueError(f"{spec} holds no grid points")
     return configs
 
 
@@ -85,11 +90,16 @@ def cmd_run(args) -> int:
     except DatasetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    seed = _master_seed(args)
     try:
-        configs = _load_grid(args.grid, args.task, bundle, seed)
+        configs = _load_grid(args.grid, args.task, bundle, _master_seed(args))
     except (OSError, ValueError, TypeError) as exc:
         print(f"error: bad grid spec: {exc}", file=sys.stderr)
+        return 1
+    try:  # fail before the grid runs, not after, when a report file cannot be written
+        for path in (args.report, summary_path(args.report)):
+            open(path, "a").close()
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     results, best = run_grid(bundle, configs, jobs=args.jobs)
     try:

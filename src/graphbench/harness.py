@@ -50,8 +50,13 @@ class DatasetBundle:
     seed: int = 0
 
     @property
+    def vertex_features(self) -> np.ndarray:
+        """One row per vertex: a signal bundle's vertices are its feature columns."""
+        return self.features if self.clean_signal is None else self.features.T
+
+    @property
     def n(self) -> int:
-        return self.features.shape[0]
+        return self.vertex_features.shape[0]
 
 
 def _lines(path: Path):
@@ -83,7 +88,11 @@ def _load_matrix(path: Path) -> np.ndarray:
         rows.append(row)
     if not rows:
         raise DatasetError(f"{path.name}: empty file")
-    return np.array(rows)
+    out = np.array(rows)
+    del rows  # free the parsed rows before the check allocates its mask
+    if not np.all(np.isfinite(out)):
+        raise DatasetError(f"{path.name} contains non-finite values")
+    return out
 
 
 def _load_int_vector(path: Path) -> np.ndarray:
@@ -103,8 +112,6 @@ def load_dataset(path) -> DatasetBundle:
     if not feats_file.exists():
         raise DatasetError(f"{root}: missing features.txt")
     features = _load_matrix(feats_file)
-    if not np.all(np.isfinite(features)):
-        raise DatasetError("features.txt contains non-finite values")
 
     meta = {}
     meta_file = root / "meta.txt"
@@ -122,6 +129,10 @@ def load_dataset(path) -> DatasetBundle:
                 meta[key] = value if key == "name" else int(value)
             except ValueError:
                 raise DatasetError(f"meta.txt line {lineno}: {key}={value!r} is not an integer")
+    if meta.get("C", 1) < 1:
+        raise DatasetError(f"meta.txt: C={meta['C']} must be >= 1")
+    if meta.get("seed", 0) < 0:
+        raise DatasetError(f"meta.txt: seed={meta['seed']} must be >= 0")
 
     labels = None
     C = meta.get("C")
@@ -158,26 +169,25 @@ def load_dataset(path) -> DatasetBundle:
         if clean_signal is None or noisy_signal.size != clean_signal.size:
             raise DatasetError("noisy.txt requires a matching signal.txt")
 
-    reference_graph = None
-    graph_file = root / "graph.tsv"
-    if graph_file.exists():
-        try:
-            reference_graph = read_graph(graph_file)
-        except (OSError, ValueError) as exc:
-            raise DatasetError(f"graph.tsv: {exc}") from None
-        if reference_graph.n != features.shape[1] and reference_graph.n != features.shape[0]:
-            raise DatasetError("graph.tsv vertex count matches neither N nor F")
-
-    return DatasetBundle(
+    bundle = DatasetBundle(
         name=meta.get("name", root.name),
         features=features,
         labels=labels,
         clean_signal=clean_signal,
         noisy_signal=noisy_signal,
-        reference_graph=reference_graph,
         C=C,
         seed=meta.get("seed", 0),
     )
+    graph_file = root / "graph.tsv"
+    if graph_file.exists():
+        try:
+            g = read_graph(graph_file)
+        except (OSError, ValueError) as exc:
+            raise DatasetError(f"graph.tsv: {exc}") from None
+        if g.n != bundle.n:
+            raise DatasetError(f"graph.tsv has {g.n} vertices, the bundle has {bundle.n}")
+        bundle.reference_graph = g
+    return bundle
 
 
 @dataclass
@@ -198,6 +208,8 @@ class RunConfig:
             raise ValueError(f"unknown task {self.task!r}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -237,7 +249,7 @@ def build_graph(X: np.ndarray, cfg: RunConfig) -> Graph:
         return naive_graph(X, NaiveConfig(cfg.similarity, cfg.k, cfg.gamma))
     if cfg.method == "nnk":
         return nnk_graph(X, NnkConfig(cfg.similarity, cfg.k, cfg.sigma, cfg.gamma))
-    Z = pairwise_sq_euclidean(X, axis="rows")
+    Z = pairwise_sq_euclidean(X)
     return smooth_graph(Z, SmoothConfig(cfg.k, cfg.sigma))
 
 
@@ -254,9 +266,7 @@ def point_graph(bundle: DatasetBundle, cfg: RunConfig) -> Graph:
                 f"reference graph is {g.variant}; it cannot be made {cfg.adjacency_variant}"
             )
         return g
-    # dgs vertices are the feature columns, so its graphs come from the transpose
-    X = bundle.features.T if cfg.task == "dgs" else bundle.features
-    return normalize(build_graph(X, cfg), cfg.adjacency_variant)
+    return normalize(build_graph(bundle.vertex_features, cfg), cfg.adjacency_variant)
 
 
 def run_task1(bundle: DatasetBundle, cfg: RunConfig) -> RunResult:
@@ -339,50 +349,40 @@ def run_one(bundle: DatasetBundle, cfg: RunConfig) -> RunResult:
 
 def full_grid(task: str, bundle: DatasetBundle, master_seed: int = 0) -> list[RunConfig]:
     """Task-appropriate cartesian grid over methods, similarities, k, variants."""
-    n = bundle.n
-    configs = []
-    if task == "ucv":
-        configs.append(RunConfig(task, "cmeans-baseline", seed=master_seed))
-    if task in ("sscv-lp", "sscv-sgc"):
-        configs.append(RunConfig(task, "logreg-baseline", seed=master_seed))
+    ks = [k for k in TABLE1_K if k < bundle.n]
+
+    def points(pairs, ks):
+        return [
+            RunConfig(task, method, sim, k, adjacency_variant=variant, seed=master_seed)
+            for k in ks
+            for variant in VARIANTS
+            for method, sim in pairs
+        ]
+
     if task == "dgs":
-        n_vertices = bundle.features.shape[1]
+        configs = []
         if bundle.reference_graph is not None:
             variant = bundle.reference_graph.variant
             configs.append(
                 RunConfig(task, "reference-graph", adjacency_variant=variant, seed=master_seed)
             )
-        ks = [k for k in TABLE1_K if k < n_vertices]
-        for k in ks + [None]:
-            for variant in VARIANTS:
-                configs.append(
-                    RunConfig(task, "naive", "rbf", k, adjacency_variant=variant, seed=master_seed)
-                )
-        for k in ks:
-            for variant in VARIANTS:
-                configs.append(
-                    RunConfig(task, "nnk", "rbf", k, adjacency_variant=variant, seed=master_seed)
-                )
-                configs.append(
-                    RunConfig(task, "smooth", None, k, adjacency_variant=variant, seed=master_seed)
-                )
-        return configs
-    ks = [k for k in TABLE1_K if k < n]
+        configs += points([("naive", "rbf")], ks + [None])
+        return configs + points([("nnk", "rbf"), ("smooth", None)], ks)
+    baseline = "cmeans-baseline" if task == "ucv" else "logreg-baseline"
+    configs = [RunConfig(task, baseline, seed=master_seed)]
     for sim in SIMILARITY_KINDS:
-        for k in ks:
-            for variant in VARIANTS:
-                configs.append(
-                    RunConfig(task, "naive", sim, k, adjacency_variant=variant, seed=master_seed)
-                )
-                configs.append(
-                    RunConfig(task, "nnk", sim, k, adjacency_variant=variant, seed=master_seed)
-                )
-    for k in ks:
-        for variant in VARIANTS:
-            configs.append(
-                RunConfig(task, "smooth", None, k, adjacency_variant=variant, seed=master_seed)
-            )
-    return configs
+        configs += points([("naive", sim), ("nnk", sim)], ks)
+    return configs + points([("smooth", None)], ks)
+
+
+def _best(results: list[RunResult]) -> Optional[RunResult]:
+    """The first result with the highest score, skipping failed and NaN points."""
+    best = None
+    for r in results:
+        if not r.failed and not math.isnan(r.primary_score):
+            if best is None or r.primary_score > best.primary_score:
+                best = r
+    return best
 
 
 def run_grid(
@@ -394,12 +394,7 @@ def run_grid(
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(run_one, [bundle] * len(configs), configs))
-    best = None
-    for r in results:
-        if not r.failed and not math.isnan(r.primary_score):
-            if best is None or r.primary_score > best.primary_score:
-                best = r
-    return results, best
+    return results, _best(results)
 
 
 CSV_HEADER = "task,dataset,method,similarity,k,variant,score,std,tau,warnings,seconds"
@@ -415,6 +410,12 @@ def _fmt(value, digits=6) -> str:
             return "inf" if value > 0 else "-inf"
         return f"{value:.{digits}f}"
     return str(value)
+
+
+def summary_path(report) -> Path:
+    """Where emit_report writes the best-per-method summary of a report."""
+    path = Path(report)
+    return path.with_suffix(path.suffix + ".best.txt")
 
 
 def emit_report(results: list[RunResult], path, dataset_name: str, timing: bool = False):
@@ -448,19 +449,14 @@ def emit_report(results: list[RunResult], path, dataset_name: str, timing: bool 
         )
     path.write_text("\n".join(lines) + "\n")
 
-    by_method = {}
-    for r in results:
-        if r.failed or math.isnan(r.primary_score):
-            continue
-        cur = by_method.get(r.config.method)
-        if cur is None or r.primary_score > cur.primary_score:
-            by_method[r.config.method] = r
     summary = [f"Best score per method ({dataset_name})"]
-    for method in sorted(by_method):
-        r = by_method[method]
-        cfg = r.config
-        extra = f" +- {_fmt(r.dispersion, 4)}" if r.dispersion is not None else ""
+    for method in sorted({r.config.method for r in results}):
+        best = _best([r for r in results if r.config.method == method])
+        if best is None:
+            continue
+        cfg = best.config
+        extra = f" +- {_fmt(best.dispersion, 4)}" if best.dispersion is not None else ""
         detail = f"similarity={cfg.similarity or '-'} k={cfg.k} variant={cfg.adjacency_variant}"
-        summary.append(f"{method:18s} {_fmt(r.primary_score, 4)}{extra}  ({detail})")
-    path.with_suffix(path.suffix + ".best.txt").write_text("\n".join(summary) + "\n")
+        summary.append(f"{method:18s} {_fmt(best.primary_score, 4)}{extra}  ({detail})")
+    summary_path(path).write_text("\n".join(summary) + "\n")
     return path

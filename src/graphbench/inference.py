@@ -21,6 +21,9 @@ SIMILARITY_KINDS = ("cosine", "covariance", "rbf")
 
 KKT_TOL = 1e-8
 
+LOG_DEGREE_ALPHA = 1.0
+PDS_STEP_SIZE = 0.5
+
 # Rows per block in _knn_indices: bounds its temporaries to a few n-wide arrays.
 KNN_BLOCK_ROWS = 256
 
@@ -128,7 +131,7 @@ def _similarity_matrix(X: np.ndarray, kind: str, gamma: Optional[float]) -> np.n
         return cosine_similarity(X)
     if kind == "covariance":
         return covariance_similarity(X)
-    Z = pairwise_sq_euclidean(X, axis="rows")
+    Z = pairwise_sq_euclidean(X)
     if gamma is None:
         gamma = 1.0 / X.shape[1]
     return rbf_kernel(Z, gamma)
@@ -142,17 +145,16 @@ def naive_graph(X, cfg: NaiveConfig) -> Graph:
     return knn_select(S, k)
 
 
-def nnls_solve(K_SS: np.ndarray, k_Si: np.ndarray, max_iter: Optional[int] = None):
+def nnls_solve(K_SS: np.ndarray, k_Si: np.ndarray):
     """Minimize 0.5 t'Kt - t'b over t >= 0 by an active-set (Lawson-Hanson) method.
 
-    Returns (theta, converged). On hitting the iteration cap the best iterate
-    so far is returned with converged=False.
+    Returns (theta, converged). On hitting the iteration cap, max(10 m, 30)
+    for m unknowns, the best iterate so far is returned with converged=False.
     """
     K = np.asarray(K_SS, dtype=float)
     b = np.asarray(k_Si, dtype=float)
     m = b.shape[0]
-    if max_iter is None:
-        max_iter = max(10 * m, 30)
+    max_iter = max(10 * m, 30)
     theta = np.zeros(m)
     passive = np.zeros(m, dtype=bool)
     for _ in range(max_iter):
@@ -244,20 +246,19 @@ def nnk_graph(X, cfg: NnkConfig) -> Graph:
 
 def learn_log_degree_weights(
     Z: np.ndarray,
-    alpha: float = 1.0,
     beta: float = 1.0,
     max_iter: int = 10000,
     rel_tol: float = 1e-6,
     patience: int = 50,
-    step_size: float = 0.5,
 ) -> np.ndarray:
     """Learn edge weights from squared distances under the log-degree smoothness model.
 
     Minimizes sum_ij W_ij Z_ij - alpha * sum_i log(sum_j W_ij)
-    + (beta/2) * sum_ij W_ij^2 over symmetric non-negative W with zero
-    diagonal, using forward-backward-forward primal-dual iterations. Stops
-    when the relative objective decrease over `patience` iterations falls
-    below `rel_tol`. Returns the dense weight matrix.
+    + (beta/2) * sum_ij W_ij^2, alpha = LOG_DEGREE_ALPHA, over symmetric
+    non-negative W with zero diagonal, using forward-backward-forward
+    primal-dual iterations with step PDS_STEP_SIZE. Stops when the relative
+    objective decrease over `patience` iterations falls below `rel_tol`.
+    Returns the dense weight matrix.
 
     On reaching `max_iter` without meeting the stopping rule it returns the
     last iterate as it is, and says nothing. Reporting non-convergence waits
@@ -277,18 +278,18 @@ def learn_log_degree_weights(
     def degrees(x: np.ndarray) -> np.ndarray:
         return np.bincount(ends, weights=np.concatenate((x, x)), minlength=n)
 
-    gamma = step_size / (2.0 * beta + np.sqrt(2.0 * (n - 1)))
+    gamma = PDS_STEP_SIZE / (2.0 * beta + np.sqrt(2.0 * (n - 1)))
     two_beta = 2.0 * beta
     two_z = 2.0 * z
     gamma_two_z = 2.0 * gamma * z
-    four_alpha_gamma = 4.0 * alpha * gamma
+    four_alpha_gamma = 4.0 * LOG_DEGREE_ALPHA * gamma
     w = np.zeros_like(z)
     v = np.zeros(n)
 
     def objective(wv: np.ndarray, d: np.ndarray) -> float:
         if (d <= 0).any():
             return np.inf
-        return float(two_z @ wv - alpha * np.log(d).sum() + beta * wv @ wv)
+        return float(two_z @ wv - LOG_DEGREE_ALPHA * np.log(d).sum() + beta * wv @ wv)
 
     d = degrees(w)
     history = [objective(w, d)]

@@ -22,13 +22,9 @@ def _symmetrize(S: np.ndarray) -> np.ndarray:
     return out
 
 
-def pairwise_sq_euclidean(X, axis: str = "rows") -> np.ndarray:
-    """Squared Euclidean distance matrix between rows (observations) or columns."""
+def pairwise_sq_euclidean(X) -> np.ndarray:
+    """Squared Euclidean distance matrix between rows."""
     X = _check_features(X)
-    if axis == "cols":
-        X = X.T
-    elif axis != "rows":
-        raise ValueError("axis must be 'rows' or 'cols'")
     sq = np.sum(X * X, axis=1)
     Z = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
     np.maximum(Z, 0.0, out=Z)

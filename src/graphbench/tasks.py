@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,6 +13,17 @@ from .core_graph import Graph, eigendecompose, laplacian
 # Eigenvalues this close to zero (absolute, or relative to lambda_max in
 # denoise) count as the Laplacian's null space: eigh returns them as +-1e-16.
 NULL_SPACE_TOL = 1e-8
+
+KMEANS_RESTARTS = 10
+KMEANS_MAX_ITER = 300
+DISCRETIZE_RESTARTS = 30
+DISCRETIZE_MAX_ITER = 30
+DISCRETIZE_TOL = 1e-7
+DIFFUSION_HOPS = 2
+ADAM_LEARNING_RATE = 0.001
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -49,32 +60,26 @@ class SemiSupervisedLabels:
 @dataclass
 class SgcParams:
     epochs: int = 100
-    learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
 
 
-def spectral_embed(g: Graph, C: int, skip_first: bool = True) -> np.ndarray:
+def spectral_embed(g: Graph, C: int) -> np.ndarray:
     """Embed vertices on low-frequency Laplacian eigenvectors.
 
-    Default reading keeps eigenvector indices 1..C (the near-constant index-0
-    vector skipped); skip_first=False keeps indices 0..C-1 instead. On a
-    disconnected graph the zero eigenvalue is degenerate and no single
-    eigenvector is the privileged constant; skipping one would trade an
-    indicator dimension for a high-frequency one and break exact component
-    recovery, so the full low-frequency basis 0..C-1 is used instead. Each
-    column is sign-fixed so its largest-magnitude entry is positive.
+    Keeps eigenvector indices 1..C (the near-constant index-0 vector
+    skipped). On a disconnected graph the zero eigenvalue is degenerate and
+    no single eigenvector is the privileged constant; skipping one would
+    trade an indicator dimension for a high-frequency one and break exact
+    component recovery, so the full low-frequency basis 0..C-1 is used
+    instead. Each column is sign-fixed so its largest-magnitude entry is
+    positive.
     """
-    lo = 1 if skip_first else 0
-    if C + lo > g.n:
-        raise ValueError(f"need C + {lo} <= n")
-    # index lo + C is computed only for the multiplicity check at the boundary
-    dec = eigendecompose(laplacian(g), lowest=lo + C + 1)
+    if C + 1 > g.n:
+        raise ValueError("need C + 1 <= n")
+    # index C + 1 is computed only for the multiplicity check at the boundary
+    dec = eigendecompose(laplacian(g), lowest=C + 2)
     vals = dec.eigenvalues
-    if np.sum(np.abs(vals) < NULL_SPACE_TOL) >= 2:
-        lo = 0
+    lo = 0 if np.sum(np.abs(vals) < NULL_SPACE_TOL) >= 2 else 1
     cols = dec.eigenvectors[:, lo : lo + C].copy()
     upper = lo + C
     if upper < vals.size and abs(vals[upper] - vals[upper - 1]) < 1e-10:
@@ -101,8 +106,8 @@ def _kmeans_pp_init(points: np.ndarray, C: int, rng: np.random.Generator) -> np.
     return centers
 
 
-def kmeans(points, C: int, seed, n_restarts: int = 10, max_iter: int = 300) -> Partition:
-    """Lloyd iterations from k-means++ starts, best of n_restarts by WCSS."""
+def kmeans(points, C: int, seed) -> Partition:
+    """Lloyd iterations from k-means++ starts, best of KMEANS_RESTARTS by WCSS."""
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
     if n < C:
@@ -110,10 +115,10 @@ def kmeans(points, C: int, seed, n_restarts: int = 10, max_iter: int = 300) -> P
     rng = np.random.default_rng(seed)
     point_sq = np.sum(points**2, axis=1)[:, None]
     best_assign, best_wcss = None, np.inf
-    for _ in range(n_restarts):
+    for _ in range(KMEANS_RESTARTS):
         centers = _kmeans_pp_init(points, C, rng)
         assign = np.full(n, -1)
-        for _ in range(max_iter):
+        for _ in range(KMEANS_MAX_ITER):
             d2 = (
                 point_sq
                 - 2.0 * points @ centers.T
@@ -138,9 +143,7 @@ def kmeans(points, C: int, seed, n_restarts: int = 10, max_iter: int = 300) -> P
     return Partition(best_assign, C)
 
 
-def discretize(
-    embedding, seed=0, max_iter: int = 30, tol: float = 1e-7, n_restarts: int = 30
-) -> Partition:
+def discretize(embedding, seed=0) -> Partition:
     """Round a spectral embedding to a partition by alternating rotation / argmax.
 
     Rows are normalized to unit length first (zero rows left untouched and
@@ -161,11 +164,11 @@ def discretize(
 
     rng = np.random.default_rng(seed)
     best_assign, best_obj = np.zeros(n, dtype=int), -np.inf
-    for _ in range(n_restarts):
+    for _ in range(DISCRETIZE_RESTARTS):
         R = np.linalg.qr(rng.standard_normal((C, C)))[0]
         last_obj = -np.inf
         assign = np.zeros(n, dtype=int)
-        for _ in range(max_iter):
+        for _ in range(DISCRETIZE_MAX_ITER):
             assign = np.argmax(Xn @ R, axis=1)
             M = np.zeros((n, C))
             M[np.arange(n), assign] = 1.0
@@ -176,7 +179,7 @@ def discretize(
             obj = float(svals.sum())
             if np.sum(svals > 1e-12) < C:
                 break  # rank-deficient: keep previous rotation
-            if abs(obj - last_obj) < tol:
+            if abs(obj - last_obj) < DISCRETIZE_TOL:
                 last_obj = obj
                 break
             last_obj = obj
@@ -186,11 +189,11 @@ def discretize(
     return Partition(best_assign, C)
 
 
-def spectral_cluster(g: Graph, C: int, seed=0, skip_first: bool = True) -> Partition:
+def spectral_cluster(g: Graph, C: int, seed=0) -> Partition:
     """Spectral embedding (see spectral_embed) followed by rotation-based discretization."""
     if C == 1:
         return Partition(np.zeros(g.n, dtype=int), 1)
-    return discretize(spectral_embed(g, C, skip_first), seed=seed)
+    return discretize(spectral_embed(g, C), seed=seed)
 
 
 def propagate_labels(E: np.ndarray, y: SemiSupervisedLabels) -> np.ndarray:
@@ -249,22 +252,22 @@ def train_logistic_regression(
         G = (probs - onehot) / n
         gW = X.T @ G
         gb = G.sum(axis=0)
-        mW = p.beta1 * mW + (1 - p.beta1) * gW
-        vW = p.beta2 * vW + (1 - p.beta2) * gW**2
-        mb = p.beta1 * mb + (1 - p.beta1) * gb
-        vb = p.beta2 * vb + (1 - p.beta2) * gb**2
-        c1 = 1 - p.beta1**t
-        c2 = 1 - p.beta2**t
-        W -= p.learning_rate * (mW / c1) / (np.sqrt(vW / c2) + p.eps)
-        b -= p.learning_rate * (mb / c1) / (np.sqrt(vb / c2) + p.eps)
+        mW = ADAM_BETA1 * mW + (1 - ADAM_BETA1) * gW
+        vW = ADAM_BETA2 * vW + (1 - ADAM_BETA2) * gW**2
+        mb = ADAM_BETA1 * mb + (1 - ADAM_BETA1) * gb
+        vb = ADAM_BETA2 * vb + (1 - ADAM_BETA2) * gb**2
+        c1 = 1 - ADAM_BETA1**t
+        c2 = 1 - ADAM_BETA2**t
+        W -= ADAM_LEARNING_RATE * (mW / c1) / (np.sqrt(vW / c2) + ADAM_EPS)
+        b -= ADAM_LEARNING_RATE * (mb / c1) / (np.sqrt(vb / c2) + ADAM_EPS)
     return W, b
 
 
-def diffuse_features(g: Graph, X: np.ndarray, hops: int = 2) -> np.ndarray:
-    """Repeated sparse multiplication by the graph operator (never densified W^2)."""
+def diffuse_features(g: Graph, X: np.ndarray) -> np.ndarray:
+    """DIFFUSION_HOPS sparse multiplications by the graph operator (never densified W^2)."""
     W = g.to_sparse()
     out = np.asarray(X, dtype=float)
-    for _ in range(hops):
+    for _ in range(DIFFUSION_HOPS):
         out = W @ out
     return out
 

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -229,6 +231,17 @@ class TestPartialEigendecompose:
     def test_rejects_empty_request(self):
         with pytest.raises(ValueError):
             eigendecompose(laplacian(triangle()), lowest=0)
+
+    def test_import_does_not_load_scipy_linalg(self):
+        # eigendecompose imports scipy.linalg on its first partial call, so that
+        # `import graphbench` (and with it every process's set-up) does not pay for it
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, graphbench; print('scipy.linalg' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestMatrixExponential:

@@ -4,9 +4,18 @@ import sys
 import numpy as np
 import pytest
 
-from graphbench.core_graph import VARIANTS, Graph, IsolatedVertexWarning, normalize, write_graph
+from graphbench import cli
+from graphbench.core_graph import (
+    VARIANTS,
+    Graph,
+    IsolatedVertexWarning,
+    normalize,
+    read_graph,
+    write_graph,
+)
 from graphbench.harness import (
     CSV_HEADER,
+    TABLE1_K,
     DatasetError,
     RunConfig,
     build_graph,
@@ -59,6 +68,38 @@ def write_outlier_dataset(root, n=30, seed=0):
     (root / "labels.txt").write_text("\n".join(str(i % 3) for i in range(n + 1)) + "\n")
     (root / "meta.txt").write_text("name=outlier\nseed=2\n")
     return n  # index of the isolated vertex
+
+
+def reference_full_grid(task, bundle, master_seed):
+    """The full grid written out as nested loops, in report order."""
+
+    def cfg(method, sim=None, k=None, variant="raw"):
+        return RunConfig(task, method, sim, k, adjacency_variant=variant, seed=master_seed)
+
+    configs = []
+    if task == "dgs":
+        ks = [k for k in TABLE1_K if k < bundle.features.shape[1]]
+        if bundle.reference_graph is not None:
+            configs.append(cfg("reference-graph", variant=bundle.reference_graph.variant))
+        for k in ks + [None]:
+            for variant in VARIANTS:
+                configs.append(cfg("naive", "rbf", k, variant))
+        for k in ks:
+            for variant in VARIANTS:
+                configs.append(cfg("nnk", "rbf", k, variant))
+                configs.append(cfg("smooth", None, k, variant))
+        return configs
+    ks = [k for k in TABLE1_K if k < bundle.features.shape[0]]
+    configs.append(cfg("cmeans-baseline" if task == "ucv" else "logreg-baseline"))
+    for sim in ("cosine", "covariance", "rbf"):
+        for k in ks:
+            for variant in VARIANTS:
+                configs.append(cfg("naive", sim, k, variant))
+                configs.append(cfg("nnk", sim, k, variant))
+    for k in ks:
+        for variant in VARIANTS:
+            configs.append(cfg("smooth", None, k, variant))
+    return configs
 
 
 def warning_cells(results, path):
@@ -136,6 +177,29 @@ class TestLoadDataset:
         (root / "features.txt").write_bytes(b"\xff1 2\n3 4\n")
         with pytest.raises(DatasetError, match="features.txt"):
             load_dataset(root)
+
+    @pytest.mark.parametrize("name", ["signal.txt", "noisy.txt"])
+    def test_non_finite_signal_rejected(self, tmp_path, name):
+        values = write_signal_dataset(tmp_path / "s")
+        values[3] = np.nan
+        np.savetxt(tmp_path / "s" / name, values[:, None])
+        with pytest.raises(DatasetError, match=f"{name} contains non-finite values"):
+            load_dataset(tmp_path / "s")
+
+    @pytest.mark.parametrize(
+        "write, graph_n, bundle_n",
+        [(write_signal_dataset, 1, 24), (write_blob_dataset, 3, 30)],
+        ids=["signal-bundle-N", "label-bundle-F"],
+    )
+    def test_graph_vertex_count_must_match_bundle(self, tmp_path, write, graph_n, bundle_n):
+        # a signal bundle's vertices are its F feature columns, any other bundle's its N rows
+        write(tmp_path / "d")
+        edges = [(0, 1, 1.0)] if graph_n > 1 else []
+        write_graph(Graph(graph_n, edges), tmp_path / "d" / "graph.tsv")
+        with pytest.raises(
+            DatasetError, match=f"graph.tsv has {graph_n} vertices, the bundle has {bundle_n}"
+        ):
+            load_dataset(tmp_path / "d")
 
     @pytest.mark.parametrize("name", ["features.txt", "meta.txt", "graph.tsv"])
     def test_directory_in_place_of_file_rejected(self, tmp_path, name):
@@ -302,6 +366,38 @@ class TestRunGrid:
         n_k = 3
         expected = 1 + 3 * n_k * 4 * 2 + n_k * 4
         assert len(grid) == expected
+
+    @pytest.mark.parametrize(
+        "task, bundle_kind",
+        [
+            ("ucv", "labels"),
+            ("ucv", "labels+graph"),
+            ("sscv-lp", "labels"),
+            ("sscv-sgc", "labels"),
+            ("dgs", "signal"),
+            ("dgs", "signal+graph"),
+            ("dgs", "signal+sym_norm-graph"),
+        ],
+    )
+    def test_full_grid_order(self, tmp_path, task, bundle_kind):
+        root = tmp_path / "d"
+        if bundle_kind.startswith("labels"):
+            X, _ = write_blob_dataset(root)
+            n = X.shape[0]
+        else:
+            n = write_signal_dataset(root).size
+            (root / "graph.tsv").unlink()
+        if bundle_kind.endswith("graph"):
+            chain = Graph(n, [(i, i + 1, 1.0) for i in range(n - 1)])
+            variant = "sym_norm" if "sym_norm" in bundle_kind else "raw"
+            write_graph(normalize(chain, variant), root / "graph.tsv")
+        bundle = load_dataset(root)
+        grid = full_grid(task, bundle, master_seed=4)
+        # the bundles' 24 and 30 vertices cut TABLE1_K after k=20
+        assert {cfg.k for cfg in grid} - {None} == {5, 10, 20}
+        assert [repr(cfg) for cfg in grid] == [
+            repr(cfg) for cfg in reference_full_grid(task, bundle, 4)
+        ]
 
     def test_parallel_matches_serial(self, tmp_path):
         write_blob_dataset(tmp_path / "d")
@@ -497,6 +593,94 @@ class TestCli:
         assert proc.returncode == 1
         assert proc.stderr.startswith("invalid: meta.txt line 2:")
         assert "Traceback" not in proc.stderr
+
+    def test_infer_on_signal_bundle_has_one_vertex_per_feature(self, tmp_path):
+        clean = write_signal_dataset(tmp_path / "s")
+        out = tmp_path / "g.tsv"
+        proc = self.run_cli(
+            "infer",
+            "--data", str(tmp_path / "s"),
+            "--method", "naive",
+            "--similarity", "rbf",
+            "--k", "5",
+            "--out", str(out),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert read_graph(out).n == clean.size
+
+    @pytest.mark.parametrize(
+        "entry, reason",
+        [
+            ("C=-3", "C=-3 must be >= 1"),
+            ("C=0", "C=0 must be >= 1"),
+            ("seed=-1", "seed=-1 must be >= 0"),
+        ],
+    )
+    def test_validate_out_of_range_meta_value(self, tmp_path, capsys, entry, reason):
+        root = tmp_path / "d"
+        root.mkdir()
+        np.savetxt(root / "features.txt", np.eye(3))
+        (root / "meta.txt").write_text(f"{entry}\n")
+        assert cli.main(["datasets", "validate", str(root)]) == 1
+        assert capsys.readouterr().err.startswith(f"invalid: meta.txt: {reason}")
+
+    def run_in_process(self, tmp_path, monkeypatch, *args):
+        """cli.main on `run --task ucv` over a blob bundle; returns (exit code, grids run)."""
+        write_blob_dataset(tmp_path / "d")
+        grids = []
+        monkeypatch.setattr(cli, "run_grid", lambda bundle, configs, jobs: grids.append(configs))
+        code = cli.main(["run", "--task", "ucv", "--data", str(tmp_path / "d"), *args])
+        return code, grids
+
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_run_unwritable_report_fails_before_the_grid(
+        self, tmp_path, monkeypatch, capsys, where
+    ):
+        report = tmp_path / "missing" / "r.csv"
+        if where == "directory":
+            report = tmp_path / "r.csv"
+            report.mkdir()
+        code, grids = self.run_in_process(
+            tmp_path, monkeypatch, "--grid", "full", "--report", str(report)
+        )
+        assert code == 1 and grids == []
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "grid",
+        ["[]", '[{"method": "cmeans-baseline", "seed": -1}]'],
+        ids=["empty", "negative-seed"],
+    )
+    def test_run_unusable_grid_file_is_error(self, tmp_path, monkeypatch, capsys, grid):
+        grid_file = tmp_path / "grid.json"
+        grid_file.write_text(grid)
+        report = tmp_path / "r.csv"
+        code, grids = self.run_in_process(
+            tmp_path, monkeypatch, "--grid", str(grid_file), "--report", str(report)
+        )
+        assert code == 1 and grids == []
+        assert capsys.readouterr().err.startswith("error: bad grid spec:")
+        assert not report.exists()
+
+    @pytest.mark.parametrize(
+        "option, env, reason",
+        [
+            (["--seed", "-1"], None, "seed must be >= 0, got -1"),
+            ([], "-2", "seed must be >= 0, got -2"),
+            ([], "abc", "GRAPHBENCH_SEED='abc' is not an integer"),
+        ],
+        ids=["seed-option", "negative-env", "non-integer-env"],
+    )
+    def test_run_bad_master_seed_is_error(self, tmp_path, monkeypatch, capsys, option, env, reason):
+        if env is None:
+            monkeypatch.delenv("GRAPHBENCH_SEED", raising=False)
+        else:
+            monkeypatch.setenv("GRAPHBENCH_SEED", env)
+        code, grids = self.run_in_process(
+            tmp_path, monkeypatch, *option, "--report", str(tmp_path / "r.csv")
+        )
+        assert code == 1 and grids == []
+        assert capsys.readouterr().err == f"error: bad grid spec: {reason}\n"
 
     def test_infer_unwritable_out_is_error(self, tmp_path):
         write_blob_dataset(tmp_path / "d")

@@ -27,11 +27,6 @@ class TestPairwiseSqEuclidean:
                 expected = float(np.sum((X[i] - X[j]) ** 2))
                 assert abs(Z[i, j] - expected) < 1e-10
 
-    def test_cols_axis(self):
-        rng = np.random.default_rng(11)
-        X = rng.standard_normal((4, 6))
-        assert np.allclose(pairwise_sq_euclidean(X, "cols"), pairwise_sq_euclidean(X.T, "rows"))
-
     def test_exact_symmetry_zero_diag(self):
         rng = np.random.default_rng(12)
         Z = pairwise_sq_euclidean(rng.standard_normal((8, 3)))

@@ -103,11 +103,9 @@ class TestSpectralEmbed:
 
     def test_skip_first_flag(self):
         g, _ = clique_union([5])
-        e_skip = spectral_embed(g, 2, skip_first=True)
-        e_keep = spectral_embed(g, 2, skip_first=False)
-        # keeping index 0 includes the constant vector
-        assert np.allclose(e_keep[:, 0], e_keep[0, 0], atol=1e-8)
-        assert not np.allclose(e_skip[:, 0], e_skip[0, 0], atol=1e-8)
+        e = spectral_embed(g, 2)
+        # a connected graph's index-0 eigenvector is constant, and it is skipped
+        assert not np.allclose(e[:, 0], e[0, 0], atol=1e-8)
 
 
 class TestKmeans:
