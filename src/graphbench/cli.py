@@ -85,6 +85,9 @@ def _load_grid(spec: str, task: str, bundle, master_seed: int) -> list[RunConfig
 
 
 def cmd_run(args) -> int:
+    if args.jobs < 1:
+        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
+        return 1
     try:
         bundle = load_dataset(args.data)
     except DatasetError as exc:

@@ -211,6 +211,13 @@ class RunConfig:
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
+    @property
+    def graph_key(self) -> Optional[tuple]:
+        """Identity of the raw graph the point infers; None when it infers none."""
+        if self.method not in GRAPH_METHODS:
+            return None
+        return (self.method, self.similarity, self.k, self.gamma, self.sigma)
+
 
 @dataclass
 class RunResult:
@@ -241,8 +248,11 @@ def split_generator(n: int, fraction: float, n_splits: int, master_seed: int):
     return masks
 
 
-def build_graph(X: np.ndarray, cfg: RunConfig) -> Graph:
-    """Dispatch to the configured inference method (raw variant)."""
+def build_graph(X: np.ndarray, cfg: RunConfig, solves: Optional[dict] = None) -> Graph:
+    """Dispatch to the configured inference method (raw variant).
+
+    ``solves`` is passed on to smooth_graph as its memo of graphs by distance scale.
+    """
     if cfg.method not in GRAPH_METHODS:
         raise ValueError(f"method {cfg.method!r} does not build a graph")
     if cfg.method == "naive":
@@ -250,11 +260,53 @@ def build_graph(X: np.ndarray, cfg: RunConfig) -> Graph:
     if cfg.method == "nnk":
         return nnk_graph(X, NnkConfig(cfg.similarity, cfg.k, cfg.sigma, cfg.gamma))
     Z = pairwise_sq_euclidean(X)
-    return smooth_graph(Z, SmoothConfig(cfg.k, cfg.sigma))
+    return smooth_graph(Z, SmoothConfig(cfg.k, cfg.sigma), solves)
 
 
-def point_graph(bundle: DatasetBundle, cfg: RunConfig) -> Graph:
-    """The graph a grid point scores: its inferred or reference graph, in its variant."""
+class GridCache:
+    """The stage results that the points of one run_grid call share, on one bundle.
+
+    It holds the raw graph of the last graph identity asked for, with the
+    warnings its build raised, or the exception the build raised instead; and
+    smooth_graph's memo of learned graphs by distance scale, one per sigma.
+    """
+
+    def __init__(self):
+        self._key = None
+        self._built = None  # (Graph or the exception the build raised, its warnings)
+        self._solves = {}  # sigma -> {theta: Graph}
+
+    def raw_graph(self, bundle: DatasetBundle, cfg: RunConfig) -> Graph:
+        """cfg's raw graph, built on the first request for its identity.
+
+        Every request raises the build's warnings again, and its exception if
+        it failed, so each point counts and reports them as if it had built.
+        """
+        if cfg.graph_key != self._key:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    built = build_graph(
+                        bundle.vertex_features, cfg, self._solves.setdefault(cfg.sigma, {})
+                    )
+                except Exception as exc:  # kept: every point of the group fails with it
+                    built = exc
+            self._key, self._built = cfg.graph_key, (built, caught)
+        built, caught = self._built
+        for w in caught:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+        if isinstance(built, Exception):
+            raise built
+        return built
+
+
+def point_graph(
+    bundle: DatasetBundle, cfg: RunConfig, cache: Optional[GridCache] = None
+) -> Graph:
+    """The graph a grid point scores: its inferred or reference graph, in its variant.
+
+    An inferred graph's raw graph comes from ``cache``, or from a new one when it is None.
+    """
     if cfg.method == "reference-graph":
         g = bundle.reference_graph
         if g is None:
@@ -266,21 +318,25 @@ def point_graph(bundle: DatasetBundle, cfg: RunConfig) -> Graph:
                 f"reference graph is {g.variant}; it cannot be made {cfg.adjacency_variant}"
             )
         return g
-    return normalize(build_graph(bundle.vertex_features, cfg), cfg.adjacency_variant)
+    return normalize((cache or GridCache()).raw_graph(bundle, cfg), cfg.adjacency_variant)
 
 
-def run_task1(bundle: DatasetBundle, cfg: RunConfig) -> RunResult:
+def run_task1(
+    bundle: DatasetBundle, cfg: RunConfig, cache: Optional[GridCache] = None
+) -> RunResult:
     """Unsupervised vertex clustering scored by AMI against the ground truth."""
     if bundle.labels is None:
         raise DatasetError("task ucv needs labels")
     if cfg.method == "cmeans-baseline":
         part = tasks.kmeans(bundle.features, bundle.C, cfg.seed)
     else:
-        part = tasks.spectral_cluster(point_graph(bundle, cfg), bundle.C, cfg.seed)
+        part = tasks.spectral_cluster(point_graph(bundle, cfg, cache), bundle.C, cfg.seed)
     return RunResult(cfg, metrics.ami(part.assignment, bundle.labels))
 
 
-def run_task2(bundle: DatasetBundle, cfg: RunConfig) -> RunResult:
+def run_task2(
+    bundle: DatasetBundle, cfg: RunConfig, cache: Optional[GridCache] = None
+) -> RunResult:
     """Semi-supervised classification: mean/std accuracy over random splits."""
     if bundle.labels is None:
         raise DatasetError("task sscv needs labels")
@@ -288,7 +344,7 @@ def run_task2(bundle: DatasetBundle, cfg: RunConfig) -> RunResult:
     exp_W = None
     Xhat = bundle.features
     if cfg.method != "logreg-baseline":
-        g = point_graph(bundle, cfg)
+        g = point_graph(bundle, cfg, cache)
         if cfg.task == "sscv-lp":
             exp_W = matrix_exponential(g.to_dense())
         else:
@@ -311,7 +367,9 @@ def run_task2(bundle: DatasetBundle, cfg: RunConfig) -> RunResult:
     )
 
 
-def run_task3(bundle: DatasetBundle, cfg: RunConfig) -> RunResult:
+def run_task3(
+    bundle: DatasetBundle, cfg: RunConfig, cache: Optional[GridCache] = None
+) -> RunResult:
     """Graph-signal denoising: best SNR over the tau sweep."""
     if bundle.clean_signal is None:
         raise DatasetError("task dgs needs a clean signal")
@@ -321,7 +379,7 @@ def run_task3(bundle: DatasetBundle, cfg: RunConfig) -> RunResult:
     noisy = bundle.noisy_signal
     if noisy is None:
         noisy = metrics.add_noise_to_snr(clean, DGS_INPUT_SNR_DB, bundle.seed)
-    tau, snr = tasks.best_tau_denoise(point_graph(bundle, cfg), noisy, clean)
+    tau, snr = tasks.best_tau_denoise(point_graph(bundle, cfg, cache), noisy, clean)
     return RunResult(cfg, snr, auxiliary={"tau": tau})
 
 
@@ -333,13 +391,18 @@ _RUNNERS = {
 }
 
 
-def run_one(bundle: DatasetBundle, cfg: RunConfig) -> RunResult:
-    """Execute one grid point; failures become a failed RunResult, never a raise."""
+def run_one(
+    bundle: DatasetBundle, cfg: RunConfig, cache: Optional[GridCache] = None
+) -> RunResult:
+    """Execute one grid point; failures become a failed RunResult, never a raise.
+
+    ``seconds`` leaves out the stages the point takes from ``cache``.
+    """
     start = time.perf_counter()
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            result = _RUNNERS[cfg.task](bundle, cfg)
+            result = _RUNNERS[cfg.task](bundle, cfg, cache)
         result.auxiliary["warnings"] = len(caught)
     except Exception as exc:  # failed grid points are recorded, grid continues
         result = RunResult(cfg, math.nan, auxiliary={"error": f"{type(exc).__name__}: {exc}"})
@@ -385,15 +448,55 @@ def _best(results: list[RunResult]) -> Optional[RunResult]:
     return best
 
 
+# A pool worker's bundle and cache, set once by _start_worker in each worker
+# process that run_grid starts; they end with the pool.
+_worker_state: Optional[tuple[DatasetBundle, GridCache]] = None
+
+
+def _start_worker(bundle: DatasetBundle) -> None:
+    global _worker_state
+    _worker_state = bundle, GridCache()
+
+
+def _run_group(
+    bundle: DatasetBundle, cache: GridCache, group: list[RunConfig]
+) -> list[RunResult]:
+    return [run_one(bundle, cfg, cache) for cfg in group]
+
+
+def _run_in_worker(group: list[RunConfig]) -> list[RunResult]:
+    return _run_group(*_worker_state, group)
+
+
 def run_grid(
     bundle: DatasetBundle, configs: list[RunConfig], jobs: int = 1
 ) -> tuple[list[RunResult], Optional[RunResult]]:
-    """Run every grid point (optionally in parallel); return (results, best)."""
-    if jobs <= 1:
-        results = [run_one(bundle, cfg) for cfg in configs]
+    """Run every grid point (optionally in parallel); return (results, best).
+
+    Points that infer the same raw graph form a group, which builds that graph
+    once and runs as one unit: serially in order of first appearance, or as
+    one task of a pool of at most ``jobs`` workers, and at most one worker per
+    group. Smooth points share their solves per distance scale within the
+    process that runs them. Results come back in the configs' order.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    by_graph = {}
+    for index, cfg in enumerate(configs):
+        by_graph.setdefault(cfg.graph_key or index, []).append(index)
+    order = [index for group in by_graph.values() for index in group]
+    groups = [[configs[i] for i in group] for group in by_graph.values()]
+    workers = min(jobs, len(groups))
+    if workers <= 1:
+        cache = GridCache()
+        done = [_run_group(bundle, cache, group) for group in groups]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_one, [bundle] * len(configs), configs))
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_start_worker, initargs=(bundle,)
+        ) as pool:
+            done = list(pool.map(_run_in_worker, groups))
+    by_index = dict(zip(order, (result for part in done for result in part)))
+    results = [by_index[index] for index in range(len(configs))]
     return results, _best(results)
 
 

@@ -317,7 +317,7 @@ def learn_log_degree_weights(
     return W
 
 
-def smooth_graph(Z, cfg: SmoothConfig) -> Graph:
+def smooth_graph(Z, cfg: SmoothConfig, solves: Optional[dict] = None) -> Graph:
     """Smoothness-based graph with mean degree calibrated to cfg.k.
 
     Works on the unit-mean rescaling of Z with alpha = beta = 1 and bisects a
@@ -325,6 +325,11 @@ def smooth_graph(Z, cfg: SmoothConfig) -> Graph:
     degree lands within 25% of the target. Raises CalibrationError at once
     when the graphs at both ends of that range show the target band out of
     reach, and after 40 bisection steps when no step lands in it.
+
+    ``solves`` memoises the pruned graph learned at each theta. Calls that
+    share one dict must pass the same Z and cfg.sigma; each theta is then
+    solved once across them, whatever their k. Every bisection starts from
+    the same range, so the ends and the first steps recur from call to call.
     """
     Z = np.asarray(Z, dtype=float)
     n = Z.shape[0]
@@ -332,8 +337,11 @@ def smooth_graph(Z, cfg: SmoothConfig) -> Graph:
         raise ValueError(f"target mean degree k={cfg.k} must satisfy 1 <= k < n")
     off_mean = (Z.sum() - np.trace(Z)) / max(n * (n - 1), 1)
     Zu = Z / off_mean if off_mean > 0 else Z
+    solves = {} if solves is None else solves
 
     def build(theta: float) -> Graph:
+        if theta in solves:
+            return solves[theta]
         # scaling identity: argmin with distances theta*Z equals (1/theta) times
         # the argmin with distances Z and beta = 1/theta^2; the reformulation
         # keeps the iteration well-conditioned on the sparse side (theta >= 1)
@@ -341,7 +349,8 @@ def smooth_graph(Z, cfg: SmoothConfig) -> Graph:
             W = learn_log_degree_weights(Zu, beta=1.0 / theta**2) / theta
         else:
             W = learn_log_degree_weights(theta * Zu)
-        return from_dense(W, threshold=cfg.sigma)
+        solves[theta] = from_dense(W, threshold=cfg.sigma)
+        return solves[theta]
 
     lo_theta, hi_theta = 1e-4, 1e4
     target_lo, target_hi = 0.75 * cfg.k, 1.25 * cfg.k

@@ -1,10 +1,16 @@
 import subprocess
 import sys
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from graphbench import cli
+import graphbench.inference as inference_module
+from graphbench import cli, harness
 from graphbench.core_graph import (
     VARIANTS,
     Graph,
@@ -107,6 +113,12 @@ def warning_cells(results, path):
     emit_report(results, path, "d")
     index = CSV_HEADER.split(",").index("warnings")
     return [line.split(",")[index] for line in path.read_text().splitlines()[1:]]
+
+
+def outcome(result):
+    """Everything a result records except its wall time, with NaN equal to NaN."""
+    auxiliary = {key: v for key, v in result.auxiliary.items() if key != "seconds"}
+    return repr(result.config), repr(result.primary_score), repr(result.dispersion), auxiliary
 
 
 class TestLoadDataset:
@@ -432,6 +444,125 @@ class TestRunGrid:
                 reports.append(out.read_bytes())
             assert reports[0] == reports[1]
 
+    def test_jobs_below_one_rejected(self, tmp_path):
+        write_blob_dataset(tmp_path / "d")
+        bundle = load_dataset(tmp_path / "d")
+        for jobs in (0, -1):
+            with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+                run_grid(bundle, self.small_grid(), jobs=jobs)
+
+    def test_pool_has_at_most_one_worker_per_group(self, tmp_path, monkeypatch):
+        write_blob_dataset(tmp_path / "d")
+        bundle = load_dataset(tmp_path / "d")
+        pools = []
+
+        class InlineExecutor:
+            """Records max_workers and runs every task in this process; starts no process."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                pools.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(harness, "_worker_state", None)
+        one_graph = [RunConfig("ucv", "naive", "cosine", 2, adjacency_variant=v) for v in VARIANTS]
+        two_groups = one_graph + [RunConfig("ucv", "cmeans-baseline")]
+        serial, _ = run_grid(bundle, two_groups)
+        pooled, _ = run_grid(bundle, two_groups, jobs=8)
+        assert pools == [2]
+        assert [outcome(r) for r in pooled] == [outcome(r) for r in serial]
+        run_grid(bundle, one_graph, jobs=8)
+        assert pools == [2]  # a single group runs in this process, without a pool
+
+    def test_smooth_points_share_solves(self, tmp_path, monkeypatch):
+        write_blob_dataset(tmp_path / "d", n_per=4)
+        bundle = load_dataset(tmp_path / "d")
+        grid = [
+            RunConfig("ucv", "smooth", k=3, adjacency_variant="raw"),
+            RunConfig("ucv", "smooth", k=3, adjacency_variant="sym_norm"),
+            RunConfig("ucv", "smooth", k=2),
+            # pruned at a larger sigma, the same solves give graphs too sparse for k=3
+            RunConfig("ucv", "smooth", k=3, sigma=0.5),
+        ]
+        solves = []
+        solve = inference_module.learn_log_degree_weights
+
+        def counting(Z, **kwargs):
+            solves.append(kwargs.get("beta", 1.0))
+            return solve(Z, **kwargs)
+
+        monkeypatch.setattr(inference_module, "learn_log_degree_weights", counting)
+        alone, solves_alone = [], []
+        for cfg in grid:
+            del solves[:]
+            alone.append(run_one(bundle, cfg))
+            solves_alone.append(len(solves))
+        # k=2 is below the sparsest end's mean degree: it fails after the two ends
+        assert alone[2].auxiliary["error"].startswith("CalibrationError: mean degree 2")
+        assert alone[3].auxiliary["error"].startswith("CalibrationError: mean degree 3")
+        assert solves_alone[2] == solves_alone[3] == 2
+        assert solves_alone[0] == solves_alone[1] > 2
+        del solves[:]
+        results, _ = run_grid(bundle, grid)
+        # one build for both k=3 points; k=2 finds both ends solved, sigma=0.5 neither
+        assert len(solves) == solves_alone[0] + 2
+        assert [outcome(r) for r in results] == [outcome(r) for r in alone]
+
+
+POINT_OPTIONS = dict(n_splits=5, split_fraction=0.2)
+RANDOM_GRID_POINTS = [
+    RunConfig("ucv", "cmeans-baseline", seed=1),
+    RunConfig("sscv-lp", "logreg-baseline", **POINT_OPTIONS),
+    *(
+        RunConfig(task, method, sim, k, adjacency_variant=v, seed=seed, **POINT_OPTIONS)
+        for task, seed in (("ucv", 0), ("sscv-lp", 3))
+        for method, sim, k in (("naive", "cosine", 2), ("naive", "rbf", 3), ("nnk", "cosine", 3))
+        for v in VARIANTS
+    ),
+]
+FAILING_GRID_POINTS = [
+    RunConfig("ucv", "reference-graph"),  # the bundle has no reference graph
+    RunConfig("ucv", "naive", "cosine", 500, **POINT_OPTIONS),  # k >= n: the build raises
+    RunConfig("sscv-lp", "naive", "cosine", 500, adjacency_variant="sym_norm", **POINT_OPTIONS),
+]
+
+
+@pytest.fixture(scope="module")
+def blob_bundle(tmp_path_factory):
+    root = tmp_path_factory.mktemp("blobs")
+    write_blob_dataset(root)
+    return load_dataset(root)
+
+
+class TestRandomGrids:
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_grouped_grid_equals_points_run_alone(self, blob_bundle, data):
+        picks = data.draw(st.lists(st.sampled_from(RANDOM_GRID_POINTS), min_size=1, max_size=6))
+        failing = data.draw(st.lists(st.sampled_from(FAILING_GRID_POINTS), min_size=1, max_size=2))
+        grid = data.draw(st.permutations(picks + picks[:1] + failing))
+        alone = [outcome(run_one(blob_bundle, cfg)) for cfg in grid]
+        assert any("error" in aux for *_, aux in alone)
+        with tempfile.TemporaryDirectory() as tmp:
+            reports = []
+            for jobs in (1, 2):
+                results, _ = run_grid(blob_bundle, grid, jobs=jobs)
+                assert [r.config for r in results] == grid
+                assert [outcome(r) for r in results] == alone
+                report = Path(tmp) / f"r{jobs}.csv"
+                emit_report(results, report, blob_bundle.name)
+                reports.append(report.read_bytes())
+        assert reports[0] == reports[1]
+
 
 class TestWarningCount:
     def test_counts_each_points_warnings(self, tmp_path):
@@ -453,6 +584,25 @@ class TestWarningCount:
         cells = warning_cells(results, tmp_path / "r.csv")
         # sym_norm adds one IsolatedVertexWarning per point
         assert cells == ["0", "1", str(dead), str(dead + 1)]
+
+    def test_build_warnings_count_for_every_point_of_the_group(self, tmp_path):
+        write_outlier_dataset(tmp_path / "d")
+        bundle = load_dataset(tmp_path / "d")
+        group = [
+            RunConfig("ucv", "nnk", "cosine", 4, adjacency_variant=v) for v in ("raw", "augmented")
+        ]
+        with warnings.catch_warnings(record=True) as built:
+            warnings.simplefilter("always")
+            build_graph(bundle.features, group[0])
+        assert "NNK produced isolated vertices" in [str(w.message) for w in built]
+        # a second group, so that jobs=2 runs the nnk group in a pool worker
+        grid = group + [RunConfig("ucv", "cmeans-baseline")]
+        expected = warning_cells([run_one(bundle, cfg) for cfg in grid], tmp_path / "alone.csv")
+        assert all(int(cell) >= len(built) for cell in expected[:2])
+        for jobs in (1, 2):
+            results, _ = run_grid(bundle, grid, jobs=jobs)
+            assert not any(r.failed for r in results)
+            assert warning_cells(results, tmp_path / f"r{jobs}.csv") == expected
 
     def test_failed_point_reports_zero(self, tmp_path):
         root = tmp_path / "d"
@@ -631,6 +781,16 @@ class TestCli:
         monkeypatch.setattr(cli, "run_grid", lambda bundle, configs, jobs: grids.append(configs))
         code = cli.main(["run", "--task", "ucv", "--data", str(tmp_path / "d"), *args])
         return code, grids
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_run_jobs_below_one_is_error(self, tmp_path, monkeypatch, capsys, jobs):
+        report = tmp_path / "r.csv"
+        code, grids = self.run_in_process(
+            tmp_path, monkeypatch, "--jobs", jobs, "--report", str(report)
+        )
+        assert code == 1 and grids == []
+        assert capsys.readouterr().err == f"error: --jobs must be >= 1, got {jobs}\n"
+        assert not report.exists()
 
     @pytest.mark.parametrize("where", ["missing-directory", "directory"])
     def test_run_unwritable_report_fails_before_the_grid(

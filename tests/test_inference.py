@@ -569,3 +569,28 @@ class TestSmoothGraph:
         smooth_graph(Z, SmoothConfig(k))
         assert len(solves) == 2 + bisection_steps
         assert solves[:3] == [1.0, 1e-8, pytest.approx(1.0)]  # both ends, then theta = 1
+
+    def test_shared_memo_solves_each_scale_once(self, solves):
+        # on this Z, k=1 is below the sparsest end's mean degree and k=3 calibrates
+        Z = pairwise_sq_euclidean(np.random.default_rng(36).standard_normal((6, 2)))
+        with pytest.raises(CalibrationError) as plain_error:
+            smooth_graph(Z, SmoothConfig(1))
+        del solves[:]
+        plain = smooth_graph(Z, SmoothConfig(3))
+        plain_solves = list(solves)
+        assert len(plain_solves) > 2  # both ends, then at least one bisection step
+
+        memo = {}
+        del solves[:]
+        with pytest.raises(CalibrationError) as shared_error:
+            smooth_graph(Z, SmoothConfig(1), memo)
+        assert str(shared_error.value) == str(plain_error.value)
+        del solves[:]
+        shared = smooth_graph(Z, SmoothConfig(3), memo)
+        # neither end of the range is solved again, only the bisection steps
+        assert solves == plain_solves[2:]
+        assert shared.edges.tobytes() == plain.edges.tobytes()
+        assert shared.diagonal.tobytes() == plain.diagonal.tobytes()
+        del solves[:]
+        smooth_graph(Z, SmoothConfig(3), memo)
+        assert solves == []
