@@ -2,7 +2,6 @@
 
 from .core_graph import (
     Graph,
-    SpectralDecomposition,
     degrees,
     eigendecompose,
     from_arrays,
@@ -14,9 +13,6 @@ from .core_graph import (
     write_graph,
 )
 from .inference import (
-    NaiveConfig,
-    NnkConfig,
-    SmoothConfig,
     knn_select,
     naive_graph,
     nnk_graph,

@@ -21,7 +21,7 @@ from .harness import (
     run_grid,
     summary_path,
 )
-from .inference import SIMILARITY_KINDS, CalibrationError
+from .inference import DEFAULT_SIGMA, SIMILARITY_KINDS, CalibrationError
 
 VARIANT_ALIASES = {
     "raw": "raw",
@@ -149,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_infer.add_argument("--similarity", choices=SIMILARITY_KINDS)
     p_infer.add_argument("--k", type=int, required=True)
     p_infer.add_argument("--gamma", type=float)
-    p_infer.add_argument("--sigma", type=float, default=1e-4)
+    p_infer.add_argument("--sigma", type=float, default=DEFAULT_SIGMA)
     p_infer.add_argument("--variant", default="raw", choices=list(VARIANT_ALIASES))
     p_infer.add_argument("--out", required=True)
     p_infer.set_defaults(func=cmd_infer)

@@ -166,24 +166,8 @@ def laplacian(g: Graph) -> np.ndarray:
     return np.diag(degrees(g)) - A
 
 
-@dataclass
-class SpectralDecomposition:
-    """Eigendecomposition of a symmetric operator, eigenvalues ascending.
-
-    A partial decomposition (``eigendecompose(A, lowest=m)``) holds only the
-    m lowest eigenpairs, so ``reconstruct`` then gives a rank-m operator.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        F = self.eigenvectors
-        return (F * self.eigenvalues) @ F.T
-
-
-def eigendecompose(A: np.ndarray, lowest: int | None = None) -> SpectralDecomposition:
-    """Dense symmetric eigendecomposition, ascending eigenvalue order.
+def eigendecompose(A: np.ndarray, lowest: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Dense symmetric eigendecomposition: (eigenvalues ascending, eigenvectors as columns).
 
     With ``lowest`` below the dimension, only the eigenpairs 0..lowest-1 are
     computed, by LAPACK's MRRR driver (dsyevr); otherwise all of them.
@@ -197,17 +181,14 @@ def eigendecompose(A: np.ndarray, lowest: int | None = None) -> SpectralDecompos
         # imported here: scipy.linalg adds ~0.06 s to `import graphbench`
         from scipy.linalg import eigh
 
-        vals, vecs = eigh(A, subset_by_index=[0, lowest - 1])
-    else:
-        vals, vecs = np.linalg.eigh(A)
-    return SpectralDecomposition(vals, vecs)
+        return eigh(A, subset_by_index=[0, lowest - 1])
+    return np.linalg.eigh(A)
 
 
 def matrix_exponential(A: np.ndarray) -> np.ndarray:
     """exp(A) for symmetric A via spectral calculus."""
-    dec = eigendecompose(A)
-    F = dec.eigenvectors
-    E = (F * np.exp(dec.eigenvalues)) @ F.T
+    vals, F = eigendecompose(A)
+    E = (F * np.exp(vals)) @ F.T
     return (E + E.T) / 2.0
 
 
@@ -235,6 +216,7 @@ def read_graph(path) -> Graph:
         variant = fields.get("variant", "raw")
         diagonal = np.zeros(n)
         edges = []
+        first_line = {}  # vertex pair -> line that gave it
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
@@ -250,10 +232,15 @@ def read_graph(path) -> Graph:
                 raise ValueError(f"line {lineno}: vertex index outside 0..{n - 1}")
             if not np.isfinite(w):
                 raise ValueError(f"line {lineno}: non-finite weight {w}")
+            if i > j:
+                raise ValueError(f"line {lineno}: edges must satisfy i < j")
+            if (i, j) in first_line:
+                raise ValueError(
+                    f"line {lineno}: vertex pair ({i}, {j}) repeats line {first_line[i, j]}"
+                )
+            first_line[i, j] = lineno
             if i == j:
                 diagonal[i] = w
-            elif i < j:
-                edges.append((i, j, w))
             else:
-                raise ValueError(f"line {lineno}: edges must satisfy i < j")
+                edges.append((i, j, w))
     return Graph(n=n, edges=edges, diagonal=diagonal, variant=variant)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import math
 import time
 import warnings
@@ -14,15 +15,7 @@ import numpy as np
 
 from . import metrics, tasks
 from .core_graph import VARIANTS, Graph, matrix_exponential, normalize, read_graph
-from .inference import (
-    SIMILARITY_KINDS,
-    NaiveConfig,
-    NnkConfig,
-    SmoothConfig,
-    naive_graph,
-    nnk_graph,
-    smooth_graph,
-)
+from .inference import DEFAULT_SIGMA, SIMILARITY_KINDS, naive_graph, nnk_graph, smooth_graph
 from .similarity import pairwise_sq_euclidean
 from .tasks import SemiSupervisedLabels, SgcParams
 
@@ -197,7 +190,7 @@ class RunConfig:
     similarity: Optional[str] = None
     k: Optional[int] = None
     gamma: Optional[float] = None
-    sigma: float = 1e-4
+    sigma: float = DEFAULT_SIGMA
     adjacency_variant: str = "raw"
     seed: int = 0
     split_fraction: float = 0.05
@@ -208,8 +201,12 @@ class RunConfig:
             raise ValueError(f"unknown task {self.task!r}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+        if self.adjacency_variant not in VARIANTS:
+            raise ValueError(f"unknown adjacency variant {self.adjacency_variant!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.n_splits < 1:
+            raise ValueError(f"n_splits must be >= 1, got {self.n_splits}")
 
     @property
     def graph_key(self) -> Optional[tuple]:
@@ -251,16 +248,15 @@ def split_generator(n: int, fraction: float, n_splits: int, master_seed: int):
 def build_graph(X: np.ndarray, cfg: RunConfig, solves: Optional[dict] = None) -> Graph:
     """Dispatch to the configured inference method (raw variant).
 
-    ``solves`` is passed on to smooth_graph as its memo of graphs by distance scale.
+    ``solves`` is passed on to smooth_graph as its memo of graphs by (sigma, distance scale).
     """
     if cfg.method not in GRAPH_METHODS:
         raise ValueError(f"method {cfg.method!r} does not build a graph")
     if cfg.method == "naive":
-        return naive_graph(X, NaiveConfig(cfg.similarity, cfg.k, cfg.gamma))
+        return naive_graph(X, cfg.similarity, cfg.k, cfg.gamma)
     if cfg.method == "nnk":
-        return nnk_graph(X, NnkConfig(cfg.similarity, cfg.k, cfg.sigma, cfg.gamma))
-    Z = pairwise_sq_euclidean(X)
-    return smooth_graph(Z, SmoothConfig(cfg.k, cfg.sigma), solves)
+        return nnk_graph(X, cfg.similarity, cfg.k, cfg.sigma, cfg.gamma)
+    return smooth_graph(pairwise_sq_euclidean(X), cfg.k, cfg.sigma, solves)
 
 
 class GridCache:
@@ -268,13 +264,13 @@ class GridCache:
 
     It holds the raw graph of the last graph identity asked for, with the
     warnings its build raised, or the exception the build raised instead; and
-    smooth_graph's memo of learned graphs by distance scale, one per sigma.
+    smooth_graph's memo of learned graphs by (sigma, distance scale).
     """
 
     def __init__(self):
         self._key = None
         self._built = None  # (Graph or the exception the build raised, its warnings)
-        self._solves = {}  # sigma -> {theta: Graph}
+        self._solves = {}  # (sigma, theta) -> Graph
 
     def raw_graph(self, bundle: DatasetBundle, cfg: RunConfig) -> Graph:
         """cfg's raw graph, built on the first request for its identity.
@@ -286,9 +282,7 @@ class GridCache:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 try:
-                    built = build_graph(
-                        bundle.vertex_features, cfg, self._solves.setdefault(cfg.sigma, {})
-                    )
+                    built = build_graph(bundle.vertex_features, cfg, self._solves)
                 except Exception as exc:  # kept: every point of the group fails with it
                     built = exc
             self._key, self._built = cfg.graph_key, (built, caught)
@@ -530,11 +524,12 @@ def emit_report(results: list[RunResult], path, dataset_name: str, timing: bool 
     if not results:
         raise ValueError("no results to report")
     path = Path(path)
-    lines = [CSV_HEADER]
-    for r in results:
-        cfg = r.config
-        lines.append(
-            ",".join(
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")  # quotes only fields that need it
+        writer.writerow(CSV_HEADER.split(","))
+        for r in results:
+            cfg = r.config
+            writer.writerow(
                 [
                     cfg.task,
                     dataset_name,
@@ -549,8 +544,6 @@ def emit_report(results: list[RunResult], path, dataset_name: str, timing: bool 
                     _fmt(r.auxiliary.get("seconds"), digits=3) if timing else "",
                 ]
             )
-        )
-    path.write_text("\n".join(lines) + "\n")
 
     summary = [f"Best score per method ({dataset_name})"]
     for method in sorted({r.config.method for r in results}):

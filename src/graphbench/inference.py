@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -19,6 +18,9 @@ from .similarity import (
 
 SIMILARITY_KINDS = ("cosine", "covariance", "rbf")
 
+# nnk and smooth drop edge weights at or below sigma
+DEFAULT_SIGMA = 1e-4
+
 KKT_TOL = 1e-8
 
 LOG_DEGREE_ALPHA = 1.0
@@ -30,47 +32,6 @@ KNN_BLOCK_ROWS = 256
 
 class CalibrationError(RuntimeError):
     """Sparsity calibration could not bracket the requested mean degree."""
-
-
-@dataclass
-class NaiveConfig:
-    similarity_kind: str
-    k: Optional[int]  # None = dense graph, no neighbor thresholding
-    gamma: Optional[float] = None
-
-    def __post_init__(self):
-        if self.similarity_kind not in SIMILARITY_KINDS:
-            raise ValueError(f"unknown similarity {self.similarity_kind!r}")
-        if self.k is not None and self.k < 1:
-            raise ValueError("k must be positive")
-
-
-@dataclass
-class NnkConfig:
-    kernel_kind: str
-    k: int
-    sigma: float = 1e-4
-    gamma: Optional[float] = None
-
-    def __post_init__(self):
-        if self.kernel_kind not in SIMILARITY_KINDS:
-            raise ValueError(f"unknown kernel similarity {self.kernel_kind!r}")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-
-
-@dataclass
-class SmoothConfig:
-    k: int  # target mean degree
-    sigma: float = 1e-4
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
 
 
 def _knn_indices(S: np.ndarray, k: int) -> np.ndarray:
@@ -137,12 +98,15 @@ def _similarity_matrix(X: np.ndarray, kind: str, gamma: Optional[float]) -> np.n
     return rbf_kernel(Z, gamma)
 
 
-def naive_graph(X, cfg: NaiveConfig) -> Graph:
+def naive_graph(X, similarity: str, k: Optional[int], gamma: Optional[float] = None) -> Graph:
     """Similarity matrix followed by k-NN sparsification (or dense when k is None)."""
+    if similarity not in SIMILARITY_KINDS:
+        raise ValueError(f"unknown similarity {similarity!r}")
+    if k is not None and k < 1:
+        raise ValueError("k must be positive")
     X = np.asarray(X, dtype=float)
-    S = _similarity_matrix(X, cfg.similarity_kind, cfg.gamma)
-    k = cfg.k if cfg.k is not None else X.shape[0] - 1
-    return knn_select(S, k)
+    S = _similarity_matrix(X, similarity, gamma)
+    return knn_select(S, k if k is not None else X.shape[0] - 1)
 
 
 def nnls_solve(K_SS: np.ndarray, k_Si: np.ndarray):
@@ -207,14 +171,22 @@ def _nnk_kernel(X: np.ndarray, kind: str, gamma: Optional[float]) -> np.ndarray:
     return S
 
 
-def nnk_graph(X, cfg: NnkConfig) -> Graph:
+def nnk_graph(
+    X, similarity: str, k: int, sigma: float = DEFAULT_SIGMA, gamma: Optional[float] = None
+) -> Graph:
     """Non-negative kernel regression graph within each vertex's k-neighborhood."""
+    if similarity not in SIMILARITY_KINDS:
+        raise ValueError(f"unknown kernel similarity {similarity!r}")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
-    if cfg.k >= n:
-        raise ValueError(f"k={cfg.k} must be smaller than n={n}")
-    S = _nnk_kernel(X, cfg.kernel_kind, cfg.gamma)
-    nbrs = _knn_indices(S, cfg.k)
+    if k >= n:
+        raise ValueError(f"k={k} must be smaller than n={n}")
+    S = _nnk_kernel(X, similarity, gamma)
+    nbrs = _knn_indices(S, k)
     theta = np.zeros(nbrs.shape)  # directed weight of i -> nbrs[i, m]
     fallbacks = 0
     for i in range(n):
@@ -228,16 +200,16 @@ def nnk_graph(X, cfg: NnkConfig) -> Graph:
         fallbacks += not ok
     if fallbacks:
         warnings.warn(f"NNLS did not converge for {fallbacks} vertices; they keep k-NN weights")
-    rows = np.repeat(np.arange(n), cfg.k)
+    rows = np.repeat(np.arange(n), k)
     cols = nbrs.ravel()
     w = theta.ravel()
-    keep = w > cfg.sigma
+    keep = w > sigma
     rows, cols, w = rows[keep], cols[keep], w[keep]
     # each undirected edge sums the halves of its directed weights, in directed order
     i, j, slot = _undirected(n, rows, cols, return_inverse=True)
     merged = np.zeros(i.size)
     np.add.at(merged, slot, w / 2.0)
-    keep = merged > cfg.sigma
+    keep = merged > sigma
     g = from_arrays(n, i[keep], j[keep], merged[keep])
     if np.any(g.neighbor_counts() == 0):
         warnings.warn("NNK produced isolated vertices")
@@ -317,8 +289,8 @@ def learn_log_degree_weights(
     return W
 
 
-def smooth_graph(Z, cfg: SmoothConfig, solves: Optional[dict] = None) -> Graph:
-    """Smoothness-based graph with mean degree calibrated to cfg.k.
+def smooth_graph(Z, k: int, sigma: float = DEFAULT_SIGMA, solves: Optional[dict] = None) -> Graph:
+    """Smoothness-based graph with mean degree calibrated to k, edges above sigma.
 
     Works on the unit-mean rescaling of Z with alpha = beta = 1 and bisects a
     multiplicative distance scale theta in 1e-4..1e4 until the pruned mean
@@ -326,22 +298,26 @@ def smooth_graph(Z, cfg: SmoothConfig, solves: Optional[dict] = None) -> Graph:
     when the graphs at both ends of that range show the target band out of
     reach, and after 40 bisection steps when no step lands in it.
 
-    ``solves`` memoises the pruned graph learned at each theta. Calls that
-    share one dict must pass the same Z and cfg.sigma; each theta is then
+    ``solves`` memoises the pruned graph learned at each (sigma, theta). Calls
+    that share one dict must pass the same Z; each (sigma, theta) is then
     solved once across them, whatever their k. Every bisection starts from
     the same range, so the ends and the first steps recur from call to call.
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
     Z = np.asarray(Z, dtype=float)
     n = Z.shape[0]
-    if not 1 <= cfg.k < n:
-        raise ValueError(f"target mean degree k={cfg.k} must satisfy 1 <= k < n")
+    if k >= n:
+        raise ValueError(f"target mean degree k={k} must satisfy 1 <= k < n")
     off_mean = (Z.sum() - np.trace(Z)) / max(n * (n - 1), 1)
     Zu = Z / off_mean if off_mean > 0 else Z
     solves = {} if solves is None else solves
 
     def build(theta: float) -> Graph:
-        if theta in solves:
-            return solves[theta]
+        if (sigma, theta) in solves:
+            return solves[sigma, theta]
         # scaling identity: argmin with distances theta*Z equals (1/theta) times
         # the argmin with distances Z and beta = 1/theta^2; the reformulation
         # keeps the iteration well-conditioned on the sparse side (theta >= 1)
@@ -349,18 +325,18 @@ def smooth_graph(Z, cfg: SmoothConfig, solves: Optional[dict] = None) -> Graph:
             W = learn_log_degree_weights(Zu, beta=1.0 / theta**2) / theta
         else:
             W = learn_log_degree_weights(theta * Zu)
-        solves[theta] = from_dense(W, threshold=cfg.sigma)
-        return solves[theta]
+        solves[sigma, theta] = from_dense(W, threshold=sigma)
+        return solves[sigma, theta]
 
     lo_theta, hi_theta = 1e-4, 1e4
-    target_lo, target_hi = 0.75 * cfg.k, 1.25 * cfg.k
+    target_lo, target_hi = 0.75 * k, 1.25 * k
     # the mean degree falls as theta grows, so the ends of the range bound
     # every degree the bisection can reach; their graphs are never returned
     densest = 2.0 * build(lo_theta).n_edges / n
     sparsest = 2.0 * build(hi_theta).n_edges / n
     if sparsest > target_hi or densest < target_lo:
         raise CalibrationError(
-            f"mean degree {cfg.k} is out of reach: distance scales "
+            f"mean degree {k} is out of reach: distance scales "
             f"{lo_theta:g}..{hi_theta:g} give mean degrees {densest:.3g}..{sparsest:.3g}"
         )
     lo_exp, hi_exp = np.log(lo_theta), np.log(hi_theta)
@@ -380,7 +356,7 @@ def smooth_graph(Z, cfg: SmoothConfig, solves: Optional[dict] = None) -> Graph:
             hi_exp = np.log(mid)
             hi_deg = mean_deg
     raise CalibrationError(
-        f"could not reach mean degree {cfg.k} "
+        f"could not reach mean degree {k} "
         f"(achieved range {min(achieved):.3g}..{max(achieved):.3g}, "
         f"bracket degrees {hi_deg}..{lo_deg})"
     )

@@ -77,10 +77,9 @@ def spectral_embed(g: Graph, C: int) -> np.ndarray:
     if C + 1 > g.n:
         raise ValueError("need C + 1 <= n")
     # index C + 1 is computed only for the multiplicity check at the boundary
-    dec = eigendecompose(laplacian(g), lowest=C + 2)
-    vals = dec.eigenvalues
+    vals, vecs = eigendecompose(laplacian(g), lowest=C + 2)
     lo = 0 if np.sum(np.abs(vals) < NULL_SPACE_TOL) >= 2 else 1
-    cols = dec.eigenvectors[:, lo : lo + C].copy()
+    cols = vecs[:, lo : lo + C].copy()
     upper = lo + C
     if upper < vals.size and abs(vals[upper] - vals[upper - 1]) < 1e-10:
         warnings.warn("eigenvalue multiplicity across the embedding boundary: basis ambiguous")
@@ -314,14 +313,13 @@ def denoise(g: Graph, x_noisy, tau) -> np.ndarray:
     bad = ~(np.isfinite(taus) & (taus >= 0))
     if bad.any():
         raise ValueError(f"cutoffs must be finite and >= 0, got {taus[bad].tolist()}")
-    dec = eigendecompose(laplacian(g))
-    lambda_max = dec.eigenvalues[-1]
+    vals, F = eigendecompose(laplacian(g))
+    lambda_max = vals[-1]
     if lambda_max <= 0:
         out = np.tile(x, (taus.size, 1))  # empty graph: all-pass
     else:
-        lam = dec.eigenvalues / lambda_max
+        lam = vals / lambda_max
         lam[np.abs(lam) <= NULL_SPACE_TOL] = 0.0
-        F = dec.eigenvectors
         coeffs = F.T @ x
         out = np.empty((taus.size, g.n))
         for r, t in enumerate(taus.ravel().tolist()):

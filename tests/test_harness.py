@@ -1,3 +1,5 @@
+import csv
+import re
 import subprocess
 import sys
 import tempfile
@@ -635,6 +637,20 @@ class TestEmitReport:
         with pytest.raises(ValueError):
             emit_report([], tmp_path / "r.csv", "x")
 
+    def test_dataset_name_with_comma_and_quote(self, tmp_path):
+        name = 'cora, v2 "beta"'
+        write_blob_dataset(tmp_path / "d", name=name)
+        bundle = load_dataset(tmp_path / "d")
+        grid = [RunConfig("ucv", "cmeans-baseline"), RunConfig("ucv", "naive", "cosine", 2)]
+        results, _ = run_grid(bundle, grid)
+        out = tmp_path / "report.csv"
+        emit_report(results, out, bundle.name)
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 3
+        assert all(len(row) == 11 for row in rows)
+        assert [row[1] for row in rows[1:]] == [name, name]
+
     def test_byte_identical_reruns(self, tmp_path):
         write_blob_dataset(tmp_path / "d")
         bundle = load_dataset(tmp_path / "d")
@@ -702,6 +718,22 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "method, reason",
+        [("naive", "k must be positive"), ("nnk", "k must be >= 1"), ("smooth", "k must be >= 1")],
+    )
+    def test_infer_k_below_one_is_error(self, tmp_path, method, reason):
+        write_blob_dataset(tmp_path / "d")
+        out = tmp_path / "g.tsv"
+        similarity = [] if method == "smooth" else ["--similarity", "rbf"]
+        proc = self.run_cli(
+            "infer", "--data", str(tmp_path / "d"), "--method", method, *similarity,
+            "--k", "0", "--out", str(out),
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {reason}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "options, reach",
         [(["--k", "1"], "mean degrees 8..2"), (["--k", "3", "--sigma", "1e6"], "mean degrees 0..0")],
         ids=["k-below-sparsest", "sigma-prunes-all"],
@@ -724,8 +756,23 @@ class TestCli:
             ("#n=3 variant=raw\n5\t5\t1.0\n", "line 2: vertex index outside 0..2"),
             ("#n=24 variant=raw\n0\t1\tone\n", "line 2: non-numeric field"),
             ("#n=24 variant=raw\n0\t1\tnan\n", "line 2: non-finite weight"),
+            (
+                "#n=24 variant=augmented\n3\t3\t1.0\n0\t1\t1.0\n\n3\t3\t1.0\n",
+                "line 5: vertex pair (3, 3) repeats line 2",
+            ),
+            (
+                "#n=24 variant=raw\n0\t1\t1.0\n0\t1\t2.0\n",
+                "line 3: vertex pair (0, 1) repeats line 2",
+            ),
         ],
-        ids=["missing-n", "index-out-of-range", "non-numeric", "nan-weight"],
+        ids=[
+            "missing-n",
+            "index-out-of-range",
+            "non-numeric",
+            "nan-weight",
+            "repeated-self-loop",
+            "repeated-edge",
+        ],
     )
     def test_validate_malformed_graph(self, tmp_path, graph_text, reason):
         write_signal_dataset(tmp_path / "d")
@@ -808,8 +855,14 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "grid",
-        ["[]", '[{"method": "cmeans-baseline", "seed": -1}]'],
-        ids=["empty", "negative-seed"],
+        [
+            "[]",
+            '[{"method": "cmeans-baseline", "seed": -1}]',
+            '[{"task": "sscv-lp", "method": "naive", "similarity": "cosine", "k": 5,'
+            ' "n_splits": 0}]',
+            '[{"method": "cmeans-baseline", "adjacency_variant": "bogus"}]',
+        ],
+        ids=["empty", "negative-seed", "zero-splits", "unknown-variant"],
     )
     def test_run_unusable_grid_file_is_error(self, tmp_path, monkeypatch, capsys, grid):
         grid_file = tmp_path / "grid.json"
@@ -935,6 +988,20 @@ class TestCli:
             assert proc.returncode == 0, proc.stderr
             reports.append(report.read_bytes())
         assert reports[0] == reports[1]
+
+
+class TestRunConfig:
+    @pytest.mark.parametrize(
+        "options, reason",
+        [
+            (dict(n_splits=0), "n_splits must be >= 1, got 0"),
+            (dict(adjacency_variant="bogus"), "unknown adjacency variant 'bogus'"),
+        ],
+        ids=["zero-splits", "unknown-variant"],
+    )
+    def test_rejects_out_of_range_fields(self, options, reason):
+        with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
+            RunConfig("sscv-lp", "naive", "cosine", 5, **options)
 
 
 class TestRunOne:

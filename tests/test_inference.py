@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -9,11 +10,9 @@ from scipy import sparse
 import graphbench.inference as inference_module
 from graphbench.core_graph import from_dense
 from graphbench.inference import (
+    DEFAULT_SIGMA,
     KNN_BLOCK_ROWS,
     CalibrationError,
-    NaiveConfig,
-    NnkConfig,
-    SmoothConfig,
     knn_select,
     learn_log_degree_weights,
     naive_graph,
@@ -26,6 +25,41 @@ from graphbench.similarity import pairwise_sq_euclidean
 
 def edge_set(g):
     return {(i, j) for i, j, _ in g.edges}
+
+
+def smooth_on(X, k, sigma=DEFAULT_SIGMA):
+    return smooth_graph(pairwise_sq_euclidean(X), k, sigma)
+
+
+@pytest.mark.parametrize(
+    "build, reason",
+    [
+        (lambda X: naive_graph(X, "euclid", 3), "unknown similarity 'euclid'"),
+        (lambda X: nnk_graph(X, "euclid", 3), "unknown kernel similarity 'euclid'"),
+        (lambda X: naive_graph(X, "rbf", 0), "k must be positive"),
+        (lambda X: nnk_graph(X, "rbf", 0), "k must be >= 1"),
+        (lambda X: smooth_on(X, 0), "k must be >= 1"),
+        (lambda X: nnk_graph(X, "rbf", 3, sigma=0.0), "sigma must be positive"),
+        (lambda X: nnk_graph(X, "rbf", 3, sigma=-1.0), "sigma must be positive"),
+        (lambda X: smooth_on(X, 3, sigma=0.0), "sigma must be positive"),
+        (lambda X: smooth_on(X, 3, sigma=-1.0), "sigma must be positive"),
+    ],
+    ids=[
+        "naive-similarity",
+        "nnk-similarity",
+        "naive-k",
+        "nnk-k",
+        "smooth-k",
+        "nnk-zero-sigma",
+        "nnk-negative-sigma",
+        "smooth-zero-sigma",
+        "smooth-negative-sigma",
+    ],
+)
+def test_solver_rejects_bad_argument(build, reason):
+    X = np.random.default_rng(0).standard_normal((6, 2))
+    with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
+        build(X)
 
 
 def edge_dict(g):
@@ -186,12 +220,12 @@ class TestNaiveGraph:
 
     @pytest.mark.parametrize("kind", ["rbf", "cosine"])
     def test_single_vertex_dense_graph_is_empty(self, kind):
-        g = naive_graph(np.ones((1, 3)), NaiveConfig(kind, None))
+        g = naive_graph(np.ones((1, 3)), kind, None)
         assert (g.n, g.n_edges) == (1, 0)
 
     def test_separated_blobs_disconnect(self):
         X = self.make_blobs()
-        g = naive_graph(X, NaiveConfig("cosine", 3))
+        g = naive_graph(X, "cosine", 3)
         # component oracle: breadth-first search over the built edges
         adj = {i: [] for i in range(g.n)}
         for i, j, _ in g.edges:
@@ -218,8 +252,8 @@ class TestNaiveGraph:
         X = self.make_blobs(1)
         rng = np.random.default_rng(22)
         perm = rng.permutation(X.shape[0])
-        g = naive_graph(X, NaiveConfig("rbf", 4))
-        gp = naive_graph(X[perm], NaiveConfig("rbf", 4))
+        g = naive_graph(X, "rbf", 4)
+        gp = naive_graph(X[perm], "rbf", 4)
         expected = {(min(perm_i, perm_j), max(perm_i, perm_j)) for perm_i, perm_j in (
             (int(np.flatnonzero(perm == i)[0]), int(np.flatnonzero(perm == j)[0]))
             for i, j in edge_set(g)
@@ -231,13 +265,13 @@ class TestNaiveGraph:
         X = rng.standard_normal((8, 3))
         X[5] = X[2]
         for k in (1, 3):
-            g = naive_graph(X, NaiveConfig("cosine", k))
+            g = naive_graph(X, "cosine", k)
             assert (2, 5) in edge_set(g)
 
     def test_dense_when_k_none(self):
         rng = np.random.default_rng(24)
         X = np.abs(rng.standard_normal((6, 3))) + 0.1
-        g = naive_graph(X, NaiveConfig("rbf", None))
+        g = naive_graph(X, "rbf", None)
         assert g.n_edges == 15
 
 
@@ -291,7 +325,7 @@ class TestNnlsSolve:
 class TestNnkGraph:
     def test_k1_reduces_to_similarity_weight(self):
         X = np.array([[0.0], [1.0], [3.0]])
-        g = nnk_graph(X, NnkConfig("rbf", 1, gamma=1.0))
+        g = nnk_graph(X, "rbf", 1, gamma=1.0)
         d = edge_dict(g)
         # vertex 0 and 1 pick each other: both directions solved to K01
         assert d[(0, 1)] == pytest.approx(np.exp(-1.0))
@@ -300,28 +334,28 @@ class TestNnkGraph:
         # points 0,1,2 on a line; for vertex 0, neighbor 2 is behind neighbor 1.
         # closed-form KKT: unconstrained theta_2 < 0, so NNK zeroes it.
         X = np.array([[0.0], [1.0], [2.0]])
-        g = nnk_graph(X, NnkConfig("rbf", 2, gamma=1.0))
+        g = nnk_graph(X, "rbf", 2, gamma=1.0)
         assert (0, 2) not in edge_set(g)
         # hand-checked 2x2 KKT solves: theta_{0->1} = e^{-1} (neighbor 2 clipped);
         # theta_{1->0} = e^{-1}/(1 + e^{-4}) from the unconstrained 2x2 system
         expected = (np.exp(-1.0) + np.exp(-1.0) / (1 + np.exp(-4.0))) / 2
         assert edge_dict(g)[(0, 1)] == pytest.approx(expected, abs=1e-10)
         # plain k-NN keeps the redundant edge
-        gk = naive_graph(X, NaiveConfig("rbf", 2, gamma=1.0))
+        gk = naive_graph(X, "rbf", 2, gamma=1.0)
         assert (0, 2) in edge_set(gk)
 
     def test_huge_sigma_empty(self):
         rng = np.random.default_rng(28)
         X = rng.standard_normal((6, 2))
-        g = nnk_graph(X, NnkConfig("rbf", 3, sigma=10.0))
+        g = nnk_graph(X, "rbf", 3, sigma=10.0)
         assert g.n_edges == 0
 
     def test_subset_of_knn(self):
         rng = np.random.default_rng(29)
         X = rng.standard_normal((15, 4))
         for k in (2, 5):
-            gn = nnk_graph(X, NnkConfig("rbf", k, gamma=0.25))
-            gk = naive_graph(X, NaiveConfig("rbf", k, gamma=0.25))
+            gn = nnk_graph(X, "rbf", k, gamma=0.25)
+            gk = naive_graph(X, "rbf", k, gamma=0.25)
             assert edge_set(gn) <= edge_set(gk)
 
     def test_sigma_monotone_pruning(self):
@@ -329,7 +363,7 @@ class TestNnkGraph:
         X = rng.standard_normal((12, 3))
         prev = None
         for sigma in (1e-6, 1e-3, 1e-1):
-            g = nnk_graph(X, NnkConfig("rbf", 4, sigma=sigma, gamma=0.5))
+            g = nnk_graph(X, "rbf", 4, sigma=sigma, gamma=0.5)
             if prev is not None:
                 assert edge_set(g) <= prev
             prev = edge_set(g)
@@ -337,7 +371,7 @@ class TestNnkGraph:
     def test_cosine_kernel_clips_negatives(self):
         rng = np.random.default_rng(31)
         X = rng.standard_normal((10, 3))
-        g = nnk_graph(X, NnkConfig("cosine", 3))
+        g = nnk_graph(X, "cosine", 3)
         assert all(w > 0 for _, _, w in g.edges)
 
 
@@ -351,17 +385,17 @@ class TestNnkGraph:
         X = np.random.default_rng(32).standard_normal((9, 2))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            g = nnk_graph(X, NnkConfig("rbf", 3, gamma=0.5))
+            g = nnk_graph(X, "rbf", 3, gamma=0.5)
         messages = [str(w.message) for w in caught if "NNLS" in str(w.message)]
         assert messages == ["NNLS did not converge for 9 vertices; they keep k-NN weights"]
         # the fallback keeps plain k-NN weights, so every k-NN edge survives
-        assert edge_set(g) == edge_set(naive_graph(X, NaiveConfig("rbf", 3, gamma=0.5)))
+        assert edge_set(g) == edge_set(naive_graph(X, "rbf", 3, gamma=0.5))
 
     def test_converged_solves_do_not_warn(self):
         X = np.random.default_rng(33).standard_normal((9, 2))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            nnk_graph(X, NnkConfig("rbf", 3, gamma=0.5))
+            nnk_graph(X, "rbf", 3, gamma=0.5)
         assert not [w for w in caught if "NNLS" in str(w.message)]
 
 
@@ -511,20 +545,20 @@ class TestSmoothGraph:
         X = rng.standard_normal((30, 4))
         Z = pairwise_sq_euclidean(X)
         for k in (3, 8):
-            g = smooth_graph(Z, SmoothConfig(k))
+            g = smooth_graph(Z, k)
             mean_deg = 2 * g.n_edges / g.n
             assert 0.75 * k <= mean_deg <= 1.25 * k
 
     def test_graph_invariants(self):
         rng = np.random.default_rng(35)
         Z = pairwise_sq_euclidean(rng.standard_normal((20, 3)))
-        g = smooth_graph(Z, SmoothConfig(4))
+        g = smooth_graph(Z, 4)
         assert all(w > 0 for _, _, w in g.edges)
         assert np.all(g.diagonal == 0)
 
     def test_bad_k_rejected(self):
         with pytest.raises(ValueError):
-            smooth_graph(np.zeros((5, 5)), SmoothConfig(5))
+            smooth_graph(np.zeros((5, 5)), 5)
 
     def test_calibration_failure_reported(self):
         # a 3-vertex graph cannot reach mean degree near 2*0.75 with k=2? it can;
@@ -534,7 +568,7 @@ class TestSmoothGraph:
         rng = np.random.default_rng(36)
         Z = pairwise_sq_euclidean(rng.standard_normal((6, 2)))
         with pytest.raises(CalibrationError):
-            smooth_graph(Z, SmoothConfig(5, sigma=1e6))
+            smooth_graph(Z, 5, sigma=1e6)
 
     @pytest.fixture
     def solves(self, monkeypatch):
@@ -552,13 +586,13 @@ class TestSmoothGraph:
     def test_target_below_sparsest_degree_fails_after_two_solves(self, solves):
         Z = pairwise_sq_euclidean(np.random.default_rng(36).standard_normal((6, 2)))
         with pytest.raises(CalibrationError, match=r"mean degrees 5\.\.1\.33"):
-            smooth_graph(Z, SmoothConfig(1))
+            smooth_graph(Z, 1)
         assert solves == [1.0, 1e-8]  # the densest and the sparsest end of the range
 
     def test_target_above_densest_degree_fails_after_two_solves(self, solves):
         Z = pairwise_sq_euclidean(np.random.default_rng(36).standard_normal((6, 2)))
         with pytest.raises(CalibrationError, match=r"mean degrees 0\.\.0"):
-            smooth_graph(Z, SmoothConfig(5, sigma=1e6))
+            smooth_graph(Z, 5, sigma=1e6)
         assert len(solves) == 2
 
     @pytest.mark.parametrize("k, bisection_steps", [(3, 5), (8, 1)])
@@ -566,7 +600,7 @@ class TestSmoothGraph:
         # same inputs as test_mean_degree_calibrated; the bisection needs
         # bisection_steps solves to land in the band on them
         Z = pairwise_sq_euclidean(np.random.default_rng(34).standard_normal((30, 4)))
-        smooth_graph(Z, SmoothConfig(k))
+        smooth_graph(Z, k)
         assert len(solves) == 2 + bisection_steps
         assert solves[:3] == [1.0, 1e-8, pytest.approx(1.0)]  # both ends, then theta = 1
 
@@ -574,23 +608,39 @@ class TestSmoothGraph:
         # on this Z, k=1 is below the sparsest end's mean degree and k=3 calibrates
         Z = pairwise_sq_euclidean(np.random.default_rng(36).standard_normal((6, 2)))
         with pytest.raises(CalibrationError) as plain_error:
-            smooth_graph(Z, SmoothConfig(1))
+            smooth_graph(Z, 1)
         del solves[:]
-        plain = smooth_graph(Z, SmoothConfig(3))
+        plain = smooth_graph(Z, 3)
         plain_solves = list(solves)
         assert len(plain_solves) > 2  # both ends, then at least one bisection step
 
         memo = {}
         del solves[:]
         with pytest.raises(CalibrationError) as shared_error:
-            smooth_graph(Z, SmoothConfig(1), memo)
+            smooth_graph(Z, 1, solves=memo)
         assert str(shared_error.value) == str(plain_error.value)
         del solves[:]
-        shared = smooth_graph(Z, SmoothConfig(3), memo)
+        shared = smooth_graph(Z, 3, solves=memo)
         # neither end of the range is solved again, only the bisection steps
         assert solves == plain_solves[2:]
         assert shared.edges.tobytes() == plain.edges.tobytes()
         assert shared.diagonal.tobytes() == plain.diagonal.tobytes()
         del solves[:]
-        smooth_graph(Z, SmoothConfig(3), memo)
+        smooth_graph(Z, 3, solves=memo)
         assert solves == []
+
+    @pytest.mark.parametrize("other_sigma", [0.1, 0.5], ids=["sparser-graph", "out-of-reach"])
+    def test_memo_shared_across_sigmas(self, other_sigma):
+        # on this Z, k=3 keeps 8 edges at the default sigma, 7 at 0.1 and is
+        # out of reach at 0.5, where both ends of the range prune to no edges
+        Z = pairwise_sq_euclidean(np.random.default_rng(36).standard_normal((6, 2)))
+
+        def outcome(sigma, solves=None):
+            try:
+                return smooth_graph(Z, 3, sigma, solves).edges.tobytes()
+            except CalibrationError as exc:
+                return str(exc)
+
+        memo = {}
+        for sigma in (DEFAULT_SIGMA, other_sigma, DEFAULT_SIGMA):
+            assert outcome(sigma, memo) == outcome(sigma)
