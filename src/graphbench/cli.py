@@ -40,11 +40,7 @@ def _master_seed(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    try:
-        bundle = load_dataset(args.data)
-    except DatasetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    bundle = load_dataset(args.data)
     cfg = RunConfig(
         task="ucv",  # placeholder: point_graph reads only the graph fields
         method=args.method,
@@ -54,12 +50,8 @@ def cmd_infer(args) -> int:
         sigma=args.sigma,
         adjacency_variant=VARIANT_ALIASES[args.variant],
     )
-    try:
-        g = point_graph(bundle, cfg)
-        write_graph(g, args.out)
-    except (OSError, ValueError, CalibrationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    g = point_graph(bundle, cfg)
+    write_graph(g, args.out)
     print(f"wrote {g.n_edges} edges to {args.out}")
     return 0
 
@@ -86,30 +78,17 @@ def _load_grid(spec: str, task: str, bundle, master_seed: int) -> list[RunConfig
 
 def cmd_run(args) -> int:
     if args.jobs < 1:
-        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-        return 1
-    try:
-        bundle = load_dataset(args.data)
-    except DatasetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+    bundle = load_dataset(args.data)
     try:
         configs = _load_grid(args.grid, args.task, bundle, _master_seed(args))
     except (OSError, ValueError, TypeError) as exc:
-        print(f"error: bad grid spec: {exc}", file=sys.stderr)
-        return 1
-    try:  # fail before the grid runs, not after, when a report file cannot be written
-        for path in (args.report, summary_path(args.report)):
-            open(path, "a").close()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise ValueError(f"bad grid spec: {exc}") from None
+    # fail before the grid runs, not after, when a report file cannot be written
+    for path in (args.report, summary_path(args.report)):
+        open(path, "a").close()
     results, best = run_grid(bundle, configs, jobs=args.jobs)
-    try:
-        emit_report(results, args.report, bundle.name, timing=args.timing)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    emit_report(results, args.report, bundle.name, timing=args.timing)
     n_failed = sum(r.failed for r in results)
     if best is not None:
         cfg = best.config
@@ -174,8 +153,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; any input error prints `error: <message>` and exits 1."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError, CalibrationError) as exc:  # ValueError covers DatasetError
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

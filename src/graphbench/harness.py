@@ -22,7 +22,9 @@ from .tasks import SemiSupervisedLabels, SgcParams
 TABLE1_K = (5, 10, 20, 30, 40, 50, 100, 200, 500, 1000)
 TASKS = ("ucv", "sscv-lp", "sscv-sgc", "dgs")
 GRAPH_METHODS = ("naive", "nnk", "smooth")
-METHODS = (*GRAPH_METHODS, "cmeans-baseline", "logreg-baseline", "reference-graph")
+# The raw-feature baseline each task compares against; dgs compares against none.
+BASELINES = {"ucv": "cmeans-baseline", "sscv-lp": "logreg-baseline", "sscv-sgc": "logreg-baseline"}
+METHODS = (*GRAPH_METHODS, *dict.fromkeys(BASELINES.values()), "reference-graph")
 
 DGS_INPUT_SNR_DB = 7.0
 
@@ -197,14 +199,24 @@ class RunConfig:
     n_splits: int = 100
 
     def __post_init__(self):
+        """Reject what a point can get wrong without a bundle; the task runners check the rest."""
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+        if self.method in BASELINES.values() and self.method != BASELINES.get(self.task):
+            raise ValueError(f"method {self.method!r} is not a baseline of task {self.task!r}")
+        if self.method in ("naive", "nnk") and self.similarity not in SIMILARITY_KINDS:
+            raise ValueError(f"method {self.method!r} needs a similarity, got {self.similarity!r}")
+        graph_on_dgs = self.task == "dgs" and self.method in GRAPH_METHODS
+        if graph_on_dgs and self.similarity not in (None, "rbf"):
+            raise ValueError("dgs supports only the rbf similarity")
         if self.adjacency_variant not in VARIANTS:
             raise ValueError(f"unknown adjacency variant {self.adjacency_variant!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not 0 < self.split_fraction < 1:
+            raise ValueError(f"split_fraction must be in (0, 1), got {self.split_fraction}")
         if self.n_splits < 1:
             raise ValueError(f"n_splits must be >= 1, got {self.n_splits}")
 
@@ -367,8 +379,6 @@ def run_task3(
     """Graph-signal denoising: best SNR over the tau sweep."""
     if bundle.clean_signal is None:
         raise DatasetError("task dgs needs a clean signal")
-    if cfg.method in GRAPH_METHODS and cfg.similarity not in (None, "rbf"):
-        raise ValueError("dgs supports only the rbf similarity")
     clean = bundle.clean_signal
     noisy = bundle.noisy_signal
     if noisy is None:
@@ -425,8 +435,7 @@ def full_grid(task: str, bundle: DatasetBundle, master_seed: int = 0) -> list[Ru
             )
         configs += points([("naive", "rbf")], ks + [None])
         return configs + points([("nnk", "rbf"), ("smooth", None)], ks)
-    baseline = "cmeans-baseline" if task == "ucv" else "logreg-baseline"
-    configs = [RunConfig(task, baseline, seed=master_seed)]
+    configs = [RunConfig(task, BASELINES[task], seed=master_seed)]
     for sim in SIMILARITY_KINDS:
         configs += points([("naive", sim), ("nnk", sim)], ks)
     return configs + points([("smooth", None)], ks)

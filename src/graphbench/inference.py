@@ -234,7 +234,7 @@ def learn_log_degree_weights(
 
     On reaching `max_iter` without meeting the stopping rule it returns the
     last iterate as it is, and says nothing. Reporting non-convergence waits
-    for the run trace (ROADMAP item 1): a warning would change the CSV
+    for the run trace (ROADMAP item 6): a warning would change the CSV
     `warnings` column of grids whose solves hit the cap.
     """
     Z = np.asarray(Z, dtype=float)

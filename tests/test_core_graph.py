@@ -373,6 +373,13 @@ def triples(g):
     return [(int(i), int(j), float(w)) for i, j, w in g.edges]
 
 
+@st.composite
+def graphs_with_isolated_vertices(draw):
+    """A valid graph plus 1-3 vertices that no edge touches."""
+    g = draw(valid_graphs())
+    return Graph(g.n + draw(st.integers(1, 3)), triples(g))
+
+
 class TestGraphProperties:
     @settings(max_examples=300, deadline=None)
     @given(any_edges())
@@ -413,6 +420,13 @@ class TestGraphProperties:
         assert triples(h) == edges
         assert np.array_equal(h.diagonal, diagonal)
         assert any(issubclass(w.category, IsolatedVertexWarning) for w in caught) == warned
+
+    @pytest.mark.filterwarnings("ignore::graphbench.core_graph.IsolatedVertexWarning")
+    @settings(max_examples=200, deadline=None)
+    @given(graphs_with_isolated_vertices(), st.sampled_from(["sym_norm", "augmented_sym_norm"]))
+    def test_normalized_spectrum_lies_in_unit_interval(self, g, target):
+        eigenvalues = np.linalg.eigvalsh(normalize(g, target).to_dense())
+        assert np.all(np.abs(eigenvalues) <= 1.0 + 1e-12)
 
     @pytest.mark.filterwarnings("ignore::graphbench.core_graph.IsolatedVertexWarning")
     @settings(max_examples=100, deadline=None)

@@ -1,4 +1,7 @@
 import csv
+import importlib.util
+import json
+import os
 import re
 import subprocess
 import sys
@@ -24,6 +27,7 @@ from graphbench.core_graph import (
 from graphbench.harness import (
     CSV_HEADER,
     TABLE1_K,
+    TASKS,
     DatasetError,
     RunConfig,
     build_graph,
@@ -39,6 +43,17 @@ from graphbench.harness import (
 )
 from graphbench.metrics import add_noise_to_snr
 from graphbench.tasks import best_tau_denoise
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench_module(name):
+    """A benchmark module, imported from perfbench/<name>.py as perfbench_<name>."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # a dataclass looks its module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 def write_blob_dataset(root, n_per=10, seed=0, name="blobs"):
@@ -861,8 +876,37 @@ class TestCli:
             '[{"task": "sscv-lp", "method": "naive", "similarity": "cosine", "k": 5,'
             ' "n_splits": 0}]',
             '[{"method": "cmeans-baseline", "adjacency_variant": "bogus"}]',
+            '[{"task": "dgs", "method": "cmeans-baseline"}]',
+            '[{"method": "naive", "similarity": "cosine", "k": 5},'
+            ' {"task": "dgs", "method": "cmeans-baseline"}]',
+            '[{"method": "logreg-baseline"}]',
+            '[{"task": "sscv-sgc", "method": "cmeans-baseline"}]',
+            '[{"task": "sscv-lp", "method": "naive", "similarity": "cosine", "k": 5,'
+            ' "split_fraction": 0}]',
+            '[{"task": "sscv-lp", "method": "logreg-baseline", "split_fraction": 1}]',
+            '[{"method": "naive", "k": 5}]',
+            '[{"method": "nnk", "k": 5}]',
+            '[{"task": "dgs", "method": "naive", "similarity": "cosine", "k": 5}]',
+            '[{"task": "dgs", "method": "nnk", "similarity": "covariance", "k": 5}]',
+            '[{"task": "dgs", "method": "smooth", "similarity": "cosine", "k": 5}]',
         ],
-        ids=["empty", "negative-seed", "zero-splits", "unknown-variant"],
+        ids=[
+            "empty",
+            "negative-seed",
+            "zero-splits",
+            "unknown-variant",
+            "cmeans-on-dgs",
+            "cmeans-on-dgs-after-a-graph",
+            "logreg-on-ucv",
+            "cmeans-on-sscv",
+            "zero-split-fraction",
+            "unit-split-fraction",
+            "naive-without-similarity",
+            "nnk-without-similarity",
+            "dgs-cosine",
+            "dgs-covariance",
+            "dgs-smooth-cosine",
+        ],
     )
     def test_run_unusable_grid_file_is_error(self, tmp_path, monkeypatch, capsys, grid):
         grid_file = tmp_path / "grid.json"
@@ -990,18 +1034,154 @@ class TestCli:
         assert reports[0] == reports[1]
 
 
+    def test_run_timing_adds_only_seconds(self, tmp_path, capsys):
+        write_blob_dataset(tmp_path / "d")
+        grid_file = tmp_path / "grid.json"
+        grid_file.write_text(
+            '[{"method": "cmeans-baseline"}, '
+            '{"method": "naive", "similarity": "cosine", "k": 2}, '
+            '{"method": "naive", "similarity": "cosine", "k": 2, "adjacency_variant": "sym"}]'
+        )
+        reports = []
+        for timing in ([], ["--timing"]):
+            report = tmp_path / f"r{len(timing)}.csv"
+            data = str(tmp_path / "d")
+            args = ["--data", data, "--grid", str(grid_file), "--report", str(report), *timing]
+            assert cli.main(["run", "--task", "ucv", *args]) == 0
+            with open(report, newline="") as fh:
+                reports.append(list(csv.DictReader(fh)))
+        untimed, timed = reports
+        assert len(timed) == len(untimed) == 3
+        assert all(row.pop("seconds") == "" for row in untimed)
+        assert all(float(row.pop("seconds")) >= 0.0 for row in timed)
+        assert timed == untimed
+
+    @pytest.mark.parametrize("task", ["ucv", "dgs"])
+    def test_reports_byte_identical_across_blas_threads(self, tmp_path, task):
+        gen = load_perfbench_module("gen")
+        if task == "ucv":
+            data = gen.cora_like(tmp_path / "d", 0, 200, 1433, 40, 0.42)
+            points = [
+                {"method": "cmeans-baseline"},
+                {"method": "naive", "similarity": "cosine", "k": 10, "adjacency_variant": "sym"},
+                {"method": "naive", "similarity": "rbf", "k": 10, "adjacency_variant": "augsym"},
+                {"method": "nnk", "similarity": "cosine", "k": 10},
+            ]
+        else:
+            data = gen.road_like(tmp_path / "d", 0, 150, 4.0, 2.0)
+            points = [
+                {"method": "reference-graph"},
+                {"method": "naive", "similarity": "rbf", "k": 10, "adjacency_variant": "sym"},
+                {"method": "naive", "similarity": "rbf", "k": None},
+                {"method": "nnk", "similarity": "rbf", "k": 10},
+            ]
+        grid_file = tmp_path / "grid.json"
+        grid_file.write_text(json.dumps(points))
+        reports = []
+        for threads in ("1", "2"):
+            report = tmp_path / f"r{threads}.csv"
+            proc = subprocess.run(
+                [
+                    sys.executable, "-m", "graphbench.cli", "run", "--task", task,
+                    "--data", str(data), "--grid", str(grid_file), "--report", str(report),
+                ],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+            )
+            assert proc.returncode == 0, proc.stderr
+            reports.append((report.read_bytes(), Path(f"{report}.best.txt").read_bytes()))
+        assert reports[0] == reports[1]
+
+
 class TestRunConfig:
     @pytest.mark.parametrize(
         "options, reason",
         [
             (dict(n_splits=0), "n_splits must be >= 1, got 0"),
             (dict(adjacency_variant="bogus"), "unknown adjacency variant 'bogus'"),
+            (dict(split_fraction=0), "split_fraction must be in (0, 1), got 0"),
+            (dict(split_fraction=1), "split_fraction must be in (0, 1), got 1"),
+            (dict(split_fraction=-0.5), "split_fraction must be in (0, 1), got -0.5"),
         ],
-        ids=["zero-splits", "unknown-variant"],
+        ids=[
+            "zero-splits",
+            "unknown-variant",
+            "zero-split-fraction",
+            "unit-split-fraction",
+            "negative-split-fraction",
+        ],
     )
     def test_rejects_out_of_range_fields(self, options, reason):
         with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
             RunConfig("sscv-lp", "naive", "cosine", 5, **options)
+
+    @pytest.mark.parametrize(
+        "point, reason",
+        [
+            (dict(task="dgs", method="cmeans-baseline"), "not a baseline of task 'dgs'"),
+            (dict(task="dgs", method="logreg-baseline"), "not a baseline of task 'dgs'"),
+            (dict(task="ucv", method="logreg-baseline"), "not a baseline of task 'ucv'"),
+            (dict(task="sscv-sgc", method="cmeans-baseline"), "not a baseline of task 'sscv-sgc'"),
+            (dict(task="ucv", method="naive", k=5), "method 'naive' needs a similarity, got None"),
+            (
+                dict(task="ucv", method="nnk", similarity="bogus", k=5),
+                "method 'nnk' needs a similarity, got 'bogus'",
+            ),
+            (
+                dict(task="dgs", method="naive", similarity="cosine", k=5),
+                "dgs supports only the rbf similarity",
+            ),
+            (
+                dict(task="dgs", method="nnk", similarity="covariance", k=5),
+                "dgs supports only the rbf similarity",
+            ),
+            (
+                dict(task="dgs", method="smooth", similarity="cosine", k=5),
+                "dgs supports only the rbf similarity",
+            ),
+        ],
+        ids=[
+            "cmeans-on-dgs",
+            "logreg-on-dgs",
+            "logreg-on-ucv",
+            "cmeans-on-sscv",
+            "naive-without-similarity",
+            "nnk-unknown-similarity",
+            "dgs-naive-cosine",
+            "dgs-nnk-covariance",
+            "dgs-smooth-cosine",
+        ],
+    )
+    def test_rejects_unusable_points(self, point, reason):
+        with pytest.raises(ValueError, match=f"{re.escape(reason)}$"):
+            RunConfig(**point)
+
+    def test_accepts_the_edges_of_each_rule(self):
+        # full_grid's points cover the rest of what each rule lets through
+        RunConfig("dgs", "smooth", "rbf", 5)
+        RunConfig("sscv-sgc", "logreg-baseline", split_fraction=0.001)
+        RunConfig("sscv-sgc", "logreg-baseline", split_fraction=0.999)
+
+    def test_accepts_every_benchmark_point(self, monkeypatch):
+        # workloads.py imports its sibling gen.py as `gen`
+        monkeypatch.setitem(sys.modules, "gen", load_perfbench_module("gen"))
+        workloads = load_perfbench_module("workloads").WORKLOADS
+        # built as perfbench/gridproc.py builds them
+        points = [
+            RunConfig(task=task, seed=0, **entry)
+            for workload in workloads.values()
+            for task, grid in workload.stages
+            for entry in grid
+        ]
+        assert {cfg.task for cfg in points} == set(TASKS)
+
+    @pytest.mark.parametrize("task", TASKS)
+    def test_accepts_every_full_grid_point(self, tmp_path, task):
+        write_blob_dataset(tmp_path / "d")
+        write_signal_dataset(tmp_path / "s")  # with a reference graph
+        for name in ("d", "s"):
+            assert full_grid(task, load_dataset(tmp_path / name))
 
 
 class TestRunOne:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from graphbench.metrics import (
     accuracy,
@@ -87,6 +89,18 @@ class TestAmi:
         relabel = {0: 2, 1: 0, 2: 1}
         v2 = np.array([relabel[x] for x in v])
         assert ami(u, v) == pytest.approx(ami(u, v2), abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(2, 40).flatmap(
+            lambda n: st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=n, max_size=n)
+        )
+    )
+    @example([(0, 2), (1, 0), (1, 0), (2, 1), (2, 1), (2, 1)])  # equal up to relabelling
+    @example([(0, 0)] * 39 + [(1, 1)])  # one singleton class: the smallest denominator
+    def test_at_most_one(self, pairs):
+        u, v = zip(*pairs)
+        assert ami(u, v) <= 1.0 + 1e-12
 
     def test_random_small_vs_oracle(self):
         rng = np.random.default_rng(42)
