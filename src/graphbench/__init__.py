@@ -2,6 +2,7 @@
 
 from .core_graph import (
     Graph,
+    connected_components,
     degrees,
     eigendecompose,
     from_arrays,
@@ -21,9 +22,6 @@ from .inference import (
 )
 from .metrics import accuracy, add_noise_to_snr, ami, mse, snr_db
 from .tasks import (
-    Partition,
-    SemiSupervisedLabels,
-    SgcParams,
     best_tau_denoise,
     denoise,
     discretize,

@@ -192,6 +192,23 @@ def matrix_exponential(A: np.ndarray) -> np.ndarray:
     return (E + E.T) / 2.0
 
 
+def connected_components(g: Graph) -> np.ndarray:
+    """Each vertex's connected component, named by the lowest vertex index in it.
+
+    Min-label propagation with pointer jumping: importing scipy.sparse.csgraph
+    instead would cost each process ~0.08 s and ~8 MB.
+    """
+    i, j, _ = _columns(g.edges)
+    comp = np.arange(g.n)
+    while True:
+        prev, comp = comp, comp.copy()
+        np.minimum.at(comp, i, prev[j])
+        np.minimum.at(comp, j, prev[i])
+        comp = comp[comp]
+        if np.array_equal(comp, prev):
+            return comp
+
+
 def write_graph(g: Graph, path) -> None:
     """Serialize a graph: header `#n=<n> variant=<variant>`, then `i<TAB>j<TAB>w` lines."""
     with open(path, "w") as fh:

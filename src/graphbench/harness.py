@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -13,11 +14,10 @@ from typing import Optional
 
 import numpy as np
 
-from . import metrics, tasks
-from .core_graph import VARIANTS, Graph, matrix_exponential, normalize, read_graph
+from . import core_graph, metrics, tasks
+from .core_graph import VARIANTS, Graph, normalize, read_graph
 from .inference import DEFAULT_SIGMA, SIMILARITY_KINDS, naive_graph, nnk_graph, smooth_graph
 from .similarity import pairwise_sq_euclidean
-from .tasks import SemiSupervisedLabels, SgcParams
 
 TABLE1_K = (5, 10, 20, 30, 40, 50, 100, 200, 500, 1000)
 TASKS = ("ucv", "sscv-lp", "sscv-sgc", "dgs")
@@ -129,23 +129,6 @@ def load_dataset(path) -> DatasetBundle:
     if meta.get("seed", 0) < 0:
         raise DatasetError(f"meta.txt: seed={meta['seed']} must be >= 0")
 
-    labels = None
-    C = meta.get("C")
-    labels_file = root / "labels.txt"
-    if labels_file.exists():
-        labels = _load_int_vector(labels_file)
-        if labels.size != features.shape[0]:
-            raise DatasetError(
-                f"labels.txt has {labels.size} entries, features has {features.shape[0]} rows"
-            )
-        distinct = np.unique(labels)
-        dense_C = int(labels.max()) + 1
-        if labels.min() < 0 or distinct.size != dense_C:
-            raise DatasetError("labels must be dense in 0..C-1")
-        if C is not None and C != dense_C:
-            raise DatasetError(f"meta C={C} disagrees with label count {dense_C}")
-        C = dense_C
-
     clean_signal = None
     signal_file = root / "signal.txt"
     if signal_file.exists():
@@ -167,12 +150,23 @@ def load_dataset(path) -> DatasetBundle:
     bundle = DatasetBundle(
         name=meta.get("name", root.name),
         features=features,
-        labels=labels,
         clean_signal=clean_signal,
         noisy_signal=noisy_signal,
-        C=C,
+        C=meta.get("C"),
         seed=meta.get("seed", 0),
     )
+    labels_file = root / "labels.txt"
+    if labels_file.exists():
+        labels = _load_int_vector(labels_file)
+        if labels.size != bundle.n:
+            raise DatasetError(f"labels.txt has {labels.size} entries for {bundle.n} vertices")
+        distinct = np.unique(labels)
+        dense_C = int(labels.max()) + 1
+        if labels.min() < 0 or distinct.size != dense_C:
+            raise DatasetError("labels must be dense in 0..C-1")
+        if bundle.C is not None and bundle.C != dense_C:
+            raise DatasetError(f"meta C={bundle.C} disagrees with label count {dense_C}")
+        bundle.labels, bundle.C = labels, dense_C
     graph_file = root / "graph.tsv"
     if graph_file.exists():
         try:
@@ -183,6 +177,14 @@ def load_dataset(path) -> DatasetBundle:
             raise DatasetError(f"graph.tsv has {g.n} vertices, the bundle has {bundle.n}")
         bundle.reference_graph = g
     return bundle
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass
@@ -199,7 +201,7 @@ class RunConfig:
     n_splits: int = 100
 
     def __post_init__(self):
-        """Reject what a point can get wrong without a bundle; the task runners check the rest."""
+        """Reject what a point can get wrong without a bundle; run_one checks the rest."""
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}")
         if self.method not in METHODS:
@@ -213,10 +215,23 @@ class RunConfig:
             raise ValueError("dgs supports only the rbf similarity")
         if self.adjacency_variant not in VARIANTS:
             raise ValueError(f"unknown adjacency variant {self.adjacency_variant!r}")
+        if self.k is None and self.method in ("nnk", "smooth"):
+            raise ValueError(f"method {self.method!r} needs k")
+        if self.k is not None and not _is_int(self.k):
+            raise ValueError(f"k must be an integer, got {self.k!r}")
+        if self.k is not None and self.k < 1:
+            raise ValueError("k must be >= 1")
+        if not (_is_real(self.sigma) and self.sigma > 0):
+            raise ValueError(f"sigma must be a positive number, got {self.sigma!r}")
+        if self.gamma is not None and not (_is_real(self.gamma) and self.gamma > 0):
+            raise ValueError(f"gamma must be None or a positive number, got {self.gamma!r}")
+        for name in ("seed", "n_splits"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not 0 < self.split_fraction < 1:
-            raise ValueError(f"split_fraction must be in (0, 1), got {self.split_fraction}")
+        if not (_is_real(self.split_fraction) and 0 < self.split_fraction < 1):
+            raise ValueError(f"split_fraction must be in (0, 1), got {self.split_fraction!r}")
         if self.n_splits < 1:
             raise ValueError(f"n_splits must be >= 1, got {self.n_splits}")
 
@@ -247,6 +262,8 @@ def split_generator(n: int, fraction: float, n_splits: int, master_seed: int):
     m = round(fraction * n)
     if m == 0:
         raise ValueError("fraction selects zero observed vertices")
+    if m == n:
+        raise ValueError(f"fraction {fraction} observes all {n} vertices")
     masks = []
     for i in range(n_splits):
         rng = np.random.default_rng([master_seed, i])
@@ -327,44 +344,33 @@ def point_graph(
     return normalize((cache or GridCache()).raw_graph(bundle, cfg), cfg.adjacency_variant)
 
 
-def run_task1(
-    bundle: DatasetBundle, cfg: RunConfig, cache: Optional[GridCache] = None
-) -> RunResult:
-    """Unsupervised vertex clustering scored by AMI against the ground truth."""
-    if bundle.labels is None:
-        raise DatasetError("task ucv needs labels")
-    if cfg.method == "cmeans-baseline":
-        part = tasks.kmeans(bundle.features, bundle.C, cfg.seed)
+def run_task1(bundle: DatasetBundle, cfg: RunConfig, g: Optional[Graph]) -> RunResult:
+    """Unsupervised vertex clustering of ``g`` (c-means when None) scored by AMI."""
+    if g is None:
+        assignment = tasks.kmeans(bundle.vertex_features, bundle.C, cfg.seed)
     else:
-        part = tasks.spectral_cluster(point_graph(bundle, cfg, cache), bundle.C, cfg.seed)
-    return RunResult(cfg, metrics.ami(part.assignment, bundle.labels))
+        assignment = tasks.spectral_cluster(g, bundle.C, cfg.seed)
+    return RunResult(cfg, metrics.ami(assignment, bundle.labels))
 
 
-def run_task2(
-    bundle: DatasetBundle, cfg: RunConfig, cache: Optional[GridCache] = None
-) -> RunResult:
-    """Semi-supervised classification: mean/std accuracy over random splits."""
-    if bundle.labels is None:
-        raise DatasetError("task sscv needs labels")
+def run_task2(bundle: DatasetBundle, cfg: RunConfig, g: Optional[Graph]) -> RunResult:
+    """Semi-supervised classification on ``g`` (raw features when None): accuracy over splits."""
     masks = split_generator(bundle.n, cfg.split_fraction, cfg.n_splits, cfg.seed)
     exp_W = None
-    Xhat = bundle.features
-    if cfg.method != "logreg-baseline":
-        g = point_graph(bundle, cfg, cache)
-        if cfg.task == "sscv-lp":
-            exp_W = matrix_exponential(g.to_dense())
-        else:
-            Xhat = tasks.diffuse_features(g, bundle.features)
+    Xhat = bundle.vertex_features
+    if g is not None and cfg.task == "sscv-lp":
+        exp_W = core_graph.matrix_exponential(g.to_dense())
+        components = core_graph.connected_components(g)
+    elif g is not None:
+        Xhat = tasks.diffuse_features(g, Xhat)
 
     accs = []
     for i, mask in enumerate(masks):
-        y = SemiSupervisedLabels(bundle.labels, mask)
         if exp_W is not None:
-            pred = tasks.propagate_labels(exp_W, y)
-            accs.append(metrics.accuracy(pred, bundle.labels, ~mask))
+            pred = tasks.propagate_labels(exp_W, bundle.labels, mask, components)
         else:
-            _, acc = tasks.sgc_predict(Xhat, y, SgcParams(seed=[cfg.seed, i, 7]))
-            accs.append(acc)
+            pred = tasks.sgc_predict(Xhat, bundle.labels, mask, [cfg.seed, i, 7])
+        accs.append(metrics.accuracy(pred, bundle.labels, ~mask))
     accs = np.array(accs)
     return RunResult(
         cfg,
@@ -373,25 +379,22 @@ def run_task2(
     )
 
 
-def run_task3(
-    bundle: DatasetBundle, cfg: RunConfig, cache: Optional[GridCache] = None
-) -> RunResult:
-    """Graph-signal denoising: best SNR over the tau sweep."""
-    if bundle.clean_signal is None:
-        raise DatasetError("task dgs needs a clean signal")
+def run_task3(bundle: DatasetBundle, cfg: RunConfig, g: Graph) -> RunResult:
+    """Graph-signal denoising on ``g``: best SNR over the tau sweep."""
     clean = bundle.clean_signal
     noisy = bundle.noisy_signal
     if noisy is None:
         noisy = metrics.add_noise_to_snr(clean, DGS_INPUT_SNR_DB, bundle.seed)
-    tau, snr = tasks.best_tau_denoise(point_graph(bundle, cfg, cache), noisy, clean)
+    tau, snr = tasks.best_tau_denoise(g, noisy, clean)
     return RunResult(cfg, snr, auxiliary={"tau": tau})
 
 
+# Each task's runner, the bundle field it reads, and the error when that field is missing.
 _RUNNERS = {
-    "ucv": run_task1,
-    "sscv-lp": run_task2,
-    "sscv-sgc": run_task2,
-    "dgs": run_task3,
+    "ucv": (run_task1, "labels", "task ucv needs labels"),
+    "sscv-lp": (run_task2, "labels", "task sscv needs labels"),
+    "sscv-sgc": (run_task2, "labels", "task sscv needs labels"),
+    "dgs": (run_task3, "clean_signal", "task dgs needs a clean signal"),
 }
 
 
@@ -400,13 +403,18 @@ def run_one(
 ) -> RunResult:
     """Execute one grid point; failures become a failed RunResult, never a raise.
 
-    ``seconds`` leaves out the stages the point takes from ``cache``.
+    The point's graph (none for a baseline) comes from point_graph, its raw
+    graph from ``cache``. ``seconds`` leaves out the stages taken from ``cache``.
     """
     start = time.perf_counter()
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            result = _RUNNERS[cfg.task](bundle, cfg, cache)
+            runner, needed, missing = _RUNNERS[cfg.task]
+            if getattr(bundle, needed) is None:
+                raise DatasetError(missing)
+            baseline = cfg.method in BASELINES.values()
+            result = runner(bundle, cfg, None if baseline else point_graph(bundle, cfg, cache))
         result.auxiliary["warnings"] = len(caught)
     except Exception as exc:  # failed grid points are recorded, grid continues
         result = RunResult(cfg, math.nan, auxiliary={"error": f"{type(exc).__name__}: {exc}"})

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,43 +23,7 @@ ADAM_LEARNING_RATE = 0.001
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-
-@dataclass
-class Partition:
-    assignment: np.ndarray
-    C: int
-
-    def __post_init__(self):
-        self.assignment = np.asarray(self.assignment, dtype=int)
-        if self.C < 1:
-            raise ValueError("C must be >= 1")
-        if self.assignment.size and self.assignment.max() >= self.C:
-            raise ValueError("assignment value out of range")
-
-
-@dataclass
-class SemiSupervisedLabels:
-    labels: np.ndarray
-    observed_mask: np.ndarray
-
-    def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=int)
-        self.observed_mask = np.asarray(self.observed_mask, dtype=bool)
-        if self.labels.shape != self.observed_mask.shape:
-            raise ValueError("labels and mask must have equal length")
-        if not (self.observed_mask.any() and (~self.observed_mask).any()):
-            raise ValueError("need at least one observed and one unobserved vertex")
-
-    @property
-    def n_classes(self) -> int:
-        return int(self.labels.max()) + 1
-
-
-@dataclass
-class SgcParams:
-    epochs: int = 100
-    seed: int = 0
+SGC_EPOCHS = 100
 
 
 def spectral_embed(g: Graph, C: int) -> np.ndarray:
@@ -105,8 +68,11 @@ def _kmeans_pp_init(points: np.ndarray, C: int, rng: np.random.Generator) -> np.
     return centers
 
 
-def kmeans(points, C: int, seed) -> Partition:
-    """Lloyd iterations from k-means++ starts, best of KMEANS_RESTARTS by WCSS."""
+def kmeans(points, C: int, seed) -> np.ndarray:
+    """Lloyd iterations from k-means++ starts, best of KMEANS_RESTARTS by WCSS.
+
+    Returns the cluster index in 0..C-1 of each point.
+    """
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
     if n < C:
@@ -139,11 +105,11 @@ def kmeans(points, C: int, seed) -> Partition:
         wcss = float(np.sum((points - centers[assign]) ** 2))
         if wcss < best_wcss:
             best_wcss, best_assign = wcss, assign.copy()
-    return Partition(best_assign, C)
+    return best_assign
 
 
-def discretize(embedding, seed=0) -> Partition:
-    """Round a spectral embedding to a partition by alternating rotation / argmax.
+def discretize(embedding, seed=0) -> np.ndarray:
+    """Round a spectral embedding to a cluster index per row by alternating rotation / argmax.
 
     Rows are normalized to unit length first (zero rows left untouched and
     flagged); the rotation is updated from the SVD of embedding' @ indicator.
@@ -185,36 +151,40 @@ def discretize(embedding, seed=0) -> Partition:
             R = U @ Vt
         if last_obj > best_obj:
             best_obj, best_assign = last_obj, assign
-    return Partition(best_assign, C)
+    return best_assign
 
 
-def spectral_cluster(g: Graph, C: int, seed=0) -> Partition:
-    """Spectral embedding (see spectral_embed) followed by rotation-based discretization."""
+def spectral_cluster(g: Graph, C: int, seed=0) -> np.ndarray:
+    """Spectral embedding (see spectral_embed) followed by rotation-based discretization.
+
+    Returns the cluster index in 0..C-1 of each vertex.
+    """
     if C == 1:
-        return Partition(np.zeros(g.n, dtype=int), 1)
+        return np.zeros(g.n, dtype=int)
     return discretize(spectral_embed(g, C), seed=seed)
 
 
-def propagate_labels(E: np.ndarray, y: SemiSupervisedLabels) -> np.ndarray:
-    """Diffuse one-hot labels once through the operator E; argmax per vertex.
+def propagate_labels(E: np.ndarray, labels, observed, components) -> np.ndarray:
+    """Diffuse the observed one-hot labels once through the operator E; argmax per vertex.
 
-    Unobserved vertices receiving zero mass fall back to the majority
-    observed class (lowest index on ties).
+    ``labels`` holds a class in 0..C-1 per vertex, ``observed`` marks the
+    vertices whose label is known, and ``components`` gives each vertex's
+    connected component in E's graph. Observed vertices keep their label. An
+    unobserved vertex whose component holds no observed vertex gets the
+    majority observed class (lowest index on ties).
     """
-    C = y.n_classes
-    Y0 = np.zeros((y.labels.size, C))
-    obs = np.flatnonzero(y.observed_mask)
-    Y0[obs, y.labels[obs]] = 1.0
+    labels = np.asarray(labels, dtype=int)
+    observed = np.asarray(observed, dtype=bool)
+    C = int(labels.max()) + 1
+    Y0 = np.zeros((labels.size, C))
+    obs = np.flatnonzero(observed)
+    Y0[obs, labels[obs]] = 1.0
     Yhat = E @ Y0
-    counts = np.bincount(y.labels[obs], minlength=C)
-    majority = int(np.argmax(counts))
-    pred = y.labels.copy()
-    unobs = np.flatnonzero(~y.observed_mask)
-    row_mass = Yhat[unobs].max(axis=1)
-    pred[unobs] = np.argmax(Yhat[unobs], axis=1)
-    dead = row_mass <= 0
+    pred = labels.copy()
+    pred[~observed] = np.argmax(Yhat[~observed], axis=1)
+    dead = ~observed & ~np.isin(components, components[obs])
     if dead.any():
-        pred[unobs[dead]] = majority
+        pred[dead] = int(np.argmax(np.bincount(labels[obs], minlength=C)))
         warnings.warn(f"{int(dead.sum())} unlabeled vertices disconnected from all labels")
     return pred
 
@@ -226,14 +196,17 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 
 def train_logistic_regression(
-    X: np.ndarray, labels: np.ndarray, C: int, p: SgcParams, init_weights=None
+    X: np.ndarray, labels: np.ndarray, C: int, seed, init_weights=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Full-batch softmax regression with Adam; returns (weights, bias)."""
+    """SGC_EPOCHS of full-batch softmax regression with Adam; returns (weights, bias).
+
+    ``seed`` draws the initial weights unless ``init_weights`` gives them.
+    """
     n, F = X.shape
     if init_weights is not None:
         W = np.array(init_weights, dtype=float)
     else:
-        rng = np.random.default_rng(p.seed)
+        rng = np.random.default_rng(seed)
         s = 1.0 / math.sqrt(F)
         W = rng.uniform(-s, s, size=(F, C))
     b = np.zeros(C)
@@ -243,7 +216,7 @@ def train_logistic_regression(
     vb = np.zeros_like(b)
     onehot = np.zeros((n, C))
     onehot[np.arange(n), labels] = 1.0
-    for t in range(1, p.epochs + 1):
+    for t in range(1, SGC_EPOCHS + 1):
         probs = _softmax(X @ W + b)
         loss = -np.mean(np.log(np.clip(probs[np.arange(n), labels], 1e-300, None)))
         if not np.isfinite(loss):
@@ -271,17 +244,18 @@ def diffuse_features(g: Graph, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def sgc_predict(
-    Xhat: np.ndarray, y: SemiSupervisedLabels, p: SgcParams
-) -> tuple[np.ndarray, float]:
-    """Logistic regression on already-diffused features; returns (pred, test accuracy)."""
-    obs = y.observed_mask
-    W, b = train_logistic_regression(Xhat[obs], y.labels[obs], y.n_classes, p)
-    pred = y.labels.copy()
-    unobs = ~obs
-    pred[unobs] = np.argmax(Xhat[unobs] @ W + b, axis=1)
-    acc = float(np.mean(pred[unobs] == y.labels[unobs]))
-    return pred, acc
+def sgc_predict(Xhat: np.ndarray, labels, observed, seed) -> np.ndarray:
+    """Logistic regression on already-diffused features; returns a class per vertex.
+
+    Trained on the ``observed`` vertices' ``labels`` (a class in 0..C-1 per
+    vertex) from weights drawn by ``seed``. Observed vertices keep their label.
+    """
+    labels = np.asarray(labels, dtype=int)
+    observed = np.asarray(observed, dtype=bool)
+    W, b = train_logistic_regression(Xhat[observed], labels[observed], int(labels.max()) + 1, seed)
+    pred = labels.copy()
+    pred[~observed] = np.argmax(Xhat[~observed] @ W + b, axis=1)
+    return pred
 
 
 def simoncelli_response(lambda_norm: float, tau: float) -> float:

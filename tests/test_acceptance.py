@@ -27,8 +27,6 @@ from graphbench.harness import (
 from graphbench.inference import learn_log_degree_weights, nnls_solve
 from graphbench.metrics import add_noise_to_snr, ami, snr_db
 from graphbench.tasks import (
-    SemiSupervisedLabels,
-    SgcParams,
     best_tau_denoise,
     denoise,
     simoncelli_response,
@@ -68,12 +66,11 @@ class TestReproductionTier:
         masks = split_generator(bundle.n, 0.05, 100, bundle.seed)
         accs = []
         for i, mask in enumerate(masks):
-            y = SemiSupervisedLabels(bundle.labels, mask)
             W, b = train_logistic_regression(
                 bundle.features[mask],
                 bundle.labels[mask],
                 bundle.C,
-                SgcParams(seed=[bundle.seed, i, 7]),
+                [bundle.seed, i, 7],
             )
             pred = np.argmax(bundle.features[~mask] @ W + b, axis=1)
             accs.append(float(np.mean(pred == bundle.labels[~mask])))
@@ -153,8 +150,8 @@ class TestPropertyTier:
     def test_criterion_7_clique_unions_recovered_exactly(self):
         for C, sizes in ((2, (6, 9)), (3, (5, 7, 6)), (5, (4, 5, 6, 4, 5))):
             g, truth = clique_union(sizes)
-            part = spectral_cluster(normalize(g, "sym_norm"), C, seed=0)
-            assert ami(part.assignment, truth) == pytest.approx(1.0, abs=1e-12)
+            assignment = spectral_cluster(normalize(g, "sym_norm"), C, seed=0)
+            assert ami(assignment, truth) == pytest.approx(1.0, abs=1e-12)
 
     def test_criterion_8_filter_properties(self):
         rng = np.random.default_rng(13)

@@ -14,6 +14,7 @@ from graphbench.core_graph import (
     VARIANTS,
     Graph,
     IsolatedVertexWarning,
+    connected_components,
     degrees,
     eigendecompose,
     from_dense,
@@ -279,6 +280,33 @@ class TestMatrixExponential:
         M = rng.standard_normal((6, 6))
         E = matrix_exponential((M + M.T) / 2)
         assert np.linalg.eigvalsh(E).min() > 0
+
+
+class TestConnectedComponents:
+    def test_path_and_isolated_vertices(self):
+        g = Graph(7, [(1, 2, 1.0), (2, 4, 1.0), (4, 6, 1.0), (0, 5, 0.5)])
+        assert connected_components(g).tolist() == [0, 1, 1, 3, 1, 0, 1]
+
+    def test_long_path_ends_in_one_component(self):
+        n = 300
+        perm = np.random.default_rng(6).permutation(n)
+        edges = sorted((min(a, b), max(a, b), 1.0) for a, b in zip(perm, perm[1:]))
+        assert np.all(connected_components(Graph(n, edges)) == 0)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 40), st.floats(0.0, 0.2), st.integers(0, 2**32 - 1))
+    def test_same_partition_as_scipy(self, n, density, seed):
+        from scipy.sparse.csgraph import connected_components as scipy_components
+
+        rng = np.random.default_rng(seed)
+        A = np.triu(rng.random((n, n)) < density, k=1).astype(float)
+        g = from_dense(A + A.T)
+        ours = connected_components(g)
+        _, theirs = scipy_components(g.to_sparse(), directed=False)
+        # the same blocks, each named by its lowest vertex
+        pairs = set(zip(ours.tolist(), theirs.tolist()))
+        assert len(pairs) == len(set(ours.tolist())) == len(set(theirs.tolist()))
+        assert all(ours[v] == np.flatnonzero(ours == ours[v]).min() for v in range(n))
 
 
 class TestGraphFile:

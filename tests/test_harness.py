@@ -1,5 +1,6 @@
 import csv
 import importlib.util
+import inspect
 import json
 import os
 import re
@@ -34,6 +35,7 @@ from graphbench.harness import (
     emit_report,
     full_grid,
     load_dataset,
+    point_graph,
     run_grid,
     run_one,
     run_task1,
@@ -186,6 +188,12 @@ class TestLoadDataset:
         assert bundle.clean_signal.size == clean.size
         assert bundle.reference_graph.n == clean.size
 
+    def test_signal_bundle_needs_a_label_per_vertex(self, tmp_path):
+        write_signal_dataset(tmp_path / "s")  # 24 vertices in one feature row
+        (tmp_path / "s" / "labels.txt").write_text("0\n")
+        with pytest.raises(DatasetError, match="labels.txt has 1 entries for 24 vertices"):
+            load_dataset(tmp_path / "s")
+
     def test_ragged_features_rejected(self, tmp_path):
         root = tmp_path / "d"
         root.mkdir()
@@ -262,19 +270,23 @@ class TestSplitGenerator:
         with pytest.raises(ValueError):
             split_generator(10, 1.5, 1, 0)
 
+    def test_rejects_observing_every_vertex(self):
+        with pytest.raises(ValueError, match=r"^fraction 0\.999 observes all 30 vertices$"):
+            split_generator(30, 0.999, 1, 0)
+
 
 class TestRunTask1:
     def test_cmeans_baseline_perfect_blobs(self, tmp_path):
         write_blob_dataset(tmp_path / "d")
         bundle = load_dataset(tmp_path / "d")
-        res = run_task1(bundle, RunConfig("ucv", "cmeans-baseline", seed=0))
+        res = run_task1(bundle, RunConfig("ucv", "cmeans-baseline", seed=0), None)
         assert res.primary_score == pytest.approx(1.0)
 
     def test_naive_cosine_cliques(self, tmp_path):
         write_blob_dataset(tmp_path / "d")
         bundle = load_dataset(tmp_path / "d")
         cfg = RunConfig("ucv", "naive", "cosine", 4, adjacency_variant="sym_norm")
-        res = run_task1(bundle, cfg)
+        res = run_task1(bundle, cfg, point_graph(bundle, cfg))
         assert res.primary_score == pytest.approx(1.0)
 
 
@@ -291,7 +303,7 @@ class TestRunTask2:
             n_splits=5,
             split_fraction=0.1,
         )
-        res = run_task2(bundle, cfg)
+        res = run_task2(bundle, cfg, point_graph(bundle, cfg))
         # fixed 100-epoch budget underfits tiny fixtures; check it beats chance
         assert res.primary_score >= 0.5
         assert res.dispersion is not None
@@ -308,14 +320,14 @@ class TestRunTask2:
             n_splits=5,
             split_fraction=0.2,
         )
-        res = run_task2(bundle, cfg)
+        res = run_task2(bundle, cfg, point_graph(bundle, cfg))
         assert res.primary_score >= 0.9
 
     def test_std_uses_n_minus_one(self, tmp_path):
         write_blob_dataset(tmp_path / "d", n_per=8)
         bundle = load_dataset(tmp_path / "d")
         cfg = RunConfig("sscv-lp", "naive", "cosine", 3, n_splits=4, split_fraction=0.2)
-        res = run_task2(bundle, cfg)
+        res = run_task2(bundle, cfg, point_graph(bundle, cfg))
         assert res.dispersion >= 0.0
 
 
@@ -339,26 +351,30 @@ class TestRunTask3:
     def test_reference_graph_denoises(self, tmp_path):
         write_signal_dataset(tmp_path / "s")
         bundle = load_dataset(tmp_path / "s")
-        res = run_task3(bundle, RunConfig("dgs", "reference-graph"))
+        cfg = RunConfig("dgs", "reference-graph")
+        res = run_task3(bundle, cfg, point_graph(bundle, cfg))
         assert res.primary_score > 7.0
         assert 0.0 <= res.auxiliary["tau"] <= 1.0
 
     def test_rbf_knn_denoises(self, tmp_path):
         write_signal_dataset(tmp_path / "s")
         bundle = load_dataset(tmp_path / "s")
-        res = run_task3(bundle, RunConfig("dgs", "naive", "rbf", 4))
+        cfg = RunConfig("dgs", "naive", "rbf", 4)
+        res = run_task3(bundle, cfg, point_graph(bundle, cfg))
         assert res.primary_score > 7.0
 
     def test_cosine_rejected(self, tmp_path):
         write_signal_dataset(tmp_path / "s")
         bundle = load_dataset(tmp_path / "s")
         with pytest.raises(ValueError, match="rbf"):
-            run_task3(bundle, RunConfig("dgs", "naive", "cosine", 4))
+            cfg = RunConfig("dgs", "naive", "cosine", 4)
+            run_task3(bundle, cfg, point_graph(bundle, cfg))
 
     def test_smooth_method(self, tmp_path):
         write_signal_dataset(tmp_path / "s")
         bundle = load_dataset(tmp_path / "s")
-        res = run_task3(bundle, RunConfig("dgs", "smooth", None, 10))
+        cfg = RunConfig("dgs", "smooth", None, 10)
+        res = run_task3(bundle, cfg, point_graph(bundle, cfg))
         assert res.primary_score > 7.0
 
 
@@ -734,7 +750,7 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "method, reason",
-        [("naive", "k must be positive"), ("nnk", "k must be >= 1"), ("smooth", "k must be >= 1")],
+        [("naive", "k must be >= 1"), ("nnk", "k must be >= 1"), ("smooth", "k must be >= 1")],
     )
     def test_infer_k_below_one_is_error(self, tmp_path, method, reason):
         write_blob_dataset(tmp_path / "d")
@@ -889,6 +905,16 @@ class TestCli:
             '[{"task": "dgs", "method": "naive", "similarity": "cosine", "k": 5}]',
             '[{"task": "dgs", "method": "nnk", "similarity": "covariance", "k": 5}]',
             '[{"task": "dgs", "method": "smooth", "similarity": "cosine", "k": 5}]',
+            '[{"method": "naive", "similarity": "cosine", "k": "5"}]',
+            '[{"method": "naive", "similarity": "cosine", "k": 5.5}]',
+            '[{"method": "naive", "similarity": "cosine", "k": true}]',
+            '[{"method": "naive", "similarity": "cosine", "k": 0}]',
+            '[{"method": "nnk", "similarity": "cosine"}]',
+            '[{"method": "smooth"}]',
+            '[{"method": "nnk", "similarity": "cosine", "k": 5, "sigma": -1}]',
+            '[{"method": "naive", "similarity": "rbf", "k": 5, "gamma": -1}]',
+            '[{"method": "naive", "similarity": "cosine", "k": 5, "gamma": "x"}]',
+            '[{"task": "sscv-lp", "method": "logreg-baseline", "n_splits": "3"}]',
         ],
         ids=[
             "empty",
@@ -906,6 +932,16 @@ class TestCli:
             "dgs-cosine",
             "dgs-covariance",
             "dgs-smooth-cosine",
+            "string-k",
+            "fractional-k",
+            "boolean-k",
+            "zero-k",
+            "nnk-without-k",
+            "smooth-without-k",
+            "negative-sigma",
+            "negative-gamma",
+            "string-gamma",
+            "string-splits",
         ],
     )
     def test_run_unusable_grid_file_is_error(self, tmp_path, monkeypatch, capsys, grid):
@@ -1103,6 +1139,17 @@ class TestRunConfig:
             (dict(split_fraction=0), "split_fraction must be in (0, 1), got 0"),
             (dict(split_fraction=1), "split_fraction must be in (0, 1), got 1"),
             (dict(split_fraction=-0.5), "split_fraction must be in (0, 1), got -0.5"),
+            (dict(k="5"), "k must be an integer, got '5'"),
+            (dict(k=5.5), "k must be an integer, got 5.5"),
+            (dict(k=True), "k must be an integer, got True"),
+            (dict(k=0), "k must be >= 1"),
+            (dict(method="nnk", k=None), "method 'nnk' needs k"),
+            (dict(method="smooth", similarity=None, k=None), "method 'smooth' needs k"),
+            (dict(sigma=-1), "sigma must be a positive number, got -1"),
+            (dict(gamma=-1), "gamma must be None or a positive number, got -1"),
+            (dict(gamma="x"), "gamma must be None or a positive number, got 'x'"),
+            (dict(seed="3"), "seed must be an integer, got '3'"),
+            (dict(n_splits="3"), "n_splits must be an integer, got '3'"),
         ],
         ids=[
             "zero-splits",
@@ -1110,11 +1157,23 @@ class TestRunConfig:
             "zero-split-fraction",
             "unit-split-fraction",
             "negative-split-fraction",
+            "string-k",
+            "fractional-k",
+            "boolean-k",
+            "zero-k",
+            "nnk-without-k",
+            "smooth-without-k",
+            "negative-sigma",
+            "negative-gamma",
+            "string-gamma",
+            "string-seed",
+            "string-splits",
         ],
     )
     def test_rejects_out_of_range_fields(self, options, reason):
+        point = dict(task="sscv-lp", method="naive", similarity="cosine", k=5)
         with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
-            RunConfig("sscv-lp", "naive", "cosine", 5, **options)
+            RunConfig(**{**point, **options})
 
     @pytest.mark.parametrize(
         "point, reason",
@@ -1176,6 +1235,23 @@ class TestRunConfig:
         ]
         assert {cfg.task for cfg in points} == set(TASKS)
 
+    def test_benchmark_layers_are_public_functions(self, monkeypatch):
+        # the traced benchmark run looks each layer up as <module>.<function>
+        monkeypatch.setitem(sys.modules, "gen", load_perfbench_module("gen"))
+        workloads = load_perfbench_module("workloads")
+        names = set(workloads.COMMON_LAYERS)
+        for workload in workloads.WORKLOADS.values():
+            names.update(workload.layers)
+        for name in sorted(names):
+            module_name, attr = name.split(".")
+            if name == "core_graph.graph_init":  # the tracer's name for Graph.__post_init__
+                assert "__post_init__" in vars(Graph)
+                continue
+            module = importlib.import_module(f"graphbench.{module_name}")
+            fn = vars(module).get(attr)
+            assert not attr.startswith("_") and inspect.isfunction(fn), name
+            assert fn.__module__ == module.__name__, name
+
     @pytest.mark.parametrize("task", TASKS)
     def test_accepts_every_full_grid_point(self, tmp_path, task):
         write_blob_dataset(tmp_path / "d")
@@ -1185,6 +1261,29 @@ class TestRunConfig:
 
 
 class TestRunOne:
+    def test_labelled_signal_bundle_runs_every_labelled_task(self, tmp_path):
+        clean = write_signal_dataset(tmp_path / "s")
+        labels = (clean < 0).astype(int)  # the signal's two halves
+        (tmp_path / "s" / "labels.txt").write_text("".join(f"{c}\n" for c in labels))
+        bundle = load_dataset(tmp_path / "s")
+        assert bundle.C == 2
+        splits = dict(split_fraction=0.25, n_splits=3)
+        for cfg in (
+            RunConfig("ucv", "cmeans-baseline"),
+            RunConfig("ucv", "naive", "rbf", 4),
+            RunConfig("sscv-lp", "naive", "rbf", 4, **splits),
+            RunConfig("sscv-sgc", "naive", "rbf", 4, **splits),
+            RunConfig("sscv-sgc", "logreg-baseline", **splits),
+        ):
+            res = run_one(bundle, cfg)
+            assert not res.failed, (cfg, res.auxiliary["error"])
+
+    def test_split_observing_every_vertex_fails_the_point(self, tmp_path):
+        write_blob_dataset(tmp_path / "d")  # 30 vertices
+        bundle = load_dataset(tmp_path / "d")
+        res = run_one(bundle, RunConfig("sscv-lp", "naive", "cosine", 3, split_fraction=0.999))
+        assert res.auxiliary["error"] == "ValueError: fraction 0.999 observes all 30 vertices"
+
     def test_records_error(self, tmp_path):
         write_blob_dataset(tmp_path / "d")
         bundle = load_dataset(tmp_path / "d")

@@ -10,17 +10,15 @@ import graphbench.tasks as tasks_module
 from graphbench.core_graph import (
     VARIANTS,
     Graph,
+    connected_components,
     from_dense,
     laplacian,
     matrix_exponential,
     normalize,
 )
 from graphbench.harness import RunConfig, build_graph, load_dataset
-from graphbench.metrics import add_noise_to_snr, ami, snr_db
+from graphbench.metrics import accuracy, add_noise_to_snr, ami, snr_db
 from graphbench.tasks import (
-    Partition,
-    SemiSupervisedLabels,
-    SgcParams,
     best_tau_denoise,
     denoise,
     diffuse_features,
@@ -111,12 +109,12 @@ class TestSpectralEmbed:
 class TestKmeans:
     def test_single_cluster(self):
         pts = np.array([[0.0, 0.0], [2.0, 0.0], [4.0, 0.0]])
-        part = kmeans(pts, 1, seed=0)
-        assert np.all(part.assignment == 0)
+        assignment = kmeans(pts, 1, seed=0)
+        assert np.all(assignment == 0)
 
     def test_two_points_two_clusters(self):
-        part = kmeans(np.array([[0.0], [5.0]]), 2, seed=0)
-        assert part.assignment[0] != part.assignment[1]
+        assignment = kmeans(np.array([[0.0], [5.0]]), 2, seed=0)
+        assert assignment[0] != assignment[1]
 
     def test_separated_blobs_all_seeds(self):
         rng = np.random.default_rng(51)
@@ -124,8 +122,8 @@ class TestKmeans:
         pts = np.vstack([rng.normal(c, 0.01, size=(15, 2)) for c in centers])
         truth = np.repeat([0, 1, 2], 15)
         for seed in range(50):
-            part = kmeans(pts, 3, seed=seed)
-            assert ami(part.assignment, truth) == pytest.approx(1.0)
+            assignment = kmeans(pts, 3, seed=seed)
+            assert ami(assignment, truth) == pytest.approx(1.0)
 
 
 class TestDiscretize:
@@ -133,8 +131,8 @@ class TestDiscretize:
         assign = np.array([0, 0, 1, 2, 1])
         M = np.zeros((5, 3))
         M[np.arange(5), assign] = 3.7
-        part = discretize(M, seed=0)
-        assert ami(part.assignment, assign) == pytest.approx(1.0)
+        assignment = discretize(M, seed=0)
+        assert ami(assignment, assign) == pytest.approx(1.0)
 
     def test_rotated_indicator_recovered(self):
         rng = np.random.default_rng(52)
@@ -142,15 +140,15 @@ class TestDiscretize:
         M = np.zeros((30, 3))
         M[np.arange(30), assign] = 1.0
         R = np.linalg.qr(rng.standard_normal((3, 3)))[0]
-        part = discretize(M @ R, seed=1)
-        assert ami(part.assignment, assign) == pytest.approx(1.0)
+        assignment = discretize(M @ R, seed=1)
+        assert ami(assignment, assign) == pytest.approx(1.0)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(53)
         X = rng.standard_normal((12, 3))
         p1 = discretize(X, seed=5)
         p2 = discretize(10.0 * X, seed=5)
-        assert np.array_equal(p1.assignment, p2.assignment)
+        assert np.array_equal(p1, p2)
 
     def test_needs_two_columns(self):
         with pytest.raises(ValueError):
@@ -160,13 +158,13 @@ class TestDiscretize:
 class TestSpectralCluster:
     def test_two_components_recovered(self):
         g, labels = clique_union([5, 6])
-        part = spectral_cluster(g, 2, seed=0)
-        assert ami(part.assignment, labels) == pytest.approx(1.0)
+        assignment = spectral_cluster(g, 2, seed=0)
+        assert ami(assignment, labels) == pytest.approx(1.0)
 
     def test_three_cliques(self):
         g, labels = clique_union([5, 5, 5])
-        part = spectral_cluster(g, 3, seed=0)
-        assert ami(part.assignment, labels) == pytest.approx(1.0)
+        assignment = spectral_cluster(g, 3, seed=0)
+        assert ami(assignment, labels) == pytest.approx(1.0)
 
     def test_permutation_equivariance(self):
         g, labels = clique_union([4, 4, 5])
@@ -175,7 +173,7 @@ class TestSpectralCluster:
         gp = from_dense(g.to_dense()[np.ix_(perm, perm)])
         p1 = spectral_cluster(g, 3, seed=2)
         p2 = spectral_cluster(gp, 3, seed=2)
-        assert ami(p1.assignment[perm], p2.assignment) == pytest.approx(1.0)
+        assert ami(p1[perm], p2) == pytest.approx(1.0)
 
 
 def load_perfbench_gen():
@@ -240,43 +238,66 @@ class TestPartialSpectrum:
                 raw = build_graph(bundle.features, RunConfig("ucv", method, similarity, k=10))
                 for variant in VARIANTS:
                     g = normalize(raw, variant)
-                    got = ami(spectral_cluster(g, bundle.C).assignment, bundle.labels)
-                    want = ami(full_spectrum_cluster(g, bundle.C).assignment, bundle.labels)
+                    got = ami(spectral_cluster(g, bundle.C), bundle.labels)
+                    want = ami(full_spectrum_cluster(g, bundle.C), bundle.labels)
                     assert round(got, 6) == round(want, 6), (seed, method, similarity, variant)
 
 
 class TestLabelPropagate:
     def test_zero_graph_majority_fallback(self):
         g = Graph(3)
-        y = SemiSupervisedLabels([1, 1, 0], [True, True, False])
+        E = matrix_exponential(g.to_dense())
         with pytest.warns(UserWarning, match="disconnected"):
-            pred = propagate_labels(matrix_exponential(g.to_dense()), y)
+            pred = propagate_labels(E, [1, 1, 0], [True, True, False], connected_components(g))
         assert pred[2] == 1
 
     def test_path_single_source(self):
         g = Graph(2, [(0, 1, 1.0)])
-        y = SemiSupervisedLabels([0, 0], [True, False])
-        pred = propagate_labels(matrix_exponential(g.to_dense()), y)
+        E = matrix_exponential(g.to_dense())
+        pred = propagate_labels(E, [0, 0], [True, False], connected_components(g))
         assert pred[1] == 0
 
     def test_triangle_tie_goes_to_class_zero(self):
         g, _ = clique_union([3])
-        y = SemiSupervisedLabels([0, 1, 0], [True, True, False])
-        pred = propagate_labels(matrix_exponential(g.to_dense()), y)
+        E = matrix_exponential(g.to_dense())
+        pred = propagate_labels(E, [0, 1, 0], [True, True, False], connected_components(g))
         assert pred[2] == 0
 
     def test_onehot_scale_invariance(self):
         # argmax through the linear map is invariant to scaling the one-hot mass;
         # equivalent check: predictions from exp(2W) differ, from 3*Y0 do not
         g, _ = clique_union([4, 3])
-        y = SemiSupervisedLabels([0, 0, 0, 0, 1, 1, 1], [True, False, True, False, True, False, True])
+        labels = np.array([0, 0, 0, 0, 1, 1, 1])
+        observed = np.array([True, False, True, False, True, False, True])
         E = matrix_exponential(g.to_dense())
         Y0 = np.zeros((7, 2))
-        obs = np.flatnonzero(y.observed_mask)
-        Y0[obs, y.labels[obs]] = 1.0
+        obs = np.flatnonzero(observed)
+        Y0[obs, labels[obs]] = 1.0
         p1 = np.argmax(E @ Y0, axis=1)
         p2 = np.argmax(E @ (3.0 * Y0), axis=1)
         assert np.array_equal(p1, p2)
+
+
+    @pytest.mark.parametrize("variant", ["raw", "sym_norm"])
+    def test_unreached_component_gets_majority_in_any_vertex_order(self, variant):
+        # components of 60 and 40 vertices, interleaved by a permutation; every
+        # observed vertex is in the 60, so none of the 40 can receive mass
+        rng = np.random.default_rng(59)
+        A = np.zeros((100, 100))
+        for lo, hi in ((0, 60), (60, 100)):
+            W = rng.random((hi - lo, hi - lo)) * (rng.random((hi - lo, hi - lo)) < 0.2)
+            W += np.eye(hi - lo, k=1)  # a path keeps the block connected
+            A[lo:hi, lo:hi] = np.triu(W, 1) + np.triu(W, 1).T
+        labels = np.concatenate([rng.integers(0, 3, 60), np.zeros(40, dtype=int)])
+        observed = np.zeros(100, dtype=bool)
+        observed[rng.choice(60, size=20, replace=False)] = True
+        majority = int(np.argmax(np.bincount(labels[observed], minlength=3)))
+        perm = rng.permutation(100)
+        g = normalize(from_dense(A[np.ix_(perm, perm)]), variant)
+        E = matrix_exponential(g.to_dense())
+        with pytest.warns(UserWarning, match="^40 unlabeled vertices disconnected"):
+            pred = propagate_labels(E, labels[perm], observed[perm], connected_components(g))
+        assert np.all(pred[np.flatnonzero(perm >= 60)] == majority)
 
 
 class TestSgc:
@@ -295,11 +316,9 @@ class TestSgc:
         X, labels = self.blobs()
         mask = np.zeros(40, dtype=bool)
         mask[::4] = True
-        y = SemiSupervisedLabels(labels, mask)
-        p = SgcParams(seed=3)
         g = self.identity_graph(40)
-        pred_sgc, _ = sgc_predict(diffuse_features(g, X), y, p)
-        W, b = train_logistic_regression(X[mask], labels[mask], 2, p)
+        pred_sgc = sgc_predict(diffuse_features(g, X), labels, mask, 3)
+        W, b = train_logistic_regression(X[mask], labels[mask], 2, 3)
         pred_lr = np.argmax(X[~mask] @ W + b, axis=1)
         assert np.array_equal(pred_sgc[~mask], pred_lr)
 
@@ -307,10 +326,9 @@ class TestSgc:
         X, labels = self.blobs(1)
         mask = np.zeros(40, dtype=bool)
         mask[[0, 1, 20, 21]] = True
-        y = SemiSupervisedLabels(labels, mask)
         g = self.identity_graph(40)
-        _, acc = sgc_predict(diffuse_features(g, X), y, SgcParams(seed=0))
-        assert acc == 1.0
+        pred = sgc_predict(diffuse_features(g, X), labels, mask, 0)
+        assert accuracy(pred, labels, ~mask) == 1.0
 
     def test_duplicated_column_delta_identity(self):
         # identical gradient streams give identical Adam weight deltas per copy
@@ -318,11 +336,11 @@ class TestSgc:
         X = rng.standard_normal((10, 3))
         Xdup = np.hstack([X, X[:, [1]]])
         labels = rng.integers(0, 2, 10)
-        p = SgcParams(seed=7, epochs=40)
-        rng_init = np.random.default_rng(p.seed)
+        seed = 7
+        rng_init = np.random.default_rng(seed)
         s = 1.0 / math.sqrt(4)
         W0 = rng_init.uniform(-s, s, size=(4, 2))
-        W, _ = train_logistic_regression(Xdup, labels, 2, p, init_weights=W0)
+        W, _ = train_logistic_regression(Xdup, labels, 2, seed, init_weights=W0)
         delta1 = W[1] - W0[1]
         delta2 = W[3] - W0[3]
         assert np.allclose(delta1, delta2, atol=1e-12)
@@ -333,16 +351,16 @@ class TestSgc:
         X = rng.standard_normal((10, 3))
         Xdup = np.hstack([X, X[:, [1]]])
         labels = rng.integers(0, 2, 10)
-        p = SgcParams(seed=11, epochs=60)
-        rng_init = np.random.default_rng(p.seed)
+        seed = 11
+        rng_init = np.random.default_rng(seed)
         s = 1.0 / math.sqrt(4)
         W0 = rng_init.uniform(-s, s, size=(4, 2))
-        Wd, bd = train_logistic_regression(Xdup, labels, 2, p, init_weights=W0)
+        Wd, bd = train_logistic_regression(Xdup, labels, 2, seed, init_weights=W0)
         Xdedup = X.copy()
         Xdedup[:, 1] *= 2.0
         W0_dedup = W0[:3].copy()
         W0_dedup[1] = (W0[1] + W0[3]) / 2.0
-        Ws, bs = train_logistic_regression(Xdedup, labels, 2, p, init_weights=W0_dedup)
+        Ws, bs = train_logistic_regression(Xdedup, labels, 2, seed, init_weights=W0_dedup)
         test = rng.standard_normal((30, 3))
         test_dup = np.hstack([test, test[:, [1]]])
         test_dedup = test.copy()
@@ -355,10 +373,10 @@ class TestSgc:
         X, labels = self.blobs(2)
         mask = np.zeros(40, dtype=bool)
         mask[::3] = True
-        y = SemiSupervisedLabels(labels, mask)
         g = self.identity_graph(40)
-        p1, a1 = sgc_predict(diffuse_features(g, X), y, SgcParams(seed=9))
-        p2, a2 = sgc_predict(diffuse_features(g, X), y, SgcParams(seed=9))
+        p1 = sgc_predict(diffuse_features(g, X), labels, mask, 9)
+        p2 = sgc_predict(diffuse_features(g, X), labels, mask, 9)
+        a1, a2 = accuracy(p1, labels, ~mask), accuracy(p2, labels, ~mask)
         assert np.array_equal(p1, p2) and a1 == a2
 
 
@@ -523,13 +541,3 @@ class TestDenoiseSweep:
     def test_invalid_cutoffs_rejected(self, tau):
         with pytest.raises(ValueError):
             denoise(path_graph(4), np.ones(4), tau)
-
-
-class TestPartitionTypes:
-    def test_partition_validation(self):
-        with pytest.raises(ValueError):
-            Partition([0, 2], C=2)
-
-    def test_labels_need_both_sides(self):
-        with pytest.raises(ValueError):
-            SemiSupervisedLabels([0, 1], [True, True])
