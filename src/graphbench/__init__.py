@@ -18,6 +18,7 @@ from .inference import (
     naive_graph,
     nnk_graph,
     nnls_solve,
+    similarity_matrix,
     smooth_graph,
 )
 from .metrics import accuracy, add_noise_to_snr, ami, mse, snr_db

@@ -114,13 +114,17 @@ def from_dense(A: np.ndarray, variant: str = "raw", threshold: float = 0.0) -> G
     return from_arrays(n, i, j, A[i, j], np.diag(A).copy(), variant)
 
 
-def degrees(g: Graph) -> np.ndarray:
-    """Per-vertex weighted degree: incident edge weights plus self-loop weight."""
+def _add_edge_weights(d: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Add each edge's weight to d at both its ends, in place; returns d."""
     # one addition per endpoint, in edge order, so sums match a plain loop bit for bit
-    i, j, w = _columns(g.edges)
-    d = g.diagonal.copy()
+    i, j, w = _columns(edges)
     np.add.at(d, np.stack([i, j], axis=1).ravel(), np.repeat(w, 2))
     return d
+
+
+def degrees(g: Graph) -> np.ndarray:
+    """Per-vertex weighted degree: incident edge weights plus self-loop weight."""
+    return _add_edge_weights(g.diagonal.copy(), g.edges)
 
 
 def normalize(g: Graph, target_variant: str) -> Graph:
@@ -161,9 +165,17 @@ def normalize(g: Graph, target_variant: str) -> Graph:
 
 
 def laplacian(g: Graph) -> np.ndarray:
-    """Combinatorial Laplacian L = D - W (self-loops cancel)."""
-    A = g.to_dense()
-    return np.diag(degrees(g)) - A
+    """Combinatorial Laplacian L = D - W of the edges between distinct vertices.
+
+    Self-loops cancel in D - W, so they are left out: an augmented graph has
+    its raw graph's L, bit for bit.
+    """
+    i, j, w = _columns(g.edges)
+    L = np.zeros((g.n, g.n))
+    L[i, j] = -w
+    L[j, i] = -w
+    L[np.diag_indices(g.n)] = _add_edge_weights(np.zeros(g.n), g.edges)
+    return L
 
 
 def eigendecompose(A: np.ndarray, lowest: int | None = None) -> tuple[np.ndarray, np.ndarray]:

@@ -7,8 +7,9 @@ import math
 import numbers
 import time
 import warnings
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -16,8 +17,8 @@ import numpy as np
 
 from . import core_graph, metrics, tasks
 from .core_graph import VARIANTS, Graph, normalize, read_graph
-from .inference import DEFAULT_SIGMA, SIMILARITY_KINDS, naive_graph, nnk_graph, smooth_graph
-from .similarity import pairwise_sq_euclidean
+from .inference import DEFAULT_SIGMA, SIMILARITY_KINDS
+from .inference import naive_graph, nnk_graph, similarity_matrix, smooth_graph
 
 TABLE1_K = (5, 10, 20, 30, 40, 50, 100, 200, 500, 1000)
 TASKS = ("ucv", "sscv-lp", "sscv-sgc", "dgs")
@@ -25,6 +26,10 @@ GRAPH_METHODS = ("naive", "nnk", "smooth")
 # The raw-feature baseline each task compares against; dgs compares against none.
 BASELINES = {"ucv": "cmeans-baseline", "sscv-lp": "logreg-baseline", "sscv-sgc": "logreg-baseline"}
 METHODS = (*GRAPH_METHODS, *dict.fromkeys(BASELINES.values()), "reference-graph")
+# Tasks whose heads cannot see unit self-loops: they cancel in the Laplacian
+# L = D - A that ucv and dgs decompose, and sscv-lp's exp(W + I) = e exp(W)
+# leaves the argmax of every row where it was.
+LOOP_BLIND_TASKS = ("ucv", "sscv-lp", "dgs")
 
 DGS_INPUT_SNR_DB = 7.0
 
@@ -187,7 +192,7 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     task: str
     method: str
@@ -234,6 +239,18 @@ class RunConfig:
             raise ValueError(f"split_fraction must be in (0, 1), got {self.split_fraction!r}")
         if self.n_splits < 1:
             raise ValueError(f"n_splits must be >= 1, got {self.n_splits}")
+        # the fields are usable; now reject those the point's method would ignore
+        if self.method not in GRAPH_METHODS:
+            for name in ("similarity", "k", "gamma"):
+                if getattr(self, name) is not None:
+                    raise ValueError(f"method {self.method!r} takes no {name}")
+        if self.method == "smooth" and self.similarity not in (None, "rbf"):
+            raise ValueError(
+                "method 'smooth' reads squared distances: its similarity must be none "
+                f"or 'rbf', got {self.similarity!r}"
+            )
+        if self.gamma is not None and (self.method == "smooth" or self.similarity != "rbf"):
+            raise ValueError("gamma applies only to naive and nnk with the rbf similarity")
 
     @property
     def graph_key(self) -> Optional[tuple]:
@@ -241,6 +258,24 @@ class RunConfig:
         if self.method not in GRAPH_METHODS:
             return None
         return (self.method, self.similarity, self.k, self.gamma, self.sigma)
+
+    @property
+    def matrix_key(self) -> Optional[tuple]:
+        """(kind, gamma) of the similarity_matrix its graph build starts from, or None."""
+        if self.method not in GRAPH_METHODS:
+            return None
+        return ("sqeuclidean", None) if self.method == "smooth" else (self.similarity, self.gamma)
+
+    @property
+    def scored(self) -> RunConfig:
+        """The point whose head result this point reports.
+
+        An inferred augmented graph under a loop-blind task reports its raw variant.
+        """
+        loop_blind = self.task in LOOP_BLIND_TASKS and self.method in GRAPH_METHODS
+        if loop_blind and self.adjacency_variant == "augmented":
+            return replace(self, adjacency_variant="raw")
+        return self
 
 
 @dataclass
@@ -274,32 +309,53 @@ def split_generator(n: int, fraction: float, n_splits: int, master_seed: int):
     return masks
 
 
-def build_graph(X: np.ndarray, cfg: RunConfig, solves: Optional[dict] = None) -> Graph:
-    """Dispatch to the configured inference method (raw variant).
+def build_graph(M: np.ndarray, cfg: RunConfig, solves: Optional[dict] = None) -> Graph:
+    """cfg's raw graph, from the bundle's ``M = similarity_matrix(X, *cfg.matrix_key)``.
 
     ``solves`` is passed on to smooth_graph as its memo of graphs by (sigma, distance scale).
     """
     if cfg.method not in GRAPH_METHODS:
         raise ValueError(f"method {cfg.method!r} does not build a graph")
     if cfg.method == "naive":
-        return naive_graph(X, cfg.similarity, cfg.k, cfg.gamma)
+        return naive_graph(M, cfg.k)
     if cfg.method == "nnk":
-        return nnk_graph(X, cfg.similarity, cfg.k, cfg.sigma, cfg.gamma)
-    return smooth_graph(pairwise_sq_euclidean(X), cfg.k, cfg.sigma, solves)
+        return nnk_graph(M, cfg.similarity, cfg.k, cfg.sigma)
+    return smooth_graph(M, cfg.k, cfg.sigma, solves)
 
 
 class GridCache:
     """The stage results that the points of one run_grid call share, on one bundle.
 
-    It holds the raw graph of the last graph identity asked for, with the
-    warnings its build raised, or the exception the build raised instead; and
-    smooth_graph's memo of learned graphs by (sigma, distance scale).
+    It holds the read-only matrix of the last ``matrix_key`` asked for, which
+    it drops once the last build that ``builds`` counts for that key has
+    built its graph, or straight after the build when ``builds`` does not
+    count the key; the raw graph of the last graph identity asked for, with
+    the warnings its build raised, or the exception the build raised
+    instead; smooth_graph's memo of learned graphs by (sigma, distance
+    scale); and in ``heads`` the result of each point scored (RunConfig.scored).
     """
 
-    def __init__(self):
+    def __init__(self, builds: Optional[Counter] = None):
+        self._builds = Counter(builds)
+        self._matrix_key = self._matrix = None
         self._key = None
         self._built = None  # (Graph or the exception the build raised, its warnings)
         self._solves = {}  # (sigma, theta) -> Graph
+        self.heads = {}  # RunConfig -> RunResult
+
+    def _start_matrix(self, bundle: DatasetBundle, cfg: RunConfig) -> np.ndarray:
+        """The matrix cfg's build starts from, counted as one of its key's builds."""
+        key = cfg.matrix_key
+        if key != self._matrix_key:
+            self._matrix_key = self._matrix = None  # never hold two
+            M = similarity_matrix(bundle.vertex_features, *key)
+            M.flags.writeable = False  # the builds of its key share it
+            self._matrix_key, self._matrix = key, M
+        M = self._matrix
+        self._builds[key] -= 1
+        if self._builds[key] <= 0:
+            self._matrix_key = self._matrix = None
+        return M
 
     def raw_graph(self, bundle: DatasetBundle, cfg: RunConfig) -> Graph:
         """cfg's raw graph, built on the first request for its identity.
@@ -311,7 +367,7 @@ class GridCache:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 try:
-                    built = build_graph(bundle.vertex_features, cfg, self._solves)
+                    built = build_graph(self._start_matrix(bundle, cfg), cfg, self._solves)
                 except Exception as exc:  # kept: every point of the group fails with it
                     built = exc
             self._key, self._built = cfg.graph_key, (built, caught)
@@ -398,15 +454,8 @@ _RUNNERS = {
 }
 
 
-def run_one(
-    bundle: DatasetBundle, cfg: RunConfig, cache: Optional[GridCache] = None
-) -> RunResult:
-    """Execute one grid point; failures become a failed RunResult, never a raise.
-
-    The point's graph (none for a baseline) comes from point_graph, its raw
-    graph from ``cache``. ``seconds`` leaves out the stages taken from ``cache``.
-    """
-    start = time.perf_counter()
+def _score(bundle: DatasetBundle, cfg: RunConfig, cache: GridCache) -> RunResult:
+    """cfg's head result; a failure becomes a failed RunResult, never a raise."""
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -418,8 +467,27 @@ def run_one(
         result.auxiliary["warnings"] = len(caught)
     except Exception as exc:  # failed grid points are recorded, grid continues
         result = RunResult(cfg, math.nan, auxiliary={"error": f"{type(exc).__name__}: {exc}"})
-    result.auxiliary["seconds"] = time.perf_counter() - start
     return result
+
+
+def run_one(
+    bundle: DatasetBundle, cfg: RunConfig, cache: Optional[GridCache] = None
+) -> RunResult:
+    """Execute one grid point; failures become a failed RunResult, never a raise.
+
+    The point reports the head result of ``cfg.scored``, which ``cache`` (a
+    new one when None) computes once: the graph (none for a baseline) comes
+    from point_graph, its raw graph from ``cache``. ``seconds`` leaves out the
+    stages taken from ``cache``.
+    """
+    start = time.perf_counter()
+    cache = cache or GridCache()
+    scored = cfg.scored
+    if scored not in cache.heads:
+        cache.heads[scored] = _score(bundle, scored, cache)
+    head = cache.heads[scored]
+    auxiliary = dict(head.auxiliary, seconds=time.perf_counter() - start)
+    return RunResult(cfg, head.primary_score, head.dispersion, auxiliary)
 
 
 def full_grid(task: str, bundle: DatasetBundle, master_seed: int = 0) -> list[RunConfig]:
@@ -485,21 +553,30 @@ def run_grid(
     """Run every grid point (optionally in parallel); return (results, best).
 
     Points that infer the same raw graph form a group, which builds that graph
-    once and runs as one unit: serially in order of first appearance, or as
-    one task of a pool of at most ``jobs`` workers, and at most one worker per
-    group. Smooth points share their solves per distance scale within the
-    process that runs them. Results come back in the configs' order.
+    once and runs as one unit; the groups run in order of their matrix_key's
+    first appearance, then of their own. Serially, the groups of a key share
+    one matrix, dropped once the last of them has built its graph. Under
+    ``jobs`` > 1 each group is one task of a pool of at most ``jobs`` workers,
+    and at most one worker per group; a worker drops its matrix straight
+    after its group's build. Smooth points share their solves per distance
+    scale within the process that runs them, and an augmented point of a
+    loop-blind task shares its raw point's head result. Results come back in
+    the configs' order.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     by_graph = {}
     for index, cfg in enumerate(configs):
         by_graph.setdefault(cfg.graph_key or index, []).append(index)
-    order = [index for group in by_graph.values() for index in group]
-    groups = [[configs[i] for i in group] for group in by_graph.values()]
+    rank = {}
+    indices = sorted(
+        by_graph.values(), key=lambda g: rank.setdefault(configs[g[0]].matrix_key, len(rank))
+    )
+    order = [index for group in indices for index in group]
+    groups = [[configs[i] for i in group] for group in indices]
     workers = min(jobs, len(groups))
     if workers <= 1:
-        cache = GridCache()
+        cache = GridCache(Counter(group[0].matrix_key for group in groups))
         done = [_run_group(bundle, cache, group) for group in groups]
     else:
         with ProcessPoolExecutor(

@@ -87,26 +87,34 @@ def knn_select(S: np.ndarray, k: int) -> Graph:
     return from_arrays(n, i, j, S[rows[first], cols[first]])
 
 
-def _similarity_matrix(X: np.ndarray, kind: str, gamma: Optional[float]) -> np.ndarray:
+def similarity_matrix(X, kind: str, gamma: Optional[float] = None) -> np.ndarray:
+    """The matrix a graph builder starts from, between the rows of X.
+
+    ``kind`` is a similarity of SIMILARITY_KINDS, which naive_graph and
+    nnk_graph read (rbf with ``gamma`` None uses 1 / the number of
+    features), or "sqeuclidean", the squared distances smooth_graph reads.
+    """
+    X = np.asarray(X, dtype=float)
+    if kind == "sqeuclidean":
+        return pairwise_sq_euclidean(X)
     if kind == "cosine":
         return cosine_similarity(X)
     if kind == "covariance":
         return covariance_similarity(X)
+    if kind != "rbf":
+        raise ValueError(f"unknown similarity {kind!r}")
     Z = pairwise_sq_euclidean(X)
     if gamma is None:
         gamma = 1.0 / X.shape[1]
     return rbf_kernel(Z, gamma)
 
 
-def naive_graph(X, similarity: str, k: Optional[int], gamma: Optional[float] = None) -> Graph:
-    """Similarity matrix followed by k-NN sparsification (or dense when k is None)."""
-    if similarity not in SIMILARITY_KINDS:
-        raise ValueError(f"unknown similarity {similarity!r}")
+def naive_graph(S, k: Optional[int]) -> Graph:
+    """k-NN sparsification of a similarity matrix (the dense graph when k is None)."""
     if k is not None and k < 1:
         raise ValueError("k must be positive")
-    X = np.asarray(X, dtype=float)
-    S = _similarity_matrix(X, similarity, gamma)
-    return knn_select(S, k if k is not None else X.shape[0] - 1)
+    S = np.asarray(S, dtype=float)
+    return knn_select(S, k if k is not None else S.shape[0] - 1)
 
 
 def nnls_solve(K_SS: np.ndarray, k_Si: np.ndarray):
@@ -150,14 +158,16 @@ def nnls_solve(K_SS: np.ndarray, k_Si: np.ndarray):
     return theta, False
 
 
-def _nnk_kernel(X: np.ndarray, kind: str, gamma: Optional[float]) -> np.ndarray:
-    """Similarity used inside NNK: non-negative, unit diagonal."""
+def _nnk_kernel(S: np.ndarray, kind: str) -> np.ndarray:
+    """NNK's kernel from a ``kind`` similarity matrix: non-negative, unit diagonal.
+
+    S itself is left as it is.
+    """
     if kind == "rbf":
-        return _similarity_matrix(X, "rbf", gamma)
-    S = _similarity_matrix(X, kind, gamma)
-    np.clip(S, 0.0, None, out=S)
+        return S
+    K = np.clip(S, 0.0, None)
     if kind == "covariance":
-        var = np.diag(S).copy()
+        var = np.diag(K).copy()
         inv = np.zeros_like(var)
         ok = var > 0
         inv[ok] = 1.0 / np.sqrt(var[ok])
@@ -166,26 +176,27 @@ def _nnk_kernel(X: np.ndarray, kind: str, gamma: Optional[float]) -> np.ndarray:
                 f"{int((~ok).sum())} zero-variance observations become isolated "
                 "under the covariance kernel"
             )
-        S = S * inv[:, None] * inv[None, :]
-        S[np.diag_indices(S.shape[0])] = np.where(ok, 1.0, 0.0)
-    return S
+        K = K * inv[:, None] * inv[None, :]
+        K[np.diag_indices(K.shape[0])] = np.where(ok, 1.0, 0.0)
+    return K
 
 
-def nnk_graph(
-    X, similarity: str, k: int, sigma: float = DEFAULT_SIGMA, gamma: Optional[float] = None
-) -> Graph:
-    """Non-negative kernel regression graph within each vertex's k-neighborhood."""
+def nnk_graph(S, similarity: str, k: int, sigma: float = DEFAULT_SIGMA) -> Graph:
+    """Non-negative kernel regression graph within each vertex's k-neighborhood.
+
+    S is the vertices' ``similarity`` matrix (see similarity_matrix).
+    """
     if similarity not in SIMILARITY_KINDS:
         raise ValueError(f"unknown kernel similarity {similarity!r}")
     if k < 1:
         raise ValueError("k must be >= 1")
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    X = np.asarray(X, dtype=float)
-    n = X.shape[0]
+    S = np.asarray(S, dtype=float)
+    n = S.shape[0]
     if k >= n:
         raise ValueError(f"k={k} must be smaller than n={n}")
-    S = _nnk_kernel(X, similarity, gamma)
+    S = _nnk_kernel(S, similarity)
     nbrs = _knn_indices(S, k)
     theta = np.zeros(nbrs.shape)  # directed weight of i -> nbrs[i, m]
     fallbacks = 0

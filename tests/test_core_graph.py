@@ -456,6 +456,14 @@ class TestGraphProperties:
         eigenvalues = np.linalg.eigvalsh(normalize(g, target).to_dense())
         assert np.all(np.abs(eigenvalues) <= 1.0 + 1e-12)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(valid_graphs(), graphs_with_isolated_vertices()))
+    def test_self_loops_leave_the_laplacian_bit_for_bit(self, g):
+        L = laplacian(g)
+        assert laplacian(normalize(g, "augmented")).tobytes() == L.tobytes()
+        # on a graph without self-loops, L is D - A as computed before loops were left out
+        assert L.tobytes() == (np.diag(degrees(g)) - g.to_dense()).tobytes()
+
     @pytest.mark.filterwarnings("ignore::graphbench.core_graph.IsolatedVertexWarning")
     @settings(max_examples=100, deadline=None)
     @given(valid_graphs(), st.sampled_from(VARIANTS))

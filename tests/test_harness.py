@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphbench.inference as inference_module
-from graphbench import cli, harness
+from graphbench import cli, core_graph, harness, tasks
 from graphbench.core_graph import (
     VARIANTS,
     Graph,
@@ -30,8 +31,8 @@ from graphbench.harness import (
     TABLE1_K,
     TASKS,
     DatasetError,
+    GridCache,
     RunConfig,
-    build_graph,
     emit_report,
     full_grid,
     load_dataset,
@@ -462,8 +463,12 @@ class TestRunGrid:
             for v in VARIANTS
         ]
         signal = [
-            RunConfig("dgs", method, similarity, 4, adjacency_variant=v, seed=11)
-            for method, similarity in (("naive", "rbf"), ("nnk", "rbf"), ("reference-graph", None))
+            RunConfig("dgs", method, similarity, k, adjacency_variant=v, seed=11)
+            for method, similarity, k in (
+                ("naive", "rbf", 4),
+                ("nnk", "rbf", 4),
+                ("reference-graph", None, None),
+            )
             for v in VARIANTS
         ]
         for name, grid in (("d", labelled), ("s", signal)):
@@ -551,6 +556,160 @@ class TestRunGrid:
         assert [outcome(r) for r in results] == [outcome(r) for r in alone]
 
 
+def count_calls(monkeypatch, module, names):
+    """Wrap module.<name> for each name; the returned Counter counts their calls."""
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    return calls
+
+
+SIMILARITY_FUNCTIONS = (
+    "cosine_similarity",
+    "covariance_similarity",
+    "pairwise_sq_euclidean",
+    "rbf_kernel",
+)
+
+
+class TestStartMatrixMemo:
+    def test_each_matrix_once_per_grid(self, tmp_path, monkeypatch):
+        write_blob_dataset(tmp_path / "d", n_per=4)
+        bundle = load_dataset(tmp_path / "d")
+        grid = [
+            RunConfig("ucv", "naive", "cosine", 3),
+            RunConfig("ucv", "nnk", "rbf", 3, adjacency_variant="sym_norm"),
+            RunConfig("ucv", "naive", "rbf", 3, gamma=0.5),
+            RunConfig("ucv", "nnk", "cosine", 3, adjacency_variant="augmented"),
+            RunConfig("ucv", "smooth", k=3),
+        ]
+        alone = [outcome(run_one(bundle, cfg)) for cfg in grid]
+        assert not any("error" in aux for *_, aux in alone)
+        calls = count_calls(monkeypatch, inference_module, SIMILARITY_FUNCTIONS)
+        results, _ = run_grid(bundle, grid)
+        assert [outcome(r) for r in results] == alone
+        # one matrix per (kind, gamma): the cosine similarity, the rbf kernels at
+        # gamma None and 0.5 (each from its own squared distances) and smooth's distances
+        assert calls == {"cosine_similarity": 1, "rbf_kernel": 2, "pairwise_sq_euclidean": 3}
+
+    def test_matrix_dropped_after_the_last_counted_build(self, tmp_path, monkeypatch):
+        write_blob_dataset(tmp_path / "d")
+        bundle = load_dataset(tmp_path / "d")
+        first, second = (RunConfig("ucv", "naive", "cosine", k) for k in (3, 4))
+        calls = count_calls(monkeypatch, inference_module, SIMILARITY_FUNCTIONS)
+        counted = GridCache(Counter({first.matrix_key: 2}))
+        for cfg in (first, second, first):
+            counted.raw_graph(bundle, cfg)
+        # kept for the second build, then dropped: the third build computes it again
+        assert calls == {"cosine_similarity": 2}
+        uncounted = GridCache()
+        for cfg in (first, second):
+            uncounted.raw_graph(bundle, cfg)
+        assert calls == {"cosine_similarity": 4}
+
+
+# The head each loop-blind task runs once per graph, as harness calls it.
+LOOP_BLIND_HEADS = {
+    "ucv": (tasks, "spectral_cluster"),
+    "dgs": (tasks, "best_tau_denoise"),
+    "sscv-lp": (core_graph, "matrix_exponential"),
+}
+
+
+class TestHeadSharing:
+    def bundle_and_points(self, tmp_path, task, variants):
+        if task == "dgs":
+            write_signal_dataset(tmp_path / "d")
+            similarity, options = "rbf", {}
+        else:
+            write_blob_dataset(tmp_path / "d")
+            similarity, options = "cosine", dict(n_splits=10, split_fraction=0.2)
+        points = [
+            RunConfig(task, "naive", similarity, 4, adjacency_variant=v, seed=3, **options)
+            for v in variants
+        ]
+        return load_dataset(tmp_path / "d"), points
+
+    @pytest.mark.parametrize(
+        "augmented_first", [False, True], ids=["raw-first", "augmented-first"]
+    )
+    @pytest.mark.parametrize("task", sorted(LOOP_BLIND_HEADS))
+    def test_augmented_reports_the_raw_head(self, tmp_path, monkeypatch, task, augmented_first):
+        variants = ["augmented", "raw"] if augmented_first else ["raw", "augmented"]
+        bundle, grid = self.bundle_and_points(tmp_path, task, variants)
+        module, head = LOOP_BLIND_HEADS[task]
+        calls = count_calls(monkeypatch, module, [head])
+        results, _ = run_grid(bundle, grid)
+        assert calls == {head: 1}
+        emit_report(results, tmp_path / "r.csv", bundle.name)
+        rows = (tmp_path / "r.csv").read_text().splitlines()[1:]
+        raw_row = rows[variants.index("raw")]
+        assert [row.replace(",augmented,", ",raw,") for row in rows] == [raw_row, raw_row]
+        if task != "sscv-lp":
+            # the head called directly on the augmented graph gives the same bits
+            cfg = grid[variants.index("augmented")]
+            runner = harness.run_task1 if task == "ucv" else harness.run_task3
+            direct = runner(bundle, cfg, point_graph(bundle, cfg))
+            assert repr(direct.primary_score) == repr(results[0].primary_score)
+
+    @pytest.mark.parametrize(
+        "task, variants, head, runs",
+        [
+            ("sscv-sgc", ["raw", "augmented"], (tasks, "diffuse_features"), 2),
+            ("ucv", VARIANTS, (tasks, "spectral_cluster"), 3),
+            ("sscv-lp", VARIANTS, (core_graph, "matrix_exponential"), 3),
+        ],
+        ids=["sgc-augmented", "ucv-augmented-sym-norm", "lp-augmented-sym-norm"],
+    )
+    def test_other_variants_run_their_own_head(
+        self, tmp_path, monkeypatch, task, variants, head, runs
+    ):
+        bundle, grid = self.bundle_and_points(tmp_path, task, variants)
+        calls = count_calls(monkeypatch, head[0], [head[1]])
+        results, _ = run_grid(bundle, grid)
+        assert not any(r.failed for r in results)
+        assert calls == {head[1]: runs}
+
+    def test_augmented_replays_the_raw_warnings(self, tmp_path):
+        write_outlier_dataset(tmp_path / "d")
+        bundle = load_dataset(tmp_path / "d")
+        lp = dict(seed=4, n_splits=20, split_fraction=0.2)
+        grid = [
+            RunConfig("sscv-lp", "naive", "cosine", 4, adjacency_variant=v, **lp)
+            for v in ("augmented", "raw", "sym_norm")
+        ]
+        results, _ = run_grid(bundle, grid)
+        cells = warning_cells(results, tmp_path / "r.csv")
+        # every split that leaves the isolated vertex unobserved warns once
+        assert int(cells[1]) > 0
+        assert cells[0] == cells[1]
+
+    def test_shared_heads_match_across_jobs(self, tmp_path):
+        write_outlier_dataset(tmp_path / "d")
+        bundle = load_dataset(tmp_path / "d")
+        grid = [
+            RunConfig(task, method, "cosine", 4, adjacency_variant=v, n_splits=10)
+            for task in ("sscv-lp", "ucv")
+            for method in ("nnk", "naive")
+            for v in ("augmented", "sym_norm", "raw")
+        ]
+        reports = []
+        for jobs in (1, 2):
+            results, _ = run_grid(bundle, grid, jobs=jobs)
+            assert not any(r.failed for r in results)
+            emit_report(results, tmp_path / f"r{jobs}.csv", bundle.name)
+            reports.append((tmp_path / f"r{jobs}.csv").read_bytes())
+        assert reports[0] == reports[1]
+
+
 POINT_OPTIONS = dict(n_splits=5, split_fraction=0.2)
 RANDOM_GRID_POINTS = [
     RunConfig("ucv", "cmeans-baseline", seed=1),
@@ -626,7 +785,7 @@ class TestWarningCount:
         ]
         with warnings.catch_warnings(record=True) as built:
             warnings.simplefilter("always")
-            build_graph(bundle.features, group[0])
+            point_graph(bundle, group[0])
         assert "NNK produced isolated vertices" in [str(w.message) for w in built]
         # a second group, so that jobs=2 runs the nnk group in a pool worker
         grid = group + [RunConfig("ucv", "cmeans-baseline")]
@@ -646,7 +805,7 @@ class TestWarningCount:
         # the point warns while normalizing, then fails: 3 classes need 4 eigenpairs of 3
         cfg = RunConfig("ucv", "naive", "cosine", 1, adjacency_variant="sym_norm")
         with pytest.warns(IsolatedVertexWarning):
-            normalize(build_graph(bundle.features, cfg), cfg.adjacency_variant)
+            point_graph(bundle, cfg)
         results, _ = run_grid(bundle, [cfg])
         assert results[0].failed
         assert warning_cells(results, tmp_path / "r.csv") == ["0"]
@@ -1199,6 +1358,31 @@ class TestRunConfig:
                 dict(task="dgs", method="smooth", similarity="cosine", k=5),
                 "dgs supports only the rbf similarity",
             ),
+            (
+                dict(task="ucv", method="smooth", similarity="cosine", k=5),
+                "method 'smooth' reads squared distances: its similarity must be none or 'rbf', "
+                "got 'cosine'",
+            ),
+            (
+                dict(task="ucv", method="naive", similarity="cosine", k=5, gamma=3.0),
+                "gamma applies only to naive and nnk with the rbf similarity",
+            ),
+            (
+                dict(task="ucv", method="cmeans-baseline", k=7),
+                "method 'cmeans-baseline' takes no k",
+            ),
+            (
+                dict(task="ucv", method="smooth", similarity="rbf", k=5, gamma=3.0),
+                "gamma applies only to naive and nnk with the rbf similarity",
+            ),
+            (
+                dict(task="sscv-lp", method="logreg-baseline", similarity="rbf"),
+                "method 'logreg-baseline' takes no similarity",
+            ),
+            (
+                dict(task="dgs", method="reference-graph", gamma=0.5),
+                "method 'reference-graph' takes no gamma",
+            ),
         ],
         ids=[
             "cmeans-on-dgs",
@@ -1210,6 +1394,12 @@ class TestRunConfig:
             "dgs-naive-cosine",
             "dgs-nnk-covariance",
             "dgs-smooth-cosine",
+            "ucv-smooth-cosine",
+            "cosine-gamma",
+            "cmeans-k",
+            "smooth-gamma",
+            "logreg-similarity",
+            "reference-gamma",
         ],
     )
     def test_rejects_unusable_points(self, point, reason):

@@ -18,6 +18,7 @@ from graphbench.inference import (
     naive_graph,
     nnk_graph,
     nnls_solve,
+    similarity_matrix,
     smooth_graph,
 )
 from graphbench.similarity import pairwise_sq_euclidean
@@ -27,6 +28,14 @@ def edge_set(g):
     return {(i, j) for i, j, _ in g.edges}
 
 
+def naive_on(X, kind, k, gamma=None):
+    return naive_graph(similarity_matrix(X, kind, gamma), k)
+
+
+def nnk_on(X, kind, k, sigma=DEFAULT_SIGMA, gamma=None):
+    return nnk_graph(similarity_matrix(X, kind, gamma), kind, k, sigma)
+
+
 def smooth_on(X, k, sigma=DEFAULT_SIGMA):
     return smooth_graph(pairwise_sq_euclidean(X), k, sigma)
 
@@ -34,13 +43,13 @@ def smooth_on(X, k, sigma=DEFAULT_SIGMA):
 @pytest.mark.parametrize(
     "build, reason",
     [
-        (lambda X: naive_graph(X, "euclid", 3), "unknown similarity 'euclid'"),
-        (lambda X: nnk_graph(X, "euclid", 3), "unknown kernel similarity 'euclid'"),
-        (lambda X: naive_graph(X, "rbf", 0), "k must be positive"),
-        (lambda X: nnk_graph(X, "rbf", 0), "k must be >= 1"),
+        (lambda X: naive_on(X, "euclid", 3), "unknown similarity 'euclid'"),
+        (lambda X: nnk_graph(np.eye(6), "euclid", 3), "unknown kernel similarity 'euclid'"),
+        (lambda X: naive_on(X, "rbf", 0), "k must be positive"),
+        (lambda X: nnk_on(X, "rbf", 0), "k must be >= 1"),
         (lambda X: smooth_on(X, 0), "k must be >= 1"),
-        (lambda X: nnk_graph(X, "rbf", 3, sigma=0.0), "sigma must be positive"),
-        (lambda X: nnk_graph(X, "rbf", 3, sigma=-1.0), "sigma must be positive"),
+        (lambda X: nnk_on(X, "rbf", 3, sigma=0.0), "sigma must be positive"),
+        (lambda X: nnk_on(X, "rbf", 3, sigma=-1.0), "sigma must be positive"),
         (lambda X: smooth_on(X, 3, sigma=0.0), "sigma must be positive"),
         (lambda X: smooth_on(X, 3, sigma=-1.0), "sigma must be positive"),
     ],
@@ -220,12 +229,12 @@ class TestNaiveGraph:
 
     @pytest.mark.parametrize("kind", ["rbf", "cosine"])
     def test_single_vertex_dense_graph_is_empty(self, kind):
-        g = naive_graph(np.ones((1, 3)), kind, None)
+        g = naive_on(np.ones((1, 3)), kind, None)
         assert (g.n, g.n_edges) == (1, 0)
 
     def test_separated_blobs_disconnect(self):
         X = self.make_blobs()
-        g = naive_graph(X, "cosine", 3)
+        g = naive_on(X, "cosine", 3)
         # component oracle: breadth-first search over the built edges
         adj = {i: [] for i in range(g.n)}
         for i, j, _ in g.edges:
@@ -252,8 +261,8 @@ class TestNaiveGraph:
         X = self.make_blobs(1)
         rng = np.random.default_rng(22)
         perm = rng.permutation(X.shape[0])
-        g = naive_graph(X, "rbf", 4)
-        gp = naive_graph(X[perm], "rbf", 4)
+        g = naive_on(X, "rbf", 4)
+        gp = naive_on(X[perm], "rbf", 4)
         expected = {(min(perm_i, perm_j), max(perm_i, perm_j)) for perm_i, perm_j in (
             (int(np.flatnonzero(perm == i)[0]), int(np.flatnonzero(perm == j)[0]))
             for i, j in edge_set(g)
@@ -265,13 +274,13 @@ class TestNaiveGraph:
         X = rng.standard_normal((8, 3))
         X[5] = X[2]
         for k in (1, 3):
-            g = naive_graph(X, "cosine", k)
+            g = naive_on(X, "cosine", k)
             assert (2, 5) in edge_set(g)
 
     def test_dense_when_k_none(self):
         rng = np.random.default_rng(24)
         X = np.abs(rng.standard_normal((6, 3))) + 0.1
-        g = naive_graph(X, "rbf", None)
+        g = naive_on(X, "rbf", None)
         assert g.n_edges == 15
 
 
@@ -325,7 +334,7 @@ class TestNnlsSolve:
 class TestNnkGraph:
     def test_k1_reduces_to_similarity_weight(self):
         X = np.array([[0.0], [1.0], [3.0]])
-        g = nnk_graph(X, "rbf", 1, gamma=1.0)
+        g = nnk_on(X, "rbf", 1, gamma=1.0)
         d = edge_dict(g)
         # vertex 0 and 1 pick each other: both directions solved to K01
         assert d[(0, 1)] == pytest.approx(np.exp(-1.0))
@@ -334,28 +343,28 @@ class TestNnkGraph:
         # points 0,1,2 on a line; for vertex 0, neighbor 2 is behind neighbor 1.
         # closed-form KKT: unconstrained theta_2 < 0, so NNK zeroes it.
         X = np.array([[0.0], [1.0], [2.0]])
-        g = nnk_graph(X, "rbf", 2, gamma=1.0)
+        g = nnk_on(X, "rbf", 2, gamma=1.0)
         assert (0, 2) not in edge_set(g)
         # hand-checked 2x2 KKT solves: theta_{0->1} = e^{-1} (neighbor 2 clipped);
         # theta_{1->0} = e^{-1}/(1 + e^{-4}) from the unconstrained 2x2 system
         expected = (np.exp(-1.0) + np.exp(-1.0) / (1 + np.exp(-4.0))) / 2
         assert edge_dict(g)[(0, 1)] == pytest.approx(expected, abs=1e-10)
         # plain k-NN keeps the redundant edge
-        gk = naive_graph(X, "rbf", 2, gamma=1.0)
+        gk = naive_on(X, "rbf", 2, gamma=1.0)
         assert (0, 2) in edge_set(gk)
 
     def test_huge_sigma_empty(self):
         rng = np.random.default_rng(28)
         X = rng.standard_normal((6, 2))
-        g = nnk_graph(X, "rbf", 3, sigma=10.0)
+        g = nnk_on(X, "rbf", 3, sigma=10.0)
         assert g.n_edges == 0
 
     def test_subset_of_knn(self):
         rng = np.random.default_rng(29)
         X = rng.standard_normal((15, 4))
         for k in (2, 5):
-            gn = nnk_graph(X, "rbf", k, gamma=0.25)
-            gk = naive_graph(X, "rbf", k, gamma=0.25)
+            gn = nnk_on(X, "rbf", k, gamma=0.25)
+            gk = naive_on(X, "rbf", k, gamma=0.25)
             assert edge_set(gn) <= edge_set(gk)
 
     def test_sigma_monotone_pruning(self):
@@ -363,7 +372,7 @@ class TestNnkGraph:
         X = rng.standard_normal((12, 3))
         prev = None
         for sigma in (1e-6, 1e-3, 1e-1):
-            g = nnk_graph(X, "rbf", 4, sigma=sigma, gamma=0.5)
+            g = nnk_on(X, "rbf", 4, sigma=sigma, gamma=0.5)
             if prev is not None:
                 assert edge_set(g) <= prev
             prev = edge_set(g)
@@ -371,7 +380,7 @@ class TestNnkGraph:
     def test_cosine_kernel_clips_negatives(self):
         rng = np.random.default_rng(31)
         X = rng.standard_normal((10, 3))
-        g = nnk_graph(X, "cosine", 3)
+        g = nnk_on(X, "cosine", 3)
         assert all(w > 0 for _, _, w in g.edges)
 
 
@@ -385,17 +394,17 @@ class TestNnkGraph:
         X = np.random.default_rng(32).standard_normal((9, 2))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            g = nnk_graph(X, "rbf", 3, gamma=0.5)
+            g = nnk_on(X, "rbf", 3, gamma=0.5)
         messages = [str(w.message) for w in caught if "NNLS" in str(w.message)]
         assert messages == ["NNLS did not converge for 9 vertices; they keep k-NN weights"]
         # the fallback keeps plain k-NN weights, so every k-NN edge survives
-        assert edge_set(g) == edge_set(naive_graph(X, "rbf", 3, gamma=0.5))
+        assert edge_set(g) == edge_set(naive_on(X, "rbf", 3, gamma=0.5))
 
     def test_converged_solves_do_not_warn(self):
         X = np.random.default_rng(33).standard_normal((9, 2))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            nnk_graph(X, "rbf", 3, gamma=0.5)
+            nnk_on(X, "rbf", 3, gamma=0.5)
         assert not [w for w in caught if "NNLS" in str(w.message)]
 
 

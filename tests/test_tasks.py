@@ -16,7 +16,7 @@ from graphbench.core_graph import (
     matrix_exponential,
     normalize,
 )
-from graphbench.harness import RunConfig, build_graph, load_dataset
+from graphbench.harness import RunConfig, load_dataset, point_graph
 from graphbench.metrics import accuracy, add_noise_to_snr, ami, snr_db
 from graphbench.tasks import (
     best_tau_denoise,
@@ -235,7 +235,7 @@ class TestPartialSpectrum:
             root = gen.cora_like(tmp_path / str(seed), seed, 200, 1433, 40, 0.42)
             bundle = load_dataset(root)
             for method, similarity in graphs:
-                raw = build_graph(bundle.features, RunConfig("ucv", method, similarity, k=10))
+                raw = point_graph(bundle, RunConfig("ucv", method, similarity, k=10))
                 for variant in VARIANTS:
                     g = normalize(raw, variant)
                     got = ami(spectral_cluster(g, bundle.C), bundle.labels)
