@@ -7,7 +7,6 @@ import math
 import numbers
 import time
 import warnings
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -244,6 +243,8 @@ class RunConfig:
             for name in ("similarity", "k", "gamma"):
                 if getattr(self, name) is not None:
                     raise ValueError(f"method {self.method!r} takes no {name}")
+        if self.method not in ("nnk", "smooth") and self.sigma != DEFAULT_SIGMA:
+            raise ValueError(f"method {self.method!r} takes no sigma")
         if self.method == "smooth" and self.similarity not in (None, "rbf"):
             raise ValueError(
                 "method 'smooth' reads squared distances: its similarity must be none "
@@ -326,57 +327,48 @@ def build_graph(M: np.ndarray, cfg: RunConfig, solves: Optional[dict] = None) ->
 class GridCache:
     """The stage results that the points of one run_grid call share, on one bundle.
 
-    It holds the read-only matrix of the last ``matrix_key`` asked for, which
-    it drops once the last build that ``builds`` counts for that key has
-    built its graph, or straight after the build when ``builds`` does not
-    count the key; the raw graph of the last graph identity asked for, with
-    the warnings its build raised, or the exception the build raised
-    instead; smooth_graph's memo of learned graphs by (sigma, distance
-    scale); and in ``heads`` the result of each point scored (RunConfig.scored).
+    It keeps the read-only matrix of the last ``matrix_key`` asked for until
+    another key is asked for; a pool worker's cache (``keep_matrix`` False)
+    drops it as soon as the build that asked for it ends. It keeps the raw
+    graph of the last graph identity it built, with the warnings its build
+    raised; a build that raises is not kept, so the next request for its
+    identity builds again and raises the same error. It also keeps
+    smooth_graph's memo of learned graphs by (sigma, distance scale), and in
+    ``heads`` the result of each point scored (RunConfig.scored).
     """
 
-    def __init__(self, builds: Optional[Counter] = None):
-        self._builds = Counter(builds)
+    def __init__(self, keep_matrix: bool = True):
+        self._keep_matrix = keep_matrix
         self._matrix_key = self._matrix = None
-        self._key = None
-        self._built = None  # (Graph or the exception the build raised, its warnings)
+        self._key = self._graph = None
+        self._warnings = []  # those the build of self._graph raised
         self._solves = {}  # (sigma, theta) -> Graph
         self.heads = {}  # RunConfig -> RunResult
-
-    def _start_matrix(self, bundle: DatasetBundle, cfg: RunConfig) -> np.ndarray:
-        """The matrix cfg's build starts from, counted as one of its key's builds."""
-        key = cfg.matrix_key
-        if key != self._matrix_key:
-            self._matrix_key = self._matrix = None  # never hold two
-            M = similarity_matrix(bundle.vertex_features, *key)
-            M.flags.writeable = False  # the builds of its key share it
-            self._matrix_key, self._matrix = key, M
-        M = self._matrix
-        self._builds[key] -= 1
-        if self._builds[key] <= 0:
-            self._matrix_key = self._matrix = None
-        return M
 
     def raw_graph(self, bundle: DatasetBundle, cfg: RunConfig) -> Graph:
         """cfg's raw graph, built on the first request for its identity.
 
-        Every request raises the build's warnings again, and its exception if
-        it failed, so each point counts and reports them as if it had built.
+        Every request raises the build's warnings again, so each point counts
+        and reports them as if it had built.
         """
         if cfg.graph_key != self._key:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                try:
-                    built = build_graph(self._start_matrix(bundle, cfg), cfg, self._solves)
-                except Exception as exc:  # kept: every point of the group fails with it
-                    built = exc
-            self._key, self._built = cfg.graph_key, (built, caught)
-        built, caught = self._built
-        for w in caught:
+            key = cfg.matrix_key
+            try:
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    if key != self._matrix_key:
+                        self._matrix_key = self._matrix = None  # never hold two
+                        M = similarity_matrix(bundle.vertex_features, *key)
+                        M.flags.writeable = False  # the builds of its key share it
+                        self._matrix_key, self._matrix = key, M
+                    graph = build_graph(self._matrix, cfg, self._solves)
+            finally:
+                if not self._keep_matrix:
+                    self._matrix_key = self._matrix = None
+            self._key, self._graph, self._warnings = cfg.graph_key, graph, caught
+        for w in self._warnings:
             warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-        if isinstance(built, Exception):
-            raise built
-        return built
+        return self._graph
 
 
 def point_graph(
@@ -534,7 +526,7 @@ _worker_state: Optional[tuple[DatasetBundle, GridCache]] = None
 
 def _start_worker(bundle: DatasetBundle) -> None:
     global _worker_state
-    _worker_state = bundle, GridCache()
+    _worker_state = bundle, GridCache(keep_matrix=False)
 
 
 def _run_group(
@@ -552,16 +544,16 @@ def run_grid(
 ) -> tuple[list[RunResult], Optional[RunResult]]:
     """Run every grid point (optionally in parallel); return (results, best).
 
-    Points that infer the same raw graph form a group, which builds that graph
-    once and runs as one unit; the groups run in order of their matrix_key's
-    first appearance, then of their own. Serially, the groups of a key share
-    one matrix, dropped once the last of them has built its graph. Under
-    ``jobs`` > 1 each group is one task of a pool of at most ``jobs`` workers,
-    and at most one worker per group; a worker drops its matrix straight
-    after its group's build. Smooth points share their solves per distance
-    scale within the process that runs them, and an augmented point of a
-    loop-blind task shares its raw point's head result. Results come back in
-    the configs' order.
+    Points that infer the same raw graph form a group, which runs as one unit
+    through a GridCache; the groups run in order of their matrix_key's first
+    appearance, then of their own. Serially, one cache keeps the last matrix,
+    so each matrix is computed once. Under ``jobs`` > 1 each group is one
+    task of a pool of at most ``jobs`` workers, and at most one worker per
+    group; a worker drops its matrix after each build. A build that raises is
+    not kept, and every point of its group fails with the same error. Smooth
+    points share their solves per distance scale within the process that runs
+    them, and an augmented point of a loop-blind task shares its raw point's
+    head result. Results come back in the configs' order.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -576,7 +568,7 @@ def run_grid(
     groups = [[configs[i] for i in group] for group in indices]
     workers = min(jobs, len(groups))
     if workers <= 1:
-        cache = GridCache(Counter(group[0].matrix_key for group in groups))
+        cache = GridCache()
         done = [_run_group(bundle, cache, group) for group in groups]
     else:
         with ProcessPoolExecutor(

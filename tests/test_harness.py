@@ -379,6 +379,32 @@ class TestRunTask3:
         assert res.primary_score > 7.0
 
 
+@pytest.fixture
+def inline_pools(monkeypatch):
+    """Make run_grid's pool run every task in this process; returns each pool's max_workers."""
+    pools = []
+
+    class InlineExecutor:
+        """Records max_workers and runs every task in this process; starts no process."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            pools.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(harness, "_worker_state", None)
+    return pools
+
+
 class TestRunGrid:
     def small_grid(self):
         return [
@@ -489,37 +515,17 @@ class TestRunGrid:
             with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
                 run_grid(bundle, self.small_grid(), jobs=jobs)
 
-    def test_pool_has_at_most_one_worker_per_group(self, tmp_path, monkeypatch):
+    def test_pool_has_at_most_one_worker_per_group(self, tmp_path, inline_pools):
         write_blob_dataset(tmp_path / "d")
         bundle = load_dataset(tmp_path / "d")
-        pools = []
-
-        class InlineExecutor:
-            """Records max_workers and runs every task in this process; starts no process."""
-
-            def __init__(self, max_workers, initializer, initargs):
-                pools.append(max_workers)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, iterable):
-                return map(fn, iterable)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlineExecutor)
-        monkeypatch.setattr(harness, "_worker_state", None)
         one_graph = [RunConfig("ucv", "naive", "cosine", 2, adjacency_variant=v) for v in VARIANTS]
         two_groups = one_graph + [RunConfig("ucv", "cmeans-baseline")]
         serial, _ = run_grid(bundle, two_groups)
         pooled, _ = run_grid(bundle, two_groups, jobs=8)
-        assert pools == [2]
+        assert inline_pools == [2]
         assert [outcome(r) for r in pooled] == [outcome(r) for r in serial]
         run_grid(bundle, one_graph, jobs=8)
-        assert pools == [2]  # a single group runs in this process, without a pool
+        assert inline_pools == [2]  # a single group runs in this process, without a pool
 
     def test_smooth_points_share_solves(self, tmp_path, monkeypatch):
         write_blob_dataset(tmp_path / "d", n_per=4)
@@ -600,20 +606,40 @@ class TestStartMatrixMemo:
         # gamma None and 0.5 (each from its own squared distances) and smooth's distances
         assert calls == {"cosine_similarity": 1, "rbf_kernel": 2, "pairwise_sq_euclidean": 3}
 
-    def test_matrix_dropped_after_the_last_counted_build(self, tmp_path, monkeypatch):
+    def test_serial_run_keeps_the_matrix_and_a_pool_worker_drops_it(
+        self, tmp_path, monkeypatch, inline_pools
+    ):
         write_blob_dataset(tmp_path / "d")
         bundle = load_dataset(tmp_path / "d")
-        first, second = (RunConfig("ucv", "naive", "cosine", k) for k in (3, 4))
+        # two groups on one cosine matrix, and a baseline so that jobs=2 makes a pool
+        grid = [RunConfig("ucv", "naive", "cosine", k) for k in (3, 4)]
+        grid.append(RunConfig("ucv", "cmeans-baseline"))
         calls = count_calls(monkeypatch, inference_module, SIMILARITY_FUNCTIONS)
-        counted = GridCache(Counter({first.matrix_key: 2}))
-        for cfg in (first, second, first):
-            counted.raw_graph(bundle, cfg)
-        # kept for the second build, then dropped: the third build computes it again
-        assert calls == {"cosine_similarity": 2}
-        uncounted = GridCache()
-        for cfg in (first, second):
-            uncounted.raw_graph(bundle, cfg)
-        assert calls == {"cosine_similarity": 4}
+        serial, _ = run_grid(bundle, grid)
+        assert calls == {"cosine_similarity": 1}
+        pooled, _ = run_grid(bundle, grid, jobs=2)
+        assert inline_pools == [2]
+        # the worker drops the matrix after the first group's build; the second computes it again
+        assert calls == {"cosine_similarity": 3}
+        assert [outcome(r) for r in pooled] == [outcome(r) for r in serial]
+
+    def test_build_that_raises_is_not_kept(self, tmp_path, monkeypatch):
+        write_blob_dataset(tmp_path / "d", n_per=4)
+        bundle = load_dataset(tmp_path / "d")
+        cfg = RunConfig("ucv", "smooth", k=2)  # below the sparsest end's mean degree
+        calls = count_calls(monkeypatch, harness, ["build_graph"])
+        similarity = count_calls(monkeypatch, inference_module, SIMILARITY_FUNCTIONS)
+        solves = count_calls(monkeypatch, inference_module, ["learn_log_degree_weights"])
+        cache = GridCache()
+        errors = []
+        for _ in range(2):
+            with pytest.raises(inference_module.CalibrationError) as failed:
+                cache.raw_graph(bundle, cfg)
+            errors.append(str(failed.value))
+            assert solves == {"learn_log_degree_weights": 2}  # the second build reuses both ends
+        assert calls == {"build_graph": 2}
+        assert errors[0] == errors[1] and errors[0].startswith("mean degree 2")
+        assert similarity == {"pairwise_sq_euclidean": 1}
 
 
 # The head each loop-blind task runs once per graph, as harness calls it.
@@ -1114,6 +1140,24 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: bad grid spec:")
         assert not report.exists()
 
+    def test_sigma_on_a_method_that_reads_none_is_error(self, tmp_path, monkeypatch, capsys):
+        grid_file = tmp_path / "grid.json"
+        grid_file.write_text(
+            '[{"method": "naive", "similarity": "cosine", "k": 3},'
+            ' {"method": "naive", "similarity": "cosine", "k": 3, "sigma": 0.5}]'
+        )
+        code, grids = self.run_in_process(
+            tmp_path, monkeypatch, "--grid", str(grid_file), "--report", str(tmp_path / "r.csv")
+        )
+        assert code == 1 and grids == []
+        assert capsys.readouterr().err == "error: bad grid spec: method 'naive' takes no sigma\n"
+        out = tmp_path / "g.tsv"
+        infer = ["infer", "--data", str(tmp_path / "d"), "--method", "naive"]
+        infer += ["--similarity", "cosine", "--k", "3", "--sigma", "0.5", "--out", str(out)]
+        assert cli.main(infer) == 1
+        assert capsys.readouterr().err == "error: method 'naive' takes no sigma\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "option, env, reason",
         [
@@ -1383,6 +1427,18 @@ class TestRunConfig:
                 dict(task="dgs", method="reference-graph", gamma=0.5),
                 "method 'reference-graph' takes no gamma",
             ),
+            (
+                dict(task="ucv", method="naive", similarity="rbf", k=5, sigma=0.5),
+                "method 'naive' takes no sigma",
+            ),
+            (
+                dict(task="sscv-sgc", method="logreg-baseline", sigma=0.5),
+                "method 'logreg-baseline' takes no sigma",
+            ),
+            (
+                dict(task="dgs", method="reference-graph", sigma=0.5),
+                "method 'reference-graph' takes no sigma",
+            ),
         ],
         ids=[
             "cmeans-on-dgs",
@@ -1400,6 +1456,9 @@ class TestRunConfig:
             "smooth-gamma",
             "logreg-similarity",
             "reference-gamma",
+            "naive-sigma",
+            "logreg-sigma",
+            "reference-sigma",
         ],
     )
     def test_rejects_unusable_points(self, point, reason):
