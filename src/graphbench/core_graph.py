@@ -243,6 +243,8 @@ def read_graph(path) -> Graph:
             raise ValueError("line 1: header needs n=<vertex count>")
         n = int(fields["n"])
         variant = fields.get("variant", "raw")
+        if variant not in VARIANTS:
+            raise ValueError(f"line 1: unknown variant {variant!r}")
         diagonal = np.zeros(n)
         edges = []
         first_line = {}  # vertex pair -> line that gave it
@@ -261,6 +263,10 @@ def read_graph(path) -> Graph:
                 raise ValueError(f"line {lineno}: vertex index outside 0..{n - 1}")
             if not np.isfinite(w):
                 raise ValueError(f"line {lineno}: non-finite weight {w}")
+            if i != j and w <= 0:
+                raise ValueError(f"line {lineno}: edge weight {w} must be positive")
+            if i == j and w != 0 and variant in ("raw", "sym_norm"):
+                raise ValueError(f"line {lineno}: variant {variant!r} forbids self-loops")
             if i > j:
                 raise ValueError(f"line {lineno}: edges must satisfy i < j")
             if (i, j) in first_line:

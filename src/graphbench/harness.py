@@ -70,38 +70,25 @@ def _lines(path: Path):
         raise DatasetError(f"{path.name}: unreadable ({exc})") from None
 
 
-def _load_matrix(path: Path) -> np.ndarray:
+def _load_matrix(path: Path, dtype=float) -> np.ndarray:
+    """One row per non-blank line of a numeric bundle file, each token parsed by ``dtype``."""
     rows = []
-    width = None
     for lineno, line in _lines(path):
         try:
-            row = [float(tok) for tok in line.split()]
-        except ValueError as exc:
+            row = np.array(line.split(), dtype=dtype)
+        except (ValueError, OverflowError) as exc:
             raise DatasetError(f"{path.name} line {lineno}: non-numeric entry ({exc})")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
+        if rows and row.size != rows[0].size:
             raise DatasetError(
-                f"{path.name} line {lineno}: expected {width} columns, got {len(row)}"
+                f"{path.name} line {lineno}: expected {rows[0].size} columns, got {row.size}"
             )
         rows.append(row)
     if not rows:
         raise DatasetError(f"{path.name}: empty file")
-    out = np.array(rows)
-    del rows  # free the parsed rows before the check allocates its mask
+    out = np.stack(rows)
     if not np.all(np.isfinite(out)):
         raise DatasetError(f"{path.name} contains non-finite values")
     return out
-
-
-def _load_int_vector(path: Path) -> np.ndarray:
-    out = []
-    for lineno, line in _lines(path):
-        try:
-            out.append(int(line))
-        except ValueError:
-            raise DatasetError(f"{path.name} line {lineno}: expected one integer")
-    return np.array(out, dtype=int)
 
 
 def load_dataset(path) -> DatasetBundle:
@@ -161,7 +148,10 @@ def load_dataset(path) -> DatasetBundle:
     )
     labels_file = root / "labels.txt"
     if labels_file.exists():
-        labels = _load_int_vector(labels_file)
+        labels = _load_matrix(labels_file, dtype=int)
+        if labels.shape[1] != 1:
+            raise DatasetError(f"labels.txt: expected one integer per line, got {labels.shape[1]}")
+        labels = labels.ravel()
         if labels.size != bundle.n:
             raise DatasetError(f"labels.txt has {labels.size} entries for {bundle.n} vertices")
         distinct = np.unique(labels)
@@ -329,12 +319,12 @@ class GridCache:
 
     It keeps the read-only matrix of the last ``matrix_key`` asked for until
     another key is asked for; a pool worker's cache (``keep_matrix`` False)
-    drops it as soon as the build that asked for it ends. It keeps the raw
-    graph of the last graph identity it built, with the warnings its build
-    raised; a build that raises is not kept, so the next request for its
-    identity builds again and raises the same error. It also keeps
-    smooth_graph's memo of learned graphs by (sigma, distance scale), and in
-    ``heads`` the result of each point scored (RunConfig.scored).
+    drops it after each build that succeeds. It keeps the raw graph of the
+    last graph identity it built, with the warnings its build raised; a
+    build that raises is not kept, so the next request for its identity
+    builds again, from the matrix still held, and raises the same error. It
+    also keeps smooth_graph's memo of learned graphs by (sigma, distance
+    scale), and in ``heads`` the result of each point scored (RunConfig.scored).
     """
 
     def __init__(self, keep_matrix: bool = True):
@@ -353,18 +343,16 @@ class GridCache:
         """
         if cfg.graph_key != self._key:
             key = cfg.matrix_key
-            try:
-                with warnings.catch_warnings(record=True) as caught:
-                    warnings.simplefilter("always")
-                    if key != self._matrix_key:
-                        self._matrix_key = self._matrix = None  # never hold two
-                        M = similarity_matrix(bundle.vertex_features, *key)
-                        M.flags.writeable = False  # the builds of its key share it
-                        self._matrix_key, self._matrix = key, M
-                    graph = build_graph(self._matrix, cfg, self._solves)
-            finally:
-                if not self._keep_matrix:
-                    self._matrix_key = self._matrix = None
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                if key != self._matrix_key:
+                    self._matrix_key = self._matrix = None  # never hold two
+                    M = similarity_matrix(bundle.vertex_features, *key)
+                    M.flags.writeable = False  # the builds of its key share it
+                    self._matrix_key, self._matrix = key, M
+                graph = build_graph(self._matrix, cfg, self._solves)
+            if not self._keep_matrix:
+                self._matrix_key = self._matrix = None
             self._key, self._graph, self._warnings = cfg.graph_key, graph, caught
         for w in self._warnings:
             warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
@@ -549,11 +537,12 @@ def run_grid(
     appearance, then of their own. Serially, one cache keeps the last matrix,
     so each matrix is computed once. Under ``jobs`` > 1 each group is one
     task of a pool of at most ``jobs`` workers, and at most one worker per
-    group; a worker drops its matrix after each build. A build that raises is
-    not kept, and every point of its group fails with the same error. Smooth
-    points share their solves per distance scale within the process that runs
-    them, and an augmented point of a loop-blind task shares its raw point's
-    head result. Results come back in the configs' order.
+    group; a worker drops its matrix after each build that succeeds. A build
+    that raises is not kept, and every point of its group fails with the same
+    error. Smooth points share their solves per distance scale within the
+    process that runs them, and an augmented point of a loop-blind task
+    shares its raw point's head result. Results come back in the configs'
+    order.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")

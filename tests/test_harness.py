@@ -174,6 +174,50 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match="line 2"):
             load_dataset(root)
 
+    def test_bad_row_after_blank_lines_names_its_file_line(self, tmp_path):
+        root = tmp_path / "d"
+        root.mkdir()
+        (root / "features.txt").write_text("\n1.0 2.0\n\n\n3.0 x\n")  # the second row
+        with pytest.raises(DatasetError, match="features.txt line 5: non-numeric entry"):
+            load_dataset(root)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        rows=st.integers(1, 5),
+        cols=st.integers(1, 5),
+        data=st.data(),
+    )
+    def test_matrix_round_trips_bit_for_bit(self, rows, cols, data):
+        # -0.0 and subnormals must survive the text round trip too
+        value = st.sampled_from([-0.0, 5e-324, -2.5e-310]) | st.floats(
+            allow_nan=False, allow_infinity=False
+        )
+        X = np.array(data.draw(st.lists(value, min_size=rows * cols, max_size=rows * cols)))
+        X = X.reshape(rows, cols)
+        with tempfile.TemporaryDirectory() as tmp:
+            np.savetxt(Path(tmp) / "features.txt", X, fmt="%.17g")
+            features = load_dataset(tmp).features
+        assert features.shape == X.shape
+        assert np.array_equal(features.view(np.int64), X.view(np.int64))
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("0\n1.5\n2\n", r"labels.txt line 2: non-numeric entry \(invalid literal for int\(\)"),
+            ("0\n99999999999999999999\n2\n", "labels.txt line 2: non-numeric entry"),
+            ("0 0\n1 1\n2 2\n", "labels.txt: expected one integer per line, got 2"),
+            ("", "labels.txt: empty file"),
+        ],
+        ids=["non-integer", "too-large", "two-per-line", "empty"],
+    )
+    def test_malformed_labels_rejected(self, tmp_path, text, reason):
+        root = tmp_path / "d"
+        root.mkdir()
+        np.savetxt(root / "features.txt", np.eye(3))
+        (root / "labels.txt").write_text(text)
+        with pytest.raises(DatasetError, match=reason):
+            load_dataset(root)
+
     def test_unknown_meta_key_rejected(self, tmp_path):
         root = tmp_path / "d"
         root.mkdir()
@@ -623,6 +667,24 @@ class TestStartMatrixMemo:
         assert calls == {"cosine_similarity": 3}
         assert [outcome(r) for r in pooled] == [outcome(r) for r in serial]
 
+    def test_pool_worker_keeps_the_matrix_after_a_build_that_raises(
+        self, tmp_path, monkeypatch, inline_pools
+    ):
+        write_blob_dataset(tmp_path / "d")
+        bundle = load_dataset(tmp_path / "d")
+        # one group whose build raises (k=500 is not below the 30 vertices) for
+        # three scored variants, and a baseline so that jobs=2 makes a pool
+        variants = ("raw", "sym_norm", "augmented_sym_norm")
+        grid = [RunConfig("ucv", "naive", "cosine", 500, adjacency_variant=v) for v in variants]
+        grid.append(RunConfig("ucv", "cmeans-baseline"))
+        calls = count_calls(monkeypatch, inference_module, SIMILARITY_FUNCTIONS)
+        results, _ = run_grid(bundle, grid, jobs=2)
+        assert inline_pools == [2]
+        # each point builds again, from the matrix the first failed build left
+        assert calls == {"cosine_similarity": 1}
+        assert [r.failed for r in results] == [True, True, True, False]
+        assert len({r.auxiliary["error"] for r in results[:3]}) == 1
+
     def test_build_that_raises_is_not_kept(self, tmp_path, monkeypatch):
         write_blob_dataset(tmp_path / "d", n_per=4)
         bundle = load_dataset(tmp_path / "d")
@@ -980,6 +1042,13 @@ class TestCli:
                 "#n=24 variant=raw\n0\t1\t1.0\n0\t1\t2.0\n",
                 "line 3: vertex pair (0, 1) repeats line 2",
             ),
+            ("#n=24 variant=raw\n0\t1\t1.0\n2\t3\t-1.0\n", "line 3: edge weight -1.0 must be"),
+            ("#n=24 variant=raw\n\n0\t1\t0.0\n", "line 3: edge weight 0.0 must be positive"),
+            (
+                "#n=24 variant=raw\n0\t1\t1.0\n4\t4\t0.5\n",
+                "line 3: variant 'raw' forbids self-loops",
+            ),
+            ("#n=24 variant=bogus\n0\t1\t1.0\n", "line 1: unknown variant 'bogus'"),
         ],
         ids=[
             "missing-n",
@@ -988,6 +1057,10 @@ class TestCli:
             "nan-weight",
             "repeated-self-loop",
             "repeated-edge",
+            "negative-weight",
+            "zero-weight",
+            "self-loop-in-raw",
+            "unknown-variant",
         ],
     )
     def test_validate_malformed_graph(self, tmp_path, graph_text, reason):
