@@ -17,7 +17,7 @@ import numpy as np
 from . import core_graph, metrics, tasks
 from .core_graph import VARIANTS, Graph, normalize, read_graph
 from .inference import DEFAULT_SIGMA, SIMILARITY_KINDS
-from .inference import naive_graph, nnk_graph, similarity_matrix, smooth_graph
+from .inference import check_k_below_n, naive_graph, nnk_graph, similarity_matrix, smooth_graph
 
 TABLE1_K = (5, 10, 20, 30, 40, 50, 100, 200, 500, 1000)
 TASKS = ("ucv", "sscv-lp", "sscv-sgc", "dgs")
@@ -339,9 +339,11 @@ class GridCache:
         """cfg's raw graph, built on the first request for its identity.
 
         Every request raises the build's warnings again, so each point counts
-        and reports them as if it had built.
+        and reports them as if it had built. A k not below the vertex count
+        raises the builder's error before the matrix is computed.
         """
         if cfg.graph_key != self._key:
+            check_k_below_n(cfg.method, cfg.k, bundle.n)  # before the n x n matrix exists
             key = cfg.matrix_key
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
@@ -395,7 +397,7 @@ def run_task2(bundle: DatasetBundle, cfg: RunConfig, g: Optional[Graph]) -> RunR
     exp_W = None
     Xhat = bundle.vertex_features
     if g is not None and cfg.task == "sscv-lp":
-        exp_W = core_graph.matrix_exponential(g.to_dense())
+        exp_W = core_graph.matrix_exponential(g.to_dense(), shifted=True)
         components = core_graph.connected_components(g)
     elif g is not None:
         Xhat = tasks.diffuse_features(g, Xhat)

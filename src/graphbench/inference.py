@@ -68,6 +68,19 @@ def _undirected(n: int, rows: np.ndarray, cols: np.ndarray, **unique_args):
     return keys // n, keys % n, extra
 
 
+def check_k_below_n(method: str, k: Optional[int], n: int) -> None:
+    """Raise the ValueError ``method``'s builder raises for a k not below the n vertices.
+
+    None, naive_graph's dense k, always passes. A caller can check a point
+    before it computes the n x n matrix the builder would reject it with.
+    """
+    if k is None or k < n:
+        return
+    if method == "smooth":
+        raise ValueError(f"target mean degree k={k} must satisfy 1 <= k < n")
+    raise ValueError(f"k={k} must be smaller than n={n}")
+
+
 def knn_select(S: np.ndarray, k: int) -> Graph:
     """Keep each vertex's k strongest similarities, symmetrize by union.
 
@@ -76,8 +89,7 @@ def knn_select(S: np.ndarray, k: int) -> Graph:
     """
     S = np.asarray(S, dtype=float)
     n = S.shape[0]
-    if k >= n:
-        raise ValueError(f"k={k} must be smaller than n={n}")
+    check_k_below_n("naive", k, n)
     rows = np.repeat(np.arange(n), k)
     cols = _knn_indices(S, k).ravel()
     keep = S[rows, cols] > 0
@@ -117,15 +129,25 @@ def naive_graph(S, k: Optional[int]) -> Graph:
     return knn_select(S, k if k is not None else S.shape[0] - 1)
 
 
-def nnls_solve(K_SS: np.ndarray, k_Si: np.ndarray):
+def nnls_solve(K_SS: np.ndarray, k_Si: np.ndarray, whole_block_first: bool = False):
     """Minimize 0.5 t'Kt - t'b over t >= 0 by an active-set (Lawson-Hanson) method.
 
     Returns (theta, converged). On hitting the iteration cap, max(10 m, 30)
     for m unknowns, the best iterate so far is returned with converged=False.
+
+    With ``whole_block_first``, the unconstrained solve of the whole block,
+    the call the active-set loop ends with when it keeps every variable, is
+    tried first and returned as converged when every weight is positive:
+    KKT then holds with no inactive variable. Otherwise the loop runs as
+    without it.
     """
     K = np.asarray(K_SS, dtype=float)
     b = np.asarray(k_Si, dtype=float)
     m = b.shape[0]
+    if whole_block_first:
+        sol = np.linalg.lstsq(K, b, rcond=None)[0]
+        if np.all(sol > 0):
+            return sol, True
     max_iter = max(10 * m, 30)
     theta = np.zeros(m)
     passive = np.zeros(m, dtype=bool)
@@ -194,21 +216,23 @@ def nnk_graph(S, similarity: str, k: int, sigma: float = DEFAULT_SIGMA) -> Graph
         raise ValueError("sigma must be positive")
     S = np.asarray(S, dtype=float)
     n = S.shape[0]
-    if k >= n:
-        raise ValueError(f"k={k} must be smaller than n={n}")
+    check_k_below_n("nnk", k, n)
     S = _nnk_kernel(S, similarity)
     nbrs = _knn_indices(S, k)
     theta = np.zeros(nbrs.shape)  # directed weight of i -> nbrs[i, m]
-    fallbacks = 0
+    fallbacks = solved = kept_all = 0
     for i in range(n):
         pos = np.flatnonzero(S[i, nbrs[i]] > 0)
         if pos.size == 0:
             continue
         sel = nbrs[i, pos]
         k_Si = S[sel, i]
-        t, ok = nnls_solve(S[np.ix_(sel, sel)], k_Si)
+        # the whole-block first step pays off while most optima keep every candidate
+        t, ok = nnls_solve(S[np.ix_(sel, sel)], k_Si, whole_block_first=2 * kept_all >= solved)
         theta[i, pos] = t if ok else k_Si  # fall back to plain k-NN weights for this vertex
         fallbacks += not ok
+        solved += 1
+        kept_all += ok and bool(np.all(t > 0))
     if fallbacks:
         warnings.warn(f"NNLS did not converge for {fallbacks} vertices; they keep k-NN weights")
     rows = np.repeat(np.arange(n), k)
@@ -245,7 +269,7 @@ def learn_log_degree_weights(
 
     On reaching `max_iter` without meeting the stopping rule it returns the
     last iterate as it is, and says nothing. Reporting non-convergence waits
-    for the run trace (ROADMAP item 6): a warning would change the CSV
+    for the run trace (ROADMAP item 8): a warning would change the CSV
     `warnings` column of grids whose solves hit the cap.
     """
     Z = np.asarray(Z, dtype=float)
@@ -320,8 +344,7 @@ def smooth_graph(Z, k: int, sigma: float = DEFAULT_SIGMA, solves: Optional[dict]
         raise ValueError("sigma must be positive")
     Z = np.asarray(Z, dtype=float)
     n = Z.shape[0]
-    if k >= n:
-        raise ValueError(f"target mean degree k={k} must satisfy 1 <= k < n")
+    check_k_below_n("smooth", k, n)
     off_mean = (Z.sum() - np.trace(Z)) / max(n * (n - 1), 1)
     Zu = Z / off_mean if off_mean > 0 else Z
     solves = {} if solves is None else solves

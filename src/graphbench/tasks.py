@@ -53,18 +53,26 @@ def spectral_embed(g: Graph, C: int) -> np.ndarray:
     return cols
 
 
-def _kmeans_pp_init(points: np.ndarray, C: int, rng: np.random.Generator) -> np.ndarray:
+def _sq_distances(points: np.ndarray, center: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """Each point's squared distance to ``center``, using ``buf`` (points' shape) as scratch."""
+    np.subtract(points, center, out=buf)
+    return np.square(buf, out=buf).sum(axis=1)
+
+
+def _kmeans_pp_init(
+    points: np.ndarray, C: int, rng: np.random.Generator, buf: np.ndarray
+) -> np.ndarray:
     n = points.shape[0]
     centers = np.empty((C, points.shape[1]))
     centers[0] = points[rng.integers(n)]
-    d2 = np.sum((points - centers[0]) ** 2, axis=1)
+    d2 = _sq_distances(points, centers[0], buf)
     for c in range(1, C):
         total = d2.sum()
         if total <= 0:
             centers[c] = points[rng.integers(n)]
         else:
             centers[c] = points[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, np.sum((points - centers[c]) ** 2, axis=1))
+        d2 = np.minimum(d2, _sq_distances(points, centers[c], buf))
     return centers
 
 
@@ -79,16 +87,14 @@ def kmeans(points, C: int, seed) -> np.ndarray:
         raise ValueError("need at least C points")
     rng = np.random.default_rng(seed)
     point_sq = np.sum(points**2, axis=1)[:, None]
+    two_points = 2.0 * points
+    buf = np.empty_like(points)  # n x F scratch for the k-means++ distances and the WCSS
     best_assign, best_wcss = None, np.inf
     for _ in range(KMEANS_RESTARTS):
-        centers = _kmeans_pp_init(points, C, rng)
+        centers = _kmeans_pp_init(points, C, rng, buf)
         assign = np.full(n, -1)
         for _ in range(KMEANS_MAX_ITER):
-            d2 = (
-                point_sq
-                - 2.0 * points @ centers.T
-                + np.sum(centers**2, axis=1)[None, :]
-            )
+            d2 = point_sq - two_points @ centers.T + np.sum(centers**2, axis=1)[None, :]
             new_assign = np.argmin(d2, axis=1)
             for c in range(C):
                 sel = new_assign == c
@@ -102,7 +108,8 @@ def kmeans(points, C: int, seed) -> np.ndarray:
             if np.array_equal(new_assign, assign):
                 break
             assign = new_assign
-        wcss = float(np.sum((points - centers[assign]) ** 2))
+        np.subtract(points, centers[assign], out=buf)
+        wcss = float(np.sum(np.square(buf, out=buf)))
         if wcss < best_wcss:
             best_wcss, best_assign = wcss, assign.copy()
     return best_assign

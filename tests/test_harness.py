@@ -680,10 +680,27 @@ class TestStartMatrixMemo:
         calls = count_calls(monkeypatch, inference_module, SIMILARITY_FUNCTIONS)
         results, _ = run_grid(bundle, grid, jobs=2)
         assert inline_pools == [2]
-        # each point builds again, from the matrix the first failed build left
-        assert calls == {"cosine_similarity": 1}
+        # each point is rejected for its k before any matrix is computed
+        assert calls == {}
         assert [r.failed for r in results] == [True, True, True, False]
         assert len({r.auxiliary["error"] for r in results[:3]}) == 1
+
+    def test_pool_worker_keeps_the_matrix_after_a_calibration_failure(
+        self, tmp_path, monkeypatch, inline_pools
+    ):
+        write_blob_dataset(tmp_path / "d", n_per=4)
+        bundle = load_dataset(tmp_path / "d")
+        # smooth k=2 is below the sparsest end's mean degree: its build raises
+        # after the matrix exists, for each of three scored variants
+        variants = ("raw", "sym_norm", "augmented_sym_norm")
+        grid = [RunConfig("ucv", "smooth", k=2, adjacency_variant=v) for v in variants]
+        grid.append(RunConfig("ucv", "cmeans-baseline"))
+        calls = count_calls(monkeypatch, inference_module, SIMILARITY_FUNCTIONS)
+        results, _ = run_grid(bundle, grid, jobs=2)
+        assert inline_pools == [2]
+        # each point builds again, from the matrix the first failed build left
+        assert calls == {"pairwise_sq_euclidean": 1}
+        assert [r.failed for r in results] == [True, True, True, False]
 
     def test_build_that_raises_is_not_kept(self, tmp_path, monkeypatch):
         write_blob_dataset(tmp_path / "d", n_per=4)

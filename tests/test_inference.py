@@ -9,9 +9,11 @@ from scipy import sparse
 
 import graphbench.inference as inference_module
 from graphbench.core_graph import from_dense
+from graphbench.harness import load_dataset
 from graphbench.inference import (
     DEFAULT_SIGMA,
     KNN_BLOCK_ROWS,
+    SIMILARITY_KINDS,
     CalibrationError,
     knn_select,
     learn_log_degree_weights,
@@ -22,6 +24,7 @@ from graphbench.inference import (
     smooth_graph,
 )
 from graphbench.similarity import pairwise_sq_euclidean
+from test_harness import load_perfbench_module
 
 
 def edge_set(g):
@@ -387,8 +390,8 @@ class TestNnkGraph:
     def test_nnls_fallbacks_warn_once_per_graph(self, monkeypatch):
         real = inference_module.nnls_solve
 
-        def not_converged(K, b):
-            return real(K, b)[0], False
+        def not_converged(K, b, **kwargs):
+            return real(K, b, **kwargs)[0], False
 
         monkeypatch.setattr(inference_module, "nnls_solve", not_converged)
         X = np.random.default_rng(32).standard_normal((9, 2))
@@ -406,6 +409,89 @@ class TestNnkGraph:
             warnings.simplefilter("always")
             nnk_on(X, "rbf", 3, gamma=0.5)
         assert not [w for w in caught if "NNLS" in str(w.message)]
+
+
+def solve_without_whole_block_step(monkeypatch):
+    """Make nnk_graph's nnls_solve calls run the active-set loop alone."""
+    real = inference_module.nnls_solve
+    monkeypatch.setattr(inference_module, "nnls_solve", lambda K, b, **_: real(K, b))
+
+
+def same_graph(g, h):
+    return g.n == h.n and g.edges.tobytes() == h.edges.tobytes()
+
+
+@pytest.fixture(scope="module")
+def nnk_bundles(tmp_path_factory):
+    """Small seeded Cora-shaped and road-shaped bundles from the benchmark's generator."""
+    gen = load_perfbench_module("gen")
+    root = tmp_path_factory.mktemp("nnk_bundles")
+    shape = dict(n=200, F=500, words_per_doc=40, topic_frac=0.42)
+    cora = [load_dataset(gen.cora_like(root / f"cora{s}", s, **shape)) for s in (0, 1)]
+    road = load_dataset(gen.road_like(root / "road", 0, n=300, mean_degree=4.0, smoothness=2.0))
+    return cora, road
+
+
+class TestWholeBlockFirstStep:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        m=st.integers(1, 12),
+        dim=st.integers(1, 16),
+        scale=st.floats(0.05, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_bits_as_the_loop_when_it_keeps_every_weight(self, m, dim, scale, seed):
+        # a Gaussian kernel block of m distinct points and their kernel to a
+        # query point: positive definite, with positive b, as in nnk_graph
+        P = np.random.default_rng(seed).standard_normal((m + 1, dim)) * scale
+        K = np.exp(-pairwise_sq_euclidean(P))
+        block, b = K[1:, 1:], K[1:, 0]
+        theta, ok = nnls_solve(block, b)
+        first, first_ok = nnls_solve(block, b, whole_block_first=True)
+        if ok and np.all(theta > 0):
+            assert first_ok is True
+            assert first.tobytes() == theta.tobytes()
+
+    @pytest.mark.parametrize("similarity", SIMILARITY_KINDS)
+    def test_cora_like_graphs_are_bit_identical_without_it(
+        self, monkeypatch, nnk_bundles, similarity
+    ):
+        cora, _ = nnk_bundles
+        matrices = [similarity_matrix(b.vertex_features, similarity) for b in cora]
+        ks = (5, 10, 20)
+        graphs = [nnk_graph(S, similarity, k) for S in matrices for k in ks]
+        solve_without_whole_block_step(monkeypatch)
+        plain = [nnk_graph(S, similarity, k) for S in matrices for k in ks]
+        assert all(same_graph(g, h) for g, h in zip(graphs, plain))
+
+    def test_road_like_graphs_are_bit_identical_without_it(self, monkeypatch, nnk_bundles):
+        _, road = nnk_bundles
+        S = similarity_matrix(road.vertex_features, "rbf")
+        graphs = [nnk_graph(S, "rbf", k) for k in (5, 10, 20)]
+        solve_without_whole_block_step(monkeypatch)
+        assert all(same_graph(g, nnk_graph(S, "rbf", k)) for g, k in zip(graphs, (5, 10, 20)))
+
+    def test_runs_once_per_road_graph_and_on_every_cora_vertex_at_k_5(
+        self, monkeypatch, nnk_bundles
+    ):
+        cora, road = nnk_bundles
+        real = inference_module.nnls_solve
+        tries = []
+
+        def recording(K, b, whole_block_first=False):
+            tries[-1] += whole_block_first
+            return real(K, b, whole_block_first)
+
+        monkeypatch.setattr(inference_module, "nnls_solve", recording)
+        S = similarity_matrix(road.vertex_features, "rbf")
+        for k in (5, 10, 20):
+            tries.append(0)
+            nnk_graph(S, "rbf", k)
+        # no road optimum keeps every candidate, so only the first vertex tries it
+        assert tries == [1, 1, 1]
+        tries.append(0)
+        nnk_graph(similarity_matrix(cora[0].vertex_features, "cosine"), "cosine", 5)
+        assert tries[-1] == cora[0].n
 
 
 def golden_section(f, lo, hi, iters=200):

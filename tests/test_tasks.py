@@ -16,7 +16,7 @@ from graphbench.core_graph import (
     matrix_exponential,
     normalize,
 )
-from graphbench.harness import RunConfig, load_dataset, point_graph
+from graphbench.harness import DatasetBundle, RunConfig, load_dataset, point_graph, run_task2
 from graphbench.metrics import accuracy, add_noise_to_snr, ami, snr_db
 from graphbench.tasks import (
     best_tau_denoise,
@@ -262,6 +262,29 @@ class TestLabelPropagate:
         E = matrix_exponential(g.to_dense())
         pred = propagate_labels(E, [0, 1, 0], [True, True, False], connected_components(g))
         assert pred[2] == 0
+
+    def test_shifted_operator_stays_finite_past_exp_overflow(self):
+        # two 5-cliques of weight 200 joined by a unit edge: lambda_max > 800,
+        # past the ~709 where exp(W) overflows
+        cliques, labels = clique_union([5, 5])
+        W = 200.0 * cliques.to_dense()
+        W[4, 5] = W[5, 4] = 1.0
+        assert np.linalg.eigvalsh(W)[-1] > 709
+        E = matrix_exponential(W, shifted=True)
+        assert np.all(np.isfinite(E))
+        observed = np.zeros(10, dtype=bool)
+        observed[[0, 9]] = True
+        pred = propagate_labels(E, labels, observed, connected_components(from_dense(W)))
+        assert pred.tolist() == labels.tolist()
+
+    def test_sscv_lp_scores_from_the_shifted_operator(self):
+        # lambda_max ~ 1800; half the vertices observed, so each clique holds labels
+        cliques, labels = clique_union([10, 10])
+        W = 200.0 * cliques.to_dense()
+        W[9, 10] = W[10, 9] = 1.0
+        bundle = DatasetBundle("heavy-cliques", np.eye(20), labels=labels, C=2)
+        cfg = RunConfig("sscv-lp", "naive", "cosine", 3, split_fraction=0.5, n_splits=5)
+        assert run_task2(bundle, cfg, from_dense(W)).primary_score == 1.0
 
     def test_onehot_scale_invariance(self):
         # argmax through the linear map is invariant to scaling the one-hot mass;
