@@ -6,6 +6,7 @@ import math
 import warnings
 
 import numpy as np
+from scipy import sparse
 
 from .core_graph import Graph, eigendecompose, laplacian
 
@@ -53,63 +54,58 @@ def spectral_embed(g: Graph, C: int) -> np.ndarray:
     return cols
 
 
-def _sq_distances(points: np.ndarray, center: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """Each point's squared distance to ``center``, using ``buf`` (points' shape) as scratch."""
-    np.subtract(points, center, out=buf)
-    return np.square(buf, out=buf).sum(axis=1)
-
-
-def _kmeans_pp_init(
-    points: np.ndarray, C: int, rng: np.random.Generator, buf: np.ndarray
-) -> np.ndarray:
-    n = points.shape[0]
-    centers = np.empty((C, points.shape[1]))
-    centers[0] = points[rng.integers(n)]
-    d2 = _sq_distances(points, centers[0], buf)
-    for c in range(1, C):
+def _kmeans_pp(points: np.ndarray, X, sq: np.ndarray, C: int, rng) -> np.ndarray:
+    """k-means++ starts: C rows of ``points`` (CSR copy ``X``, squared row norms ``sq``)."""
+    n = X.shape[0]
+    rows, d2 = [rng.integers(n)], np.inf
+    for _ in range(1, C):
+        # clipped: the expansion can cancel below zero, and d2 weights the draw
+        d2 = np.minimum(d2, np.maximum(sq - 2.0 * (X @ points[rows[-1]]) + sq[rows[-1]], 0.0))
         total = d2.sum()
-        if total <= 0:
-            centers[c] = points[rng.integers(n)]
-        else:
-            centers[c] = points[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, _sq_distances(points, centers[c], buf))
-    return centers
+        rows.append(rng.integers(n) if total <= 0 else rng.choice(n, p=d2 / total))
+    return points[rows]
+
+
+def _cluster_means(X, assign: np.ndarray, d2: np.ndarray, C: int) -> np.ndarray:
+    """Means of the CSR matrix ``X``'s rows per cluster of ``assign``, refilling empty clusters.
+
+    In index order, an empty cluster takes the point farthest from its nearest center (``d2``).
+    """
+    member = np.eye(C)[assign].T
+    for c in range(C):
+        if not member[c].any():
+            far = int(np.argmax(np.min(d2, axis=1)))
+            if assign[far] > c:  # a cluster visited earlier keeps the point in its mean
+                member[assign[far], far] = 0.0
+            member[c, far] = 1.0
+            assign[far] = c
+    return (member @ X) / member.sum(axis=1)[:, None]
 
 
 def kmeans(points, C: int, seed) -> np.ndarray:
     """Lloyd iterations from k-means++ starts, best of KMEANS_RESTARTS by WCSS.
 
-    Returns the cluster index in 0..C-1 of each point.
+    Returns the cluster index in 0..C-1 of each point; works on a CSR copy of ``points``.
     """
     points = np.asarray(points, dtype=float)
-    n = points.shape[0]
+    X = sparse.csr_matrix(points)
+    n = X.shape[0]
     if n < C:
         raise ValueError("need at least C points")
     rng = np.random.default_rng(seed)
-    point_sq = np.sum(points**2, axis=1)[:, None]
-    two_points = 2.0 * points
-    buf = np.empty_like(points)  # n x F scratch for the k-means++ distances and the WCSS
+    sq = np.einsum("ij,ij->i", points, points)
     best_assign, best_wcss = None, np.inf
     for _ in range(KMEANS_RESTARTS):
-        centers = _kmeans_pp_init(points, C, rng, buf)
+        centers = _kmeans_pp(points, X, sq, C, rng)
         assign = np.full(n, -1)
         for _ in range(KMEANS_MAX_ITER):
-            d2 = point_sq - two_points @ centers.T + np.sum(centers**2, axis=1)[None, :]
+            d2 = sq[:, None] - 2.0 * (X @ centers.T) + np.sum(centers**2, axis=1)[None, :]
             new_assign = np.argmin(d2, axis=1)
-            for c in range(C):
-                sel = new_assign == c
-                if not sel.any():
-                    # reseed empty cluster at the farthest point
-                    far = int(np.argmax(np.min(d2, axis=1)))
-                    centers[c] = points[far]
-                    new_assign[far] = c
-                    sel = new_assign == c
-                centers[c] = points[sel].mean(axis=0)
+            centers = _cluster_means(X, new_assign, d2, C)
             if np.array_equal(new_assign, assign):
                 break
             assign = new_assign
-        np.subtract(points, centers[assign], out=buf)
-        wcss = float(np.sum(np.square(buf, out=buf)))
+        wcss = float(np.sum(d2[np.arange(n), assign]))
         if wcss < best_wcss:
             best_wcss, best_assign = wcss, assign.copy()
     return best_assign
@@ -261,7 +257,7 @@ def sgc_predict(Xhat: np.ndarray, labels, observed, seed) -> np.ndarray:
     observed = np.asarray(observed, dtype=bool)
     W, b = train_logistic_regression(Xhat[observed], labels[observed], int(labels.max()) + 1, seed)
     pred = labels.copy()
-    pred[~observed] = np.argmax(Xhat[~observed] @ W + b, axis=1)
+    pred[~observed] = np.argmax((Xhat @ W + b)[~observed], axis=1)
     return pred
 
 
@@ -304,7 +300,9 @@ def denoise(g: Graph, x_noisy, tau) -> np.ndarray:
         coeffs = F.T @ x
         out = np.empty((taus.size, g.n))
         for r, t in enumerate(taus.ravel().tolist()):
-            gains = np.array([simoncelli_response(l, t) for l in lam])
+            gains = (lam == 0 if t == 0 else lam <= t / 2.0).astype(float)
+            band = np.flatnonzero((lam > t / 2.0) & (lam <= t))  # the roll-off band (t/2, t]
+            gains[band] = [simoncelli_response(l, t) for l in lam[band].tolist()]
             # one matrix-vector product per cutoff: a batched product may round differently
             out[r] = F @ (gains * coeffs)
     return out[0] if taus.ndim == 0 else out

@@ -4,6 +4,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
 import graphbench.core_graph as core_graph_module
 import graphbench.tasks as tasks_module
@@ -106,6 +109,69 @@ class TestSpectralEmbed:
         assert not np.allclose(e[:, 0], e[0, 0], atol=1e-8)
 
 
+def _reference_pp_starts(points, C, rng):
+    """k-means++ starts as the dense c-means drew them: one n x F pass per center."""
+    n = points.shape[0]
+    centers = np.empty((C, points.shape[1]))
+    centers[0] = points[rng.integers(n)]
+    d2 = np.sum((points - centers[0]) ** 2, axis=1)
+    for c in range(1, C):
+        total = d2.sum()
+        centers[c] = points[rng.integers(n) if total <= 0 else rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, np.sum((points - centers[c]) ** 2, axis=1))
+    return centers
+
+
+def _reference_means(points, assign, d2, C):
+    """Cluster means as the dense c-means took them; an empty cluster takes a point in place."""
+    centers = np.empty((C, points.shape[1]))
+    for c in range(C):
+        sel = assign == c
+        if not sel.any():
+            far = int(np.argmax(np.min(d2, axis=1)))
+            assign[far] = c
+            sel = assign == c
+        centers[c] = points[sel].mean(axis=0)
+    return centers
+
+
+def _reference_kmeans(points, C, seed):
+    """The dense c-means that kmeans replaced: the same draws and rules, on n x F arrays."""
+    points = np.asarray(points, dtype=float)
+    n = points.shape[0]
+    rng = np.random.default_rng(seed)
+    point_sq = np.sum(points**2, axis=1)[:, None]
+    best_assign, best_wcss = None, np.inf
+    for _ in range(tasks_module.KMEANS_RESTARTS):
+        centers = _reference_pp_starts(points, C, rng)
+        assign = np.full(n, -1)
+        for _ in range(tasks_module.KMEANS_MAX_ITER):
+            d2 = point_sq - 2.0 * points @ centers.T + np.sum(centers**2, axis=1)[None, :]
+            new_assign = np.argmin(d2, axis=1)
+            centers = _reference_means(points, new_assign, d2, C)
+            if np.array_equal(new_assign, assign):
+                break
+            assign = new_assign
+        wcss = float(np.sum((points - centers[assign]) ** 2))
+        if wcss < best_wcss:
+            best_wcss, best_assign = wcss, assign.copy()
+    return best_assign
+
+
+def _binary_features(n, F, density, seed):
+    return (np.random.default_rng(seed).random((n, F)) < density).astype(float)
+
+
+def _csr_and_sq(points):
+    return sparse.csr_matrix(points), np.einsum("ij,ij->i", points, points)
+
+
+def _blobs(shift=0.0):
+    rng = np.random.default_rng(51)
+    centers = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]]) + shift
+    return np.vstack([rng.normal(c, 0.01, size=(15, 2)) for c in centers]), np.repeat([0, 1, 2], 15)
+
+
 class TestKmeans:
     def test_single_cluster(self):
         pts = np.array([[0.0, 0.0], [2.0, 0.0], [4.0, 0.0]])
@@ -117,13 +183,69 @@ class TestKmeans:
         assert assignment[0] != assignment[1]
 
     def test_separated_blobs_all_seeds(self):
-        rng = np.random.default_rng(51)
-        centers = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
-        pts = np.vstack([rng.normal(c, 0.01, size=(15, 2)) for c in centers])
-        truth = np.repeat([0, 1, 2], 15)
+        pts, truth = _blobs()
         for seed in range(50):
             assignment = kmeans(pts, 3, seed=seed)
             assert ami(assignment, truth) == pytest.approx(1.0)
+            assert np.array_equal(assignment, _reference_kmeans(pts, 3, seed))
+
+    def test_blobs_far_from_origin(self):
+        # |x|^2 ~ 2e16 there, so the expansion cancels to rounding noise inside a
+        # blob: clipped at 0, every k-means++ probability stays non-negative
+        pts, truth = _blobs(shift=1e8)
+        for seed in range(10):
+            assert ami(kmeans(pts, 3, seed=seed), truth) == pytest.approx(1.0)
+
+    def test_empty_cluster_reseed_matches_reference(self):
+        # 3 locations and C = 4: k-means++ repeats a location, the duplicate
+        # center loses every argmin tie, and its cluster is reseeded
+        pts = np.repeat([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]], 4, axis=0)
+        pts = pts[np.random.default_rng(0).permutation(12)]
+        for seed in range(10):
+            assignment = kmeans(pts, 4, seed=seed)
+            assert np.unique(assignment).size == 4  # only a reseed fills a fourth cluster
+            assert np.array_equal(assignment, _reference_kmeans(pts, 4, seed))
+
+    def test_cora_like_bundles_match_reference(self, tmp_path):
+        gen = load_perfbench_gen()
+        for seed in range(3):
+            bundle = load_dataset(gen.cora_like(tmp_path / str(seed), seed, 300, 1433, 40, 0.42))
+            X = bundle.vertex_features
+            for kmeans_seed in (0, 1):
+                want = _reference_kmeans(X, bundle.C, kmeans_seed)
+                assert np.array_equal(kmeans(X, bundle.C, kmeans_seed), want), (seed, kmeans_seed)
+
+    # On 0/1 features the k-means++ distances are integers and the center sums
+    # are exact, so both steps match the dense reference bit for bit. Whole runs
+    # are compared on inputs above, not here: on small 0/1 matrices two restarts
+    # (or two centers) often tie exactly, and rounding then decides in each version.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 30), st.integers(1, 40), st.integers(1, 6), st.floats(0.05, 0.7),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_pp_starts_bit_identical_on_binary_features(self, n, F, C, density, seed):
+        points = _binary_features(n, F, density, seed)
+        C = min(C, n)
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = tasks_module._kmeans_pp(points, *_csr_and_sq(points), C, got_rng)
+        assert np.array_equal(got, _reference_pp_starts(points, C, want_rng))
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 20), st.integers(1, 40), st.integers(1, 6), st.floats(0.05, 0.7),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_means_bit_identical_on_binary_features(self, n, F, C, density, seed):
+        points = _binary_features(n, F, density, seed)
+        rng = np.random.default_rng([seed, 1])
+        assign = rng.integers(C, size=n)  # empty clusters are common at small n
+        d2 = rng.integers(0, 4, size=(n, C)).astype(float)  # with ties for the farthest point
+        got_assign, want_assign = assign.copy(), assign.copy()
+        got = tasks_module._cluster_means(_csr_and_sq(points)[0], got_assign, d2, C)
+        assert np.array_equal(got, _reference_means(points, want_assign, d2, C))
+        assert np.array_equal(got_assign, want_assign)
 
 
 class TestDiscretize:
@@ -527,6 +649,19 @@ class TestDenoiseSweep:
         assert rows.shape == (BENCH_TAUS.size, 30)
         for r, tau in enumerate(BENCH_TAUS):
             assert np.array_equal(rows[r], denoise(g, x, float(tau)))
+
+    def test_rows_equal_the_scalar_response(self):
+        rng = np.random.default_rng(93)
+        A = rng.random((30, 30)) * (rng.random((30, 30)) < 0.3)
+        g = from_dense(np.triu(A, 1) + np.triu(A, 1).T)
+        x = rng.standard_normal(30)
+        vals, F = core_graph_module.eigendecompose(laplacian(g))
+        lam = vals / vals[-1]
+        lam[np.abs(lam) <= tasks_module.NULL_SPACE_TOL] = 0.0
+        rows = denoise(g, x, BENCH_TAUS)
+        for r, tau in enumerate(BENCH_TAUS.tolist()):
+            gains = np.array([simoncelli_response(l, tau) for l in lam])
+            assert np.array_equal(rows[r], F @ (gains * (F.T @ x)))
 
     def test_best_tau_decomposes_once(self, monkeypatch):
         calls = []
