@@ -21,7 +21,7 @@ from .inference import (
     similarity_matrix,
     smooth_graph,
 )
-from .metrics import accuracy, add_noise_to_snr, ami, mse, snr_db
+from .metrics import accuracy, add_noise_to_snr, ami, snr_db
 from .tasks import (
     best_tau_denoise,
     denoise,

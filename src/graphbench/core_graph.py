@@ -102,8 +102,8 @@ def from_arrays(n: int, i, j, w, diagonal=None, variant: str = "raw") -> Graph:
     return Graph(n, edges, diagonal, variant)
 
 
-def from_dense(A: np.ndarray, variant: str = "raw", threshold: float = 0.0) -> Graph:
-    """Build a Graph from a dense symmetric matrix, dropping weights <= threshold."""
+def from_dense(A: np.ndarray, threshold: float = 0.0) -> Graph:
+    """Build a raw Graph from a dense symmetric matrix, dropping weights <= threshold."""
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
     if A.shape != (n, n):
@@ -111,7 +111,7 @@ def from_dense(A: np.ndarray, variant: str = "raw", threshold: float = 0.0) -> G
     if np.max(np.abs(A - A.T), initial=0.0) > SYMMETRY_TOL:
         raise ValueError("adjacency must be symmetric")
     i, j = np.nonzero(np.triu(A > threshold, k=1))
-    return from_arrays(n, i, j, A[i, j], np.diag(A).copy(), variant)
+    return from_arrays(n, i, j, A[i, j], np.diag(A).copy())
 
 
 def _add_edge_weights(d: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -197,23 +197,19 @@ def eigendecompose(A: np.ndarray, lowest: int | None = None) -> tuple[np.ndarray
     return np.linalg.eigh(A)
 
 
-def matrix_exponential(A: np.ndarray, shifted: bool = False) -> np.ndarray:
-    """exp(A) for symmetric A via spectral calculus.
+def matrix_exponential(A: np.ndarray) -> np.ndarray:
+    """exp(A - lambda_max I) = e^(-lambda_max) exp(A) for symmetric A, via spectral calculus.
 
-    With ``shifted``, exp(A - lambda_max I) = e^(-lambda_max) exp(A), with
-    lambda_max the largest eigenvalue of the same decomposition. Its spectral
-    norm is 1, so it stays finite where exp(A) overflows (lambda_max above
-    ~709), and the positive factor moves no row's argmax. Its spectral
-    weights below the smallest normal float are flushed to zero: next to the
-    top weight 1 they add nothing, and subnormal operands made the product
-    ~100x slower (n=1000, lambda_max 723).
+    lambda_max is the largest eigenvalue of the same decomposition. The
+    spectral norm is 1, so the result stays finite where exp(A) overflows
+    (lambda_max above ~709), and the positive factor moves no row's argmax.
+    Spectral weights below the smallest normal float are flushed to zero:
+    next to the top weight 1 they add nothing, and subnormal operands made
+    the product ~100x slower (n=1000, lambda_max 723).
     """
     vals, F = eigendecompose(A)
-    if shifted:
-        weights = np.exp(vals - vals[-1])
-        weights[weights < np.finfo(float).tiny] = 0.0
-    else:
-        weights = np.exp(vals)
+    weights = np.exp(vals - vals[-1])
+    weights[weights < np.finfo(float).tiny] = 0.0
     E = (F * weights) @ F.T
     return (E + E.T) / 2.0
 

@@ -91,6 +91,15 @@ def _load_matrix(path: Path, dtype=float) -> np.ndarray:
     return out
 
 
+def _load_column(path: Path, dtype=float) -> np.ndarray:
+    """The one value per line of a bundle file, as a vector."""
+    out = _load_matrix(path, dtype)
+    if out.shape[1] != 1:
+        what = "integer" if dtype is int else "value"
+        raise DatasetError(f"{path.name}: expected one {what} per line, got {out.shape[1]}")
+    return out.ravel()
+
+
 def load_dataset(path) -> DatasetBundle:
     """Load and validate a dataset directory (features.txt plus optional files)."""
     root = Path(path)
@@ -99,7 +108,7 @@ def load_dataset(path) -> DatasetBundle:
         raise DatasetError(f"{root}: missing features.txt")
     features = _load_matrix(feats_file)
 
-    meta = {}
+    meta, seen = {}, {}  # key -> value, and the line that gave it
     meta_file = root / "meta.txt"
     if meta_file.exists():
         for lineno, line in _lines(meta_file):
@@ -111,6 +120,9 @@ def load_dataset(path) -> DatasetBundle:
             key, value = key.strip(), value.strip()
             if key not in ("name", "C", "seed"):
                 raise DatasetError(f"meta.txt line {lineno}: unknown key {key!r}")
+            if key in seen:
+                raise DatasetError(f"meta.txt line {lineno}: key {key!r} repeats line {seen[key]}")
+            seen[key] = lineno
             try:
                 meta[key] = value if key == "name" else int(value)
             except ValueError:
@@ -123,7 +135,7 @@ def load_dataset(path) -> DatasetBundle:
     clean_signal = None
     signal_file = root / "signal.txt"
     if signal_file.exists():
-        clean_signal = _load_matrix(signal_file).ravel()
+        clean_signal = _load_column(signal_file)
         if features.shape[0] != 1:
             raise DatasetError("signal bundles must carry exactly one observation (N=1)")
         if clean_signal.size != features.shape[1]:
@@ -134,7 +146,7 @@ def load_dataset(path) -> DatasetBundle:
     noisy_signal = None
     noisy_file = root / "noisy.txt"
     if noisy_file.exists():
-        noisy_signal = _load_matrix(noisy_file).ravel()
+        noisy_signal = _load_column(noisy_file)
         if clean_signal is None or noisy_signal.size != clean_signal.size:
             raise DatasetError("noisy.txt requires a matching signal.txt")
 
@@ -148,10 +160,7 @@ def load_dataset(path) -> DatasetBundle:
     )
     labels_file = root / "labels.txt"
     if labels_file.exists():
-        labels = _load_matrix(labels_file, dtype=int)
-        if labels.shape[1] != 1:
-            raise DatasetError(f"labels.txt: expected one integer per line, got {labels.shape[1]}")
-        labels = labels.ravel()
+        labels = _load_column(labels_file, dtype=int)
         if labels.size != bundle.n:
             raise DatasetError(f"labels.txt has {labels.size} entries for {bundle.n} vertices")
         distinct = np.unique(labels)
@@ -397,7 +406,7 @@ def run_task2(bundle: DatasetBundle, cfg: RunConfig, g: Optional[Graph]) -> RunR
     exp_W = None
     Xhat = bundle.vertex_features
     if g is not None and cfg.task == "sscv-lp":
-        exp_W = core_graph.matrix_exponential(g.to_dense(), shifted=True)
+        exp_W = core_graph.matrix_exponential(g.to_dense())
         components = core_graph.connected_components(g)
     elif g is not None:
         Xhat = tasks.diffuse_features(g, Xhat)
@@ -437,9 +446,11 @@ _RUNNERS = {
 
 
 def _score(bundle: DatasetBundle, cfg: RunConfig, cache: GridCache) -> RunResult:
-    """cfg's head result; a failure becomes a failed RunResult, never a raise."""
+    """cfg's head result; any failure, floating-point faults included, is a failed RunResult."""
     try:
-        with warnings.catch_warnings(record=True) as caught:
+        with warnings.catch_warnings(record=True) as caught, np.errstate(
+            over="raise", invalid="raise", divide="raise"
+        ):
             warnings.simplefilter("always")
             runner, needed, missing = _RUNNERS[cfg.task]
             if getattr(bundle, needed) is None:

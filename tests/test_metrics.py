@@ -11,7 +11,6 @@ from graphbench.metrics import (
     ami,
     contingency_table,
     expected_mutual_information,
-    mse,
     snr_db,
 )
 
@@ -138,21 +137,6 @@ class TestAccuracy:
     def test_empty_mask_rejected(self):
         with pytest.raises(ValueError):
             accuracy([0], [0], [False])
-
-
-class TestMse:
-    def test_equal(self):
-        assert mse([1.0, 2.0], [1.0, 2.0]) == 0.0
-
-    def test_unit_difference(self):
-        assert mse([1.0, 2.0], [0.0, 1.0]) == 1.0
-
-    def test_matches_loop_oracle(self):
-        rng = np.random.default_rng(43)
-        x = rng.standard_normal(17)
-        y = rng.standard_normal(17)
-        expected = sum((float(a) - float(b)) ** 2 for a, b in zip(x, y)) / 17
-        assert mse(x, y) == pytest.approx(expected, abs=1e-12)
 
 
 class TestSnr:
