@@ -68,15 +68,6 @@ class Graph:
     def n_edges(self) -> int:
         return self.edges.size
 
-    def to_dense(self) -> np.ndarray:
-        """Full symmetric adjacency matrix including the diagonal."""
-        i, j, w = _columns(self.edges)
-        A = np.zeros((self.n, self.n))
-        A[i, j] = w
-        A[j, i] = w
-        A[np.diag_indices(self.n)] = self.diagonal
-        return A
-
     def to_sparse(self) -> sparse.csr_matrix:
         """Adjacency matrix in CSR form, diagonal entries stored explicitly."""
         i, j, w = _columns(self.edges)

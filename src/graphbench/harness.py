@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import core_graph, metrics, tasks
+from . import metrics, tasks
 from .core_graph import VARIANTS, Graph, normalize, read_graph
 from .inference import DEFAULT_SIGMA, SIMILARITY_KINDS
 from .inference import check_k_below_n, naive_graph, nnk_graph, similarity_matrix, smooth_graph
@@ -403,22 +403,16 @@ def run_task1(bundle: DatasetBundle, cfg: RunConfig, g: Optional[Graph]) -> RunR
 def run_task2(bundle: DatasetBundle, cfg: RunConfig, g: Optional[Graph]) -> RunResult:
     """Semi-supervised classification on ``g`` (raw features when None): accuracy over splits."""
     masks = split_generator(bundle.n, cfg.split_fraction, cfg.n_splits, cfg.seed)
-    exp_W = None
-    Xhat = bundle.vertex_features
     if g is not None and cfg.task == "sscv-lp":
-        exp_W = core_graph.matrix_exponential(g.to_dense())
-        components = core_graph.connected_components(g)
-    elif g is not None:
-        Xhat = tasks.diffuse_features(g, Xhat)
-
-    accs = []
-    for i, mask in enumerate(masks):
-        if exp_W is not None:
-            pred = tasks.propagate_labels(exp_W, bundle.labels, mask, components)
-        else:
-            pred = tasks.sgc_predict(Xhat, bundle.labels, mask, [cfg.seed, i, 7])
-        accs.append(metrics.accuracy(pred, bundle.labels, ~mask))
-    accs = np.array(accs)
+        preds = tasks.propagate_labels(g, bundle.labels, masks)
+    else:
+        X = bundle.vertex_features
+        Xhat = X if g is None else tasks.diffuse_features(g, X)
+        preds = [
+            tasks.sgc_predict(Xhat, bundle.labels, mask, [cfg.seed, i, 7])
+            for i, mask in enumerate(masks)
+        ]
+    accs = np.array([metrics.accuracy(p, bundle.labels, ~m) for p, m in zip(preds, masks)])
     return RunResult(
         cfg,
         float(accs.mean()),

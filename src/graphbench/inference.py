@@ -39,10 +39,8 @@ def _knn_indices(S: np.ndarray, k: int) -> np.ndarray:
 
     Equals the first k columns of a stable argsort of -S with the diagonal set
     to +inf. Works in blocks of rows, selects by partition and sorts only the
-    k picks.
+    k picks. S must be finite; knn_select and nnk_graph check it first.
     """
-    if not np.all(np.isfinite(S)):
-        raise ValueError("similarity matrix has non-finite entries")
     n = S.shape[0]
     out = np.empty((n, k), dtype=np.intp)
     if k == 0:
@@ -59,6 +57,12 @@ def _knn_indices(S: np.ndarray, k: int) -> np.ndarray:
         order = np.argsort(np.take_along_axis(M, cols, axis=1), axis=1, kind="stable")
         out[start : start + b] = np.take_along_axis(cols, order, axis=1)
     return out
+
+
+def _check_finite(M: np.ndarray, kind: str) -> None:
+    """Raise ValueError when the ``kind`` matrix a builder starts from has a NaN or inf entry."""
+    if not np.all(np.isfinite(M)):
+        raise ValueError(f"{kind} matrix has non-finite entries")
 
 
 def _undirected(n: int, rows: np.ndarray, cols: np.ndarray, **unique_args):
@@ -89,6 +93,7 @@ def knn_select(S: np.ndarray, k: int) -> Graph:
     S = np.asarray(S, dtype=float)
     n = S.shape[0]
     check_k_below_n("naive", k, n)
+    _check_finite(S, "similarity")
     rows = np.repeat(np.arange(n), k)
     cols = _knn_indices(S, k).ravel()
     keep = S[rows, cols] > 0
@@ -216,6 +221,7 @@ def nnk_graph(S, similarity: str, k: int, sigma: float = DEFAULT_SIGMA) -> Graph
     S = np.asarray(S, dtype=float)
     n = S.shape[0]
     check_k_below_n("nnk", k, n)
+    _check_finite(S, "similarity")
     S = _nnk_kernel(S, similarity)
     nbrs = _knn_indices(S, k)
     theta = np.zeros(nbrs.shape)  # directed weight of i -> nbrs[i, m]
@@ -344,6 +350,7 @@ def smooth_graph(Z, k: int, sigma: float = DEFAULT_SIGMA, solves: Optional[dict]
     Z = np.asarray(Z, dtype=float)
     n = Z.shape[0]
     check_k_below_n("smooth", k, n)
+    _check_finite(Z, "distance")
     off_mean = (Z.sum() - np.trace(Z)) / max(n * (n - 1), 1)
     Zu = Z / off_mean if off_mean > 0 else Z
     solves = {} if solves is None else solves

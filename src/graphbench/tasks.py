@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 from scipy import sparse
 
-from .core_graph import Graph, eigendecompose, laplacian
+from .core_graph import Graph, connected_components, eigendecompose, laplacian, matrix_exponential
 
 # Eigenvalues this close to zero (absolute, or relative to lambda_max in
 # denoise) count as the Laplacian's null space: eigh returns them as +-1e-16.
@@ -167,29 +167,35 @@ def spectral_cluster(g: Graph, C: int, seed=0) -> np.ndarray:
     return discretize(spectral_embed(g, C), seed=seed)
 
 
-def propagate_labels(E: np.ndarray, labels, observed, components) -> np.ndarray:
-    """Diffuse the observed one-hot labels once through the operator E; argmax per vertex.
+def propagate_labels(g: Graph, labels, masks) -> list[np.ndarray]:
+    """Label propagation on ``g`` through the diffusion kernel exp(W); a class vector per mask.
 
-    ``labels`` holds a class in 0..C-1 per vertex, ``observed`` marks the
-    vertices whose label is known, and ``components`` gives each vertex's
-    connected component in E's graph. Observed vertices keep their label. An
-    unobserved vertex whose component holds no observed vertex gets the
-    majority observed class (lowest index on ties).
+    ``labels`` holds a class in 0..C-1 per vertex, and each mask of ``masks``
+    marks the vertices whose label is known. Per mask, the observed one-hot
+    labels diffuse once through exp(W) (see matrix_exponential, built once
+    per call) and each vertex takes its argmax. Observed vertices keep their
+    label. An unobserved vertex whose connected component holds no observed
+    vertex gets the majority observed class (lowest index on ties).
     """
+    E = matrix_exponential(g.to_sparse().toarray())
+    components = connected_components(g)
     labels = np.asarray(labels, dtype=int)
-    observed = np.asarray(observed, dtype=bool)
     C = int(labels.max()) + 1
-    Y0 = np.zeros((labels.size, C))
-    obs = np.flatnonzero(observed)
-    Y0[obs, labels[obs]] = 1.0
-    Yhat = E @ Y0
-    pred = labels.copy()
-    pred[~observed] = np.argmax(Yhat[~observed], axis=1)
-    dead = ~observed & ~np.isin(components, components[obs])
-    if dead.any():
-        pred[dead] = int(np.argmax(np.bincount(labels[obs], minlength=C)))
-        warnings.warn(f"{int(dead.sum())} unlabeled vertices disconnected from all labels")
-    return pred
+    preds = []
+    for observed in masks:
+        observed = np.asarray(observed, dtype=bool)
+        Y0 = np.zeros((labels.size, C))
+        obs = np.flatnonzero(observed)
+        Y0[obs, labels[obs]] = 1.0
+        Yhat = E @ Y0
+        pred = labels.copy()
+        pred[~observed] = np.argmax(Yhat[~observed], axis=1)
+        dead = ~observed & ~np.isin(components, components[obs])
+        if dead.any():
+            pred[dead] = int(np.argmax(np.bincount(labels[obs], minlength=C)))
+            warnings.warn(f"{int(dead.sum())} unlabeled vertices disconnected from all labels")
+        preds.append(pred)
+    return preds
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:

@@ -56,7 +56,7 @@ class TestGraphInvariants:
             Graph(2, [(0, 1, 1.0)], diagonal=np.ones(2), variant="raw")
 
     def test_dense_is_symmetric(self):
-        A = triangle(0.3).to_dense()
+        A = triangle(0.3).to_sparse().toarray()
         assert np.array_equal(A, A.T)
 
 
@@ -317,7 +317,7 @@ class TestGraphFile:
         g2 = read_graph(path)
         assert g2.n == g.n
         assert g2.variant == g.variant
-        assert np.allclose(g2.to_dense(), g.to_dense())
+        assert np.allclose(g2.to_sparse().toarray(), g.to_sparse().toarray())
 
     def test_header_format(self, tmp_path):
         path = tmp_path / "g.tsv"
@@ -423,8 +423,7 @@ class TestGraphProperties:
     @given(valid_graphs())
     def test_matrices_match_reference(self, g):
         edges = triples(g)
-        assert np.array_equal(g.to_dense(), reference_dense(g.n, edges, g.diagonal))
-        assert np.array_equal(g.to_sparse().toarray(), g.to_dense())
+        assert np.array_equal(g.to_sparse().toarray(), reference_dense(g.n, edges, g.diagonal))
         assert np.array_equal(degrees(g), reference_degrees(edges, g.diagonal))
         counts = np.zeros(g.n, dtype=int)
         for i, j, _ in edges:
@@ -453,7 +452,7 @@ class TestGraphProperties:
     @settings(max_examples=200, deadline=None)
     @given(graphs_with_isolated_vertices(), st.sampled_from(["sym_norm", "augmented_sym_norm"]))
     def test_normalized_spectrum_lies_in_unit_interval(self, g, target):
-        eigenvalues = np.linalg.eigvalsh(normalize(g, target).to_dense())
+        eigenvalues = np.linalg.eigvalsh(normalize(g, target).to_sparse().toarray())
         assert np.all(np.abs(eigenvalues) <= 1.0 + 1e-12)
 
     @settings(max_examples=200, deadline=None)
@@ -462,7 +461,7 @@ class TestGraphProperties:
         L = laplacian(g)
         assert laplacian(normalize(g, "augmented")).tobytes() == L.tobytes()
         # on a graph without self-loops, L is D - A as computed before loops were left out
-        assert L.tobytes() == (np.diag(degrees(g)) - g.to_dense()).tobytes()
+        assert L.tobytes() == (np.diag(degrees(g)) - g.to_sparse().toarray()).tobytes()
 
     @pytest.mark.filterwarnings("ignore::graphbench.core_graph.IsolatedVertexWarning")
     @settings(max_examples=100, deadline=None)

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphbench.inference as inference_module
-from graphbench import cli, core_graph, harness, tasks
+from graphbench import cli, harness, tasks
 from graphbench.core_graph import (
     VARIANTS,
     Graph,
@@ -748,7 +748,7 @@ class TestStartMatrixMemo:
 LOOP_BLIND_HEADS = {
     "ucv": (tasks, "spectral_cluster"),
     "dgs": (tasks, "best_tau_denoise"),
-    "sscv-lp": (core_graph, "matrix_exponential"),
+    "sscv-lp": (tasks, "propagate_labels"),
 }
 
 
@@ -793,7 +793,7 @@ class TestHeadSharing:
         [
             ("sscv-sgc", ["raw", "augmented"], (tasks, "diffuse_features"), 2),
             ("ucv", VARIANTS, (tasks, "spectral_cluster"), 3),
-            ("sscv-lp", VARIANTS, (core_graph, "matrix_exponential"), 3),
+            ("sscv-lp", VARIANTS, (tasks, "propagate_labels"), 3),
         ],
         ids=["sgc-augmented", "ucv-augmented-sym-norm", "lp-augmented-sym-norm"],
     )

@@ -214,11 +214,18 @@ class TestKnnIndices:
         ],
         ids=["nan", "minus-inf", "plus-inf", "nan-diagonal"],
     )
-    def test_every_builder_rejects_non_finite_entries(self, S):
+    def test_every_builder_rejects_non_finite_entries(self, S, monkeypatch):
+        # before any work: no kernel is formed and no solve runs
+        for work in ("_nnk_kernel", "learn_log_degree_weights"):
+            monkeypatch.setattr(inference_module, work, None)
         S = np.array(S)
-        for build in (knn_select, naive_graph, lambda S, k: nnk_graph(S, "rbf", k)):
+        builds = [knn_select, naive_graph]
+        builds += [lambda S, k, kind=kind: nnk_graph(S, kind, k) for kind in SIMILARITY_KINDS]
+        for build in builds:
             with pytest.raises(ValueError, match="^similarity matrix has non-finite entries$"):
                 build(S, 2)
+        with pytest.raises(ValueError, match="^distance matrix has non-finite entries$"):
+            smooth_graph(S, 2)
 
     @pytest.mark.parametrize("k", [1, 10, 300, 599])
     def test_rows_across_blocks(self, k):

@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,14 @@ from graphbench.core_graph import (
     matrix_exponential,
     normalize,
 )
-from graphbench.harness import DatasetBundle, RunConfig, load_dataset, point_graph, run_task2
+from graphbench.harness import (
+    DatasetBundle,
+    RunConfig,
+    load_dataset,
+    point_graph,
+    run_task2,
+    split_generator,
+)
 from graphbench.metrics import accuracy, add_noise_to_snr, ami, snr_db
 from graphbench.tasks import (
     best_tau_denoise,
@@ -96,7 +104,7 @@ class TestSpectralEmbed:
         g = Graph(7, [(i, i + 1, 1.0) for i in range(6)])
         rng = np.random.default_rng(50)
         perm = rng.permutation(7)
-        A = g.to_dense()
+        A = g.to_sparse().toarray()
         gp = from_dense(A[np.ix_(perm, perm)])
         e1 = spectral_embed(g, 3)
         e2 = spectral_embed(gp, 3)
@@ -298,7 +306,7 @@ class TestSpectralCluster:
         g, labels = clique_union([4, 4, 5])
         rng = np.random.default_rng(54)
         perm = rng.permutation(13)
-        gp = from_dense(g.to_dense()[np.ix_(perm, perm)])
+        gp = from_dense(g.to_sparse().toarray()[np.ix_(perm, perm)])
         p1 = spectral_cluster(g, 3, seed=2)
         p2 = spectral_cluster(gp, 3, seed=2)
         assert ami(p1[perm], p2) == pytest.approx(1.0)
@@ -352,7 +360,7 @@ class TestPartialSpectrum:
         spectral_cluster(g, 3)
         assert requests == [3 + 2]
         denoise(g, np.ones(13), [0.25, 0.5])
-        core_graph_module.matrix_exponential(g.to_dense())
+        core_graph_module.matrix_exponential(g.to_sparse().toarray())
         assert requests == [3 + 2, None, None]
 
     def test_same_ami_as_full_decomposition(self, tmp_path):
@@ -374,41 +382,37 @@ class TestPartialSpectrum:
 class TestLabelPropagate:
     def test_zero_graph_majority_fallback(self):
         g = Graph(3)
-        E = matrix_exponential(g.to_dense())
         with pytest.warns(UserWarning, match="disconnected"):
-            pred = propagate_labels(E, [1, 1, 0], [True, True, False], connected_components(g))
+            (pred,) = propagate_labels(g, [1, 1, 0], [[True, True, False]])
         assert pred[2] == 1
 
     def test_path_single_source(self):
         g = Graph(2, [(0, 1, 1.0)])
-        E = matrix_exponential(g.to_dense())
-        pred = propagate_labels(E, [0, 0], [True, False], connected_components(g))
+        (pred,) = propagate_labels(g, [0, 0], [[True, False]])
         assert pred[1] == 0
 
     def test_triangle_tie_goes_to_class_zero(self):
         g, _ = clique_union([3])
-        E = matrix_exponential(g.to_dense())
-        pred = propagate_labels(E, [0, 1, 0], [True, True, False], connected_components(g))
+        (pred,) = propagate_labels(g, [0, 1, 0], [[True, True, False]])
         assert pred[2] == 0
 
     def test_shifted_operator_stays_finite_past_exp_overflow(self):
         # two 5-cliques of weight 200 joined by a unit edge: lambda_max > 800,
         # past the ~709 where exp(W) overflows
         cliques, labels = clique_union([5, 5])
-        W = 200.0 * cliques.to_dense()
+        W = 200.0 * cliques.to_sparse().toarray()
         W[4, 5] = W[5, 4] = 1.0
         assert np.linalg.eigvalsh(W)[-1] > 709
-        E = matrix_exponential(W)
-        assert np.all(np.isfinite(E))
+        assert np.all(np.isfinite(matrix_exponential(W)))
         observed = np.zeros(10, dtype=bool)
         observed[[0, 9]] = True
-        pred = propagate_labels(E, labels, observed, connected_components(from_dense(W)))
+        (pred,) = propagate_labels(from_dense(W), labels, [observed])
         assert pred.tolist() == labels.tolist()
 
     def test_sscv_lp_scores_from_the_shifted_operator(self):
         # lambda_max ~ 1800; half the vertices observed, so each clique holds labels
         cliques, labels = clique_union([10, 10])
-        W = 200.0 * cliques.to_dense()
+        W = 200.0 * cliques.to_sparse().toarray()
         W[9, 10] = W[10, 9] = 1.0
         bundle = DatasetBundle("heavy-cliques", np.eye(20), labels=labels, C=2)
         cfg = RunConfig("sscv-lp", "naive", "cosine", 3, split_fraction=0.5, n_splits=5)
@@ -420,7 +424,7 @@ class TestLabelPropagate:
         g, _ = clique_union([4, 3])
         labels = np.array([0, 0, 0, 0, 1, 1, 1])
         observed = np.array([True, False, True, False, True, False, True])
-        E = matrix_exponential(g.to_dense())
+        E = matrix_exponential(g.to_sparse().toarray())
         Y0 = np.zeros((7, 2))
         obs = np.flatnonzero(observed)
         Y0[obs, labels[obs]] = 1.0
@@ -428,27 +432,88 @@ class TestLabelPropagate:
         p2 = np.argmax(E @ (3.0 * Y0), axis=1)
         assert np.array_equal(p1, p2)
 
-
     @pytest.mark.parametrize("variant", ["raw", "sym_norm"])
     def test_unreached_component_gets_majority_in_any_vertex_order(self, variant):
-        # components of 60 and 40 vertices, interleaved by a permutation; every
-        # observed vertex is in the 60, so none of the 40 can receive mass
-        rng = np.random.default_rng(59)
-        A = np.zeros((100, 100))
-        for lo, hi in ((0, 60), (60, 100)):
-            W = rng.random((hi - lo, hi - lo)) * (rng.random((hi - lo, hi - lo)) < 0.2)
-            W += np.eye(hi - lo, k=1)  # a path keeps the block connected
-            A[lo:hi, lo:hi] = np.triu(W, 1) + np.triu(W, 1).T
-        labels = np.concatenate([rng.integers(0, 3, 60), np.zeros(40, dtype=int)])
-        observed = np.zeros(100, dtype=bool)
-        observed[rng.choice(60, size=20, replace=False)] = True
+        g, labels, observed, unreached = interleaved_components(variant)
         majority = int(np.argmax(np.bincount(labels[observed], minlength=3)))
-        perm = rng.permutation(100)
-        g = normalize(from_dense(A[np.ix_(perm, perm)]), variant)
-        E = matrix_exponential(g.to_dense())
         with pytest.warns(UserWarning, match="^40 unlabeled vertices disconnected"):
-            pred = propagate_labels(E, labels[perm], observed[perm], connected_components(g))
-        assert np.all(pred[np.flatnonzero(perm >= 60)] == majority)
+            (pred,) = propagate_labels(g, labels, [observed])
+        assert np.all(pred[unreached] == majority)
+
+    @pytest.mark.parametrize("variant", ["raw", "sym_norm"])
+    @pytest.mark.parametrize("graph", ["interleaved", "cora"])
+    def test_matches_the_per_mask_composition(self, tmp_path, monkeypatch, graph, variant):
+        if graph == "interleaved":
+            g, labels, observed, _ = interleaved_components(variant)
+            masks = [observed] + split_generator(g.n, 0.2, 19, 0)
+        else:
+            root = load_perfbench_gen().cora_like(tmp_path / "d", 0, 300, 1433, 40, 0.42)
+            bundle = load_dataset(root)
+            cfg = RunConfig("sscv-lp", "naive", "cosine", 10, adjacency_variant=variant)
+            g = point_graph(bundle, cfg)
+            labels, masks = bundle.labels, split_generator(g.n, 0.1, 20, 0)
+        with warnings.catch_warnings(record=True) as want_warnings:
+            warnings.simplefilter("always")
+            want = propagate_per_mask(g, labels, masks)
+        calls = []
+        real = tasks_module.matrix_exponential
+        monkeypatch.setattr(tasks_module, "matrix_exponential", lambda A: calls.append(A) or real(A))
+        with warnings.catch_warnings(record=True) as got_warnings:
+            warnings.simplefilter("always")
+            got = propagate_labels(g, labels, masks)
+        assert len(calls) == 1
+        assert len(got) == len(want) == 20
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+        assert [str(w.message) for w in got_warnings] == [str(w.message) for w in want_warnings]
+        if graph == "interleaved":
+            assert str(got_warnings[0].message).startswith("40 unlabeled vertices")
+
+
+def interleaved_components(variant):
+    """Components of 60 and 40 vertices, interleaved by a permutation, in ``variant``.
+
+    Returns the graph, a class per vertex, an observed mask and the vertices of
+    the 40. Every observed vertex is in the 60, so none of the 40 can receive mass.
+    """
+    rng = np.random.default_rng(59)
+    A = np.zeros((100, 100))
+    for lo, hi in ((0, 60), (60, 100)):
+        W = rng.random((hi - lo, hi - lo)) * (rng.random((hi - lo, hi - lo)) < 0.2)
+        W += np.eye(hi - lo, k=1)  # a path keeps the block connected
+        A[lo:hi, lo:hi] = np.triu(W, 1) + np.triu(W, 1).T
+    labels = np.concatenate([rng.integers(0, 3, 60), np.zeros(40, dtype=int)])
+    observed = np.zeros(100, dtype=bool)
+    observed[rng.choice(60, size=20, replace=False)] = True
+    perm = rng.permutation(100)
+    g = normalize(from_dense(A[np.ix_(perm, perm)]), variant)
+    return g, labels[perm], observed[perm], np.flatnonzero(perm >= 60)
+
+
+def propagate_per_mask(g, labels, masks):
+    """Label propagation as composed before propagate_labels built its own operator.
+
+    exp(W) and the components are computed once, then each mask runs the
+    single-mask head that took them as inputs.
+    """
+    E = matrix_exponential(g.to_sparse().toarray())
+    components = connected_components(g)
+    labels = np.asarray(labels, dtype=int)
+    preds = []
+    for observed in masks:
+        observed = np.asarray(observed, dtype=bool)
+        C = int(labels.max()) + 1
+        Y0 = np.zeros((labels.size, C))
+        obs = np.flatnonzero(observed)
+        Y0[obs, labels[obs]] = 1.0
+        Yhat = E @ Y0
+        pred = labels.copy()
+        pred[~observed] = np.argmax(Yhat[~observed], axis=1)
+        dead = ~observed & ~np.isin(components, components[obs])
+        if dead.any():
+            pred[dead] = int(np.argmax(np.bincount(labels[obs], minlength=C)))
+            warnings.warn(f"{int(dead.sum())} unlabeled vertices disconnected from all labels")
+        preds.append(pred)
+    return preds
 
 
 class TestSgc:
