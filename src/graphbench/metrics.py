@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 
 def contingency_table(u, v) -> np.ndarray:
@@ -42,7 +41,7 @@ def expected_mutual_information(a: np.ndarray, b: np.ndarray, n: int) -> float:
     """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
-    lgn = gammaln(np.arange(n + 2) + 1.0)  # lgn[m] = log(m!)
+    lgn = np.array([math.lgamma(m + 1.0) for m in range(n + 2)])  # lgn[m] = log(m!)
     emi = 0.0
     for ai in a:
         for bj in b:

@@ -6,20 +6,13 @@ import numpy as np
 
 
 def _check_features(X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
+    # C order: numpy returns the Gram product X @ X.T exactly symmetric
+    X = np.ascontiguousarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError("feature matrix must be 2-D")
     if not np.all(np.isfinite(X)):
         raise ValueError("feature matrix contains non-finite entries")
     return X
-
-
-def _symmetrize(S: np.ndarray) -> np.ndarray:
-    # build upper triangle, mirror: exact symmetry regardless of float noise
-    out = np.triu(S, k=1)
-    out = out + out.T
-    out[np.diag_indices(S.shape[0])] = np.diag(S)
-    return out
 
 
 def pairwise_sq_euclidean(X) -> np.ndarray:
@@ -29,7 +22,7 @@ def pairwise_sq_euclidean(X) -> np.ndarray:
     Z = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
     np.maximum(Z, 0.0, out=Z)
     np.fill_diagonal(Z, 0.0)
-    return _symmetrize(Z)
+    return Z
 
 
 def cosine_similarity(X) -> np.ndarray:
@@ -43,7 +36,7 @@ def cosine_similarity(X) -> np.ndarray:
     S = Xn @ Xn.T
     np.clip(S, -1.0, 1.0, out=S)
     np.fill_diagonal(S, 1.0)
-    return _symmetrize(S)
+    return S
 
 
 def covariance_similarity(X) -> np.ndarray:
@@ -52,12 +45,11 @@ def covariance_similarity(X) -> np.ndarray:
     if X.shape[1] < 2:
         raise ValueError("covariance similarity needs at least 2 features")
     Xc = X - X.mean(axis=1, keepdims=True)
-    S = (Xc @ Xc.T) / (X.shape[1] - 1)
-    return _symmetrize(S)
+    return (Xc @ Xc.T) / (X.shape[1] - 1)
 
 
 def rbf_kernel(Z, gamma: float) -> np.ndarray:
-    """exp(-gamma * Z) applied entrywise to a squared-distance matrix."""
+    """exp(-gamma * Z) applied entrywise to a squared-distance matrix, with a unit diagonal."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     Z = np.asarray(Z, dtype=float)
@@ -65,4 +57,4 @@ def rbf_kernel(Z, gamma: float) -> np.ndarray:
         raise ValueError("distance matrix must be non-negative")
     S = np.exp(-gamma * Z)
     np.fill_diagonal(S, 1.0)
-    return _symmetrize(S)
+    return S

@@ -9,6 +9,7 @@ import numpy as np
 from scipy import sparse
 
 from .core_graph import Graph, connected_components, eigendecompose, laplacian, matrix_exponential
+from .metrics import snr_db
 
 # Eigenvalues this close to zero (absolute, or relative to lambda_max in
 # denoise) count as the Laplacian's null space: eigh returns them as +-1e-16.
@@ -316,8 +317,6 @@ def denoise(g: Graph, x_noisy, tau) -> np.ndarray:
 
 def best_tau_denoise(g: Graph, x_noisy, x_clean) -> tuple[float, float]:
     """Sweep tau over 0..1 in 0.025 steps; return (tau, SNR) maximizing output SNR."""
-    from .metrics import snr_db
-
     x_clean = np.asarray(x_clean, dtype=float)
     if float(x_clean @ x_clean) == 0:
         raise ValueError("clean signal has zero power")

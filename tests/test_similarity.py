@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from graphbench.inference import similarity_matrix
 from graphbench.similarity import (
     cosine_similarity,
     covariance_similarity,
@@ -27,12 +28,29 @@ class TestPairwiseSqEuclidean:
                 expected = float(np.sum((X[i] - X[j]) ** 2))
                 assert abs(Z[i, j] - expected) < 1e-10
 
-    def test_exact_symmetry_zero_diag(self):
-        rng = np.random.default_rng(12)
-        Z = pairwise_sq_euclidean(rng.standard_normal((8, 3)))
-        assert np.array_equal(Z, Z.T)
-        assert np.all(np.diag(Z) == 0)
-        assert np.all(Z >= 0)
+
+# Feature arrays of one shape in each memory layout a caller may pass. From
+# n = 257 on, the Gram product X @ X.T of a strided view not first copied into
+# C order can come back asymmetric in its last bits; the 8x3 case alone does not.
+LAYOUTS = {
+    "C": lambda rng, n, F: rng.standard_normal((n, F)),
+    "F": lambda rng, n, F: np.asfortranarray(rng.standard_normal((n, F))),
+    "transposed": lambda rng, n, F: rng.standard_normal((F, n)).T,
+    "strided": lambda rng, n, F: rng.standard_normal((n, 2 * F))[:, ::2],
+}
+SHAPES = [(8, 3), (257, 2), (257, 8), (257, 100), (300, 2), (300, 8), (300, 100)]
+
+
+@pytest.mark.parametrize("kind", ["cosine", "covariance", "rbf", "sqeuclidean"])
+def test_exact_symmetry_zero_diag(kind):
+    rng = np.random.default_rng(12)
+    for n, F in SHAPES:
+        for layout, make in LAYOUTS.items():
+            S = similarity_matrix(make(rng, n, F), kind)
+            assert np.array_equal(S, S.T), f"{layout} n={n} F={F}"
+            if kind == "sqeuclidean":
+                assert np.all(np.diag(S) == 0)
+                assert np.all(S >= 0)
 
 
 class TestCosine:
@@ -116,6 +134,13 @@ class TestRbf:
         Z1 = np.array([[0.0, 1.0], [1.0, 0.0]])
         Z2 = np.array([[0.0, 2.0], [2.0, 0.0]])
         assert rbf_kernel(Z2, 0.7)[0, 1] < rbf_kernel(Z1, 0.7)[0, 1]
+
+    def test_entrywise_on_asymmetric_input(self):
+        Z = np.random.default_rng(17).uniform(0.0, 4.0, size=(6, 6))
+        S = rbf_kernel(Z, 0.3)
+        off = ~np.eye(6, dtype=bool)
+        assert np.array_equal(S[off], np.exp(-0.3 * Z)[off])
+        assert np.all(np.diag(S) == 1)
 
     def test_range(self):
         rng = np.random.default_rng(16)
