@@ -62,9 +62,10 @@ def _load_grid(spec: str, task: str, bundle, master_seed: int) -> list[RunConfig
     with open(spec) as fh:
         raw = json.load(fh)
     configs = []
-    for entry in raw:
+    for number, entry in enumerate(raw, start=1):
         entry = dict(entry)
-        entry.setdefault("task", task)
+        if entry.setdefault("task", task) != task:
+            raise ValueError(f"entry {number} names task {entry['task']!r}, but --task is {task!r}")
         entry.setdefault("seed", master_seed)
         if "adjacency_variant" in entry:
             entry["adjacency_variant"] = VARIANT_ALIASES.get(

@@ -29,7 +29,7 @@ class Graph:
     ``w`` (float64, finite and > 0). The constructor accepts that array or
     a list of (i, j, w) tuples and keeps the given order; records
     unpack as ``for i, j, w in g.edges``. Self-loop weights live in
-    ``diagonal`` (all zeros unless augmented).
+    ``diagonal`` (finite and >= 0; all zeros unless augmented).
     """
 
     n: int
@@ -45,8 +45,8 @@ class Graph:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.diagonal.shape != (self.n,):
             raise ValueError("diagonal length must equal vertex count")
-        if not np.all(np.isfinite(self.diagonal)):
-            raise ValueError("self-loop weights must be finite")
+        if not np.all(np.isfinite(self.diagonal) & (self.diagonal >= 0)):
+            raise ValueError("self-loop weights must be finite and >= 0")
         self.edges = np.array(self.edges, dtype=EDGE_DTYPE)
         if self.edges.ndim != 1:
             raise ValueError("edges must be (i, j, w) triples")
@@ -266,6 +266,8 @@ def read_graph(path) -> Graph:
                 raise ValueError(f"line {lineno}: non-finite weight {w}")
             if i != j and w <= 0:
                 raise ValueError(f"line {lineno}: edge weight {w} must be positive")
+            if i == j and w < 0:
+                raise ValueError(f"line {lineno}: self-loop weight {w} must be >= 0")
             if i == j and w != 0 and variant in ("raw", "sym_norm"):
                 raise ValueError(f"line {lineno}: variant {variant!r} forbids self-loops")
             if i > j:

@@ -406,12 +406,7 @@ def run_task2(bundle: DatasetBundle, cfg: RunConfig, g: Optional[Graph]) -> RunR
     if g is not None and cfg.task == "sscv-lp":
         preds = tasks.propagate_labels(g, bundle.labels, masks)
     else:
-        X = bundle.vertex_features
-        Xhat = X if g is None else tasks.diffuse_features(g, X)
-        preds = [
-            tasks.sgc_predict(Xhat, bundle.labels, mask, [cfg.seed, i, 7])
-            for i, mask in enumerate(masks)
-        ]
+        preds = tasks.sgc_predict(g, bundle.vertex_features, bundle.labels, masks, cfg.seed)
     accs = np.array([metrics.accuracy(p, bundle.labels, ~m) for p, m in zip(preds, masks)])
     return RunResult(
         cfg,

@@ -254,18 +254,22 @@ def diffuse_features(g: Graph, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def sgc_predict(Xhat: np.ndarray, labels, observed, seed) -> np.ndarray:
-    """Logistic regression on already-diffused features; returns a class per vertex.
+def sgc_predict(g: Graph | None, X, labels, masks, seed) -> list[np.ndarray]:
+    """SGC on ``g`` (the logistic-regression baseline when None); a class vector per mask.
 
-    Trained on the ``observed`` vertices' ``labels`` (a class in 0..C-1 per
-    vertex) from weights drawn by ``seed``. Observed vertices keep their label.
+    ``X`` diffuses once (see diffuse_features). Per mask i, a logistic regression from weights
+    drawn by ``[seed, i, 7]`` learns the observed ``labels`` (0..C-1), which those vertices keep.
     """
+    Xhat = X if g is None else diffuse_features(g, X)
     labels = np.asarray(labels, dtype=int)
-    observed = np.asarray(observed, dtype=bool)
-    W, b = train_logistic_regression(Xhat[observed], labels[observed], int(labels.max()) + 1, seed)
-    pred = labels.copy()
-    pred[~observed] = np.argmax((Xhat @ W + b)[~observed], axis=1)
-    return pred
+    C = int(labels.max()) + 1
+    preds = []
+    for i, observed in enumerate(np.asarray(masks, dtype=bool)):
+        W, b = train_logistic_regression(Xhat[observed], labels[observed], C, [seed, i, 7])
+        pred = labels.copy()
+        pred[~observed] = np.argmax((Xhat @ W + b)[~observed], axis=1)
+        preds.append(pred)
+    return preds
 
 
 def simoncelli_response(lambda_norm: float, tau: float) -> float:

@@ -55,6 +55,11 @@ class TestGraphInvariants:
         with pytest.raises(ValueError):
             Graph(2, [(0, 1, 1.0)], diagonal=np.ones(2), variant="raw")
 
+    @pytest.mark.parametrize("bad", [-3.0, -0.5e-300, math.nan, math.inf])
+    def test_rejects_negative_or_non_finite_self_loop(self, bad):
+        with pytest.raises(ValueError, match="^self-loop weights must be finite and >= 0$"):
+            Graph(3, [(0, 1, 1.0)], diagonal=[bad, 0.0, 0.0], variant="augmented")
+
     def test_dense_is_symmetric(self):
         A = triangle(0.3).to_sparse().toarray()
         assert np.array_equal(A, A.T)

@@ -789,22 +789,31 @@ class TestHeadSharing:
             assert repr(direct.primary_score) == repr(results[0].primary_score)
 
     @pytest.mark.parametrize(
-        "task, variants, head, runs",
+        "task, variants, runs",
         [
-            ("sscv-sgc", ["raw", "augmented"], (tasks, "diffuse_features"), 2),
-            ("ucv", VARIANTS, (tasks, "spectral_cluster"), 3),
-            ("sscv-lp", VARIANTS, (tasks, "propagate_labels"), 3),
+            ("sscv-sgc", ["raw", "augmented"], {"sgc_predict": 2, "diffuse_features": 2}),
+            ("ucv", VARIANTS, {"spectral_cluster": 3}),
+            ("sscv-lp", VARIANTS, {"propagate_labels": 3}),
         ],
         ids=["sgc-augmented", "ucv-augmented-sym-norm", "lp-augmented-sym-norm"],
     )
-    def test_other_variants_run_their_own_head(
-        self, tmp_path, monkeypatch, task, variants, head, runs
-    ):
+    def test_other_variants_run_their_own_head(self, tmp_path, monkeypatch, task, variants, runs):
         bundle, grid = self.bundle_and_points(tmp_path, task, variants)
-        calls = count_calls(monkeypatch, head[0], [head[1]])
+        calls = count_calls(monkeypatch, tasks, list(runs))
         results, _ = run_grid(bundle, grid)
         assert not any(r.failed for r in results)
-        assert calls == {head[1]: runs}
+        assert calls == runs
+
+    @pytest.mark.parametrize("task", ["sscv-lp", "sscv-sgc"])
+    def test_baseline_runs_the_sgc_head_undiffused(self, tmp_path, monkeypatch, task):
+        write_blob_dataset(tmp_path / "d")
+        bundle = load_dataset(tmp_path / "d")
+        cfg = RunConfig(task, "logreg-baseline", seed=3, n_splits=10, split_fraction=0.2)
+        heads = ["sgc_predict", "diffuse_features", "train_logistic_regression"]
+        calls = count_calls(monkeypatch, tasks, heads)
+        (result,), _ = run_grid(bundle, [cfg])
+        assert not result.failed
+        assert calls == {"sgc_predict": 1, "train_logistic_regression": 10}
 
     def test_augmented_replays_the_raw_warnings(self, tmp_path):
         write_outlier_dataset(tmp_path / "d")
@@ -1140,6 +1149,10 @@ class TestCli:
                 "#n=24 variant=raw\n0\t1\t1.0\n4\t4\t0.5\n",
                 "line 3: variant 'raw' forbids self-loops",
             ),
+            (
+                "#n=24 variant=augmented\n0\t1\t1.0\n3\t3\t-2.5\n",
+                "line 3: self-loop weight -2.5 must be >= 0",
+            ),
             ("#n=24 variant=bogus\n0\t1\t1.0\n", "line 1: unknown variant 'bogus'"),
         ],
         ids=[
@@ -1152,6 +1165,7 @@ class TestCli:
             "negative-weight",
             "zero-weight",
             "self-loop-in-raw",
+            "negative-self-loop",
             "unknown-variant",
         ],
     )
@@ -1218,12 +1232,12 @@ class TestCli:
         assert cli.main(["datasets", "validate", str(root)]) == 1
         assert capsys.readouterr().err.startswith(f"invalid: meta.txt: {reason}")
 
-    def run_in_process(self, tmp_path, monkeypatch, *args):
-        """cli.main on `run --task ucv` over a blob bundle; returns (exit code, grids run)."""
+    def run_in_process(self, tmp_path, monkeypatch, *args, task="ucv"):
+        """cli.main on `run --task <task>` over a blob bundle; returns (exit code, grids run)."""
         write_blob_dataset(tmp_path / "d")
         grids = []
         monkeypatch.setattr(cli, "run_grid", lambda bundle, configs, jobs: grids.append(configs))
-        code = cli.main(["run", "--task", "ucv", "--data", str(tmp_path / "d"), *args])
+        code = cli.main(["run", "--task", task, "--data", str(tmp_path / "d"), *args])
         return code, grids
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
@@ -1251,36 +1265,113 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize(
-        "grid",
+        "task, grid, reason",
         [
-            "[]",
-            '[{"method": "cmeans-baseline", "seed": -1}]',
-            '[{"task": "sscv-lp", "method": "naive", "similarity": "cosine", "k": 5,'
-            ' "n_splits": 0}]',
-            '[{"method": "cmeans-baseline", "adjacency_variant": "bogus"}]',
-            '[{"task": "dgs", "method": "cmeans-baseline"}]',
-            '[{"method": "naive", "similarity": "cosine", "k": 5},'
-            ' {"task": "dgs", "method": "cmeans-baseline"}]',
-            '[{"method": "logreg-baseline"}]',
-            '[{"task": "sscv-sgc", "method": "cmeans-baseline"}]',
-            '[{"task": "sscv-lp", "method": "naive", "similarity": "cosine", "k": 5,'
-            ' "split_fraction": 0}]',
-            '[{"task": "sscv-lp", "method": "logreg-baseline", "split_fraction": 1}]',
-            '[{"method": "naive", "k": 5}]',
-            '[{"method": "nnk", "k": 5}]',
-            '[{"task": "dgs", "method": "naive", "similarity": "cosine", "k": 5}]',
-            '[{"task": "dgs", "method": "nnk", "similarity": "covariance", "k": 5}]',
-            '[{"task": "dgs", "method": "smooth", "similarity": "cosine", "k": 5}]',
-            '[{"method": "naive", "similarity": "cosine", "k": "5"}]',
-            '[{"method": "naive", "similarity": "cosine", "k": 5.5}]',
-            '[{"method": "naive", "similarity": "cosine", "k": true}]',
-            '[{"method": "naive", "similarity": "cosine", "k": 0}]',
-            '[{"method": "nnk", "similarity": "cosine"}]',
-            '[{"method": "smooth"}]',
-            '[{"method": "nnk", "similarity": "cosine", "k": 5, "sigma": -1}]',
-            '[{"method": "naive", "similarity": "rbf", "k": 5, "gamma": -1}]',
-            '[{"method": "naive", "similarity": "cosine", "k": 5, "gamma": "x"}]',
-            '[{"task": "sscv-lp", "method": "logreg-baseline", "n_splits": "3"}]',
+            ("ucv", "[]", "holds no grid points"),
+            ("ucv", '[{"method": "cmeans-baseline", "seed": -1}]', "seed must be >= 0, got -1"),
+            (
+                "sscv-lp",
+                '[{"task": "sscv-lp", "method": "naive", "similarity": "cosine", "k": 5,'
+                ' "n_splits": 0}]',
+                "n_splits must be >= 1, got 0",
+            ),
+            (
+                "ucv",
+                '[{"method": "cmeans-baseline", "adjacency_variant": "bogus"}]',
+                "unknown adjacency variant 'bogus'",
+            ),
+            (
+                "dgs",
+                '[{"task": "dgs", "method": "cmeans-baseline"}]',
+                "method 'cmeans-baseline' is not a baseline of task 'dgs'",
+            ),
+            (
+                "dgs",
+                '[{"method": "naive", "similarity": "rbf", "k": 5},'
+                ' {"task": "dgs", "method": "cmeans-baseline"}]',
+                "method 'cmeans-baseline' is not a baseline of task 'dgs'",
+            ),
+            (
+                "ucv",
+                '[{"method": "logreg-baseline"}]',
+                "method 'logreg-baseline' is not a baseline of task 'ucv'",
+            ),
+            (
+                "sscv-sgc",
+                '[{"task": "sscv-sgc", "method": "cmeans-baseline"}]',
+                "method 'cmeans-baseline' is not a baseline of task 'sscv-sgc'",
+            ),
+            (
+                "sscv-lp",
+                '[{"task": "sscv-lp", "method": "naive", "similarity": "cosine", "k": 5,'
+                ' "split_fraction": 0}]',
+                "split_fraction must be in (0, 1), got 0",
+            ),
+            (
+                "sscv-lp",
+                '[{"task": "sscv-lp", "method": "logreg-baseline", "split_fraction": 1}]',
+                "split_fraction must be in (0, 1), got 1",
+            ),
+            ("ucv", '[{"method": "naive", "k": 5}]', "method 'naive' needs a similarity, got None"),
+            ("ucv", '[{"method": "nnk", "k": 5}]', "method 'nnk' needs a similarity, got None"),
+            (
+                "dgs",
+                '[{"task": "dgs", "method": "naive", "similarity": "cosine", "k": 5}]',
+                "dgs supports only the rbf similarity",
+            ),
+            (
+                "dgs",
+                '[{"task": "dgs", "method": "nnk", "similarity": "covariance", "k": 5}]',
+                "dgs supports only the rbf similarity",
+            ),
+            (
+                "dgs",
+                '[{"task": "dgs", "method": "smooth", "similarity": "cosine", "k": 5}]',
+                "dgs supports only the rbf similarity",
+            ),
+            (
+                "ucv",
+                '[{"method": "naive", "similarity": "cosine", "k": "5"}]',
+                "k must be an integer, got '5'",
+            ),
+            (
+                "ucv",
+                '[{"method": "naive", "similarity": "cosine", "k": 5.5}]',
+                "k must be an integer, got 5.5",
+            ),
+            (
+                "ucv",
+                '[{"method": "naive", "similarity": "cosine", "k": true}]',
+                "k must be an integer, got True",
+            ),
+            ("ucv", '[{"method": "naive", "similarity": "cosine", "k": 0}]', "k must be >= 1"),
+            ("ucv", '[{"method": "nnk", "similarity": "cosine"}]', "method 'nnk' needs k"),
+            ("ucv", '[{"method": "smooth"}]', "method 'smooth' needs k"),
+            (
+                "ucv",
+                '[{"method": "nnk", "similarity": "cosine", "k": 5, "sigma": -1}]',
+                "sigma must be a positive number, got -1",
+            ),
+            (
+                "ucv",
+                '[{"method": "naive", "similarity": "rbf", "k": 5, "gamma": -1}]',
+                "gamma must be None or a positive number, got -1",
+            ),
+            (
+                "ucv",
+                '[{"method": "naive", "similarity": "cosine", "k": 5, "gamma": "x"}]',
+                "gamma must be None or a positive number, got 'x'",
+            ),
+            (
+                "sscv-lp",
+                '[{"task": "sscv-lp", "method": "logreg-baseline", "n_splits": "3"}]',
+                "n_splits must be an integer, got '3'",
+            ),
+            (
+                "ucv",
+                '[{"method": "cmeans-baseline"}, {"task": "dgs", "method": "reference-graph"}]',
+                "entry 2 names task 'dgs', but --task is 'ucv'",
+            ),
         ],
         ids=[
             "empty",
@@ -1308,17 +1399,21 @@ class TestCli:
             "negative-gamma",
             "string-gamma",
             "string-splits",
+            "entry-of-another-task",
         ],
     )
-    def test_run_unusable_grid_file_is_error(self, tmp_path, monkeypatch, capsys, grid):
+    def test_run_unusable_grid_file_is_error(
+        self, tmp_path, monkeypatch, capsys, task, grid, reason
+    ):
         grid_file = tmp_path / "grid.json"
         grid_file.write_text(grid)
         report = tmp_path / "r.csv"
         code, grids = self.run_in_process(
-            tmp_path, monkeypatch, "--grid", str(grid_file), "--report", str(report)
+            tmp_path, monkeypatch, "--grid", str(grid_file), "--report", str(report), task=task
         )
         assert code == 1 and grids == []
-        assert capsys.readouterr().err.startswith("error: bad grid spec:")
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad grid spec: ") and err.endswith(f"{reason}\n")
         assert not report.exists()
 
     def test_sigma_on_a_method_that_reads_none_is_error(self, tmp_path, monkeypatch, capsys):
@@ -1681,6 +1776,44 @@ class TestRunConfig:
             fn = vars(module).get(attr)
             assert not attr.startswith("_") and inspect.isfunction(fn), name
             assert fn.__module__ == module.__name__, name
+
+    @pytest.mark.parametrize("name", ["ucv-cora", "sscv-cora", "dgs-road", "dgs-smooth"])
+    def test_benchmark_layers_are_called(self, tmp_path, monkeypatch, name):
+        # perfbench/gridproc.py, traced and serial, on small bundles of each workload's shape:
+        # a layer that stops being called fails here rather than in a --trace 1 run
+        gen = load_perfbench_module("gen")
+        monkeypatch.setitem(sys.modules, "gen", gen)
+        workloads = load_perfbench_module("workloads")
+        workload = workloads.WORKLOADS[name]
+        data = tmp_path / "d"
+        if name.endswith("-cora"):
+            gen.cora_like(data, 0, n=150, F=200, words_per_doc=20, topic_frac=0.42)
+        elif name == "dgs-road":
+            gen.road_like(data, 0, n=60, mean_degree=4.0, smoothness=2.0)
+        else:
+            workload.make_bundle(data, 0)
+        stages = [
+            {
+                "task": task,
+                "grid": [dict(e, n_splits=5) if task.startswith("sscv") else e for e in grid],
+                "report": str(tmp_path / f"{task}.csv"),
+            }
+            for task, grid in workload.stages
+        ]
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"data": str(data), "jobs": 1, "trace": True, "stages": stages}))
+        proc = subprocess.run(
+            [sys.executable, str(PERFBENCH / "gridproc.py"), str(spec)],
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout.splitlines()[-1])
+        calls = out["stats"]["calls"]
+        assert [n for n in workloads.COMMON_LAYERS + workload.layers if not calls.get(n)] == []
+        failed = [(f["method"], f["k"], f["error"].partition(":")[0]) for f in out["failures"]]
+        assert failed == [(*point, error) for point, error in workload.known_failures.items()]
 
     @pytest.mark.parametrize("task", TASKS)
     def test_accepts_every_full_grid_point(self, tmp_path, task):
