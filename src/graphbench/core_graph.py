@@ -70,11 +70,7 @@ class Graph:
 
     def to_sparse(self) -> sparse.csr_matrix:
         """Adjacency matrix in CSR form, diagonal entries stored explicitly."""
-        i, j, w = _columns(self.edges)
-        v = np.arange(self.n)
-        rows, cols = np.concatenate([i, j, v]), np.concatenate([j, i, v])
-        vals = np.concatenate([w, w, self.diagonal])
-        return sparse.csr_matrix((vals, (rows, cols)), shape=(self.n, self.n))
+        return _symmetric_csr(self.n, *_columns(self.edges), self.diagonal)
 
     def neighbor_counts(self) -> np.ndarray:
         """Number of incident edges per vertex (self-loops excluded)."""
@@ -84,6 +80,16 @@ class Graph:
 
 def _columns(edges: np.ndarray):
     return edges["i"], edges["j"], edges["w"]
+
+
+def _symmetric_csr(n: int, i, j, w, diagonal) -> sparse.csr_matrix:
+    """n x n CSR matrix with w at (i, j) and (j, i) and every diagonal entry stored.
+
+    The pairs i < j are distinct, so each entry is set once and none is summed.
+    """
+    v = np.arange(n)
+    rows, cols = np.concatenate([i, j, v]), np.concatenate([j, i, v])
+    return sparse.csr_matrix((np.concatenate([w, w, diagonal]), (rows, cols)), shape=(n, n))
 
 
 def from_arrays(n: int, i, j, w, diagonal=None, variant: str = "raw") -> Graph:
@@ -155,37 +161,74 @@ def normalize(g: Graph, target_variant: str) -> Graph:
     )
 
 
-def laplacian(g: Graph) -> np.ndarray:
-    """Combinatorial Laplacian L = D - W of the edges between distinct vertices.
+def laplacian(g: Graph) -> sparse.csr_matrix:
+    """Combinatorial Laplacian L = D - W of the edges between distinct vertices, in CSR form.
 
     Self-loops cancel in D - W, so they are left out: an augmented graph has
-    its raw graph's L, bit for bit.
+    its raw graph's L, bit for bit. Each entry is set once, so ``.toarray()``
+    equals the dense D - W bit for bit.
     """
     i, j, w = _columns(g.edges)
-    L = np.zeros((g.n, g.n))
-    L[i, j] = -w
-    L[j, i] = -w
-    L[np.diag_indices(g.n)] = _add_edge_weights(np.zeros(g.n), g.edges)
-    return L
+    return _symmetric_csr(g.n, i, j, -w, _add_edge_weights(np.zeros(g.n), g.edges))
 
 
-def eigendecompose(A: np.ndarray, lowest: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Dense symmetric eigendecomposition: (eigenvalues ascending, eigenvectors as columns).
+def eigendecompose(A, lowest: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric eigendecomposition of a dense or scipy.sparse operator.
 
-    With ``lowest`` below the dimension, only the eigenpairs 0..lowest-1 are
-    computed, by LAPACK's MRRR driver (dsyevr); otherwise all of them.
+    Returns (eigenvalues ascending, eigenvectors as columns). Without
+    ``lowest``, or with ``lowest`` >= the dimension, np.linalg.eigh
+    decomposes the dense form. Otherwise the pairs 0..lowest-1 come from
+    each connected block of the off-diagonal pattern, so no copy of an
+    eigenvalue repeated across blocks (a disconnected Laplacian's zero) is
+    missed. A block within the Lanczos basis, max(5 lowest, 20) vectors,
+    gets np.linalg.eigh; a larger block B gets ARPACK's implicitly restarted
+    Lanczos on c I - B, with c, B's largest absolute row sum, bounding its
+    spectrum, and a fixed start vector. A solve that does not converge
+    raises ArpackNoConvergence. The blocks' pairs are merged by a stable
+    sort, each eigenvector zero outside its block.
     """
-    A = np.asarray(A, dtype=float)
+    if lowest is not None and lowest < 1:
+        raise ValueError(f"lowest must be >= 1, got {lowest}")
+    A = sparse.csr_matrix(A, dtype=float) if sparse.issparse(A) else np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("operator must be square")
-    if np.max(np.abs(A - A.T), initial=0.0) > SYMMETRY_TOL:
+    full = lowest is None or lowest >= A.shape[0]
+    if full and sparse.issparse(A):
+        A = A.toarray()  # checked in the dense form, which eigh needs anyway
+    entries = (lambda M: M.data) if sparse.issparse(A) else (lambda M: M)
+    if not np.isfinite(entries(A)).all():
+        raise ValueError("operator has non-finite entries")
+    if np.max(np.abs(entries(A - A.T)), initial=0.0) > SYMMETRY_TOL:
         raise ValueError("operator must be symmetric")
-    if lowest is not None and lowest < A.shape[0]:
-        # imported here: scipy.linalg adds ~0.06 s to `import graphbench`
-        from scipy.linalg import eigh
+    if full:
+        return np.linalg.eigh(A)
+    n = A.shape[0]
+    A = sparse.csr_matrix(A)
+    block = _min_labels(n, *A.nonzero())
+    # scipy's default basis, max(2 lowest + 1, 20), restarts more often: on the
+    # Cora-shaped Laplacians of the ucv benchmark (lowest = 9) it needed ~2x the matvecs
+    basis = max(5 * lowest, 20)
+    pairs = []  # (eigenvalue, block's vertices, eigenvector on the block)
+    sizes = np.unique(block, return_counts=True)[1]
+    for idx in np.split(np.argsort(block, kind="stable"), np.cumsum(sizes)[:-1]):
+        B = A[idx][:, idx]
+        if basis >= idx.size:
+            w, V = np.linalg.eigh(B.toarray())
+        else:
+            # imported here: scipy.sparse.linalg adds ~0.1 s to `import graphbench`
+            from scipy.sparse.linalg import eigsh
 
-        return eigh(A, subset_by_index=[0, lowest - 1])
-    return np.linalg.eigh(A)
+            c = float(abs(B).sum(axis=1).max())
+            v0 = np.random.default_rng(0).uniform(-1.0, 1.0, idx.size)
+            shifted = c * sparse.identity(idx.size) - B
+            mu, V = eigsh(shifted, lowest, which="LA", ncv=basis, tol=1e-12, v0=v0)
+            w = c - mu
+        pairs += [(w[r], idx, V[:, r]) for r in range(min(lowest, w.size))]
+    pairs = sorted(pairs, key=lambda pair: pair[0])[:lowest]
+    vecs = np.zeros((n, lowest))
+    for r, (_, idx, v) in enumerate(pairs):
+        vecs[idx, r] = v
+    return np.array([pair[0] for pair in pairs]), vecs
 
 
 def matrix_exponential(A: np.ndarray) -> np.ndarray:
@@ -206,13 +249,18 @@ def matrix_exponential(A: np.ndarray) -> np.ndarray:
 
 
 def connected_components(g: Graph) -> np.ndarray:
-    """Each vertex's connected component, named by the lowest vertex index in it.
+    """Each vertex's connected component, named by the lowest vertex index in it."""
+    i, j, _ = _columns(g.edges)
+    return _min_labels(g.n, i, j)
+
+
+def _min_labels(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Each of n vertices' connected component under the pairs (i, j), named by its lowest vertex.
 
     Min-label propagation with pointer jumping: importing scipy.sparse.csgraph
     instead would cost each process ~0.08 s and ~8 MB.
     """
-    i, j, _ = _columns(g.edges)
-    comp = np.arange(g.n)
+    comp = np.arange(n)
     while True:
         prev, comp = comp, comp.copy()
         np.minimum.at(comp, i, prev[j])

@@ -12,7 +12,8 @@ from .core_graph import Graph, connected_components, eigendecompose, laplacian, 
 from .metrics import snr_db
 
 # Eigenvalues this close to zero (absolute, or relative to lambda_max in
-# denoise) count as the Laplacian's null space: eigh returns them as +-1e-16.
+# denoise) count as the Laplacian's null space: eigh returns them as +-1e-16,
+# and Lanczos as ~1e-13.
 NULL_SPACE_TOL = 1e-8
 
 KMEANS_RESTARTS = 10

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from graphbench.core_graph import (
     VARIANTS,
@@ -24,6 +25,7 @@ from graphbench.core_graph import (
     read_graph,
     write_graph,
 )
+from graphbench.inference import naive_graph, similarity_matrix
 
 
 def path3():
@@ -115,14 +117,14 @@ class TestNormalize:
 
 class TestLaplacian:
     def test_k2(self):
-        L = laplacian(Graph(2, [(0, 1, 1.0)]))
+        L = laplacian(Graph(2, [(0, 1, 1.0)])).toarray()
         assert np.allclose(L, [[1, -1], [-1, 1]])
 
     def test_empty(self):
-        assert np.allclose(laplacian(Graph(3)), np.zeros((3, 3)))
+        assert np.allclose(laplacian(Graph(3)).toarray(), np.zeros((3, 3)))
 
     def test_triangle(self):
-        L = laplacian(triangle())
+        L = laplacian(triangle()).toarray()
         assert np.allclose(np.diag(L), [2, 2, 2])
         assert L[0, 1] == -1
 
@@ -131,14 +133,14 @@ class TestLaplacian:
         A = rng.random((6, 6))
         A = np.triu(A, 1)
         g = from_dense(A + A.T)
-        assert np.allclose(laplacian(g).sum(axis=1), 0)
+        assert np.allclose(laplacian(g).toarray().sum(axis=1), 0)
 
     def test_psd(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
             A = np.triu(rng.random((8, 8)) * (rng.random((8, 8)) < 0.4), 1)
             g = from_dense(A + A.T)
-            vals = np.linalg.eigvalsh(laplacian(g))
+            vals = np.linalg.eigvalsh(laplacian(g).toarray())
             assert vals.min() >= -1e-8
 
 
@@ -217,7 +219,8 @@ class TestPartialEigendecompose:
                 assert np.all(np.abs(vals - full[:m]) <= 1e-12 * np.maximum(1.0, np.abs(full[:m])))
                 assert np.max(np.abs(V.T @ V - np.eye(m))) < 1e-10
                 residual = np.linalg.norm(A @ V - V * vals, axis=0)
-                assert np.all(residual < 1e-10 * max(1.0, np.linalg.norm(A, 2)))
+                dense = A.toarray() if sparse.issparse(A) else A
+                assert np.all(residual < 1e-10 * max(1.0, np.linalg.norm(dense, 2)))
 
     def test_lowest_at_least_n_is_the_full_call(self):
         for A in self.operators():
@@ -237,18 +240,30 @@ class TestPartialEigendecompose:
         with pytest.raises(ValueError):
             eigendecompose(laplacian(triangle()), lowest=0)
 
+    @pytest.mark.parametrize("lowest", [None, 2])
+    @pytest.mark.parametrize("form", ["dense", "sparse"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_operator(self, bad, form, lowest):
+        # symmetric, and large enough that a partial call would reach Lanczos
+        A = laplacian(Graph(25, [(v, v + 1, 1.0) for v in range(24)])).toarray()
+        A[0, 1] = A[1, 0] = bad
+        A = sparse.csr_matrix(A) if form == "sparse" else A
+        with pytest.raises(ValueError, match="^operator has non-finite entries$"):
+            eigendecompose(A, lowest=lowest)
+
     def test_import_does_not_load_scipy_linalg(self):
-        # eigendecompose imports scipy.linalg on its first partial call, and AMI's
-        # log-factorials come from math.lgamma, so that `import graphbench` (and
-        # with it every process's set-up) pays for neither scipy.linalg nor scipy.special
-        modules = ["scipy.linalg", "scipy.special"]
+        # eigendecompose imports scipy.sparse.linalg on its first Lanczos solve, and
+        # AMI's log-factorials come from math.lgamma, so that `import graphbench` (and
+        # with it every process's set-up) pays for none of scipy.linalg,
+        # scipy.sparse.linalg and scipy.special
+        modules = ["scipy.linalg", "scipy.sparse.linalg", "scipy.special"]
         proc = subprocess.run(
             [sys.executable, "-c", f"import sys, graphbench; print([m in sys.modules for m in {modules}])"],
             capture_output=True,
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[False, False]"
+        assert proc.stdout.strip() == "[False, False, False]"
 
 
 class TestMatrixExponential:
@@ -415,6 +430,27 @@ def graphs_with_isolated_vertices(draw):
     return Graph(g.n + draw(st.integers(1, 3)), triples(g))
 
 
+@st.composite
+def dense_knn_graphs(draw):
+    """The naive graph at k=None on rbf similarities: every vertex pair an edge."""
+    n = draw(st.integers(2, 8))
+    X = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((n, 3))
+    return naive_graph(similarity_matrix(X, "rbf"), None)
+
+
+def reference_laplacian(n, edges):
+    """D - W as a dense array, each entry set once, degrees summed in edge order."""
+    L = np.zeros((n, n))
+    d = [0.0] * n
+    for i, j, w in edges:
+        L[i, j] = L[j, i] = -w
+        d[i] += w
+        d[j] += w
+    for v in range(n):
+        L[v, v] = d[v]
+    return L
+
+
 class TestGraphProperties:
     @settings(max_examples=300, deadline=None)
     @given(any_edges())
@@ -462,11 +498,23 @@ class TestGraphProperties:
         eigenvalues = np.linalg.eigvalsh(normalize(g, target).to_sparse().toarray())
         assert np.all(np.abs(eigenvalues) <= 1.0 + 1e-12)
 
+    @pytest.mark.filterwarnings("ignore::graphbench.core_graph.IsolatedVertexWarning")
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(valid_graphs(), graphs_with_isolated_vertices(), dense_knn_graphs()),
+        st.sampled_from(VARIANTS),
+    )
+    def test_sparse_laplacian_equals_the_dense_build(self, g, target):
+        h = normalize(g, target)
+        L = laplacian(h)
+        assert isinstance(L, sparse.csr_matrix)
+        assert L.toarray().tobytes() == reference_laplacian(h.n, triples(h)).tobytes()
+
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(valid_graphs(), graphs_with_isolated_vertices()))
     def test_self_loops_leave_the_laplacian_bit_for_bit(self, g):
-        L = laplacian(g)
-        assert laplacian(normalize(g, "augmented")).tobytes() == L.tobytes()
+        L = laplacian(g).toarray()
+        assert laplacian(normalize(g, "augmented")).toarray().tobytes() == L.tobytes()
         # on a graph without self-loops, L is D - A as computed before loops were left out
         assert L.tobytes() == (np.diag(degrees(g)) - g.to_sparse().toarray()).tobytes()
 

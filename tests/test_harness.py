@@ -1824,6 +1824,24 @@ class TestRunConfig:
 
 
 class TestRunOne:
+    def test_lanczos_non_convergence_fails_the_point(self, tmp_path, monkeypatch, capsys):
+        import scipy.sparse.linalg
+
+        def failing(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("No convergence", np.empty(0), None)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing)
+        data = load_perfbench_module("gen").cora_like(tmp_path / "d", 0, 150, 1433, 40, 0.42)
+        entry = {"method": "naive", "similarity": "cosine", "k": 10}
+        res = run_one(load_dataset(data), RunConfig("ucv", **entry))
+        assert res.failed
+        assert res.auxiliary["error"] == "ArpackNoConvergence: ARPACK error -1: No convergence"
+        spec = tmp_path / "grid.json"
+        spec.write_text(json.dumps([entry]))
+        args = ["run", "--task", "ucv", "--data", str(data), "--grid", str(spec)]
+        assert cli.main([*args, "--report", str(tmp_path / "r.csv")]) == 2
+        assert "1 grid points, 1 failed" in capsys.readouterr().out
+
     def test_labelled_signal_bundle_runs_every_labelled_task(self, tmp_path):
         clean = write_signal_dataset(tmp_path / "s")
         labels = (clean < 0).astype(int)  # the signal's two halves

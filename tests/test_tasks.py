@@ -1,5 +1,8 @@
+import hashlib
 import importlib.util
 import math
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -86,7 +89,7 @@ class TestSpectralEmbed:
         emb = spectral_embed(g, 1)
         col = emb[:, 0]
         # dense eigensolver oracle on the 4x4 Laplacian
-        vals, vecs = np.linalg.eigh(laplacian(g))
+        vals, vecs = np.linalg.eigh(laplacian(g).toarray())
         fiedler = vecs[:, 1]
         assert np.allclose(np.abs(col), np.abs(fiedler), atol=1e-10)
         diffs = np.diff(col)
@@ -323,7 +326,7 @@ def load_perfbench_gen():
 
 def full_spectrum_cluster(g, C, seed=0):
     """Reference spectral clustering from every eigenpair of np.linalg.eigh."""
-    vals, vecs = np.linalg.eigh(laplacian(g))
+    vals, vecs = np.linalg.eigh(laplacian(g).toarray())
     lo = 0 if np.sum(np.abs(vals) < tasks_module.NULL_SPACE_TOL) >= 2 else 1
     emb = vecs[:, lo : lo + C].copy()
     for c in range(C):
@@ -377,6 +380,79 @@ class TestPartialSpectrum:
                     got = ami(spectral_cluster(g, bundle.C), bundle.labels)
                     want = ami(full_spectrum_cluster(g, bundle.C), bundle.labels)
                     assert round(got, 6) == round(want, 6), (seed, method, similarity, variant)
+
+
+class TestLanczosSpectrum:
+    """The partial spectrum of Cora-shaped Laplacians, whose blocks go through eigsh."""
+
+    @staticmethod
+    def cora_graph(root, seed, n):
+        bundle = load_dataset(load_perfbench_gen().cora_like(root, seed, n, 1433, 40, 0.42))
+        return point_graph(bundle, RunConfig("ucv", "naive", "cosine", k=10)), bundle
+
+    @staticmethod
+    def counting_eigsh(monkeypatch):
+        import scipy.sparse.linalg
+
+        calls, real = [], scipy.sparse.linalg.eigsh
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting)
+        return calls
+
+    def test_disconnected_graph_keeps_every_zero(self, tmp_path, monkeypatch):
+        # three graphs with their vertices interleaved (vertex v of graph b is
+        # 3v + b), then two isolated vertices
+        parts = [self.cora_graph(tmp_path / str(seed), seed, 150) for seed in range(3)]
+        n = 3 * 150 + 2
+        g = Graph(n, [(3 * u + b, 3 * v + b, x) for b, (part, _) in enumerate(parts)
+                      for u, v, x in part.edges.tolist()])
+        labels = np.zeros(n, dtype=int)
+        for b, (_, bundle) in enumerate(parts):
+            labels[b : 450 : 3] = bundle.labels
+        C = parts[0][1].C
+        n_components = np.unique(connected_components(g)).size
+        assert n_components == 5 < C + 2
+        calls = self.counting_eigsh(monkeypatch)
+        L = laplacian(g)
+        vals, _ = core_graph_module.eigendecompose(L, lowest=C + 2)
+        assert calls == [150, 150, 150]
+        full = np.linalg.eigvalsh(L.toarray())
+        assert np.max(np.abs(vals - full[: C + 2])) < 1e-10
+        assert np.sum(np.abs(vals) < tasks_module.NULL_SPACE_TOL) == n_components
+        got = ami(spectral_cluster(g, C), labels)
+        assert got == pytest.approx(ami(full_spectrum_cluster(g, C), labels), abs=1e-12)
+
+    def test_partial_call_is_deterministic(self, tmp_path, monkeypatch):
+        g, _ = self.cora_graph(tmp_path / "a", 0, 300)
+        L = laplacian(g)
+        calls = self.counting_eigsh(monkeypatch)
+
+        def digest():
+            vals, vecs = core_graph_module.eigendecompose(L, lowest=9)
+            return hashlib.sha256(vals.tobytes() + vecs.tobytes()).hexdigest()
+
+        first = digest()
+        assert calls == [300]
+        # other solves in between, so a start vector drawn from ARPACK's own
+        # generator would differ on the next call
+        from scipy.sparse.linalg import eigsh
+
+        eigsh(L, k=3, which="LA")
+        core_graph_module.eigendecompose(laplacian(self.cora_graph(tmp_path / "b", 1, 300)[0]), 5)
+        assert digest() == first
+        sparse.save_npz(tmp_path / "L.npz", L)
+        code = (
+            "import hashlib; from scipy import sparse; from graphbench.core_graph import eigendecompose; "
+            f"vals, vecs = eigendecompose(sparse.load_npz({str(tmp_path / 'L.npz')!r}), lowest=9); "
+            "print(hashlib.sha256(vals.tobytes() + vecs.tobytes()).hexdigest())"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == first
 
 
 class TestLabelPropagate:
