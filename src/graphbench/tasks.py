@@ -28,6 +28,13 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 SGC_EPOCHS = 100
 
+# Masks per product in propagate_labels and sgc_predict: the n-row operand is
+# read once per block of masks, not once per mask. A block's C columns per mask
+# equal that mask's own product only while the BLAS keeps each output's
+# summation order; on OpenBLAS 0.3.31 that held for blocks of up to 40 masks at
+# the benchmark and Cora shapes, and not for 100 (see README).
+HEAD_BLOCK_MASKS = 10
+
 
 def spectral_embed(g: Graph, C: int) -> np.ndarray:
     """Embed vertices on low-frequency Laplacian eigenvectors.
@@ -178,32 +185,42 @@ def propagate_labels(g: Graph, labels, masks) -> list[np.ndarray]:
     per call) and each vertex takes its argmax. Observed vertices keep their
     label. An unobserved vertex whose connected component holds no observed
     vertex gets the majority observed class (lowest index on ties).
+
+    Each block of HEAD_BLOCK_MASKS masks makes one product (see _stacked_products).
     """
     E = matrix_exponential(g.to_sparse().toarray())
     components = connected_components(g)
     labels = np.asarray(labels, dtype=int)
     C = int(labels.max()) + 1
+    masks = np.asarray(masks, dtype=bool)
     preds = []
-    for observed in masks:
-        observed = np.asarray(observed, dtype=bool)
-        Y0 = np.zeros((labels.size, C))
-        obs = np.flatnonzero(observed)
-        Y0[obs, labels[obs]] = 1.0
-        Yhat = E @ Y0
-        pred = labels.copy()
-        pred[~observed] = np.argmax(Yhat[~observed], axis=1)
-        dead = ~observed & ~np.isin(components, components[obs])
-        if dead.any():
-            pred[dead] = int(np.argmax(np.bincount(labels[obs], minlength=C)))
-            warnings.warn(f"{int(dead.sum())} unlabeled vertices disconnected from all labels")
-        preds.append(pred)
+    for start in range(0, len(masks), HEAD_BLOCK_MASKS):
+        block = masks[start : start + HEAD_BLOCK_MASKS]
+        onehots = []
+        for observed in block:
+            Y0 = np.zeros((labels.size, C))
+            obs = np.flatnonzero(observed)
+            Y0[obs, labels[obs]] = 1.0
+            onehots.append(Y0)
+        for observed, Yhat in zip(block, _stacked_products(E, onehots)):
+            obs = np.flatnonzero(observed)
+            pred = labels.copy()
+            pred[~observed] = np.argmax(Yhat[~observed], axis=1)
+            dead = ~observed & ~np.isin(components, components[obs])
+            if dead.any():
+                pred[dead] = int(np.argmax(np.bincount(labels[obs], minlength=C)))
+                warnings.warn(f"{int(dead.sum())} unlabeled vertices disconnected from all labels")
+            preds.append(pred)
     return preds
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+def _stacked_products(A: np.ndarray, parts: list[np.ndarray]) -> list[np.ndarray]:
+    """[A @ P for P in parts] from one product: A times the parts side by side.
+
+    Each result is a column block of that product. It equals A @ P bit for bit
+    only while the BLAS keeps each output's summation order; see HEAD_BLOCK_MASKS.
+    """
+    return np.split(A @ np.hstack(parts), len(parts), axis=1)
 
 
 def train_logistic_regression(
@@ -212,37 +229,63 @@ def train_logistic_regression(
     """SGC_EPOCHS of full-batch softmax regression with Adam; returns (weights, bias).
 
     ``seed`` draws the initial weights unless ``init_weights`` gives them.
+    The weights and bias are the rows of one (F+1)-by-C parameter array,
+    which each Adam step updates in place. A non-finite softmax, which would
+    make the cross-entropy loss non-finite, raises FloatingPointError.
     """
     n, F = X.shape
+    labels = np.asarray(labels)
+    if n == 0:
+        raise ValueError("need at least one labelled row")
+    if labels.min() < 0 or labels.max() >= C:
+        raise ValueError(f"labels must lie in 0..{C - 1}, got {labels.min()}..{labels.max()}")
+    theta = np.zeros((F + 1, C))
+    W, b = theta[:F], theta[F]
     if init_weights is not None:
-        W = np.array(init_weights, dtype=float)
+        init = np.asarray(init_weights, dtype=float)
+        if init.shape != (F, C):
+            raise ValueError(f"init_weights must have shape ({F}, {C}), got {init.shape}")
+        W[...] = init
     else:
         rng = np.random.default_rng(seed)
         s = 1.0 / math.sqrt(F)
-        W = rng.uniform(-s, s, size=(F, C))
-    b = np.zeros(C)
-    mW = np.zeros_like(W)
-    vW = np.zeros_like(W)
-    mb = np.zeros_like(b)
-    vb = np.zeros_like(b)
+        W[...] = rng.uniform(-s, s, size=(F, C))
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
+    grad = np.empty_like(theta)
+    step = np.empty_like(theta)
     onehot = np.zeros((n, C))
     onehot[np.arange(n), labels] = 1.0
     for t in range(1, SGC_EPOCHS + 1):
-        probs = _softmax(X @ W + b)
-        loss = -np.mean(np.log(np.clip(probs[np.arange(n), labels], 1e-300, None)))
-        if not np.isfinite(loss):
+        G = X @ W + b  # the softmax, in place, then the loss gradient (softmax - onehot) / n
+        G -= G.max(axis=1, keepdims=True)
+        np.exp(G, out=G)
+        G /= G.sum(axis=1, keepdims=True)
+        G -= onehot
+        G /= n
+        np.matmul(X.T, G, out=grad[:F])
+        G.sum(axis=0, out=grad[F])
+        # a row of the softmax is finite or all NaN, and the column sums carry every NaN
+        if not np.isfinite(grad[F]).all():
             raise FloatingPointError("non-finite training loss")
-        G = (probs - onehot) / n
-        gW = X.T @ G
-        gb = G.sum(axis=0)
-        mW = ADAM_BETA1 * mW + (1 - ADAM_BETA1) * gW
-        vW = ADAM_BETA2 * vW + (1 - ADAM_BETA2) * gW**2
-        mb = ADAM_BETA1 * mb + (1 - ADAM_BETA1) * gb
-        vb = ADAM_BETA2 * vb + (1 - ADAM_BETA2) * gb**2
+        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
+        m *= ADAM_BETA1
+        np.multiply(1 - ADAM_BETA1, grad, out=step)
+        m += step
+        v *= ADAM_BETA2
+        np.square(grad, out=step)
+        step *= 1 - ADAM_BETA2
+        v += step
         c1 = 1 - ADAM_BETA1**t
         c2 = 1 - ADAM_BETA2**t
-        W -= ADAM_LEARNING_RATE * (mW / c1) / (np.sqrt(vW / c2) + ADAM_EPS)
-        b -= ADAM_LEARNING_RATE * (mb / c1) / (np.sqrt(vb / c2) + ADAM_EPS)
+        # theta -= lr (m / c1) / (sqrt(v / c2) + eps)
+        np.divide(v, c2, out=grad)
+        np.sqrt(grad, out=grad)
+        grad += ADAM_EPS
+        np.divide(m, c1, out=step)
+        step *= ADAM_LEARNING_RATE
+        step /= grad
+        theta -= step
     return W, b
 
 
@@ -260,16 +303,25 @@ def sgc_predict(g: Graph | None, X, labels, masks, seed) -> list[np.ndarray]:
 
     ``X`` diffuses once (see diffuse_features). Per mask i, a logistic regression from weights
     drawn by ``[seed, i, 7]`` learns the observed ``labels`` (0..C-1), which those vertices keep.
+    Each block of HEAD_BLOCK_MASKS masks scores every vertex in one product (see
+    _stacked_products).
     """
     Xhat = X if g is None else diffuse_features(g, X)
     labels = np.asarray(labels, dtype=int)
     C = int(labels.max()) + 1
+    masks = np.asarray(masks, dtype=bool)
     preds = []
-    for i, observed in enumerate(np.asarray(masks, dtype=bool)):
-        W, b = train_logistic_regression(Xhat[observed], labels[observed], C, [seed, i, 7])
-        pred = labels.copy()
-        pred[~observed] = np.argmax((Xhat @ W + b)[~observed], axis=1)
-        preds.append(pred)
+    for start in range(0, len(masks), HEAD_BLOCK_MASKS):
+        block = masks[start : start + HEAD_BLOCK_MASKS]
+        fits = [
+            train_logistic_regression(Xhat[observed], labels[observed], C, [seed, start + k, 7])
+            for k, observed in enumerate(block)
+        ]
+        products = _stacked_products(Xhat, [W for W, _ in fits])
+        for observed, (_, b), XW in zip(block, fits, products):
+            pred = labels.copy()
+            pred[~observed] = np.argmax((XW + b)[~observed], axis=1)
+            preds.append(pred)
     return preds
 
 

@@ -986,6 +986,36 @@ class TestFloatingPointFault:
                 assert after.primary_score == before.primary_score
                 assert after.auxiliary["warnings"] == before.auxiliary["warnings"]
 
+    def test_non_finite_features_fail_only_their_sgc_point(self, tmp_path, monkeypatch):
+        write_blob_dataset(tmp_path / "d", n_per=15)
+        bundle = load_dataset(tmp_path / "d")
+        splits = dict(n_splits=3, split_fraction=0.2)
+        grid = [
+            RunConfig(task, "naive", "cosine", 4, adjacency_variant=v, **splits)
+            for task in ("sscv-lp", "sscv-sgc")
+            for v in VARIANTS
+        ]
+        grid.append(RunConfig("sscv-sgc", "logreg-baseline", **splits))
+        clean, _ = run_grid(bundle, grid)
+        assert not any(r.failed for r in clean)
+        real = tasks.diffuse_features
+        # NaN raises no floating-point flag, so only the head's own finiteness check can stop it
+        monkeypatch.setattr(
+            tasks,
+            "diffuse_features",
+            lambda g, X: real(g, X) * (np.nan if g.variant == "sym_norm" else 1.0),
+        )
+        planted, _ = run_grid(bundle, grid)
+        for before, after in zip(clean, planted):
+            cfg = after.config
+            if (cfg.task, cfg.adjacency_variant) == ("sscv-sgc", "sym_norm"):
+                assert math.isnan(after.primary_score)
+                assert after.auxiliary["error"] == "FloatingPointError: non-finite training loss"
+            else:
+                assert not after.failed
+                assert after.primary_score == before.primary_score
+                assert after.auxiliary["warnings"] == before.auxiliary["warnings"]
+
     def test_run_exits_2_with_the_point_marked(self, tmp_path, monkeypatch, capsys):
         write_signal_dataset(tmp_path / "s")
         spec = tmp_path / "grid.json"

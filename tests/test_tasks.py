@@ -545,6 +545,90 @@ class TestLabelPropagate:
             assert str(got_warnings[0].message).startswith("40 unlabeled vertices")
 
 
+BLOCK_COUNTS = [
+    1,
+    tasks_module.HEAD_BLOCK_MASKS - 1,
+    tasks_module.HEAD_BLOCK_MASKS + 1,
+    100,
+]
+
+
+def dead_vertex_masks(observed, count):
+    """``count`` masks on interleaved_components: every third one observes only ``observed``.
+
+    The rest are random 20 % splits, so most blocks mix masks that leave the
+    unreached component dead with masks that reach it.
+    """
+    splits = split_generator(observed.size, 0.2, count, 3)
+    return [observed if i % 3 == 0 else m for i, m in enumerate(splits)]
+
+
+class TestHeadBlocks:
+    @pytest.mark.parametrize("count", BLOCK_COUNTS)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_propagation_matches_the_per_mask_form(self, variant, count):
+        g, labels, observed, _ = interleaved_components(variant)
+        masks = dead_vertex_masks(observed, count)
+        with warnings.catch_warnings(record=True) as want_warnings:
+            warnings.simplefilter("always")
+            want = propagate_per_mask(g, labels, masks)
+        with warnings.catch_warnings(record=True) as got_warnings:
+            warnings.simplefilter("always")
+            got = propagate_labels(g, labels, masks)
+        assert len(got) == len(want) == count
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+        assert [str(w.message) for w in got_warnings] == [str(w.message) for w in want_warnings]
+        assert len(got_warnings) == (count + 2) // 3
+
+    @pytest.mark.parametrize("count", BLOCK_COUNTS)
+    @pytest.mark.parametrize("variant", [None, *VARIANTS])
+    def test_sgc_matches_the_per_mask_form(self, cora_like_150, variant, count):
+        X, labels = cora_like_150.vertex_features, cora_like_150.labels
+        g = None
+        if variant is not None:
+            cfg = RunConfig("sscv-sgc", "naive", "cosine", 10, adjacency_variant=variant)
+            g = point_graph(cora_like_150, cfg)
+        masks = split_generator(cora_like_150.n, 0.1, count, 1)
+        want = sgc_per_mask(g, X, labels, masks, 6)
+        got = sgc_predict(g, X, labels, masks, 6)
+        assert len(got) == len(want) == count
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_sgc_on_a_disconnected_graph_matches_the_per_mask_form(self, variant):
+        g, labels, observed, _ = interleaved_components(variant)
+        X = np.random.default_rng(8).random((g.n, 30))
+        masks = dead_vertex_masks(observed, tasks_module.HEAD_BLOCK_MASKS + 1)
+        want = sgc_per_mask(g, X, labels, masks, 2)
+        got = sgc_predict(g, X, labels, masks, 2)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("n, F", [(1000, 1433), (2708, 1433)], ids=["benchmark", "cora"])
+    def test_stacked_products_keep_every_masks_bits(self, n, F):
+        # the heads' one product per block, at the sscv-cora workload's and Cora's shapes:
+        # every mask's columns must equal its own product bit for bit on this BLAS
+        rng = np.random.default_rng(n)
+        C, B = 7, tasks_module.HEAD_BLOCK_MASKS
+        X = rng.random((n, F))
+        W = rng.uniform(-0.05, 0.05, size=(B, F, C))
+        A = rng.random((n, n))
+        E = (A + A.T) / 2.0
+        Y0 = np.zeros((B, n, C))
+        for k in range(B):
+            obs = rng.choice(n, n // 20, replace=False)
+            Y0[k, obs, rng.integers(0, C, obs.size)] = 1.0
+        for operand, parts in ((X, list(W)), (E, list(Y0))):
+            got = tasks_module._stacked_products(operand, parts)
+            assert len(got) == B
+            assert all(a.tobytes() == (operand @ p).tobytes() for a, p in zip(got, parts))
+
+
+@pytest.fixture(scope="module")
+def cora_like_150(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cora150") / "d"
+    return load_dataset(load_perfbench_gen().cora_like(root, 0, 150, 200, 20, 0.42))
+
+
 def interleaved_components(variant):
     """Components of 60 and 40 vertices, interleaved by a permutation, in ``variant``.
 
@@ -703,9 +787,110 @@ def sgc_per_mask(g, X, labels, masks, seed):
     Xhat = X if g is None else diffuse_features(g, X)
     preds = []
     for i, m in enumerate(masks):
-        W, b = train_logistic_regression(Xhat[m], labels[m], int(labels.max()) + 1, [seed, i, 7])
+        W, b = logistic_regression_per_epoch(Xhat[m], labels[m], int(labels.max()) + 1, [seed, i, 7])
         preds.append(np.where(m, labels, np.argmax(Xhat @ W + b, axis=1)))
     return preds
+
+
+def logistic_regression_per_epoch(X, labels, C, seed, init_weights=None):
+    """train_logistic_regression as written before its weights and bias shared one array.
+
+    W and b have their own Adam moments, each step allocates its results, and
+    the cross-entropy loss is computed every epoch only to test that it is finite.
+    """
+    n, F = X.shape
+    if init_weights is not None:
+        W = np.array(init_weights, dtype=float)
+    else:
+        rng = np.random.default_rng(seed)
+        s = 1.0 / math.sqrt(F)
+        W = rng.uniform(-s, s, size=(F, C))
+    b = np.zeros(C)
+    mW, vW = np.zeros_like(W), np.zeros_like(W)
+    mb, vb = np.zeros_like(b), np.zeros_like(b)
+    onehot = np.zeros((n, C))
+    onehot[np.arange(n), labels] = 1.0
+    beta1, beta2 = tasks_module.ADAM_BETA1, tasks_module.ADAM_BETA2
+    lr, eps = tasks_module.ADAM_LEARNING_RATE, tasks_module.ADAM_EPS
+    for t in range(1, tasks_module.SGC_EPOCHS + 1):
+        z = X @ W + b
+        z = z - z.max(axis=1, keepdims=True)
+        e = np.exp(z)
+        probs = e / e.sum(axis=1, keepdims=True)
+        loss = -np.mean(np.log(np.clip(probs[np.arange(n), labels], 1e-300, None)))
+        if not np.isfinite(loss):
+            raise FloatingPointError("non-finite training loss")
+        G = (probs - onehot) / n
+        gW = X.T @ G
+        gb = G.sum(axis=0)
+        mW = beta1 * mW + (1 - beta1) * gW
+        vW = beta2 * vW + (1 - beta2) * gW**2
+        mb = beta1 * mb + (1 - beta1) * gb
+        vb = beta2 * vb + (1 - beta2) * gb**2
+        c1 = 1 - beta1**t
+        c2 = 1 - beta2**t
+        W -= lr * (mW / c1) / (np.sqrt(vW / c2) + eps)
+        b -= lr * (mb / c1) / (np.sqrt(vb / c2) + eps)
+    return W, b
+
+
+class TestLogisticRegression:
+    @staticmethod
+    def problem(n, F, C, seed):
+        """Sparse non-negative features, like a diffused bag of words, and every class present."""
+        rng = np.random.default_rng(seed)
+        X = (rng.random((n, F)) < 0.2) * rng.random((n, F)) * 3.0
+        labels = rng.permutation(np.arange(n) % C)
+        return X, labels
+
+    @pytest.mark.parametrize(
+        "n, F, C",
+        [(30, 20, 2), (60, 40, 7), (25, 1, 3), (40, 150, 7), (1, 12, 3)],
+        ids=["C2", "C7", "F1", "F150", "one-row"],
+    )
+    def test_matches_the_epoch_loop(self, n, F, C):
+        X, labels = self.problem(n, F, C, seed=n + F + C)
+        if n == 1:
+            labels = np.array([C - 1])  # a single observed vertex of the last class
+        W, b = train_logistic_regression(X, labels, C, [5, 0, 7])
+        W_ref, b_ref = logistic_regression_per_epoch(X, labels, C, [5, 0, 7])
+        assert W.shape == (F, C) and b.shape == (C,)
+        assert W.tobytes() == W_ref.tobytes()
+        assert b.tobytes() == b_ref.tobytes()
+
+    def test_init_weights_match_the_epoch_loop(self):
+        X, labels = self.problem(35, 9, 4, seed=3)
+        W0 = np.random.default_rng(4).uniform(-1, 1, size=(9, 4))
+        W, b = train_logistic_regression(X, labels, 4, None, init_weights=W0.tolist())
+        W_ref, b_ref = logistic_regression_per_epoch(X, labels, 4, None, init_weights=W0)
+        assert W.tobytes() == W_ref.tobytes()
+        assert b.tobytes() == b_ref.tobytes()
+        assert not np.shares_memory(W, W0)
+
+    @pytest.mark.parametrize("labels", [[0, -1, 2], [0, 3, 2]])
+    def test_rejects_labels_outside_the_class_range(self, labels):
+        X = np.ones((3, 2))
+        with pytest.raises(ValueError, match=r"labels must lie in 0\.\.2"):
+            train_logistic_regression(X, np.array(labels), 3, 0)
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 4), (3, 4), (1, 4, 3)])
+    def test_rejects_init_weights_of_the_wrong_shape(self, shape):
+        X, labels = self.problem(6, 4, 3, seed=0)
+        with pytest.raises(ValueError, match=r"init_weights must have shape \(4, 3\)"):
+            train_logistic_regression(X, labels, 3, 0, init_weights=np.zeros(shape))
+
+    def test_rejects_no_rows(self):
+        with pytest.raises(ValueError, match="at least one"):
+            train_logistic_regression(np.zeros((0, 4)), np.zeros(0, dtype=int), 3, 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("train", [train_logistic_regression, logistic_regression_per_epoch])
+    def test_non_finite_features_raise(self, train, bad):
+        X, labels = self.problem(8, 5, 3, seed=1)
+        X[4, 2] = bad
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError) as info:
+            train(X, labels, 3, 0)
+        assert str(info.value) == "non-finite training loss"
 
 
 class TestSimoncelli:
