@@ -287,8 +287,14 @@ def read_graph(path) -> Graph:
         header = fh.readline().strip()
         if not header.startswith("#"):
             raise ValueError("missing graph header line")
-        fields = dict(part.partition("=")[::2] for part in header[1:].split())
-        if not fields.get("n", "").isdigit():
+        fields = {}
+        for key, _, value in (part.partition("=") for part in header[1:].split()):
+            if key not in ("n", "variant"):
+                raise ValueError(f"line 1: unknown header key {key!r}")
+            if key in fields:
+                raise ValueError(f"line 1: header key {key!r} repeats")
+            fields[key] = value
+        if not fields.get("n", "").isdecimal():  # int() rejects digits like "²"
             raise ValueError("line 1: header needs n=<vertex count>")
         n = int(fields["n"])
         variant = fields.get("variant", "raw")

@@ -71,7 +71,27 @@ def _lines(path: Path):
 
 
 def _load_matrix(path: Path, dtype=float) -> np.ndarray:
-    """One row per non-blank line of a numeric bundle file, each token parsed by ``dtype``."""
+    """One row per non-blank line of a numeric bundle file, each token parsed by ``dtype``.
+
+    numpy's C reader accepts a subset of the tokens ``dtype`` parses. A file it
+    rejects goes to the line scan, which also takes tokens only Python parses
+    (``1_0``) and names the line at fault.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt only warns on an empty file
+            out = np.loadtxt(path, dtype=dtype, ndmin=2, comments=None)
+    except Exception:
+        out = None
+    if out is None or out.size == 0:
+        out = _scan_matrix(path, dtype)
+    if not np.all(np.isfinite(out)):
+        raise DatasetError(f"{path.name} contains non-finite values")
+    return out
+
+
+def _scan_matrix(path: Path, dtype) -> np.ndarray:
+    """``_load_matrix`` line by line: the rows stacked, or the line at fault named."""
     rows = []
     for lineno, line in _lines(path):
         try:
@@ -85,10 +105,7 @@ def _load_matrix(path: Path, dtype=float) -> np.ndarray:
         rows.append(row)
     if not rows:
         raise DatasetError(f"{path.name}: empty file")
-    out = np.stack(rows)
-    if not np.all(np.isfinite(out)):
-        raise DatasetError(f"{path.name} contains non-finite values")
-    return out
+    return np.stack(rows)
 
 
 def _load_column(path: Path, dtype=float) -> np.ndarray:

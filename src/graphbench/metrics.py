@@ -95,6 +95,10 @@ def accuracy(pred, truth, mask) -> float:
     pred = np.asarray(pred)
     truth = np.asarray(truth)
     mask = np.asarray(mask, dtype=bool)
+    if not pred.shape == truth.shape == mask.shape:
+        raise ValueError(
+            f"pred {pred.shape}, truth {truth.shape} and mask {mask.shape} differ in shape"
+        )
     if mask.sum() == 0:
         raise ValueError("mask selects no elements")
     return float(np.mean(pred[mask] == truth[mask]))
@@ -104,6 +108,8 @@ def snr_db(clean, test) -> float:
     """10 log10 of clean power over error power; +inf when test equals clean."""
     clean = np.asarray(clean, dtype=float)
     test = np.asarray(test, dtype=float)
+    if clean.shape != test.shape:
+        raise ValueError(f"clean {clean.shape} and test {test.shape} differ in shape")
     sig = float(clean @ clean)
     if sig == 0:
         raise ValueError("clean signal has zero power, SNR undefined")

@@ -97,6 +97,67 @@ def write_outlier_dataset(root, n=30, seed=0):
     return n  # index of the isolated vertex
 
 
+def nonblank_lines(path):
+    try:
+        with open(path) as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if line:
+                    yield lineno, line
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DatasetError(f"{path.name}: unreadable ({exc})") from None
+
+
+def load_matrix_per_line(path, dtype=float):
+    """The bundle-file reader that parses one line at a time, frozen as the reference."""
+    rows = []
+    for lineno, line in nonblank_lines(path):
+        try:
+            row = np.array(line.split(), dtype=dtype)
+        except (ValueError, OverflowError) as exc:
+            raise DatasetError(f"{path.name} line {lineno}: non-numeric entry ({exc})")
+        if rows and row.size != rows[0].size:
+            raise DatasetError(
+                f"{path.name} line {lineno}: expected {rows[0].size} columns, got {row.size}"
+            )
+        rows.append(row)
+    if not rows:
+        raise DatasetError(f"{path.name}: empty file")
+    out = np.stack(rows)
+    if not np.all(np.isfinite(out)):
+        raise DatasetError(f"{path.name} contains non-finite values")
+    return out
+
+
+# Tokens at the edges of the numeric syntax: signed zeros, an overflow to inf, NaN, and
+# forms only Python's parser accepts (a digit separator, an Arabic-Indic digit).
+EDGE_TOKENS = ("0", "-0", "+1", "1e400", "nan", "1_0", "\u0663")
+INT_EDGE_TOKENS = ("1.5", "99999999999999999999")  # a float, and an int64 overflow
+
+
+@st.composite
+def numeric_file_text(draw, int_file):
+    """A bundle file's text: rows of edge tokens, some ragged, amid blank lines."""
+    token = st.sampled_from(("0", "-0", "+1")) | st.sampled_from(
+        EDGE_TOKENS + (INT_EDGE_TOKENS if int_file else ())
+    )
+    space = st.sampled_from((" ", "\t", "\xa0"))
+    cols = draw(st.integers(1, 3))
+    lines = []
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.integers(0, 3)) == 0:
+            lines.append(draw(st.sampled_from(("", " ", "\t", "\xa0 "))))
+            continue
+        width = draw(st.sampled_from((cols,) * 6 + (cols + 1, max(cols - 1, 1))))
+        line = draw(token)
+        for _ in range(width - 1):
+            line += draw(space) + draw(token)
+        pad = st.sampled_from(("", " ", "\t"))
+        lines.append(draw(pad) + line + draw(pad))
+    newline = draw(st.sampled_from(("\n", "\r\n")))
+    return newline.join(lines) + draw(st.sampled_from(("", newline)))
+
+
 def reference_full_grid(task, bundle, master_seed):
     """The full grid written out as nested loops, in report order."""
 
@@ -200,6 +261,33 @@ class TestLoadDataset:
             features = load_dataset(tmp).features
         assert features.shape == X.shape
         assert np.array_equal(features.view(np.int64), X.view(np.int64))
+
+    @settings(max_examples=400, deadline=None)
+    @given(int_file=st.booleans(), data=st.data())
+    def test_reader_matches_the_per_line_reader(self, int_file, data):
+        # same dtype, shape and bytes, or the same error, and no warning escapes either
+        text = data.draw(numeric_file_text(int_file))
+        dtype = int if int_file else float
+
+        def read(reader, path):
+            try:
+                return reader(path, dtype)
+            except DatasetError as exc:
+                return str(exc)
+
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            path = Path(tmp) / "features.txt"
+            path.write_bytes(text.encode("utf-8"))
+            got = read(harness._load_matrix, path)
+            want = read(load_matrix_per_line, path)
+        assert [str(w.message) for w in seen] == []
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert isinstance(got, np.ndarray), got
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
         "text, reason",
@@ -1162,6 +1250,7 @@ class TestCli:
         "graph_text, reason",
         [
             ("#variant=raw\n0\t1\t1.0\n", "line 1: header needs n="),
+            ("#n=\u00b2 variant=raw\n0\t1\t1.0\n", "line 1: header needs n="),
             ("#n=3 variant=raw\n5\t5\t1.0\n", "line 2: vertex index outside 0..2"),
             ("#n=24 variant=raw\n0\t1\tone\n", "line 2: non-numeric field"),
             ("#n=24 variant=raw\n0\t1\tnan\n", "line 2: non-finite weight"),
@@ -1184,9 +1273,12 @@ class TestCli:
                 "line 3: self-loop weight -2.5 must be >= 0",
             ),
             ("#n=24 variant=bogus\n0\t1\t1.0\n", "line 1: unknown variant 'bogus'"),
+            ("#n=3 n=24 variant=raw\n0\t1\t1.0\n", "line 1: header key 'n' repeats"),
+            ("#n=24 colour=blue\n0\t1\t1.0\n", "line 1: unknown header key 'colour'"),
         ],
         ids=[
             "missing-n",
+            "superscript-n",
             "index-out-of-range",
             "non-numeric",
             "nan-weight",
@@ -1197,6 +1289,8 @@ class TestCli:
             "self-loop-in-raw",
             "negative-self-loop",
             "unknown-variant",
+            "repeated-header-key",
+            "unknown-header-key",
         ],
     )
     def test_validate_malformed_graph(self, tmp_path, graph_text, reason):

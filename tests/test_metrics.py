@@ -138,6 +138,19 @@ class TestAccuracy:
         with pytest.raises(ValueError):
             accuracy([0], [0], [False])
 
+    @pytest.mark.parametrize(
+        "pred, truth, mask, shapes",
+        [
+            ([0, 1, 2], [0, 1], [True] * 3, r"pred \(3,\), truth \(2,\) and mask \(3,\)"),
+            ([0, 1], [0, 1], [True] * 3, r"pred \(2,\), truth \(2,\) and mask \(3,\)"),
+            ([[0, 1]], [0, 1], [True] * 2, r"pred \(1, 2\), truth \(2,\) and mask \(2,\)"),
+        ],
+        ids=["short-truth", "long-mask", "2-d-pred"],
+    )
+    def test_shape_mismatch_rejected(self, pred, truth, mask, shapes):
+        with pytest.raises(ValueError, match=shapes + " differ in shape"):
+            accuracy(pred, truth, mask)
+
 
 class TestSnr:
     def test_equal_powers(self):
@@ -152,6 +165,17 @@ class TestSnr:
 
     def test_identical_is_inf(self):
         assert math.isinf(snr_db([1.0, 2.0], [1.0, 2.0]))
+
+    @pytest.mark.parametrize(
+        "test, shape",
+        [(np.full((3, 1), 0.5), r"\(3, 1\)"), (0.5, r"\(\)"), (np.ones(4), r"\(4,\)")],
+        ids=["column", "scalar", "longer"],
+    )
+    def test_shape_mismatch_rejected(self, test, shape):
+        # equal shapes give 6.021 dB; a (3, 1) test would broadcast to a wrong figure
+        assert snr_db(np.ones(3), np.full(3, 0.5)) == pytest.approx(10 * math.log10(4))
+        with pytest.raises(ValueError, match=rf"clean \(3,\) and test {shape} differ in shape"):
+            snr_db(np.ones(3), test)
 
     def test_zero_clean_rejected(self):
         with pytest.raises(ValueError):
