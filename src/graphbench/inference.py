@@ -29,6 +29,11 @@ PDS_STEP_SIZE = 0.5
 # Rows per block in _knn_indices: bounds its temporaries to a few n-wide arrays.
 KNN_BLOCK_ROWS = 256
 
+# Vertices per stacked nnls_solve call in nnk_graph, and the bytes their
+# kernel blocks may take in all.
+NNK_CHUNK_ROWS = 256
+NNK_CHUNK_BYTES = 2**20
+
 
 class CalibrationError(RuntimeError):
     """Sparsity calibration could not bracket the requested mean degree."""
@@ -59,10 +64,24 @@ def _knn_indices(S: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def _check_square(M: np.ndarray, kind: str) -> None:
+    """Raise ValueError unless the ``kind`` matrix a builder starts from is square and 2-D."""
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"{kind} matrix must be square and 2-D, got shape {M.shape}")
+
+
 def _check_finite(M: np.ndarray, kind: str) -> None:
     """Raise ValueError when the ``kind`` matrix a builder starts from has a NaN or inf entry."""
     if not np.all(np.isfinite(M)):
         raise ValueError(f"{kind} matrix has non-finite entries")
+
+
+def _check_sigma(sigma: float) -> None:
+    """Raise ValueError unless the edge-weight floor ``sigma`` is a positive finite number."""
+    if not sigma > 0:
+        raise ValueError("sigma must be positive")
+    if not math.isfinite(sigma):
+        raise ValueError("sigma must be finite")
 
 
 def _undirected(n: int, rows: np.ndarray, cols: np.ndarray, **unique_args):
@@ -91,6 +110,7 @@ def knn_select(S: np.ndarray, k: int) -> Graph:
     carry the original similarity as weight.
     """
     S = np.asarray(S, dtype=float)
+    _check_square(S, "similarity")
     n = S.shape[0]
     check_k_below_n("naive", k, n)
     _check_finite(S, "similarity")
@@ -130,58 +150,107 @@ def naive_graph(S, k: Optional[int]) -> Graph:
     if k is not None and k < 1:
         raise ValueError("k must be positive")
     S = np.asarray(S, dtype=float)
+    _check_square(S, "similarity")
     return knn_select(S, k if k is not None else S.shape[0] - 1)
+
+
+def _pinv_solve(K: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each problem's minimum-norm least-squares solution K+ b, for K (G, p, p) and b (G, p).
+
+    K+ comes from one stacked eigh and drops the eigenvalues at or below
+    eps * p * max|lambda| in magnitude, as np.linalg.lstsq(rcond=None) drops
+    singular values. Each row depends on its own problem alone.
+    """
+    lam, V = np.linalg.eigh(K)
+    mag = np.abs(lam)
+    keep = mag > np.finfo(float).eps * K.shape[-1] * mag.max(axis=1, keepdims=True)
+    inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=keep)
+    coeffs = np.matmul(b[:, None, :], V)[:, 0] * inv
+    return np.matmul(V, coeffs[:, :, None])[:, :, 0]
 
 
 def nnls_solve(K_SS: np.ndarray, k_Si: np.ndarray, whole_block_first: bool = False):
     """Minimize 0.5 t'Kt - t'b over t >= 0 by an active-set (Lawson-Hanson) method.
 
-    Returns (theta, converged). On hitting the iteration cap, max(10 m, 30)
-    for m unknowns, the best iterate so far is returned with converged=False.
+    Takes one problem, K (m, m) and b (m,), or a stack of them, K (R, m, m)
+    and b (R, m). Returns (theta, converged): theta shaped like b, and
+    converged True when every problem converged. A problem that hits the
+    iteration cap, max(10 m, 30), keeps its best iterate so far.
+
+    The problems of a stack advance in lockstep, one solve over the passive
+    set each per step. Problems whose passive sets have the same size share
+    one stacked solve (see _pinv_solve), never padded, so each problem's
+    theta is bit-identical whatever else is in the stack.
 
     With ``whole_block_first``, the unconstrained solve of the whole block,
-    the call the active-set loop ends with when it keeps every variable, is
-    tried first and returned as converged when every weight is positive:
-    KKT then holds with no inactive variable. Otherwise the loop runs as
+    the solve the active-set loop ends with when it keeps every variable, is
+    tried first and kept as converged when every weight is positive: KKT
+    then holds with no inactive variable. Other problems run the loop as
     without it.
     """
-    K = np.asarray(K_SS, dtype=float)
-    b = np.asarray(k_Si, dtype=float)
-    m = b.shape[0]
-    if whole_block_first:
-        sol = np.linalg.lstsq(K, b, rcond=None)[0]
-        if np.all(sol > 0):
-            return sol, True
+    # C order, the layout of the blocks the loop gathers, so that a whole-block
+    # solve has the bits of the loop's own solve over every variable
+    K = np.ascontiguousarray(K_SS, dtype=float)
+    b = np.ascontiguousarray(k_Si, dtype=float)
+    if b.ndim not in (1, 2) or K.shape != b.shape + b.shape[-1:]:
+        raise ValueError(
+            f"K of shape {K.shape} does not match b of shape {b.shape}: "
+            "need (m, m) with (m,), or (R, m, m) with (R, m)"
+        )
+    if not (np.all(np.isfinite(K)) and np.all(np.isfinite(b))):
+        raise ValueError("K and b must have finite entries")
+    single = b.ndim == 1
+    if single:
+        K, b = K[None], b[None]
+    R, m = b.shape
+    theta = np.zeros((R, m))
+    passive = np.zeros((R, m), dtype=bool)
+    done = np.full(R, m == 0)  # with no variable, theta = 0 meets KKT
+    converged = done.copy()
+    outer = np.zeros(R, dtype=int)  # outer iterations begun
+    inner = np.zeros(R, dtype=int)  # solves in the current outer iteration
+    at_outer = np.ones(R, dtype=bool)  # the next step begins an outer iteration
     max_iter = max(10 * m, 30)
-    theta = np.zeros(m)
-    passive = np.zeros(m, dtype=bool)
-    for _ in range(max_iter):
-        grad = K @ theta - b
-        candidates = np.flatnonzero(~passive & (grad < -KKT_TOL))
-        if candidates.size == 0:
-            return theta, True
-        j = candidates[np.argmin(grad[candidates])]
-        passive[j] = True
-        for _ in range(max_iter):
-            idx = np.flatnonzero(passive)
-            sol = np.linalg.lstsq(K[np.ix_(idx, idx)], b[idx], rcond=None)[0]
-            if np.all(sol > 0):
-                theta = np.zeros(m)
-                theta[idx] = sol
-                break
-            cur = theta[idx]
+    if whole_block_first and m > 0:
+        sol = _pinv_solve(K, b)
+        kept = np.all(sol > 0, axis=1)
+        theta[kept] = sol[kept]
+        done[kept] = converged[kept] = True
+    while not done.all():
+        # an outer iteration stops at the cap or at KKT, else frees the most negative gradient
+        rows = np.flatnonzero(~done & at_outer)
+        done[rows[outer[rows] == max_iter]] = True
+        rows = rows[outer[rows] < max_iter]
+        grad = np.matmul(K[rows], theta[rows, :, None])[:, :, 0] - b[rows]
+        free = np.where(~passive[rows] & (grad < -KKT_TOL), grad, np.inf)
+        j = np.argmin(free, axis=1)
+        kkt = np.isinf(free[np.arange(rows.size), j])
+        done[rows[kkt]] = converged[rows[kkt]] = True
+        rows, j = rows[~kkt], j[~kkt]
+        passive[rows, j] = True
+        outer[rows] += 1
+        inner[rows] = 0
+        active = np.flatnonzero(~done)
+        sizes = np.count_nonzero(passive[active], axis=1)
+        for p in np.unique(sizes):
+            rows = active[sizes == p]
+            r = rows[:, None]
+            idx = np.nonzero(passive[rows])[1].reshape(rows.size, p)
+            sol = _pinv_solve(K[r[:, :, None], idx[:, :, None], idx[:, None, :]], b[r, idx])
+            feasible = np.all(sol > 0, axis=1)
+            # an infeasible solve moves theta towards sol until a weight reaches 0
+            cur = theta[r, idx]
             neg = sol <= 0
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratios = np.where(neg, cur / (cur - sol), np.inf)
-            alpha = float(np.min(ratios))
-            new = cur + alpha * (sol - cur)
+                new = cur + np.min(ratios, axis=1, keepdims=True) * (sol - cur)
             new[neg & (new <= 1e-14)] = 0.0
-            theta = np.zeros(m)
-            theta[idx] = np.maximum(new, 0.0)
-            passive = theta > 0
-            if not passive.any():
-                break
-    return theta, False
+            theta[rows] = 0.0
+            theta[r, idx] = np.where(feasible[:, None], sol, np.maximum(new, 0.0))
+            passive[rows] = theta[rows] > 0
+            inner[rows] += 1
+            at_outer[rows] = feasible | (inner[rows] == max_iter) | ~passive[rows].any(axis=1)
+    return (theta[0] if single else theta), bool(converged.all())
 
 
 def _nnk_kernel(S: np.ndarray, kind: str) -> np.ndarray:
@@ -216,28 +285,35 @@ def nnk_graph(S, similarity: str, k: int, sigma: float = DEFAULT_SIGMA) -> Graph
         raise ValueError(f"unknown kernel similarity {similarity!r}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    _check_sigma(sigma)
     S = np.asarray(S, dtype=float)
+    _check_square(S, "similarity")
     n = S.shape[0]
     check_k_below_n("nnk", k, n)
     _check_finite(S, "similarity")
     S = _nnk_kernel(S, similarity)
     nbrs = _knn_indices(S, k)
-    theta = np.zeros(nbrs.shape)  # directed weight of i -> nbrs[i, m]
-    fallbacks = solved = kept_all = 0
-    for i in range(n):
-        pos = np.flatnonzero(S[i, nbrs[i]] > 0)
-        if pos.size == 0:
-            continue
-        sel = nbrs[i, pos]
-        k_Si = S[sel, i]
-        # the whole-block first step pays off while most optima keep every candidate
-        t, ok = nnls_solve(S[np.ix_(sel, sel)], k_Si, whole_block_first=2 * kept_all >= solved)
-        theta[i, pos] = t if ok else k_Si  # fall back to plain k-NN weights for this vertex
-        fallbacks += not ok
-        solved += 1
-        kept_all += ok and bool(np.all(t > 0))
+    # a vertex regresses on its candidates, the neighbors of positive kernel
+    candidate = np.take_along_axis(S, nbrs, axis=1) > 0
+    counts = np.count_nonzero(candidate, axis=1)
+    theta = np.zeros(nbrs.shape)  # directed weight of i -> nbrs[i, c]
+    fallbacks = 0
+    for m in np.unique(counts[counts > 0]):
+        rows = np.flatnonzero(counts == m)
+        pos = np.nonzero(candidate[rows])[1].reshape(rows.size, m)
+        chunk = max(1, min(NNK_CHUNK_ROWS, NNK_CHUNK_BYTES // (8 * m * m)))
+        for start in range(0, rows.size, chunk):
+            r, c = rows[start : start + chunk, None], pos[start : start + chunk]
+            sel = nbrs[r, c]
+            K_SS, k_Si = S[sel[:, :, None], sel[:, None, :]], S[sel, r]
+            t, ok = nnls_solve(K_SS, k_Si, whole_block_first=True)
+            if not ok:
+                # answers do not depend on the stack: solve alone to find who falls back
+                for q in range(t.shape[0]):
+                    tq, ok_q = nnls_solve(K_SS[q], k_Si[q], whole_block_first=True)
+                    t[q] = tq if ok_q else k_Si[q]  # plain k-NN weights for this vertex
+                    fallbacks += not ok_q
+            theta[r, c] = t
     if fallbacks:
         warnings.warn(f"NNLS did not converge for {fallbacks} vertices; they keep k-NN weights")
     rows = np.repeat(np.arange(n), k)
@@ -345,9 +421,9 @@ def smooth_graph(Z, k: int, sigma: float = DEFAULT_SIGMA, solves: Optional[dict]
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    _check_sigma(sigma)
     Z = np.asarray(Z, dtype=float)
+    _check_square(Z, "distance")
     n = Z.shape[0]
     check_k_below_n("smooth", k, n)
     _check_finite(Z, "distance")

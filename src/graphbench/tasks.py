@@ -99,6 +99,8 @@ def kmeans(points, C: int, seed) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     X = sparse.csr_matrix(points)
     n = X.shape[0]
+    if C < 1:
+        raise ValueError("need at least 1 cluster")
     if n < C:
         raise ValueError("need at least C points")
     rng = np.random.default_rng(seed)

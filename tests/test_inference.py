@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 import graphbench.inference as inference_module
-from graphbench.core_graph import from_dense
+from graphbench.core_graph import from_arrays, from_dense
 from graphbench.harness import load_dataset
 from graphbench.inference import (
     DEFAULT_SIGMA,
@@ -72,6 +73,43 @@ def test_solver_rejects_bad_argument(build, reason):
     X = np.random.default_rng(0).standard_normal((6, 2))
     with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
         build(X)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda M: knn_select(M, 1),
+        lambda M: naive_graph(M, 1),
+        lambda M: naive_graph(M, None),
+        lambda M: nnk_graph(M, "rbf", 1),
+        lambda M: smooth_graph(M, 1),
+    ],
+    ids=["knn_select", "naive", "naive-dense", "nnk", "smooth"],
+)
+@pytest.mark.parametrize(
+    "M",
+    [np.ones((2, 3)), np.ones((6, 8)), np.ones(3), np.ones((2, 2, 2)), np.float64(1.0)],
+    ids=["2x3", "6x8", "1-D", "3-D", "0-D"],
+)
+def test_builders_reject_a_matrix_that_is_not_square(build, M):
+    with pytest.raises(ValueError, match=r"^(similarity|distance) matrix must be square and 2-D"):
+        build(M)
+
+
+@pytest.mark.parametrize(
+    "sigma, reason",
+    [(math.nan, "sigma must be positive"), (math.inf, "sigma must be finite")],
+    ids=["nan", "inf"],
+)
+@pytest.mark.parametrize(
+    "build",
+    [lambda S, sigma: nnk_graph(S, "rbf", 2, sigma), lambda S, sigma: smooth_graph(S, 2, sigma)],
+    ids=["nnk", "smooth"],
+)
+def test_builders_reject_a_sigma_that_is_not_a_positive_finite_number(build, sigma, reason):
+    S = np.exp(-pairwise_sq_euclidean(np.random.default_rng(0).standard_normal((6, 2))))
+    with pytest.raises(ValueError, match=f"^{reason}$"):
+        build(S, sigma)
 
 
 def edge_dict(g):
@@ -349,6 +387,30 @@ class TestNnlsSolve:
             clipped = np.maximum(np.linalg.solve(K, b), 0)
             assert quad_objective(K, b, t) <= quad_objective(K, b, clipped) + 1e-10
 
+    @pytest.mark.parametrize(
+        "K_shape, b_shape",
+        [((3, 3), (2,)), ((3, 3), (3, 1)), ((2, 3, 3), (3, 3)), ((2, 3, 3), (2, 2)), ((3,), (3,))],
+    )
+    def test_rejects_mismatched_shapes_naming_both(self, K_shape, b_shape):
+        message = re.escape(f"K of shape {K_shape} does not match b of shape {b_shape}")
+        with pytest.raises(ValueError, match=f"^{message}"):
+            nnls_solve(np.ones(K_shape), np.ones(b_shape))
+
+    @pytest.mark.parametrize("K, b", [([[math.nan]], [1.0]), ([[1.0]], [math.inf])], ids=["K", "b"])
+    def test_rejects_non_finite_input(self, K, b):
+        with pytest.raises(ValueError, match="^K and b must have finite entries$"):
+            nnls_solve(np.array(K), np.array(b))
+
+    def test_pseudo_inverse_drops_the_eigenvalues_lstsq_drops(self):
+        # the eigenvalue 1e-15 lies between eps * max and lstsq's cutoff eps * 12 * max:
+        # inverting it would put 1e7 in the last weight
+        K = np.diag(np.r_[np.linspace(1.0, 0.5, 11), 1e-15])
+        b = np.r_[np.ones(11), 1e-8]
+        want = np.linalg.lstsq(K, b, rcond=None)[0]
+        assert want[-1] == 0.0
+        got = inference_module._pinv_solve(K[None], b[None])[0]
+        assert np.max(np.abs(got - want)) < 1e-12
+
 
 class TestNnkGraph:
     def test_k1_reduces_to_similarity_weight(self):
@@ -420,6 +482,31 @@ class TestNnkGraph:
         # the fallback keeps plain k-NN weights, so every k-NN edge survives
         assert edge_set(g) == edge_set(naive_on(X, "rbf", 3, gamma=0.5))
 
+    def test_one_failed_problem_falls_back_alone(self, monkeypatch):
+        # vertex 4's problem reports no convergence wherever it is solved; the
+        # other problems of its stack keep their NNK weights
+        X = np.random.default_rng(32).standard_normal((9, 2))
+        S = similarity_matrix(X, "rbf", 0.5)
+        nbrs = inference_module._knn_indices(S, 3)
+        failing = S[nbrs[4], 4]
+        real = inference_module.nnls_solve
+
+        def flaky(K, b, **kwargs):
+            theta, ok = real(K, b, **kwargs)
+            return theta, ok and not any(np.array_equal(row, failing) for row in np.atleast_2d(b))
+
+        want = edge_dict(nnk_graph(S, "rbf", 3))
+        monkeypatch.setattr(inference_module, "nnls_solve", flaky)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            g = nnk_graph(S, "rbf", 3)
+        messages = [str(w.message) for w in caught if "NNLS" in str(w.message)]
+        assert messages == ["NNLS did not converge for 1 vertices; they keep k-NN weights"]
+        got = edge_dict(g)
+        assert {e: w for e, w in got.items() if 4 not in e} == {
+            e: w for e, w in want.items() if 4 not in e
+        }
+
     def test_converged_solves_do_not_warn(self):
         X = np.random.default_rng(33).standard_normal((9, 2))
         with warnings.catch_warnings(record=True) as caught:
@@ -488,27 +575,172 @@ class TestWholeBlockFirstStep:
         solve_without_whole_block_step(monkeypatch)
         assert all(same_graph(g, nnk_graph(S, "rbf", k)) for g, k in zip(graphs, (5, 10, 20)))
 
-    def test_runs_once_per_road_graph_and_on_every_cora_vertex_at_k_5(
-        self, monkeypatch, nnk_bundles
-    ):
+    def test_one_call_per_chunk_reaches_every_vertex(self, monkeypatch, nnk_bundles):
         cora, road = nnk_bundles
-        real = inference_module.nnls_solve
-        tries = []
+        calls = recorded_solves(monkeypatch)
+        for S, similarity, k in [
+            (similarity_matrix(road.vertex_features, "rbf"), "rbf", 10),
+            (similarity_matrix(cora[0].vertex_features, "cosine"), "cosine", 5),
+            (similarity_matrix(cora[0].vertex_features, "cosine"), "cosine", 20),
+        ]:
+            calls.clear()
+            nnk_graph(S, similarity, k)
+            kernel = inference_module._nnk_kernel(S, similarity)
+            nbrs = inference_module._knn_indices(kernel, k)
+            counts = np.count_nonzero(np.take_along_axis(kernel, nbrs, axis=1) > 0, axis=1)
+            # vertices with m candidates share calls of at most 256 vertices and 1 MB of blocks
+            m, vertices = np.unique(counts[counts > 0], return_counts=True)
+            per_call = np.minimum(256, 2**20 // (8 * m * m))
+            assert len(calls) == np.sum(-(-vertices // per_call))
+            assert all(kwargs == {"whole_block_first": True} for _, _, kwargs, _ in calls)
+            assert sum(b.shape[0] for _, b, _, _ in calls) == np.count_nonzero(counts)
+            assert all(b.ndim == 2 for _, b, _, _ in calls)
 
-        def recording(K, b, whole_block_first=False):
-            tries[-1] += whole_block_first
-            return real(K, b, whole_block_first)
 
-        monkeypatch.setattr(inference_module, "nnls_solve", recording)
-        S = similarity_matrix(road.vertex_features, "rbf")
-        for k in (5, 10, 20):
-            tries.append(0)
-            nnk_graph(S, "rbf", k)
-        # no road optimum keeps every candidate, so only the first vertex tries it
-        assert tries == [1, 1, 1]
-        tries.append(0)
-        nnk_graph(similarity_matrix(cora[0].vertex_features, "cosine"), "cosine", 5)
-        assert tries[-1] == cora[0].n
+def recorded_solves(monkeypatch):
+    """Record every (K, b, kwargs, result) of nnk_graph's nnls_solve calls."""
+    real = inference_module.nnls_solve
+    calls = []
+
+    def recording(K, b, **kwargs):
+        calls.append((K, b, kwargs, real(K, b, **kwargs)))
+        return calls[-1][3]
+
+    monkeypatch.setattr(inference_module, "nnls_solve", recording)
+    return calls
+
+
+def nnls_solve_per_vertex(K, b):
+    """One vertex's Lawson-Hanson solve through np.linalg.lstsq, frozen as the reference."""
+    m = b.shape[0]
+    max_iter = max(10 * m, 30)
+    theta = np.zeros(m)
+    passive = np.zeros(m, dtype=bool)
+    for _ in range(max_iter):
+        grad = K @ theta - b
+        candidates = np.flatnonzero(~passive & (grad < -1e-8))
+        if candidates.size == 0:
+            return theta, True
+        passive[candidates[np.argmin(grad[candidates])]] = True
+        for _ in range(max_iter):
+            idx = np.flatnonzero(passive)
+            sol = np.linalg.lstsq(K[np.ix_(idx, idx)], b[idx], rcond=None)[0]
+            if np.all(sol > 0):
+                theta = np.zeros(m)
+                theta[idx] = sol
+                break
+            cur = theta[idx]
+            neg = sol <= 0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratios = np.where(neg, cur / (cur - sol), np.inf)
+            new = cur + float(np.min(ratios)) * (sol - cur)
+            new[neg & (new <= 1e-14)] = 0.0
+            theta = np.zeros(m)
+            theta[idx] = np.maximum(new, 0.0)
+            passive = theta > 0
+            if not passive.any():
+                break
+    return theta, False
+
+
+def nnk_graph_per_vertex(S, similarity, k, sigma=DEFAULT_SIGMA):
+    """nnk_graph solving one vertex at a time, frozen as the reference.
+
+    Returns the graph and the objective of each converged vertex, keyed by
+    the bytes of its (K, b).
+    """
+    S = inference_module._nnk_kernel(np.asarray(S, dtype=float), similarity)
+    n = S.shape[0]
+    nbrs = inference_module._knn_indices(S, k)
+    theta = np.zeros(nbrs.shape)
+    objectives = {}
+    for i in range(n):
+        pos = np.flatnonzero(S[i, nbrs[i]] > 0)
+        if pos.size == 0:
+            continue
+        sel = nbrs[i, pos]
+        K, b = S[np.ix_(sel, sel)], S[sel, i]
+        t, ok = nnls_solve_per_vertex(K, b)
+        theta[i, pos] = t if ok else b
+        if ok:
+            objectives[K.tobytes() + b.tobytes()] = quad_objective(K, b, t)
+    rows, cols, w = np.repeat(np.arange(n), k), nbrs.ravel(), theta.ravel()
+    keep = w > sigma
+    rows, cols, w = rows[keep], cols[keep], w[keep]
+    i, j, slot = inference_module._undirected(n, rows, cols, return_inverse=True)
+    merged = np.zeros(i.size)
+    np.add.at(merged, slot, w / 2.0)
+    keep = merged > sigma
+    return from_arrays(n, i[keep], j[keep], merged[keep]), objectives
+
+
+@st.composite
+def nnls_stacks(draw):
+    """R problems of m unknowns: Gaussian-kernel blocks as in nnk_graph, and rank-deficient A A'."""
+    R, m = draw(st.integers(1, 20)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Ks, bs = [], []
+    for _ in range(R):
+        if draw(st.booleans()):
+            P = rng.standard_normal((m + 1, draw(st.integers(1, 16)))) * draw(st.floats(0.05, 1.0))
+            K = np.exp(-pairwise_sq_euclidean(P))
+            Ks.append(K[1:, 1:])
+            bs.append(K[1:, 0])
+        else:
+            A = rng.standard_normal((m, draw(st.integers(1, m))))
+            Ks.append(A @ A.T)
+            bs.append(A @ rng.standard_normal(A.shape[1]))  # in the range of K: bounded below
+    return np.stack(Ks), np.stack(bs), draw(st.booleans())
+
+
+class TestStackedSolve:
+    @settings(max_examples=300, deadline=None)
+    @given(stack=nnls_stacks())
+    def test_each_problem_has_its_solo_bits_and_meets_kkt(self, stack):
+        K, b, whole_block_first = stack
+        theta, ok = nnls_solve(K, b, whole_block_first=whole_block_first)
+        assert theta.shape == b.shape
+        solo = [nnls_solve(K[q], b[q], whole_block_first=whole_block_first) for q in range(len(b))]
+        assert ok is all(ok_q for _, ok_q in solo)
+        for q, (t, ok_q) in enumerate(solo):
+            assert theta[q].tobytes() == t.tobytes()
+            assert ok_q
+            grad = K[q] @ t - b[q]
+            assert np.all(grad[t > 0] <= 1e-7) and np.all(np.abs(grad[t > 1e-10]) <= 1e-6)
+            assert np.all(grad[t == 0] >= -1e-8)
+
+    def test_empty_stacks(self):
+        theta, ok = nnls_solve(np.zeros((0, 3, 3)), np.zeros((0, 3)))
+        assert theta.shape == (0, 3) and ok is True
+        theta, ok = nnls_solve(np.zeros((2, 0, 0)), np.zeros((2, 0)), whole_block_first=True)
+        assert theta.shape == (2, 0) and ok is True
+
+    @pytest.mark.parametrize("k", [5, 10, 20])
+    def test_graphs_match_the_per_vertex_solver(self, monkeypatch, nnk_bundles, k):
+        cora, road = nnk_bundles
+        cases = [(road.vertex_features, "rbf")]
+        cases += [(b.vertex_features, kind) for b in cora for kind in SIMILARITY_KINDS]
+        calls = recorded_solves(monkeypatch)
+        for X, similarity in cases:
+            S = similarity_matrix(X, similarity)
+            calls.clear()
+            got = edge_dict(nnk_graph(S, similarity, k))
+            reference, objectives = nnk_graph_per_vertex(S, similarity, k)
+            want = edge_dict(reference)
+            assert got.keys() == want.keys()
+            scale = max(want.values())
+            assert all(abs(got[e] - w) <= 1e-10 * scale for e, w in want.items())
+            # every vertex converges in both, none to a higher objective; a stack
+            # that did not converge is solved again one problem at a time
+            converged = set()
+            for K, b, _, (theta, ok) in calls:
+                b, theta = np.atleast_2d(b), np.atleast_2d(theta)
+                for Kq, bq, tq in zip(K.reshape(b.shape + b.shape[-1:]), b, theta):
+                    key = Kq.tobytes() + bq.tobytes()
+                    if ok:
+                        converged.add(key)
+                        assert quad_objective(Kq, bq, tq) <= objectives[key] + 1e-14
+            assert converged == objectives.keys()
 
 
 def golden_section(f, lo, hi, iters=200):

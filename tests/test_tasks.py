@@ -199,6 +199,11 @@ class TestKmeans:
         assignment = kmeans(np.array([[0.0], [5.0]]), 2, seed=0)
         assert assignment[0] != assignment[1]
 
+    @pytest.mark.parametrize("C, reason", [(0, "need at least 1 cluster"), (4, "need at least C points")])
+    def test_rejects_a_cluster_count_outside_1_to_n(self, C, reason):
+        with pytest.raises(ValueError, match=f"^{reason}$"):
+            kmeans(np.array([[0.0], [2.0], [4.0]]), C, seed=0)
+
     def test_separated_blobs_all_seeds(self):
         pts, truth = _blobs()
         for seed in range(50):
