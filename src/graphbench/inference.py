@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from typing import Optional
 
@@ -93,10 +94,15 @@ def _undirected(n: int, rows: np.ndarray, cols: np.ndarray, **unique_args):
 def check_k_below_n(method: str, k: Optional[int], n: int) -> None:
     """Raise the ValueError ``method``'s builder raises for a k not below the n vertices.
 
-    None, naive_graph's dense k, always passes. A caller can check a point
-    before it computes the n x n matrix the builder would reject it with.
+    None, naive_graph's dense k, always passes. A k-NN k must be an integer;
+    smooth's k is a target mean degree and may be any real. A caller can check
+    a point before it computes the n x n matrix the builder would reject it with.
     """
-    if k is None or k < n:
+    if k is None:
+        return
+    if method != "smooth" and (not isinstance(k, numbers.Integral) or isinstance(k, bool)):
+        raise ValueError(f"k must be an integer, got {k!r}")
+    if k < n:
         return
     if method == "smooth":
         raise ValueError(f"target mean degree k={k} must satisfy 1 <= k < n")
@@ -169,7 +175,7 @@ def _pinv_solve(K: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(V, coeffs[:, :, None])[:, :, 0]
 
 
-def nnls_solve(K_SS: np.ndarray, k_Si: np.ndarray, whole_block_first: bool = False):
+def nnls_solve(K_SS: np.ndarray, k_Si: np.ndarray):
     """Minimize 0.5 t'Kt - t'b over t >= 0 by an active-set (Lawson-Hanson) method.
 
     Takes one problem, K (m, m) and b (m,), or a stack of them, K (R, m, m)
@@ -177,21 +183,17 @@ def nnls_solve(K_SS: np.ndarray, k_Si: np.ndarray, whole_block_first: bool = Fal
     converged True when every problem converged. A problem that hits the
     iteration cap, max(10 m, 30), keeps its best iterate so far.
 
+    The first step solves the whole block from theta = 0. Where every weight
+    is positive, KKT holds with no inactive variable and the problem ends;
+    otherwise the step backs off to theta = 0 and variables enter one by one.
+
     The problems of a stack advance in lockstep, one solve over the passive
     set each per step. Problems whose passive sets have the same size share
     one stacked solve (see _pinv_solve), never padded, so each problem's
     theta is bit-identical whatever else is in the stack.
-
-    With ``whole_block_first``, the unconstrained solve of the whole block,
-    the solve the active-set loop ends with when it keeps every variable, is
-    tried first and kept as converged when every weight is positive: KKT
-    then holds with no inactive variable. Other problems run the loop as
-    without it.
     """
-    # C order, the layout of the blocks the loop gathers, so that a whole-block
-    # solve has the bits of the loop's own solve over every variable
-    K = np.ascontiguousarray(K_SS, dtype=float)
-    b = np.ascontiguousarray(k_Si, dtype=float)
+    K = np.asarray(K_SS, dtype=float)
+    b = np.asarray(k_Si, dtype=float)
     if b.ndim not in (1, 2) or K.shape != b.shape + b.shape[-1:]:
         raise ValueError(
             f"K of shape {K.shape} does not match b of shape {b.shape}: "
@@ -204,18 +206,13 @@ def nnls_solve(K_SS: np.ndarray, k_Si: np.ndarray, whole_block_first: bool = Fal
         K, b = K[None], b[None]
     R, m = b.shape
     theta = np.zeros((R, m))
-    passive = np.zeros((R, m), dtype=bool)
+    passive = np.ones((R, m), dtype=bool)
     done = np.full(R, m == 0)  # with no variable, theta = 0 meets KKT
     converged = done.copy()
     outer = np.zeros(R, dtype=int)  # outer iterations begun
     inner = np.zeros(R, dtype=int)  # solves in the current outer iteration
-    at_outer = np.ones(R, dtype=bool)  # the next step begins an outer iteration
+    at_outer = np.zeros(R, dtype=bool)  # the next step begins an outer iteration
     max_iter = max(10 * m, 30)
-    if whole_block_first and m > 0:
-        sol = _pinv_solve(K, b)
-        kept = np.all(sol > 0, axis=1)
-        theta[kept] = sol[kept]
-        done[kept] = converged[kept] = True
     while not done.all():
         # an outer iteration stops at the cap or at KKT, else frees the most negative gradient
         rows = np.flatnonzero(~done & at_outer)
@@ -238,12 +235,12 @@ def nnls_solve(K_SS: np.ndarray, k_Si: np.ndarray, whole_block_first: bool = Fal
             idx = np.nonzero(passive[rows])[1].reshape(rows.size, p)
             sol = _pinv_solve(K[r[:, :, None], idx[:, :, None], idx[:, None, :]], b[r, idx])
             feasible = np.all(sol > 0, axis=1)
-            # an infeasible solve moves theta towards sol until a weight reaches 0
+            # an infeasible solve moves theta towards sol until a weight reaches 0;
+            # a weight already at 0 that sol sends to <= 0 allows no step at all
             cur = theta[r, idx]
             neg = sol <= 0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = np.where(neg, cur / (cur - sol), np.inf)
-                new = cur + np.min(ratios, axis=1, keepdims=True) * (sol - cur)
+            ratios = np.divide(cur, cur - sol, out=np.where(neg, 0.0, 1.0), where=neg & (cur > 0))
+            new = cur + np.min(ratios, axis=1, keepdims=True) * (sol - cur)
             new[neg & (new <= 1e-14)] = 0.0
             theta[rows] = 0.0
             theta[r, idx] = np.where(feasible[:, None], sol, np.maximum(new, 0.0))
@@ -306,11 +303,11 @@ def nnk_graph(S, similarity: str, k: int, sigma: float = DEFAULT_SIGMA) -> Graph
             r, c = rows[start : start + chunk, None], pos[start : start + chunk]
             sel = nbrs[r, c]
             K_SS, k_Si = S[sel[:, :, None], sel[:, None, :]], S[sel, r]
-            t, ok = nnls_solve(K_SS, k_Si, whole_block_first=True)
+            t, ok = nnls_solve(K_SS, k_Si)
             if not ok:
                 # answers do not depend on the stack: solve alone to find who falls back
                 for q in range(t.shape[0]):
-                    tq, ok_q = nnls_solve(K_SS[q], k_Si[q], whole_block_first=True)
+                    tq, ok_q = nnls_solve(K_SS[q], k_Si[q])
                     t[q] = tq if ok_q else k_Si[q]  # plain k-NN weights for this vertex
                     fallbacks += not ok_q
             theta[r, c] = t

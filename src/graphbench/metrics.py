@@ -125,6 +125,8 @@ def add_noise_to_snr(clean, target_db: float, seed) -> np.ndarray:
     sig = float(clean @ clean)
     if sig == 0:
         raise ValueError("clean signal has zero power")
+    if math.isnan(target_db) or target_db == -math.inf:
+        raise ValueError(f"target_db must be a finite number or +inf, got {target_db!r}")
     if math.isinf(target_db):
         return clean.copy()
     rng = np.random.default_rng(seed)

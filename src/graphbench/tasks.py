@@ -47,8 +47,8 @@ def spectral_embed(g: Graph, C: int) -> np.ndarray:
     instead. Each column is sign-fixed so its largest-magnitude entry is
     positive.
     """
-    if C + 1 > g.n:
-        raise ValueError("need C + 1 <= n")
+    if not 1 <= C < g.n:
+        raise ValueError("need 1 <= C and C + 1 <= n")
     # index C + 1 is computed only for the multiplicity check at the boundary
     vals, vecs = eigendecompose(laplacian(g), lowest=C + 2)
     lo = 0 if np.sum(np.abs(vals) < NULL_SPACE_TOL) >= 2 else 1

@@ -56,6 +56,11 @@ def smooth_on(X, k, sigma=DEFAULT_SIGMA):
         (lambda X: nnk_on(X, "rbf", 3, sigma=-1.0), "sigma must be positive"),
         (lambda X: smooth_on(X, 3, sigma=0.0), "sigma must be positive"),
         (lambda X: smooth_on(X, 3, sigma=-1.0), "sigma must be positive"),
+        (lambda X: knn_select(similarity_matrix(X, "rbf"), 1.5), "k must be an integer, got 1.5"),
+        (lambda X: naive_on(X, "rbf", 1.5), "k must be an integer, got 1.5"),
+        (lambda X: naive_on(X, "rbf", True), "k must be an integer, got True"),
+        (lambda X: nnk_on(X, "rbf", 1.5), "k must be an integer, got 1.5"),
+        (lambda X: nnk_on(X, "rbf", True), "k must be an integer, got True"),
     ],
     ids=[
         "naive-similarity",
@@ -67,12 +72,28 @@ def smooth_on(X, k, sigma=DEFAULT_SIGMA):
         "nnk-negative-sigma",
         "smooth-zero-sigma",
         "smooth-negative-sigma",
+        "knn_select-fractional-k",
+        "naive-fractional-k",
+        "naive-bool-k",
+        "nnk-fractional-k",
+        "nnk-bool-k",
     ],
 )
 def test_solver_rejects_bad_argument(build, reason):
     X = np.random.default_rng(0).standard_normal((6, 2))
     with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
         build(X)
+
+
+def test_numpy_integer_k_builds_the_graph_of_the_python_int():
+    S = similarity_matrix(np.random.default_rng(0).standard_normal((6, 2)), "rbf")
+    for build in (knn_select, naive_graph, lambda S, k: nnk_graph(S, "rbf", k)):
+        assert build(S, np.int64(2)).edges.tobytes() == build(S, 2).edges.tobytes()
+
+
+def test_smooth_k_is_a_mean_degree_and_may_be_fractional():
+    g = smooth_on(np.random.default_rng(1).standard_normal((12, 2)), 2.5)
+    assert 0.75 * 2.5 <= 2.0 * g.n_edges / g.n <= 1.25 * 2.5
 
 
 @pytest.mark.parametrize(
@@ -401,6 +422,16 @@ class TestNnlsSolve:
         with pytest.raises(ValueError, match="^K and b must have finite entries$"):
             nnls_solve(np.array(K), np.array(b))
 
+    def test_unbounded_problem_is_finite_and_not_converged(self):
+        # 0.5 t'Kt - t'b falls without bound along t_2: no minimizer exists
+        t, ok = nnls_solve(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([1.0, 1.0]))
+        assert ok is False and t.tolist() == [1.0, 0.0]
+
+    def test_whole_block_solve_with_a_zero_weight_backs_off_and_converges(self):
+        # the whole-block solve (1, 0) is not positive; the loop then frees t_1 alone
+        t, ok = nnls_solve(np.eye(2), np.array([1.0, 0.0]))
+        assert ok is True and t.tolist() == [1.0, 0.0]
+
     def test_pseudo_inverse_drops_the_eigenvalues_lstsq_drops(self):
         # the eigenvalue 1e-15 lies between eps * max and lstsq's cutoff eps * 12 * max:
         # inverting it would put 1e7 in the last weight
@@ -515,16 +546,6 @@ class TestNnkGraph:
         assert not [w for w in caught if "NNLS" in str(w.message)]
 
 
-def solve_without_whole_block_step(monkeypatch):
-    """Make nnk_graph's nnls_solve calls run the active-set loop alone."""
-    real = inference_module.nnls_solve
-    monkeypatch.setattr(inference_module, "nnls_solve", lambda K, b, **_: real(K, b))
-
-
-def same_graph(g, h):
-    return g.n == h.n and g.edges.tobytes() == h.edges.tobytes()
-
-
 @pytest.fixture(scope="module")
 def nnk_bundles(tmp_path_factory):
     """Small seeded Cora-shaped and road-shaped bundles from the benchmark's generator."""
@@ -534,67 +555,6 @@ def nnk_bundles(tmp_path_factory):
     cora = [load_dataset(gen.cora_like(root / f"cora{s}", s, **shape)) for s in (0, 1)]
     road = load_dataset(gen.road_like(root / "road", 0, n=300, mean_degree=4.0, smoothness=2.0))
     return cora, road
-
-
-class TestWholeBlockFirstStep:
-    @settings(max_examples=300, deadline=None)
-    @given(
-        m=st.integers(1, 12),
-        dim=st.integers(1, 16),
-        scale=st.floats(0.05, 1.0),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_same_bits_as_the_loop_when_it_keeps_every_weight(self, m, dim, scale, seed):
-        # a Gaussian kernel block of m distinct points and their kernel to a
-        # query point: positive definite, with positive b, as in nnk_graph
-        P = np.random.default_rng(seed).standard_normal((m + 1, dim)) * scale
-        K = np.exp(-pairwise_sq_euclidean(P))
-        block, b = K[1:, 1:], K[1:, 0]
-        theta, ok = nnls_solve(block, b)
-        first, first_ok = nnls_solve(block, b, whole_block_first=True)
-        if ok and np.all(theta > 0):
-            assert first_ok is True
-            assert first.tobytes() == theta.tobytes()
-
-    @pytest.mark.parametrize("similarity", SIMILARITY_KINDS)
-    def test_cora_like_graphs_are_bit_identical_without_it(
-        self, monkeypatch, nnk_bundles, similarity
-    ):
-        cora, _ = nnk_bundles
-        matrices = [similarity_matrix(b.vertex_features, similarity) for b in cora]
-        ks = (5, 10, 20)
-        graphs = [nnk_graph(S, similarity, k) for S in matrices for k in ks]
-        solve_without_whole_block_step(monkeypatch)
-        plain = [nnk_graph(S, similarity, k) for S in matrices for k in ks]
-        assert all(same_graph(g, h) for g, h in zip(graphs, plain))
-
-    def test_road_like_graphs_are_bit_identical_without_it(self, monkeypatch, nnk_bundles):
-        _, road = nnk_bundles
-        S = similarity_matrix(road.vertex_features, "rbf")
-        graphs = [nnk_graph(S, "rbf", k) for k in (5, 10, 20)]
-        solve_without_whole_block_step(monkeypatch)
-        assert all(same_graph(g, nnk_graph(S, "rbf", k)) for g, k in zip(graphs, (5, 10, 20)))
-
-    def test_one_call_per_chunk_reaches_every_vertex(self, monkeypatch, nnk_bundles):
-        cora, road = nnk_bundles
-        calls = recorded_solves(monkeypatch)
-        for S, similarity, k in [
-            (similarity_matrix(road.vertex_features, "rbf"), "rbf", 10),
-            (similarity_matrix(cora[0].vertex_features, "cosine"), "cosine", 5),
-            (similarity_matrix(cora[0].vertex_features, "cosine"), "cosine", 20),
-        ]:
-            calls.clear()
-            nnk_graph(S, similarity, k)
-            kernel = inference_module._nnk_kernel(S, similarity)
-            nbrs = inference_module._knn_indices(kernel, k)
-            counts = np.count_nonzero(np.take_along_axis(kernel, nbrs, axis=1) > 0, axis=1)
-            # vertices with m candidates share calls of at most 256 vertices and 1 MB of blocks
-            m, vertices = np.unique(counts[counts > 0], return_counts=True)
-            per_call = np.minimum(256, 2**20 // (8 * m * m))
-            assert len(calls) == np.sum(-(-vertices // per_call))
-            assert all(kwargs == {"whole_block_first": True} for _, _, kwargs, _ in calls)
-            assert sum(b.shape[0] for _, b, _, _ in calls) == np.count_nonzero(counts)
-            assert all(b.ndim == 2 for _, b, _, _ in calls)
 
 
 def recorded_solves(monkeypatch):
@@ -690,17 +650,51 @@ def nnls_stacks(draw):
             A = rng.standard_normal((m, draw(st.integers(1, m))))
             Ks.append(A @ A.T)
             bs.append(A @ rng.standard_normal(A.shape[1]))  # in the range of K: bounded below
-    return np.stack(Ks), np.stack(bs), draw(st.booleans())
+    return np.stack(Ks), np.stack(bs)
+
+
+class TestWholeBlockFirstStep:
+    @settings(max_examples=300, deadline=None)
+    @given(stack=nnls_stacks())
+    def test_keeps_the_whole_block_solve_when_every_weight_is_positive(self, stack):
+        K, b = stack
+        whole = inference_module._pinv_solve(K, b)
+        theta, _ = nnls_solve(K, b)
+        for q in np.flatnonzero(np.all(whole > 0, axis=1)):
+            assert theta[q].tobytes() == whole[q].tobytes()
+            t, ok = nnls_solve(K[q], b[q])
+            assert ok is True and t.tobytes() == whole[q].tobytes()
+
+    def test_one_call_per_chunk_reaches_every_vertex(self, monkeypatch, nnk_bundles):
+        cora, road = nnk_bundles
+        calls = recorded_solves(monkeypatch)
+        for S, similarity, k in [
+            (similarity_matrix(road.vertex_features, "rbf"), "rbf", 10),
+            (similarity_matrix(cora[0].vertex_features, "cosine"), "cosine", 5),
+            (similarity_matrix(cora[0].vertex_features, "cosine"), "cosine", 20),
+        ]:
+            calls.clear()
+            nnk_graph(S, similarity, k)
+            kernel = inference_module._nnk_kernel(S, similarity)
+            nbrs = inference_module._knn_indices(kernel, k)
+            counts = np.count_nonzero(np.take_along_axis(kernel, nbrs, axis=1) > 0, axis=1)
+            # vertices with m candidates share calls of at most 256 vertices and 1 MB of blocks
+            m, vertices = np.unique(counts[counts > 0], return_counts=True)
+            per_call = np.minimum(256, 2**20 // (8 * m * m))
+            assert len(calls) == np.sum(-(-vertices // per_call))
+            assert all(kwargs == {} for _, _, kwargs, _ in calls)
+            assert sum(b.shape[0] for _, b, _, _ in calls) == np.count_nonzero(counts)
+            assert all(b.ndim == 2 for _, b, _, _ in calls)
 
 
 class TestStackedSolve:
     @settings(max_examples=300, deadline=None)
     @given(stack=nnls_stacks())
     def test_each_problem_has_its_solo_bits_and_meets_kkt(self, stack):
-        K, b, whole_block_first = stack
-        theta, ok = nnls_solve(K, b, whole_block_first=whole_block_first)
+        K, b = stack
+        theta, ok = nnls_solve(K, b)
         assert theta.shape == b.shape
-        solo = [nnls_solve(K[q], b[q], whole_block_first=whole_block_first) for q in range(len(b))]
+        solo = [nnls_solve(K[q], b[q]) for q in range(len(b))]
         assert ok is all(ok_q for _, ok_q in solo)
         for q, (t, ok_q) in enumerate(solo):
             assert theta[q].tobytes() == t.tobytes()
@@ -712,7 +706,7 @@ class TestStackedSolve:
     def test_empty_stacks(self):
         theta, ok = nnls_solve(np.zeros((0, 3, 3)), np.zeros((0, 3)))
         assert theta.shape == (0, 3) and ok is True
-        theta, ok = nnls_solve(np.zeros((2, 0, 0)), np.zeros((2, 0)), whole_block_first=True)
+        theta, ok = nnls_solve(np.zeros((2, 0, 0)), np.zeros((2, 0)))
         assert theta.shape == (2, 0) and ok is True
 
     @pytest.mark.parametrize("k", [5, 10, 20])

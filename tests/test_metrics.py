@@ -200,6 +200,11 @@ class TestAddNoise:
         clean = np.array([1.0, 2.0])
         assert np.array_equal(add_noise_to_snr(clean, math.inf, 0), clean)
 
+    @pytest.mark.parametrize("target_db", [math.nan, -math.inf], ids=["nan", "-inf"])
+    def test_rejects_a_target_that_is_not_finite_or_plus_inf(self, target_db):
+        with pytest.raises(ValueError, match="^target_db must be a finite number or \\+inf"):
+            add_noise_to_snr(np.array([1.0, 2.0]), target_db, 0)
+
     def test_different_seeds_same_snr(self):
         clean = np.arange(1.0, 21.0)
         n1 = add_noise_to_snr(clean, 5.0, seed=1)

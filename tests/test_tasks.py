@@ -118,6 +118,12 @@ class TestSpectralEmbed:
         with pytest.raises(ValueError):
             spectral_embed(g, 2)
 
+    @pytest.mark.parametrize("C", [0, -1])
+    def test_needs_at_least_one_dimension(self, C):
+        g, _ = clique_union([4])
+        with pytest.raises(ValueError, match=r"^need 1 <= C and C \+ 1 <= n$"):
+            spectral_embed(g, C)
+
     def test_skip_first_flag(self):
         g, _ = clique_union([5])
         with pytest.warns(UserWarning, match=MULTIPLICITY):
