@@ -7,7 +7,8 @@ import math
 import numbers
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
@@ -344,13 +345,14 @@ class GridCache:
     """The stage results that the points of one run_grid call share, on one bundle.
 
     It keeps the read-only matrix of the last ``matrix_key`` asked for until
-    another key is asked for; a pool worker's cache (``keep_matrix`` False)
-    drops it after each build that succeeds. It keeps the raw graph of the
-    last graph identity it built, with the warnings its build raised; a
-    build that raises is not kept, so the next request for its identity
-    builds again, from the matrix still held, and raises the same error. It
-    also keeps smooth_graph's memo of learned graphs by (sigma, distance
-    scale), and in ``heads`` the result of each point scored (RunConfig.scored).
+    another key is asked for; the cache of each process of a parallel run
+    (``keep_matrix`` False) drops it after each build that succeeds. It
+    keeps the raw graph of the last graph identity it built, with the
+    warnings its build raised; a build that raises is not kept, so the next
+    request for its identity builds again, from the matrix still held, and
+    raises the same error. It also keeps smooth_graph's memo of learned
+    graphs by (sigma, distance scale), and in ``heads`` the result of each
+    point scored (RunConfig.scored).
     """
 
     def __init__(self, keep_matrix: bool = True):
@@ -554,14 +556,16 @@ def run_grid(
     Points that infer the same raw graph form a group, which runs as one unit
     through a GridCache; the groups run in order of their matrix_key's first
     appearance, then of their own. Serially, one cache keeps the last matrix,
-    so each matrix is computed once. Under ``jobs`` > 1 each group is one
-    task of a pool of at most ``jobs`` workers, and at most one worker per
-    group; a worker drops its matrix after each build that succeeds. A build
-    that raises is not kept, and every point of its group fails with the same
+    so each matrix is computed once. Under ``jobs`` > 1, this process and a
+    pool of ``jobs`` - 1 worker processes (fewer when there are fewer groups)
+    take the groups one at a time, in that order, from one queue; each of
+    them drops its matrix after each build that succeeds. A build that
+    raises is not kept, and every point of its group fails with the same
     error. Smooth points share their solves per distance scale within the
     process that runs them, and an augmented point of a loop-blind task
     shares its raw point's head result. Results come back in the configs'
-    order.
+    order. A worker's death, or an exception in this process's groups, stops
+    the queue and is raised after the pool has shut down.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -579,10 +583,39 @@ def run_grid(
         cache = GridCache()
         done = [_run_group(bundle, cache, group) for group in groups]
     else:
+        done = [None] * len(groups)
+        todo = deque(enumerate(groups))  # the one queue of (index, group)
+
+        def take():
+            try:
+                return todo.popleft()
+            except IndexError:
+                return None
+
+        # hands one worker its groups; it must emit no warning, which a point being
+        # scored in this process would record (catch_warnings is process-wide)
+        def feed(index, future):
+            try:
+                done[index] = future.result()
+                for index, group in iter(take, None):
+                    done[index] = pool.submit(_run_in_worker, group).result()
+            finally:
+                todo.clear()  # so that a failure stops every process
+
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_start_worker, initargs=(bundle,)
-        ) as pool:
-            done = list(pool.map(_run_in_worker, groups))
+            max_workers=workers - 1, initializer=_start_worker, initargs=(bundle,)
+        ) as pool, ThreadPoolExecutor(workers - 1) as feeders:
+            # the first submit forks every worker: it comes before any feeder thread starts
+            first = [todo.popleft() for _ in range(workers - 1)]
+            fed = [feeders.submit(feed, i, pool.submit(_run_in_worker, g)) for i, g in first]
+            try:
+                cache = GridCache(keep_matrix=False)
+                for index, group in iter(take, None):
+                    done[index] = _run_group(bundle, cache, group)
+            finally:
+                todo.clear()  # after a raise here, the feeders take no more groups
+            for feeder in fed:
+                feeder.result()  # raises a worker's death or a feeder's error
     by_index = dict(zip(order, (result for part in done for result in part)))
     results = [by_index[index] for index in range(len(configs))]
     return results, _best(results)

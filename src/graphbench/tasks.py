@@ -132,8 +132,8 @@ def discretize(embedding, seed=0) -> np.ndarray:
     """
     X = np.asarray(embedding, dtype=float)
     n, C = X.shape
-    if C < 2:
-        raise ValueError("discretization needs C >= 2")
+    if n < 1 or C < 2:
+        raise ValueError(f"discretization needs n >= 1 rows and C >= 2 columns, got {X.shape}")
     norms = np.linalg.norm(X, axis=1)
     zero_rows = norms == 0
     if zero_rows.any():
@@ -178,6 +178,21 @@ def spectral_cluster(g: Graph, C: int, seed=0) -> np.ndarray:
     return discretize(spectral_embed(g, C), seed=seed)
 
 
+def _head_input(n: int, labels, masks) -> tuple[np.ndarray, np.ndarray]:
+    """``labels`` (a class >= 0 per vertex) and ``masks`` ((S, n) bools, none all False)."""
+    labels, masks = np.asarray(labels, dtype=int), np.asarray(masks)
+    if labels.shape != (n,):
+        raise ValueError(f"labels must have shape ({n},), got {labels.shape}")
+    if labels.min(initial=0) < 0:
+        raise ValueError(f"labels must be >= 0, got {labels.min()}")
+    if masks.dtype != bool or masks.ndim != 2 or masks.shape[1] != n:
+        raise ValueError(f"masks must be bool of shape (S, {n}), got {masks.dtype} {masks.shape}")
+    blind = np.flatnonzero(~masks.any(axis=1))
+    if blind.size:
+        raise ValueError(f"masks must each observe a vertex; mask {blind[0]} observes none")
+    return labels, masks
+
+
 def propagate_labels(g: Graph, labels, masks) -> list[np.ndarray]:
     """Label propagation on ``g`` through the diffusion kernel exp(W); a class vector per mask.
 
@@ -186,15 +201,15 @@ def propagate_labels(g: Graph, labels, masks) -> list[np.ndarray]:
     labels diffuse once through exp(W) (see matrix_exponential, built once
     per call) and each vertex takes its argmax. Observed vertices keep their
     label. An unobserved vertex whose connected component holds no observed
-    vertex gets the majority observed class (lowest index on ties).
+    vertex gets the majority observed class (lowest index on ties). Bad labels
+    or masks raise ValueError (see _head_input).
 
     Each block of HEAD_BLOCK_MASKS masks makes one product (see _stacked_products).
     """
+    labels, masks = _head_input(g.n, labels, masks)
     E = matrix_exponential(g.to_sparse().toarray())
     components = connected_components(g)
-    labels = np.asarray(labels, dtype=int)
     C = int(labels.max()) + 1
-    masks = np.asarray(masks, dtype=bool)
     preds = []
     for start in range(0, len(masks), HEAD_BLOCK_MASKS):
         block = masks[start : start + HEAD_BLOCK_MASKS]
@@ -308,10 +323,9 @@ def sgc_predict(g: Graph | None, X, labels, masks, seed) -> list[np.ndarray]:
     Each block of HEAD_BLOCK_MASKS masks scores every vertex in one product (see
     _stacked_products).
     """
+    labels, masks = _head_input(len(X), labels, masks)
     Xhat = X if g is None else diffuse_features(g, X)
-    labels = np.asarray(labels, dtype=int)
     C = int(labels.max()) + 1
-    masks = np.asarray(masks, dtype=bool)
     preds = []
     for start in range(0, len(masks), HEAD_BLOCK_MASKS):
         block = masks[start : start + HEAD_BLOCK_MASKS]

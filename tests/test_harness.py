@@ -3,13 +3,19 @@ import importlib.util
 import inspect
 import json
 import math
+import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
 from collections import Counter
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -536,11 +542,22 @@ class TestRunTask3:
 
 @pytest.fixture
 def inline_pools(monkeypatch):
-    """Make run_grid's pool run every task in this process; returns each pool's max_workers."""
+    """Make run_grid's pool run every task in this process; returns each pool's max_workers.
+
+    A task runs in the thread that submits it. Every group, those this
+    process runs as its own share included, holds one lock while it runs, so
+    the pool's tasks never race the calling thread's groups.
+    """
     pools = []
+    lock = threading.Lock()
+    run_group = harness._run_group
+
+    def run_group_locked(*args):
+        with lock:
+            return run_group(*args)
 
     class InlineExecutor:
-        """Records max_workers and runs every task in this process; starts no process."""
+        """Records max_workers and runs every task when it is submitted; starts no process."""
 
         def __init__(self, max_workers, initializer, initargs):
             pools.append(max_workers)
@@ -552,12 +569,34 @@ def inline_pools(monkeypatch):
         def __exit__(self, *exc_info):
             return False
 
-        def map(self, fn, iterable):
-            return map(fn, iterable)
+        def submit(self, fn, *args):
+            future = Future()
+            try:
+                future.set_result(fn(*args))
+            except Exception as exc:
+                future.set_exception(exc)
+            return future
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(harness, "_run_group", run_group_locked)
     monkeypatch.setattr(harness, "_worker_state", None)
     return pools
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail the block with TimeoutError, instead of hanging, once it has run ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestRunGrid:
@@ -677,10 +716,91 @@ class TestRunGrid:
         two_groups = one_graph + [RunConfig("ucv", "cmeans-baseline")]
         serial, _ = run_grid(bundle, two_groups)
         pooled, _ = run_grid(bundle, two_groups, jobs=8)
-        assert inline_pools == [2]
+        assert inline_pools == [1]  # this process runs one of the two groups
         assert [outcome(r) for r in pooled] == [outcome(r) for r in serial]
         run_grid(bundle, one_graph, jobs=8)
-        assert inline_pools == [2]  # a single group runs in this process, without a pool
+        assert inline_pools == [1]  # a single group runs in this process, without a pool
+
+    def pool_grid(self, tmp_path):
+        """The blob bundle and a grid of six groups, some sharing a matrix, one failing."""
+        write_blob_dataset(tmp_path / "d")
+        grid = [
+            RunConfig("ucv", "naive", similarity, k, adjacency_variant=v, seed=2)
+            for similarity, k in (("cosine", 2), ("rbf", 3), ("cosine", 4), ("cosine", 500))
+            for v in ("raw", "sym_norm")
+        ]
+        grid += [RunConfig("ucv", "nnk", "cosine", 3), RunConfig("ucv", "cmeans-baseline", seed=2)]
+        return load_dataset(tmp_path / "d"), grid
+
+    def test_reports_match_across_one_two_and_three_jobs(self, tmp_path):
+        bundle, grid = self.pool_grid(tmp_path)
+        reports = []
+        for jobs in (1, 2, 3):
+            results, _ = run_grid(bundle, grid, jobs=jobs)
+            assert [r.config for r in results] == grid
+            assert [r.failed for r in results] == [False] * 6 + [True] * 2 + [False] * 2
+            emit_report(results, tmp_path / f"r{jobs}.csv", bundle.name)
+            reports.append((tmp_path / f"r{jobs}.csv").read_bytes())
+            assert multiprocessing.active_children() == []
+        assert reports[1] == reports[0]
+        assert reports[2] == reports[0]
+
+    def test_each_group_runs_once_under_fast_thread_switches(self, tmp_path, monkeypatch):
+        bundle, grid = self.pool_grid(tmp_path)
+        serial = [outcome(r) for r in run_grid(bundle, grid)[0]]
+        runs, run_group = multiprocessing.Value("i", 0), harness._run_group
+
+        def counted(*args):
+            with runs.get_lock():
+                runs.value += 1
+            return run_group(*args)
+
+        monkeypatch.setattr(harness, "_run_group", counted)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the feeders and this thread interleave as often as they can
+        try:
+            with deadline(120):
+                for repeat in range(1, 4):  # five processes share the six groups
+                    results, _ = run_grid(bundle, grid, jobs=5)
+                    assert [outcome(r) for r in results] == serial
+                    assert runs.value == 6 * repeat
+        finally:
+            sys.setswitchinterval(interval)
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_that_dies_raises_broken_process_pool(self, tmp_path, monkeypatch):
+        bundle, grid = self.pool_grid(tmp_path)
+        parent, run_group = os.getpid(), harness._run_group
+
+        def run_group_or_die(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return run_group(*args)
+
+        monkeypatch.setattr(harness, "_run_group", run_group_or_die)
+        with deadline(60), pytest.raises(BrokenProcessPool):
+            run_grid(bundle, grid, jobs=3)
+        assert multiprocessing.active_children() == []
+
+    def test_an_exception_in_this_processs_share_propagates(self, tmp_path, monkeypatch):
+        bundle, grid = self.pool_grid(tmp_path)
+        parent, run_group = os.getpid(), harness._run_group
+        workers_ran = multiprocessing.Value("i", 0)
+
+        def run_group_or_raise(*args):
+            if os.getpid() == parent:
+                raise KeyError("this process's group")
+            with workers_ran.get_lock():
+                workers_ran.value += 1
+            return run_group(*args)
+
+        monkeypatch.setattr(harness, "_run_group", run_group_or_raise)
+        with deadline(60), pytest.raises(KeyError, match="this process's group"):
+            run_grid(bundle, grid, jobs=2)
+        assert multiprocessing.active_children() == []
+        # this process raises on its first group; the worker finishes the one it holds
+        # (and, if that ended first, the next) and takes no more of the six
+        assert 1 <= workers_ran.value <= 2
 
     def test_smooth_points_share_solves(self, tmp_path, monkeypatch):
         write_blob_dataset(tmp_path / "d", n_per=4)
@@ -773,8 +893,8 @@ class TestStartMatrixMemo:
         serial, _ = run_grid(bundle, grid)
         assert calls == {"cosine_similarity": 1}
         pooled, _ = run_grid(bundle, grid, jobs=2)
-        assert inline_pools == [2]
-        # the worker drops the matrix after the first group's build; the second computes it again
+        assert inline_pools == [1]
+        # both processes of the jobs=2 run drop the matrix after a build: each group computes it
         assert calls == {"cosine_similarity": 3}
         assert [outcome(r) for r in pooled] == [outcome(r) for r in serial]
 
@@ -790,7 +910,7 @@ class TestStartMatrixMemo:
         grid.append(RunConfig("ucv", "cmeans-baseline"))
         calls = count_calls(monkeypatch, inference_module, SIMILARITY_FUNCTIONS)
         results, _ = run_grid(bundle, grid, jobs=2)
-        assert inline_pools == [2]
+        assert inline_pools == [1]
         # each point is rejected for its k before any matrix is computed
         assert calls == {}
         assert [r.failed for r in results] == [True, True, True, False]
@@ -808,7 +928,7 @@ class TestStartMatrixMemo:
         grid.append(RunConfig("ucv", "cmeans-baseline"))
         calls = count_calls(monkeypatch, inference_module, SIMILARITY_FUNCTIONS)
         results, _ = run_grid(bundle, grid, jobs=2)
-        assert inline_pools == [2]
+        assert inline_pools == [1]
         # each point builds again, from the matrix the first failed build left
         assert calls == {"pairwise_sq_euclidean": 1}
         assert [r.failed for r in results] == [True, True, True, False]
@@ -1695,17 +1815,19 @@ class TestCli:
         assert all(float(row.pop("seconds")) >= 0.0 for row in timed)
         assert timed == untimed
 
-    @pytest.mark.parametrize("task", ["ucv", "dgs"])
+    @pytest.mark.parametrize("task", TASKS)
     def test_reports_byte_identical_across_blas_threads(self, tmp_path, task):
         gen = load_perfbench_module("gen")
-        if task == "ucv":
+        if task != "dgs":
             data = gen.cora_like(tmp_path / "d", 0, 200, 1433, 40, 0.42)
             points = [
-                {"method": "cmeans-baseline"},
+                {"method": harness.BASELINES[task]},
                 {"method": "naive", "similarity": "cosine", "k": 10, "adjacency_variant": "sym"},
                 {"method": "naive", "similarity": "rbf", "k": 10, "adjacency_variant": "augsym"},
                 {"method": "nnk", "similarity": "cosine", "k": 10},
             ]
+            if task != "ucv":
+                points = [dict(point, n_splits=10) for point in points]
         else:
             data = gen.road_like(tmp_path / "d", 0, 150, 4.0, 2.0)
             points = [

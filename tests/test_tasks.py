@@ -304,6 +304,10 @@ class TestDiscretize:
         with pytest.raises(ValueError):
             discretize(np.ones((4, 1)))
 
+    def test_needs_a_row(self):
+        with pytest.raises(ValueError, match=r"n >= 1 rows and C >= 2 columns, got \(0, 3\)"):
+            discretize(np.zeros((0, 3)))
+
 
 class TestSpectralCluster:
     def test_two_components_recovered(self):
@@ -554,6 +558,33 @@ class TestLabelPropagate:
         assert [str(w.message) for w in got_warnings] == [str(w.message) for w in want_warnings]
         if graph == "interleaved":
             assert str(got_warnings[0].message).startswith("40 unlabeled vertices")
+
+
+# Each semi-supervised head, called on a graph, labels and masks; SGC reads identity features.
+SSCV_HEADS = {
+    "propagate_labels": propagate_labels,
+    "sgc_predict": lambda g, labels, masks: sgc_predict(g, np.eye(g.n), labels, masks, 0),
+}
+
+
+@pytest.mark.parametrize(
+    "labels, masks, message",
+    [
+        ([0, -1, 1, 1], [[True, False, True, False]], r"labels must be >= 0, got -1"),
+        ([0, 1, 1], [[True, False, True, False]], r"labels must have shape \(4,\), got \(3,\)"),
+        ([[0, 1, 1, 0]], [[True, False, True, False]], r"labels must have shape .* got \(1, 4\)"),
+        ([0, 1, 1, 0], [[True, False, True]], r"masks must be bool of shape \(S, 4\), got bool"),
+        ([0, 1, 1, 0], [True, False, True, False], r"got bool \(4,\)"),
+        ([0, 1, 1, 0], [[1, 0, 1, 0]], r"got int64 \(1, 4\)"),
+        ([0, 1, 1, 0], [[True, False, True, False], [False] * 4], r"mask 1 observes none"),
+    ],
+    ids=["negative-label", "short-labels", "2d-labels", "short-mask", "1d-mask", "int-mask", "blind"],
+)
+@pytest.mark.parametrize("head", sorted(SSCV_HEADS))
+def test_sscv_heads_reject_bad_labels_and_masks(head, labels, masks, message):
+    g = Graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+    with pytest.raises(ValueError, match=message):
+        SSCV_HEADS[head](g, labels, masks)
 
 
 BLOCK_COUNTS = [
