@@ -67,10 +67,8 @@ def _load_grid(spec: str, task: str, bundle, master_seed: int) -> list[RunConfig
         if entry.setdefault("task", task) != task:
             raise ValueError(f"entry {number} names task {entry['task']!r}, but --task is {task!r}")
         entry.setdefault("seed", master_seed)
-        if "adjacency_variant" in entry:
-            entry["adjacency_variant"] = VARIANT_ALIASES.get(
-                entry["adjacency_variant"], entry["adjacency_variant"]
-            )
+        if entry.get("adjacency_variant") in VARIANT_ALIASES:
+            entry["adjacency_variant"] = VARIANT_ALIASES[entry["adjacency_variant"]]
         configs.append(RunConfig(**entry))
     if not configs:
         raise ValueError(f"{spec} holds no grid points")

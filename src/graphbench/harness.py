@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import csv
 import math
+import multiprocessing
 import numbers
 import time
 import warnings
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
@@ -528,14 +528,13 @@ def _best(results: list[RunResult]) -> Optional[RunResult]:
     return best
 
 
-# A pool worker's bundle and cache, set once by _start_worker in each worker
-# process that run_grid starts; they end with the pool.
-_worker_state: Optional[tuple[DatasetBundle, GridCache]] = None
+# A pool worker's (bundle, cache, groups, claims), set once by _start_worker; ends with the pool.
+_worker_state: Optional[tuple] = None
 
 
-def _start_worker(bundle: DatasetBundle) -> None:
+def _start_worker(bundle: DatasetBundle, groups: list, claims) -> None:
     global _worker_state
-    _worker_state = bundle, GridCache(keep_matrix=False)
+    _worker_state = bundle, GridCache(keep_matrix=False), groups, claims
 
 
 def _run_group(
@@ -544,8 +543,30 @@ def _run_group(
     return [run_one(bundle, cfg, cache) for cfg in group]
 
 
-def _run_in_worker(group: list[RunConfig]) -> list[RunResult]:
-    return _run_group(*_worker_state, group)
+def _run_claimed(bundle, cache: GridCache, groups, claims, index: int, futures=()) -> dict:
+    """Run groups[index], then each next unclaimed group, whose index ``claims`` holds.
+
+    Returns the results by group index. Nothing is claimed once one of ``futures``
+    is done: its worker died or raised, or no group is left. An exception sets
+    ``claims`` past the last group, so that no process starts another, and is raised.
+    """
+    done = {}
+    try:
+        while index < len(groups):
+            done[index] = _run_group(bundle, cache, groups[index])
+            if any(future.done() for future in futures):
+                break
+            with claims.get_lock():
+                index = claims.value
+                claims.value = index + 1
+    except BaseException:
+        claims.value = len(groups)
+        raise
+    return done
+
+
+def _run_in_worker(index: int) -> dict[int, list[RunResult]]:
+    return _run_claimed(*_worker_state, index)
 
 
 def run_grid(
@@ -556,16 +577,16 @@ def run_grid(
     Points that infer the same raw graph form a group, which runs as one unit
     through a GridCache; the groups run in order of their matrix_key's first
     appearance, then of their own. Serially, one cache keeps the last matrix,
-    so each matrix is computed once. Under ``jobs`` > 1, this process and a
-    pool of ``jobs`` - 1 worker processes (fewer when there are fewer groups)
-    take the groups one at a time, in that order, from one queue; each of
-    them drops its matrix after each build that succeeds. A build that
-    raises is not kept, and every point of its group fails with the same
-    error. Smooth points share their solves per distance scale within the
-    process that runs them, and an augmented point of a loop-blind task
-    shares its raw point's head result. Results come back in the configs'
-    order. A worker's death, or an exception in this process's groups, stops
-    the queue and is raised after the pool has shut down.
+    so each matrix is computed once. Under ``jobs`` > 1, worker i of a pool
+    of ``jobs`` - 1 processes (fewer when there are fewer groups) starts on
+    group i and this process on the next; then each claims the next group
+    in that order (see _run_claimed), and drops its matrix after each build
+    that succeeds. A build that raises is not kept, and every point of its
+    group fails with the same error. Smooth points share their solves per
+    distance scale within the process that runs them, and an augmented point
+    of a loop-blind task shares its raw point's head result. Results come
+    back in the configs' order. A worker's death, or an exception in any
+    process, stops the claims and is raised after the pool has shut down.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -576,47 +597,23 @@ def run_grid(
     indices = sorted(
         by_graph.values(), key=lambda g: rank.setdefault(configs[g[0]].matrix_key, len(rank))
     )
-    order = [index for group in indices for index in group]
     groups = [[configs[i] for i in group] for group in indices]
     workers = min(jobs, len(groups))
     if workers <= 1:
         cache = GridCache()
-        done = [_run_group(bundle, cache, group) for group in groups]
+        done = {i: _run_group(bundle, cache, group) for i, group in enumerate(groups)}
     else:
-        done = [None] * len(groups)
-        todo = deque(enumerate(groups))  # the one queue of (index, group)
-
-        def take():
-            try:
-                return todo.popleft()
-            except IndexError:
-                return None
-
-        # hands one worker its groups; it must emit no warning, which a point being
-        # scored in this process would record (catch_warnings is process-wide)
-        def feed(index, future):
-            try:
-                done[index] = future.result()
-                for index, group in iter(take, None):
-                    done[index] = pool.submit(_run_in_worker, group).result()
-            finally:
-                todo.clear()  # so that a failure stops every process
-
+        context = multiprocessing.get_context()
+        claims = context.Value("i", workers)  # groups 0 .. workers - 1 start the processes
         with ProcessPoolExecutor(
-            max_workers=workers - 1, initializer=_start_worker, initargs=(bundle,)
-        ) as pool, ThreadPoolExecutor(workers - 1) as feeders:
-            # the first submit forks every worker: it comes before any feeder thread starts
-            first = [todo.popleft() for _ in range(workers - 1)]
-            fed = [feeders.submit(feed, i, pool.submit(_run_in_worker, g)) for i, g in first]
-            try:
-                cache = GridCache(keep_matrix=False)
-                for index, group in iter(take, None):
-                    done[index] = _run_group(bundle, cache, group)
-            finally:
-                todo.clear()  # after a raise here, the feeders take no more groups
-            for feeder in fed:
-                feeder.result()  # raises a worker's death or a feeder's error
-    by_index = dict(zip(order, (result for part in done for result in part)))
+            workers - 1, context, initializer=_start_worker, initargs=(bundle, groups, claims)
+        ) as pool:
+            futures = [pool.submit(_run_in_worker, i) for i in range(workers - 1)]
+            cache = GridCache(keep_matrix=False)
+            done = _run_claimed(bundle, cache, groups, claims, workers - 1, futures)
+        for future in futures:
+            done.update(future.result())  # raises a worker's death or exception
+    by_index = {n: r for i, group in enumerate(indices) for n, r in zip(group, done[i])}
     results = [by_index[index] for index in range(len(configs))]
     return results, _best(results)
 

@@ -7,10 +7,21 @@ import math
 import numpy as np
 
 
+def _integer_labels(values, name: str) -> np.ndarray:
+    """``values`` as ints; a ValueError naming ``name`` when one is not an integer."""
+    values = np.asarray(values)
+    if values.dtype.kind == "f":
+        bad = values[~np.isfinite(values) | (values != np.floor(values))]
+        if bad.size:
+            raise ValueError(f"{name} must be integers, got {bad[0]}")
+    elif values.dtype.kind not in "biu":
+        raise ValueError(f"{name} must be integers, got dtype {values.dtype}")
+    return values.astype(int)
+
+
 def contingency_table(u, v) -> np.ndarray:
     """R x S count table between two label vectors."""
-    u = np.asarray(u, dtype=int)
-    v = np.asarray(v, dtype=int)
+    u, v = _integer_labels(u, "u"), _integer_labels(v, "v")
     if u.shape != v.shape or u.ndim != 1:
         raise ValueError("partitions must be 1-D vectors of equal length")
     ru, ui = np.unique(u, return_inverse=True)
@@ -68,14 +79,10 @@ def expected_mutual_information(a: np.ndarray, b: np.ndarray, n: int) -> float:
 
 def ami(u, v) -> float:
     """Adjusted mutual information, mean-entropy normalization, natural logs."""
-    u = np.asarray(u, dtype=int)
-    v = np.asarray(v, dtype=int)
-    if u.shape != v.shape:
-        raise ValueError("partitions must have equal length")
-    n = u.size
+    table = contingency_table(u, v)
+    n = int(table.sum())
     if n < 2:
         raise ValueError("need at least 2 elements")
-    table = contingency_table(u, v)
     a = table.sum(axis=1)
     b = table.sum(axis=0)
     hu = _entropy(a, n)

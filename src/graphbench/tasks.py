@@ -9,7 +9,7 @@ import numpy as np
 from scipy import sparse
 
 from .core_graph import Graph, connected_components, eigendecompose, laplacian, matrix_exponential
-from .metrics import snr_db
+from .metrics import _integer_labels, snr_db
 
 # Eigenvalues this close to zero (absolute, or relative to lambda_max in
 # denoise) count as the Laplacian's null space: eigh returns them as +-1e-16,
@@ -134,6 +134,8 @@ def discretize(embedding, seed=0) -> np.ndarray:
     n, C = X.shape
     if n < 1 or C < 2:
         raise ValueError(f"discretization needs n >= 1 rows and C >= 2 columns, got {X.shape}")
+    if not np.isfinite(X).all():
+        raise ValueError("discretization needs a finite embedding")
     norms = np.linalg.norm(X, axis=1)
     zero_rows = norms == 0
     if zero_rows.any():
@@ -178,9 +180,9 @@ def spectral_cluster(g: Graph, C: int, seed=0) -> np.ndarray:
     return discretize(spectral_embed(g, C), seed=seed)
 
 
-def _head_input(n: int, labels, masks) -> tuple[np.ndarray, np.ndarray]:
-    """``labels`` (a class >= 0 per vertex) and ``masks`` ((S, n) bools, none all False)."""
-    labels, masks = np.asarray(labels, dtype=int), np.asarray(masks)
+def _head_input(n: int, labels, masks) -> tuple[np.ndarray, np.ndarray, int]:
+    """``labels`` (a class >= 0 per vertex), ``masks`` ((S, n) bools, none all False), C."""
+    labels, masks = _integer_labels(labels, "labels"), np.asarray(masks)
     if labels.shape != (n,):
         raise ValueError(f"labels must have shape ({n},), got {labels.shape}")
     if labels.min(initial=0) < 0:
@@ -190,7 +192,7 @@ def _head_input(n: int, labels, masks) -> tuple[np.ndarray, np.ndarray]:
     blind = np.flatnonzero(~masks.any(axis=1))
     if blind.size:
         raise ValueError(f"masks must each observe a vertex; mask {blind[0]} observes none")
-    return labels, masks
+    return labels, masks, int(labels.max()) + 1
 
 
 def propagate_labels(g: Graph, labels, masks) -> list[np.ndarray]:
@@ -206,20 +208,15 @@ def propagate_labels(g: Graph, labels, masks) -> list[np.ndarray]:
 
     Each block of HEAD_BLOCK_MASKS masks makes one product (see _stacked_products).
     """
-    labels, masks = _head_input(g.n, labels, masks)
+    labels, masks, C = _head_input(g.n, labels, masks)
     E = matrix_exponential(g.to_sparse().toarray())
     components = connected_components(g)
-    C = int(labels.max()) + 1
+    onehot = np.eye(C)[labels]
     preds = []
     for start in range(0, len(masks), HEAD_BLOCK_MASKS):
         block = masks[start : start + HEAD_BLOCK_MASKS]
-        onehots = []
-        for observed in block:
-            Y0 = np.zeros((labels.size, C))
-            obs = np.flatnonzero(observed)
-            Y0[obs, labels[obs]] = 1.0
-            onehots.append(Y0)
-        for observed, Yhat in zip(block, _stacked_products(E, onehots)):
+        observed_onehots = [onehot * observed[:, None] for observed in block]
+        for observed, Yhat in zip(block, _stacked_products(E, observed_onehots)):
             obs = np.flatnonzero(observed)
             pred = labels.copy()
             pred[~observed] = np.argmax(Yhat[~observed], axis=1)
@@ -323,9 +320,8 @@ def sgc_predict(g: Graph | None, X, labels, masks, seed) -> list[np.ndarray]:
     Each block of HEAD_BLOCK_MASKS masks scores every vertex in one product (see
     _stacked_products).
     """
-    labels, masks = _head_input(len(X), labels, masks)
+    labels, masks, C = _head_input(len(X), labels, masks)
     Xhat = X if g is None else diffuse_features(g, X)
-    C = int(labels.max()) + 1
     preds = []
     for start in range(0, len(masks), HEAD_BLOCK_MASKS):
         block = masks[start : start + HEAD_BLOCK_MASKS]

@@ -1,4 +1,5 @@
 import csv
+import functools
 import importlib.util
 import inspect
 import json
@@ -10,10 +11,8 @@ import signal
 import subprocess
 import sys
 import tempfile
-import threading
 import warnings
 from collections import Counter
-from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from pathlib import Path
@@ -544,22 +543,25 @@ class TestRunTask3:
 def inline_pools(monkeypatch):
     """Make run_grid's pool run every task in this process; returns each pool's max_workers.
 
-    A task runs in the thread that submits it. Every group, those this
-    process runs as its own share included, holds one lock while it runs, so
-    the pool's tasks never race the calling thread's groups.
+    A task runs when its result is asked for: after this process has run
+    its first group and claimed every other, so each task runs only the
+    group it starts on.
     """
     pools = []
-    lock = threading.Lock()
-    run_group = harness._run_group
 
-    def run_group_locked(*args):
-        with lock:
-            return run_group(*args)
+    class Deferred:
+        """A task that runs when its result is asked for."""
+
+        def __init__(self, fn, args):
+            self.result = functools.partial(fn, *args)
+
+        def done(self):
+            return False
 
     class InlineExecutor:
-        """Records max_workers and runs every task when it is submitted; starts no process."""
+        """Records max_workers and defers every task it is given; starts no process."""
 
-        def __init__(self, max_workers, initializer, initargs):
+        def __init__(self, max_workers, mp_context, initializer, initargs):
             pools.append(max_workers)
             initializer(*initargs)
 
@@ -570,15 +572,9 @@ def inline_pools(monkeypatch):
             return False
 
         def submit(self, fn, *args):
-            future = Future()
-            try:
-                future.set_result(fn(*args))
-            except Exception as exc:
-                future.set_exception(exc)
-            return future
+            return Deferred(fn, args)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", InlineExecutor)
-    monkeypatch.setattr(harness, "_run_group", run_group_locked)
     monkeypatch.setattr(harness, "_worker_state", None)
     return pools
 
@@ -741,7 +737,6 @@ class TestRunGrid:
             assert [r.failed for r in results] == [False] * 6 + [True] * 2 + [False] * 2
             emit_report(results, tmp_path / f"r{jobs}.csv", bundle.name)
             reports.append((tmp_path / f"r{jobs}.csv").read_bytes())
-            assert multiprocessing.active_children() == []
         assert reports[1] == reports[0]
         assert reports[2] == reports[0]
 
@@ -757,16 +752,16 @@ class TestRunGrid:
 
         monkeypatch.setattr(harness, "_run_group", counted)
         interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # the feeders and this thread interleave as often as they can
+        sys.setswitchinterval(1e-6)  # the pool's threads and this one interleave often
         try:
             with deadline(120):
-                for repeat in range(1, 4):  # five processes share the six groups
-                    results, _ = run_grid(bundle, grid, jobs=5)
+                # two, three and five processes race on the claims of the six groups
+                for repeat, jobs in enumerate((2, 3, 5), 1):
+                    results, _ = run_grid(bundle, grid, jobs=jobs)
                     assert [outcome(r) for r in results] == serial
                     assert runs.value == 6 * repeat
         finally:
             sys.setswitchinterval(interval)
-        assert multiprocessing.active_children() == []
 
     def test_a_worker_that_dies_raises_broken_process_pool(self, tmp_path, monkeypatch):
         bundle, grid = self.pool_grid(tmp_path)
@@ -780,7 +775,32 @@ class TestRunGrid:
         monkeypatch.setattr(harness, "_run_group", run_group_or_die)
         with deadline(60), pytest.raises(BrokenProcessPool):
             run_grid(bundle, grid, jobs=3)
-        assert multiprocessing.active_children() == []
+
+    def test_a_worker_that_raises_stops_the_claims(self, tmp_path, monkeypatch):
+        bundle, grid = self.pool_grid(tmp_path)
+        parent, run_group, run_claimed = os.getpid(), harness._run_group, harness._run_claimed
+        worker_raised, ours = multiprocessing.Event(), []
+
+        def run_claimed_and_signal(*args):
+            try:
+                return run_claimed(*args)
+            finally:
+                if os.getpid() != parent:
+                    worker_raised.set()  # after its loop has stopped the claims
+
+        def run_group_or_raise(*args):
+            if os.getpid() != parent:
+                raise KeyError("a worker's group")
+            ours.append(args[2])
+            assert worker_raised.wait(30)  # this process's first group outlasts the worker
+            return run_group(*args)
+
+        monkeypatch.setattr(harness, "_run_claimed", run_claimed_and_signal)
+        monkeypatch.setattr(harness, "_run_group", run_group_or_raise)
+        with deadline(60), pytest.raises(KeyError, match="a worker's group"):
+            run_grid(bundle, grid, jobs=2)
+        # the worker raises on group 0; this process runs group 1 and claims none after it
+        assert len(ours) == 1
 
     def test_an_exception_in_this_processs_share_propagates(self, tmp_path, monkeypatch):
         bundle, grid = self.pool_grid(tmp_path)
@@ -797,7 +817,6 @@ class TestRunGrid:
         monkeypatch.setattr(harness, "_run_group", run_group_or_raise)
         with deadline(60), pytest.raises(KeyError, match="this process's group"):
             run_grid(bundle, grid, jobs=2)
-        assert multiprocessing.active_children() == []
         # this process raises on its first group; the worker finishes the one it holds
         # (and, if that ended first, the next) and takes no more of the six
         assert 1 <= workers_ran.value <= 2

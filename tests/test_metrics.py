@@ -123,6 +123,22 @@ class TestContingency:
         assert t.tolist() == [[0, 2], [1, 0]]
         assert t.sum() == 3
 
+    def test_integral_floats_count_as_labels(self):
+        assert contingency_table([0.0, 0.0, 1.0], [1, 1, 0]).tolist() == [[0, 2], [1, 0]]
+
+    @pytest.mark.parametrize(
+        "u, v, message",
+        [
+            ([0.9, 1.2, 0.1, 1.7], [0, 1, 0, 1], r"u must be integers, got 0.9"),
+            ([0, 1, 0, 1], [0, 1, math.inf, 1], r"v must be integers, got inf"),
+            ([0, 1, 0, 1], ["a", "b", "a", "b"], r"v must be integers, got dtype <U1"),
+        ],
+    )
+    @pytest.mark.parametrize("fn", [contingency_table, ami])
+    def test_labels_that_are_not_integers_rejected(self, fn, u, v, message):
+        with pytest.raises(ValueError, match=message):
+            fn(u, v)
+
 
 class TestAccuracy:
     def test_all_correct(self):

@@ -308,6 +308,11 @@ class TestDiscretize:
         with pytest.raises(ValueError, match=r"n >= 1 rows and C >= 2 columns, got \(0, 3\)"):
             discretize(np.zeros((0, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_needs_a_finite_embedding(self, bad):
+        with pytest.raises(ValueError, match="discretization needs a finite embedding"):
+            discretize([[bad, 1.0], [1.0, 0.0], [0.0, 1.0]])
+
 
 class TestSpectralCluster:
     def test_two_components_recovered(self):
@@ -571,6 +576,8 @@ SSCV_HEADS = {
     "labels, masks, message",
     [
         ([0, -1, 1, 1], [[True, False, True, False]], r"labels must be >= 0, got -1"),
+        ([0.9, 1.7, 1.2, 0.4], [[True, True, False, False]], r"labels must be integers, got 0.9"),
+        ([0, 1, np.nan, 1], [[True, True, False, False]], r"labels must be integers, got nan"),
         ([0, 1, 1], [[True, False, True, False]], r"labels must have shape \(4,\), got \(3,\)"),
         ([[0, 1, 1, 0]], [[True, False, True, False]], r"labels must have shape .* got \(1, 4\)"),
         ([0, 1, 1, 0], [[True, False, True]], r"masks must be bool of shape \(S, 4\), got bool"),
@@ -578,7 +585,17 @@ SSCV_HEADS = {
         ([0, 1, 1, 0], [[1, 0, 1, 0]], r"got int64 \(1, 4\)"),
         ([0, 1, 1, 0], [[True, False, True, False], [False] * 4], r"mask 1 observes none"),
     ],
-    ids=["negative-label", "short-labels", "2d-labels", "short-mask", "1d-mask", "int-mask", "blind"],
+    ids=[
+        "negative-label",
+        "fractional-label",
+        "nan-label",
+        "short-labels",
+        "2d-labels",
+        "short-mask",
+        "1d-mask",
+        "int-mask",
+        "blind",
+    ],
 )
 @pytest.mark.parametrize("head", sorted(SSCV_HEADS))
 def test_sscv_heads_reject_bad_labels_and_masks(head, labels, masks, message):
