@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -94,7 +93,7 @@ def cmd_run(args) -> int:
         score = best.primary_score
         print(
             f"best: {cfg.method} similarity={cfg.similarity} k={cfg.k} "
-            f"variant={cfg.adjacency_variant} score={score if math.isinf(score) else round(score, 4)}"
+            f"variant={cfg.adjacency_variant} score={round(score, 4)}"
         )
     print(f"{len(results)} grid points, {n_failed} failed; report: {args.report}")
     return 2 if n_failed else 0

@@ -105,6 +105,8 @@ def from_dense(A: np.ndarray, threshold: float = 0.0) -> Graph:
     n = A.shape[0]
     if A.shape != (n, n):
         raise ValueError("adjacency must be square")
+    if not np.all(np.isfinite(A)):
+        raise ValueError("adjacency has non-finite entries")
     if np.max(np.abs(A - A.T), initial=0.0) > SYMMETRY_TOL:
         raise ValueError("adjacency must be symmetric")
     i, j = np.nonzero(np.triu(A > threshold, k=1))

@@ -312,6 +312,8 @@ def split_generator(n: int, fraction: float, n_splits: int, master_seed: int):
     """Reproducible observed-masks; split i derives its RNG from (master_seed, i)."""
     if not 0 < fraction < 1:
         raise ValueError("fraction must be in (0, 1)")
+    if n_splits < 1:
+        raise ValueError(f"n_splits must be >= 1, got {n_splits}")
     m = round(fraction * n)
     if m == 0:
         raise ValueError("fraction selects zero observed vertices")
@@ -625,10 +627,6 @@ def _fmt(value, digits=6) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
         return f"{value:.{digits}f}"
     return str(value)
 

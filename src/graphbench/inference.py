@@ -30,9 +30,7 @@ PDS_STEP_SIZE = 0.5
 # Rows per block in _knn_indices: bounds its temporaries to a few n-wide arrays.
 KNN_BLOCK_ROWS = 256
 
-# Vertices per stacked nnls_solve call in nnk_graph, and the bytes their
-# kernel blocks may take in all.
-NNK_CHUNK_ROWS = 256
+# Bytes the kernel blocks of one stacked nnls_solve call in nnk_graph may take in all.
 NNK_CHUNK_BYTES = 2**20
 
 
@@ -65,26 +63,6 @@ def _knn_indices(S: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _check_square(M: np.ndarray, kind: str) -> None:
-    """Raise ValueError unless the ``kind`` matrix a builder starts from is square and 2-D."""
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"{kind} matrix must be square and 2-D, got shape {M.shape}")
-
-
-def _check_finite(M: np.ndarray, kind: str) -> None:
-    """Raise ValueError when the ``kind`` matrix a builder starts from has a NaN or inf entry."""
-    if not np.all(np.isfinite(M)):
-        raise ValueError(f"{kind} matrix has non-finite entries")
-
-
-def _check_sigma(sigma: float) -> None:
-    """Raise ValueError unless the edge-weight floor ``sigma`` is a positive finite number."""
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
-    if not math.isfinite(sigma):
-        raise ValueError("sigma must be finite")
-
-
 def _undirected(n: int, rows: np.ndarray, cols: np.ndarray, **unique_args):
     """Sorted distinct undirected edges i < j of directed pairs, and np.unique's index array."""
     keys, extra = np.unique(np.minimum(rows, cols) * n + np.maximum(rows, cols), **unique_args)
@@ -94,7 +72,7 @@ def _undirected(n: int, rows: np.ndarray, cols: np.ndarray, **unique_args):
 def check_k_below_n(method: str, k: Optional[int], n: int) -> None:
     """Raise the ValueError ``method``'s builder raises for a k not below the n vertices.
 
-    None, naive_graph's dense k, always passes. A k-NN k must be an integer;
+    None, knn_select's dense k, always passes. A k-NN k must be an integer;
     smooth's k is a target mean degree and may be any real. A caller can check
     a point before it computes the n x n matrix the builder would reject it with.
     """
@@ -109,17 +87,36 @@ def check_k_below_n(method: str, k: Optional[int], n: int) -> None:
     raise ValueError(f"k={k} must be smaller than n={n}")
 
 
-def knn_select(S: np.ndarray, k: int) -> Graph:
+def _builder_input(M, kind: str, method: str, k, sigma: Optional[float] = None):
+    """M as a float array, and n, after the checks every builder makes.
+
+    In order: the edge-weight floor sigma (if given) positive, then finite; the
+    ``kind`` matrix M square and 2-D; k below n (check_k_below_n); M finite.
+    """
+    if sigma is not None and not sigma > 0:
+        raise ValueError("sigma must be positive")
+    if sigma is not None and not math.isfinite(sigma):
+        raise ValueError("sigma must be finite")
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"{kind} matrix must be square and 2-D, got shape {M.shape}")
+    check_k_below_n(method, k, M.shape[0])
+    if not np.all(np.isfinite(M)):
+        raise ValueError(f"{kind} matrix has non-finite entries")
+    return M, M.shape[0]
+
+
+def knn_select(S: np.ndarray, k: Optional[int]) -> Graph:
     """Keep each vertex's k strongest similarities, symmetrize by union.
 
-    Selected non-positive similarities are dropped (no edge); surviving edges
-    carry the original similarity as weight.
+    k = None keeps every other vertex: the dense graph. Selected non-positive
+    similarities are dropped (no edge); surviving edges carry the original
+    similarity as weight.
     """
-    S = np.asarray(S, dtype=float)
-    _check_square(S, "similarity")
-    n = S.shape[0]
-    check_k_below_n("naive", k, n)
-    _check_finite(S, "similarity")
+    S, n = _builder_input(S, "similarity", "naive", k)
+    k = n - 1 if k is None else k
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     rows = np.repeat(np.arange(n), k)
     cols = _knn_indices(S, k).ravel()
     keep = S[rows, cols] > 0
@@ -155,9 +152,7 @@ def naive_graph(S, k: Optional[int]) -> Graph:
     """k-NN sparsification of a similarity matrix (the dense graph when k is None)."""
     if k is not None and k < 1:
         raise ValueError("k must be positive")
-    S = np.asarray(S, dtype=float)
-    _check_square(S, "similarity")
-    return knn_select(S, k if k is not None else S.shape[0] - 1)
+    return knn_select(S, k)
 
 
 def _pinv_solve(K: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -282,12 +277,7 @@ def nnk_graph(S, similarity: str, k: int, sigma: float = DEFAULT_SIGMA) -> Graph
         raise ValueError(f"unknown kernel similarity {similarity!r}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    _check_sigma(sigma)
-    S = np.asarray(S, dtype=float)
-    _check_square(S, "similarity")
-    n = S.shape[0]
-    check_k_below_n("nnk", k, n)
-    _check_finite(S, "similarity")
+    S, n = _builder_input(S, "similarity", "nnk", k, sigma)
     S = _nnk_kernel(S, similarity)
     nbrs = _knn_indices(S, k)
     # a vertex regresses on its candidates, the neighbors of positive kernel
@@ -298,7 +288,7 @@ def nnk_graph(S, similarity: str, k: int, sigma: float = DEFAULT_SIGMA) -> Graph
     for m in np.unique(counts[counts > 0]):
         rows = np.flatnonzero(counts == m)
         pos = np.nonzero(candidate[rows])[1].reshape(rows.size, m)
-        chunk = max(1, min(NNK_CHUNK_ROWS, NNK_CHUNK_BYTES // (8 * m * m)))
+        chunk = max(1, NNK_CHUNK_BYTES // (8 * m * m))
         for start in range(0, rows.size, chunk):
             r, c = rows[start : start + chunk, None], pos[start : start + chunk]
             sel = nbrs[r, c]
@@ -418,12 +408,7 @@ def smooth_graph(Z, k: int, sigma: float = DEFAULT_SIGMA, solves: Optional[dict]
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    _check_sigma(sigma)
-    Z = np.asarray(Z, dtype=float)
-    _check_square(Z, "distance")
-    n = Z.shape[0]
-    check_k_below_n("smooth", k, n)
-    _check_finite(Z, "distance")
+    Z, n = _builder_input(Z, "distance", "smooth", k, sigma)
     off_mean = (Z.sum() - np.trace(Z)) / max(n * (n - 1), 1)
     Zu = Z / off_mean if off_mean > 0 else Z
     solves = {} if solves is None else solves

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -50,8 +52,10 @@ def covariance_similarity(X) -> np.ndarray:
 
 def rbf_kernel(Z, gamma: float) -> np.ndarray:
     """exp(-gamma * Z) applied entrywise to a squared-distance matrix, with a unit diagonal."""
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError("gamma must be positive")
+    if not math.isfinite(gamma):
+        raise ValueError("gamma must be finite")
     Z = np.asarray(Z, dtype=float)
     if np.any(Z < 0):
         raise ValueError("distance matrix must be non-negative")

@@ -360,6 +360,8 @@ def denoise(g: Graph, x_noisy, tau) -> np.ndarray:
     x = np.asarray(x_noisy, dtype=float)
     if x.shape != (g.n,):
         raise ValueError("signal length must equal vertex count")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("noisy signal has non-finite entries")
     taus = np.asarray(tau, dtype=float)
     if taus.ndim > 1:
         raise ValueError("tau must be a number or a 1-D sequence")
@@ -387,6 +389,8 @@ def denoise(g: Graph, x_noisy, tau) -> np.ndarray:
 def best_tau_denoise(g: Graph, x_noisy, x_clean) -> tuple[float, float]:
     """Sweep tau over 0..1 in 0.025 steps; return (tau, SNR) maximizing output SNR."""
     x_clean = np.asarray(x_clean, dtype=float)
+    if not np.all(np.isfinite(x_clean)):
+        raise ValueError("clean signal has non-finite entries")
     if float(x_clean @ x_clean) == 0:
         raise ValueError("clean signal has zero power")
     taus = np.round(np.arange(0, 41) * 0.025, 6)

@@ -13,6 +13,7 @@ import sys
 import tempfile
 import warnings
 from collections import Counter
+from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from pathlib import Path
@@ -430,6 +431,10 @@ class TestSplitGenerator:
         with pytest.raises(ValueError):
             split_generator(10, 1.5, 1, 0)
 
+    def test_rejects_no_splits(self):
+        with pytest.raises(ValueError, match=r"^n_splits must be >= 1, got 0$"):
+            split_generator(30, 0.1, 0, 0)
+
     def test_rejects_observing_every_vertex(self):
         with pytest.raises(ValueError, match=r"^fraction 0\.999 observes all 30 vertices$"):
             split_generator(30, 0.999, 1, 0)
@@ -801,6 +806,18 @@ class TestRunGrid:
             run_grid(bundle, grid, jobs=2)
         # the worker raises on group 0; this process runs group 1 and claims none after it
         assert len(ours) == 1
+
+    def test_claims_stop_once_a_workers_future_is_done(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(
+            harness, "_run_group", lambda bundle, cache, group: ran.append(group) or [group]
+        )
+        claims = multiprocessing.Value("i", 1)
+        finished = Future()
+        finished.set_result({})  # a worker that died, raised or ran out of groups
+        done = harness._run_claimed(None, None, ["g0", "g1", "g2"], claims, 0, futures=[finished])
+        assert ran == ["g0"] and done == {0: ["g0"]}
+        assert claims.value == 1
 
     def test_an_exception_in_this_processs_share_propagates(self, tmp_path, monkeypatch):
         bundle, grid = self.pool_grid(tmp_path)

@@ -24,7 +24,7 @@ from graphbench.inference import (
     similarity_matrix,
     smooth_graph,
 )
-from graphbench.similarity import pairwise_sq_euclidean
+from graphbench.similarity import pairwise_sq_euclidean, rbf_kernel
 from test_harness import load_perfbench_module
 
 
@@ -61,6 +61,12 @@ def smooth_on(X, k, sigma=DEFAULT_SIGMA):
         (lambda X: naive_on(X, "rbf", True), "k must be an integer, got True"),
         (lambda X: nnk_on(X, "rbf", 1.5), "k must be an integer, got 1.5"),
         (lambda X: nnk_on(X, "rbf", True), "k must be an integer, got True"),
+        (lambda X: knn_select(similarity_matrix(X, "rbf"), -1), "k must be >= 0, got -1"),
+        (lambda X: from_dense(np.where(np.eye(6), 0, np.nan)), "adjacency has non-finite entries"),
+        (lambda X: rbf_kernel(pairwise_sq_euclidean(X), math.nan), "gamma must be positive"),
+        (lambda X: rbf_kernel(pairwise_sq_euclidean(X), math.inf), "gamma must be finite"),
+        (lambda X: similarity_matrix(X, "rbf", math.nan), "gamma must be positive"),
+        (lambda X: similarity_matrix(X, "rbf", math.inf), "gamma must be finite"),
     ],
     ids=[
         "naive-similarity",
@@ -77,6 +83,12 @@ def smooth_on(X, k, sigma=DEFAULT_SIGMA):
         "naive-bool-k",
         "nnk-fractional-k",
         "nnk-bool-k",
+        "knn_select-negative-k",
+        "from_dense-nan",
+        "rbf_kernel-nan-gamma",
+        "rbf_kernel-inf-gamma",
+        "rbf-similarity-nan-gamma",
+        "rbf-similarity-inf-gamma",
     ],
 )
 def test_solver_rejects_bad_argument(build, reason):
@@ -678,9 +690,9 @@ class TestWholeBlockFirstStep:
             kernel = inference_module._nnk_kernel(S, similarity)
             nbrs = inference_module._knn_indices(kernel, k)
             counts = np.count_nonzero(np.take_along_axis(kernel, nbrs, axis=1) > 0, axis=1)
-            # vertices with m candidates share calls of at most 256 vertices and 1 MB of blocks
+            # vertices with m candidates share calls of at most 1 MB of blocks
             m, vertices = np.unique(counts[counts > 0], return_counts=True)
-            per_call = np.minimum(256, 2**20 // (8 * m * m))
+            per_call = np.maximum(1, 2**20 // (8 * m * m))
             assert len(calls) == np.sum(-(-vertices // per_call))
             assert all(kwargs == {} for _, _, kwargs, _ in calls)
             assert sum(b.shape[0] for _, b, _, _ in calls) == np.count_nonzero(counts)

@@ -1059,6 +1059,23 @@ class TestBestTau:
         assert snr > 7.0
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda g, x: denoise(g, x, 0.5), "noisy signal has non-finite entries"),
+        (lambda g, x: best_tau_denoise(g, x, np.ones(6)), "noisy signal has non-finite entries"),
+        (lambda g, x: best_tau_denoise(g, np.ones(6), x), "clean signal has non-finite entries"),
+    ],
+    ids=["denoise", "best-tau-noisy", "best-tau-clean"],
+)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_dgs_heads_reject_a_non_finite_signal(call, message, bad):
+    x = np.ones(6)
+    x[2] = bad
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(two_block_graph(3), x)
+
+
 BENCH_TAUS = np.round(np.arange(0, 41) * 0.025, 6)
 
 
