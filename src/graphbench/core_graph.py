@@ -101,6 +101,8 @@ def from_arrays(n: int, i, j, w, diagonal=None, variant: str = "raw") -> Graph:
 
 def from_dense(A: np.ndarray, threshold: float = 0.0) -> Graph:
     """Build a raw Graph from a dense symmetric matrix, dropping weights <= threshold."""
+    if not np.isfinite(threshold):
+        raise ValueError("threshold must be finite")
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
     if A.shape != (n, n):

@@ -50,13 +50,20 @@ def covariance_similarity(X) -> np.ndarray:
     return (Xc @ Xc.T) / (X.shape[1] - 1)
 
 
+def check_positive_finite(name: str, value: float) -> None:
+    """Raise a ValueError naming ``name`` unless value is a positive finite number."""
+    if not value > 0:
+        raise ValueError(f"{name} must be positive")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite")
+
+
 def rbf_kernel(Z, gamma: float) -> np.ndarray:
     """exp(-gamma * Z) applied entrywise to a squared-distance matrix, with a unit diagonal."""
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
-    if not math.isfinite(gamma):
-        raise ValueError("gamma must be finite")
+    check_positive_finite("gamma", gamma)
     Z = np.asarray(Z, dtype=float)
+    if not np.all(np.isfinite(Z)):
+        raise ValueError("distance matrix has non-finite entries")
     if np.any(Z < 0):
         raise ValueError("distance matrix must be non-negative")
     S = np.exp(-gamma * Z)

@@ -67,6 +67,40 @@ def smooth_on(X, k, sigma=DEFAULT_SIGMA):
         (lambda X: rbf_kernel(pairwise_sq_euclidean(X), math.inf), "gamma must be finite"),
         (lambda X: similarity_matrix(X, "rbf", math.nan), "gamma must be positive"),
         (lambda X: similarity_matrix(X, "rbf", math.inf), "gamma must be finite"),
+        (lambda X: from_dense([[0, 1], [1, 0]], threshold=math.nan), "threshold must be finite"),
+        (
+            lambda X: rbf_kernel([[0, math.nan], [math.nan, 0]], 1.0),
+            "distance matrix has non-finite entries",
+        ),
+        (lambda X: knn_select(np.zeros((0, 0)), None), "similarity matrix is empty"),
+        (lambda X: naive_graph(np.zeros((0, 0)), None), "similarity matrix is empty"),
+        (lambda X: nnk_graph(np.zeros((0, 0)), "rbf", 1), "similarity matrix is empty"),
+        (lambda X: smooth_graph(np.zeros((0, 0)), 1), "distance matrix is empty"),
+        (lambda X: learn_log_degree_weights(np.zeros((0, 0))), "distance matrix is empty"),
+        (
+            lambda X: learn_log_degree_weights(np.where(np.eye(6), 0, np.nan)),
+            "distance matrix has non-finite entries",
+        ),
+        (
+            lambda X: learn_log_degree_weights(-pairwise_sq_euclidean(X)),
+            "distance matrix must be non-negative",
+        ),
+        (
+            lambda X: learn_log_degree_weights(pairwise_sq_euclidean(X), beta=math.nan),
+            "beta must be positive",
+        ),
+        (
+            lambda X: learn_log_degree_weights(pairwise_sq_euclidean(X), beta=-1.0),
+            "beta must be positive",
+        ),
+        (
+            lambda X: learn_log_degree_weights(pairwise_sq_euclidean(X), beta=0.0),
+            "beta must be positive",
+        ),
+        (
+            lambda X: learn_log_degree_weights(pairwise_sq_euclidean(X), beta=math.inf),
+            "beta must be finite",
+        ),
     ],
     ids=[
         "naive-similarity",
@@ -89,6 +123,19 @@ def smooth_on(X, k, sigma=DEFAULT_SIGMA):
         "rbf_kernel-inf-gamma",
         "rbf-similarity-nan-gamma",
         "rbf-similarity-inf-gamma",
+        "from_dense-nan-threshold",
+        "rbf_kernel-nan-distance",
+        "knn_select-empty",
+        "naive-dense-empty",
+        "nnk-empty",
+        "smooth-empty",
+        "learn-empty",
+        "learn-nan-distance",
+        "learn-negative-distance",
+        "learn-nan-beta",
+        "learn-negative-beta",
+        "learn-zero-beta",
+        "learn-inf-beta",
     ],
 )
 def test_solver_rejects_bad_argument(build, reason):
@@ -116,8 +163,9 @@ def test_smooth_k_is_a_mean_degree_and_may_be_fractional():
         lambda M: naive_graph(M, None),
         lambda M: nnk_graph(M, "rbf", 1),
         lambda M: smooth_graph(M, 1),
+        lambda M: learn_log_degree_weights(M),
     ],
-    ids=["knn_select", "naive", "naive-dense", "nnk", "smooth"],
+    ids=["knn_select", "naive", "naive-dense", "nnk", "smooth", "learn"],
 )
 @pytest.mark.parametrize(
     "M",
@@ -869,24 +917,43 @@ class TestSmoothLearner:
                 assert edge_set(g) <= prev
             prev = edge_set(g)
 
+    # tobytes, not np.array_equal: the bytes also tell -0.0 from 0.0
     @pytest.mark.parametrize("beta", [1.0, 1e-4, 1e-8])
     @pytest.mark.parametrize("n", [2, 7, 40])
     def test_bit_identical_to_sparse_operator(self, n, beta):
         Z = random_sq_distances(n, seed=n)
         W_ref, _ = sparse_operator_log_degree_weights(Z, beta=beta)
-        assert np.array_equal(learn_log_degree_weights(Z, beta=beta), W_ref)
+        assert learn_log_degree_weights(Z, beta=beta).tobytes() == W_ref.tobytes()
 
     def test_bit_identical_at_iteration_cap(self):
         Z = random_sq_distances(40, seed=41)
         W_ref, iterations = sparse_operator_log_degree_weights(Z, beta=1e-4, max_iter=300)
         assert iterations == 300  # stopped by the cap, not by rel_tol
-        assert np.array_equal(learn_log_degree_weights(Z, beta=1e-4, max_iter=300), W_ref)
+        W = learn_log_degree_weights(Z, beta=1e-4, max_iter=300)
+        assert W.tobytes() == W_ref.tobytes()
 
     def test_bit_identical_on_rel_tol_stop(self):
         Z = random_sq_distances(7, seed=42)
         W_ref, iterations = sparse_operator_log_degree_weights(Z, rel_tol=1e-3)
         assert iterations < 10000  # stopped by rel_tol, not by the cap
-        assert np.array_equal(learn_log_degree_weights(Z, rel_tol=1e-3), W_ref)
+        assert learn_log_degree_weights(Z, rel_tol=1e-3).tobytes() == W_ref.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 12),
+        seed=st.integers(0, 2**32 - 1),
+        scale_exp=st.floats(-4.0, 4.0),
+        beta_exp=st.floats(-8.0, 0.0),
+        max_iter=st.integers(1, 200),
+    )
+    def test_bit_identical_to_sparse_operator_on_random_problems(
+        self, n, seed, scale_exp, beta_exp, max_iter
+    ):
+        Z = 10.0**scale_exp * random_sq_distances(n, seed)
+        beta = 10.0**beta_exp
+        W_ref, _ = sparse_operator_log_degree_weights(Z, beta=beta, max_iter=max_iter)
+        W = learn_log_degree_weights(Z, beta=beta, max_iter=max_iter)
+        assert W.tobytes() == W_ref.tobytes()
 
 
 class TestSmoothGraph:
