@@ -98,9 +98,8 @@ def ami(u, v) -> float:
 
 
 def accuracy(pred, truth, mask) -> float:
-    """Fraction of correct predictions over masked entries."""
-    pred = np.asarray(pred)
-    truth = np.asarray(truth)
+    """Fraction of correct predictions over masked entries; both label vectors must be integers."""
+    pred, truth = _integer_labels(pred, "pred"), _integer_labels(truth, "truth")
     mask = np.asarray(mask, dtype=bool)
     if not pred.shape == truth.shape == mask.shape:
         raise ValueError(

@@ -28,13 +28,6 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 SGC_EPOCHS = 100
 
-# Masks per product in propagate_labels and sgc_predict: the n-row operand is
-# read once per block of masks, not once per mask. A block's C columns per mask
-# equal that mask's own product only while the BLAS keeps each output's
-# summation order; on OpenBLAS 0.3.31 that held for blocks of up to 40 masks at
-# the benchmark and Cora shapes, and not for 100 (see README).
-HEAD_BLOCK_MASKS = 10
-
 
 def spectral_embed(g: Graph, C: int) -> np.ndarray:
     """Embed vertices on low-frequency Laplacian eigenvectors.
@@ -205,36 +198,25 @@ def propagate_labels(g: Graph, labels, masks) -> list[np.ndarray]:
     label. An unobserved vertex whose connected component holds no observed
     vertex gets the majority observed class (lowest index on ties). Bad labels
     or masks raise ValueError (see _head_input).
-
-    Each block of HEAD_BLOCK_MASKS masks makes one product (see _stacked_products).
     """
     labels, masks, C = _head_input(g.n, labels, masks)
     E = matrix_exponential(g.to_sparse().toarray())
     components = connected_components(g)
-    onehot = np.eye(C)[labels]
     preds = []
-    for start in range(0, len(masks), HEAD_BLOCK_MASKS):
-        block = masks[start : start + HEAD_BLOCK_MASKS]
-        observed_onehots = [onehot * observed[:, None] for observed in block]
-        for observed, Yhat in zip(block, _stacked_products(E, observed_onehots)):
-            obs = np.flatnonzero(observed)
-            pred = labels.copy()
-            pred[~observed] = np.argmax(Yhat[~observed], axis=1)
-            dead = ~observed & ~np.isin(components, components[obs])
-            if dead.any():
-                pred[dead] = int(np.argmax(np.bincount(labels[obs], minlength=C)))
-                warnings.warn(f"{int(dead.sum())} unlabeled vertices disconnected from all labels")
-            preds.append(pred)
+    for observed in masks:
+        obs = np.flatnonzero(observed)
+        # the one-hot labels as C x n rows; E is symmetric, so Y @ E is (E @ Y.T).T,
+        # and scipy adds E's observed rows in vertex order, without the BLAS
+        Y = sparse.csr_matrix((np.ones(obs.size), (labels[obs], obs)), shape=(C, g.n))
+        scores = Y @ E
+        pred = labels.copy()
+        pred[~observed] = np.argmax(scores[:, ~observed], axis=0)
+        dead = ~observed & ~np.isin(components, components[obs])
+        if dead.any():
+            pred[dead] = int(np.argmax(np.bincount(labels[obs], minlength=C)))
+            warnings.warn(f"{int(dead.sum())} unlabeled vertices disconnected from all labels")
+        preds.append(pred)
     return preds
-
-
-def _stacked_products(A: np.ndarray, parts: list[np.ndarray]) -> list[np.ndarray]:
-    """[A @ P for P in parts] from one product: A times the parts side by side.
-
-    Each result is a column block of that product. It equals A @ P bit for bit
-    only while the BLAS keeps each output's summation order; see HEAD_BLOCK_MASKS.
-    """
-    return np.split(A @ np.hstack(parts), len(parts), axis=1)
 
 
 def train_logistic_regression(
@@ -317,23 +299,23 @@ def sgc_predict(g: Graph | None, X, labels, masks, seed) -> list[np.ndarray]:
 
     ``X`` diffuses once (see diffuse_features). Per mask i, a logistic regression from weights
     drawn by ``[seed, i, 7]`` learns the observed ``labels`` (0..C-1), which those vertices keep.
-    Each block of HEAD_BLOCK_MASKS masks scores every vertex in one product (see
-    _stacked_products).
+    ``X`` must be a finite 2-D array with a row per vertex of ``g``, else ValueError.
     """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"X must be 2-D, got shape {X.shape}")
+    if g is not None and X.shape[0] != g.n:
+        raise ValueError(f"X must have a row per vertex ({g.n}), got {X.shape[0]}")
+    if not np.isfinite(X).all():
+        raise ValueError("X has non-finite entries")
     labels, masks, C = _head_input(len(X), labels, masks)
     Xhat = X if g is None else diffuse_features(g, X)
     preds = []
-    for start in range(0, len(masks), HEAD_BLOCK_MASKS):
-        block = masks[start : start + HEAD_BLOCK_MASKS]
-        fits = [
-            train_logistic_regression(Xhat[observed], labels[observed], C, [seed, start + k, 7])
-            for k, observed in enumerate(block)
-        ]
-        products = _stacked_products(Xhat, [W for W, _ in fits])
-        for observed, (_, b), XW in zip(block, fits, products):
-            pred = labels.copy()
-            pred[~observed] = np.argmax((XW + b)[~observed], axis=1)
-            preds.append(pred)
+    for i, observed in enumerate(masks):
+        W, b = train_logistic_regression(Xhat[observed], labels[observed], C, [seed, i, 7])
+        pred = labels.copy()
+        pred[~observed] = np.argmax((Xhat @ W + b)[~observed], axis=1)
+        preds.append(pred)
     return preds
 
 

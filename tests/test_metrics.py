@@ -155,6 +155,19 @@ class TestAccuracy:
             accuracy([0], [0], [False])
 
     @pytest.mark.parametrize(
+        "pred, truth, message",
+        [
+            ([0, np.nan, 1], [0, 1, 1], r"pred must be integers, got nan"),
+            ([0, 1, 1], [0, 0.5, 1], r"truth must be integers, got 0.5"),
+            (["0", "1", "1"], [0, 1, 1], r"pred must be integers, got dtype <U1"),
+        ],
+        ids=["nan-pred", "fractional-truth", "string-pred"],
+    )
+    def test_non_integer_labels_rejected(self, pred, truth, message):
+        with pytest.raises(ValueError, match=message):
+            accuracy(pred, truth, [True] * 3)
+
+    @pytest.mark.parametrize(
         "pred, truth, mask, shapes",
         [
             ([0, 1, 2], [0, 1], [True] * 3, r"pred \(3,\), truth \(2,\) and mask \(3,\)"),

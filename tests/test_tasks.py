@@ -344,10 +344,16 @@ def load_perfbench_gen():
     return module
 
 
-def full_spectrum_cluster(g, C, seed=0):
-    """Reference spectral clustering from every eigenpair of np.linalg.eigh."""
+def full_spectrum_cluster(g, C, seed=0, null_space=None):
+    """Reference spectral clustering from every eigenpair of np.linalg.eigh.
+
+    ``null_space``, when given, replaces eigh's basis of the Laplacian's null
+    space, which is arbitrary once that space has two or more dimensions.
+    """
     vals, vecs = np.linalg.eigh(laplacian(g).toarray())
     lo = 0 if np.sum(np.abs(vals) < tasks_module.NULL_SPACE_TOL) >= 2 else 1
+    if null_space is not None:
+        vecs[:, : null_space.shape[1]] = null_space
     emb = vecs[:, lo : lo + C].copy()
     for c in range(C):
         if emb[np.argmax(np.abs(emb[:, c])), c] < 0:
@@ -434,17 +440,27 @@ class TestLanczosSpectrum:
         for b, (_, bundle) in enumerate(parts):
             labels[b : 450 : 3] = bundle.labels
         C = parts[0][1].C
-        n_components = np.unique(connected_components(g)).size
+        components = connected_components(g)
+        n_components = np.unique(components).size
         assert n_components == 5 < C + 2
         calls = self.counting_eigsh(monkeypatch)
         L = laplacian(g)
-        vals, _ = core_graph_module.eigendecompose(L, lowest=C + 2)
+        vals, vecs = core_graph_module.eigendecompose(L, lowest=C + 2)
         assert calls == [150, 150, 150]
         full = np.linalg.eigvalsh(L.toarray())
         assert np.max(np.abs(vals - full[: C + 2])) < 1e-10
         assert np.sum(np.abs(vals) < tasks_module.NULL_SPACE_TOL) == n_components
+        # each zero's eigenvector covers one component and nothing else
+        support = np.abs(vecs[:, :n_components]) > 0
+        owners = components[np.argmax(support, axis=0)]
+        assert np.unique(owners).size == n_components
+        assert np.array_equal(support, components[:, None] == owners)
+        # eigh's basis of the null space changes with the BLAS thread count, so the
+        # reference spans it by the same normalised component indicators, in the same order
+        indicators = support / np.sqrt(support.sum(axis=0))
         got = ami(spectral_cluster(g, C), labels)
-        assert got == pytest.approx(ami(full_spectrum_cluster(g, C), labels), abs=1e-12)
+        want = ami(full_spectrum_cluster(g, C, null_space=indicators), labels)
+        assert got == pytest.approx(want, abs=1e-12)
 
     def test_partial_call_is_deterministic(self, tmp_path, monkeypatch):
         g, _ = self.cora_graph(tmp_path / "a", 0, 300)
@@ -604,19 +620,32 @@ def test_sscv_heads_reject_bad_labels_and_masks(head, labels, masks, message):
         SSCV_HEADS[head](g, labels, masks)
 
 
-BLOCK_COUNTS = [
-    1,
-    tasks_module.HEAD_BLOCK_MASKS - 1,
-    tasks_module.HEAD_BLOCK_MASKS + 1,
-    100,
-]
+@pytest.mark.parametrize(
+    "X, on_graph, message",
+    [
+        (np.ones(4), True, r"X must be 2-D, got shape \(4,\)"),
+        (np.ones((3, 2)), True, r"X must have a row per vertex \(4\), got 3"),
+        ([[0.0, 1.0]] * 3 + [[np.nan, 1.0]], True, r"X has non-finite entries"),
+        ([[0.0, 1.0]] * 3 + [[np.nan, 1.0]], False, r"X has non-finite entries"),
+        ([[0.0, 1.0]] * 3 + [[1.0, -np.inf]], True, r"X has non-finite entries"),
+    ],
+    ids=["1d-features", "short-features", "nan-unobserved", "nan-no-graph", "inf"],
+)
+def test_sgc_rejects_bad_features(X, on_graph, message):
+    # vertex 3, whose row holds the non-finite entries, is never observed
+    g = Graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)]) if on_graph else None
+    with pytest.raises(ValueError, match=message):
+        sgc_predict(g, X, [0, 1, 1, 0], [[True, True, False, False]], 0)
+
+
+BLOCK_COUNTS = [1, 9, 11, 100]
 
 
 def dead_vertex_masks(observed, count):
     """``count`` masks on interleaved_components: every third one observes only ``observed``.
 
-    The rest are random 20 % splits, so most blocks mix masks that leave the
-    unreached component dead with masks that reach it.
+    The rest are random 20 % splits, so masks that leave the unreached
+    component dead alternate with masks that reach it.
     """
     splits = split_generator(observed.size, 0.2, count, 3)
     return [observed if i % 3 == 0 else m for i, m in enumerate(splits)]
@@ -657,29 +686,10 @@ class TestHeadBlocks:
     def test_sgc_on_a_disconnected_graph_matches_the_per_mask_form(self, variant):
         g, labels, observed, _ = interleaved_components(variant)
         X = np.random.default_rng(8).random((g.n, 30))
-        masks = dead_vertex_masks(observed, tasks_module.HEAD_BLOCK_MASKS + 1)
+        masks = dead_vertex_masks(observed, 11)
         want = sgc_per_mask(g, X, labels, masks, 2)
         got = sgc_predict(g, X, labels, masks, 2)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
-
-    @pytest.mark.parametrize("n, F", [(1000, 1433), (2708, 1433)], ids=["benchmark", "cora"])
-    def test_stacked_products_keep_every_masks_bits(self, n, F):
-        # the heads' one product per block, at the sscv-cora workload's and Cora's shapes:
-        # every mask's columns must equal its own product bit for bit on this BLAS
-        rng = np.random.default_rng(n)
-        C, B = 7, tasks_module.HEAD_BLOCK_MASKS
-        X = rng.random((n, F))
-        W = rng.uniform(-0.05, 0.05, size=(B, F, C))
-        A = rng.random((n, n))
-        E = (A + A.T) / 2.0
-        Y0 = np.zeros((B, n, C))
-        for k in range(B):
-            obs = rng.choice(n, n // 20, replace=False)
-            Y0[k, obs, rng.integers(0, C, obs.size)] = 1.0
-        for operand, parts in ((X, list(W)), (E, list(Y0))):
-            got = tasks_module._stacked_products(operand, parts)
-            assert len(got) == B
-            assert all(a.tobytes() == (operand @ p).tobytes() for a, p in zip(got, parts))
 
 
 @pytest.fixture(scope="module")
