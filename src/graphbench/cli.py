@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
-from .core_graph import write_graph
+from .core_graph import VARIANTS, write_graph
 from .harness import (
     GRAPH_METHODS,
     TASKS,
@@ -22,20 +21,12 @@ from .harness import (
 )
 from .inference import DEFAULT_SIGMA, SIMILARITY_KINDS, CalibrationError
 
-VARIANT_ALIASES = {
-    "raw": "raw",
-    "sym": "sym_norm",
-    "aug": "augmented",
-    "augsym": "augmented_sym_norm",
-}
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as any input error: one `error: <message>` line, exit 1."""
 
-def _master_seed(args) -> int:
-    env = os.environ.get("GRAPHBENCH_SEED") or "0"
-    try:
-        return args.seed if args.seed is not None else int(env)
-    except ValueError:
-        raise ValueError(f"GRAPHBENCH_SEED={env!r} is not an integer") from None
+    def error(self, message):
+        self.exit(1, f"error: {message}\n")
 
 
 def cmd_infer(args) -> int:
@@ -47,7 +38,7 @@ def cmd_infer(args) -> int:
         k=args.k,
         gamma=args.gamma,
         sigma=args.sigma,
-        adjacency_variant=VARIANT_ALIASES[args.variant],
+        adjacency_variant=args.variant,
     )
     g = point_graph(bundle, cfg)
     write_graph(g, args.out)
@@ -66,8 +57,6 @@ def _load_grid(spec: str, task: str, bundle, master_seed: int) -> list[RunConfig
         if entry.setdefault("task", task) != task:
             raise ValueError(f"entry {number} names task {entry['task']!r}, but --task is {task!r}")
         entry.setdefault("seed", master_seed)
-        if entry.get("adjacency_variant") in VARIANT_ALIASES:
-            entry["adjacency_variant"] = VARIANT_ALIASES[entry["adjacency_variant"]]
         configs.append(RunConfig(**entry))
     if not configs:
         raise ValueError(f"{spec} holds no grid points")
@@ -79,7 +68,7 @@ def cmd_run(args) -> int:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     bundle = load_dataset(args.data)
     try:
-        configs = _load_grid(args.grid, args.task, bundle, _master_seed(args))
+        configs = _load_grid(args.grid, args.task, bundle, args.seed)
     except (OSError, ValueError, TypeError) as exc:
         raise ValueError(f"bad grid spec: {exc}") from None
     # fail before the grid runs, not after, when a report file cannot be written
@@ -117,7 +106,7 @@ def cmd_validate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="graphbench")
+    parser = _Parser(prog="graphbench")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_infer = sub.add_parser("infer", help="build a graph from a dataset directory")
@@ -127,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_infer.add_argument("--k", type=int, required=True)
     p_infer.add_argument("--gamma", type=float)
     p_infer.add_argument("--sigma", type=float, default=DEFAULT_SIGMA)
-    p_infer.add_argument("--variant", default="raw", choices=list(VARIANT_ALIASES))
+    p_infer.add_argument("--variant", default="raw", choices=VARIANTS)
     p_infer.add_argument("--out", required=True)
     p_infer.set_defaults(func=cmd_infer)
 
@@ -135,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--task", required=True, choices=TASKS)
     p_run.add_argument("--data", required=True)
     p_run.add_argument("--grid", default="full", help="'full' or a JSON grid file")
-    p_run.add_argument("--seed", type=int, default=None)
+    p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--jobs", type=int, default=1)
     p_run.add_argument("--report", required=True)
     p_run.add_argument("--timing", action="store_true", help="record wall time in the CSV")

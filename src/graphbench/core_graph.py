@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -11,6 +12,12 @@ from scipy import sparse
 VARIANTS = ("raw", "sym_norm", "augmented", "augmented_sym_norm")
 
 SYMMETRY_TOL = 1e-10
+
+
+def check_integer(name: str, value) -> None:
+    """Raise a ValueError naming ``name`` unless ``value`` is an integer (a bool is not)."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 class IsolatedVertexWarning(UserWarning):
@@ -191,8 +198,10 @@ def eigendecompose(A, lowest: int | None = None) -> tuple[np.ndarray, np.ndarray
     raises ArpackNoConvergence. The blocks' pairs are merged by a stable
     sort, each eigenvector zero outside its block.
     """
-    if lowest is not None and lowest < 1:
-        raise ValueError(f"lowest must be >= 1, got {lowest}")
+    if lowest is not None:
+        check_integer("lowest", lowest)
+        if lowest < 1:
+            raise ValueError(f"lowest must be >= 1, got {lowest}")
     A = sparse.csr_matrix(A, dtype=float) if sparse.issparse(A) else np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("operator must be square")

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import metrics, tasks
-from .core_graph import VARIANTS, Graph, normalize, read_graph
+from .core_graph import VARIANTS, Graph, check_integer, normalize, read_graph
 from .inference import DEFAULT_SIGMA, SIMILARITY_KINDS
 from .inference import check_k_below_n, naive_graph, nnk_graph, similarity_matrix, smooth_graph
 
@@ -200,10 +200,6 @@ def load_dataset(path) -> DatasetBundle:
     return bundle
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
@@ -231,24 +227,22 @@ class RunConfig:
             raise ValueError(f"method {self.method!r} is not a baseline of task {self.task!r}")
         if self.method in ("naive", "nnk") and self.similarity not in SIMILARITY_KINDS:
             raise ValueError(f"method {self.method!r} needs a similarity, got {self.similarity!r}")
-        graph_on_dgs = self.task == "dgs" and self.method in GRAPH_METHODS
-        if graph_on_dgs and self.similarity not in (None, "rbf"):
+        if self.task == "dgs" and self.method in ("naive", "nnk") and self.similarity != "rbf":
             raise ValueError("dgs supports only the rbf similarity")
         if self.adjacency_variant not in VARIANTS:
             raise ValueError(f"unknown adjacency variant {self.adjacency_variant!r}")
         if self.k is None and self.method in ("nnk", "smooth"):
             raise ValueError(f"method {self.method!r} needs k")
-        if self.k is not None and not _is_int(self.k):
-            raise ValueError(f"k must be an integer, got {self.k!r}")
-        if self.k is not None and self.k < 1:
-            raise ValueError("k must be >= 1")
+        if self.k is not None:
+            check_integer("k", self.k)
+            if self.k < 1:
+                raise ValueError("k must be >= 1")
         if not (_is_real(self.sigma) and self.sigma > 0):
             raise ValueError(f"sigma must be a positive number, got {self.sigma!r}")
         if self.gamma is not None and not (_is_real(self.gamma) and self.gamma > 0):
             raise ValueError(f"gamma must be None or a positive number, got {self.gamma!r}")
         for name in ("seed", "n_splits"):
-            if not _is_int(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            check_integer(name, getattr(self, name))
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (_is_real(self.split_fraction) and 0 < self.split_fraction < 1):
@@ -256,18 +250,14 @@ class RunConfig:
         if self.n_splits < 1:
             raise ValueError(f"n_splits must be >= 1, got {self.n_splits}")
         # the fields are usable; now reject those the point's method would ignore
-        if self.method not in GRAPH_METHODS:
-            for name in ("similarity", "k", "gamma"):
-                if getattr(self, name) is not None:
-                    raise ValueError(f"method {self.method!r} takes no {name}")
+        # smooth reads squared distances, so it names no similarity
+        ignored = {"naive": (), "nnk": (), "smooth": ("similarity", "gamma")}
+        for name in ignored.get(self.method, ("similarity", "k", "gamma")):
+            if getattr(self, name) is not None:
+                raise ValueError(f"method {self.method!r} takes no {name}")
         if self.method not in ("nnk", "smooth") and self.sigma != DEFAULT_SIGMA:
             raise ValueError(f"method {self.method!r} takes no sigma")
-        if self.method == "smooth" and self.similarity not in (None, "rbf"):
-            raise ValueError(
-                "method 'smooth' reads squared distances: its similarity must be none "
-                f"or 'rbf', got {self.similarity!r}"
-            )
-        if self.gamma is not None and (self.method == "smooth" or self.similarity != "rbf"):
+        if self.gamma is not None and self.similarity != "rbf":
             raise ValueError("gamma applies only to naive and nnk with the rbf similarity")
 
     @property

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from typing import Optional
 
@@ -11,7 +10,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import _sparsetools
 
-from .core_graph import Graph, from_arrays, from_dense
+from .core_graph import Graph, check_integer, from_arrays, from_dense
 from .similarity import (
     check_positive_finite,
     cosine_similarity,
@@ -81,8 +80,8 @@ def check_k_below_n(method: str, k: Optional[int], n: int) -> None:
     """
     if k is None:
         return
-    if method != "smooth" and (not isinstance(k, numbers.Integral) or isinstance(k, bool)):
-        raise ValueError(f"k must be an integer, got {k!r}")
+    if method != "smooth":
+        check_integer("k", k)
     if k < n:
         return
     if method == "smooth":
@@ -232,11 +231,18 @@ def nnls_solve(K_SS: np.ndarray, k_Si: np.ndarray):
             rows = active[sizes == p]
             r = rows[:, None]
             idx = np.nonzero(passive[rows])[1].reshape(rows.size, p)
-            sol = _pinv_solve(K[r[:, :, None], idx[:, :, None], idx[:, None, :]], b[r, idx])
+            K_P = K[r[:, :, None], idx[:, :, None], idx[:, None, :]]
+            b_P, cur = b[r, idx], theta[r, idx]
+            sol = _pinv_solve(K_P, b_P)
+            # a singular K_P can send the weight just freed back to <= 0, to be dropped and
+            # freed again until the cap; such a problem takes the solution nearest theta
+            stuck = np.flatnonzero((outer[rows] > 0) & np.any((sol <= 0) & (cur == 0), axis=1))
+            if stuck.size:
+                g = np.matmul(K_P[stuck], cur[stuck, :, None])[:, :, 0] - b_P[stuck]
+                sol[stuck] = cur[stuck] - _pinv_solve(K_P[stuck], g)
             feasible = np.all(sol > 0, axis=1)
             # an infeasible solve moves theta towards sol until a weight reaches 0;
             # a weight already at 0 that sol sends to <= 0 allows no step at all
-            cur = theta[r, idx]
             neg = sol <= 0
             ratios = np.divide(cur, cur - sol, out=np.where(neg, 0.0, 1.0), where=neg & (cur > 0))
             new = cur + np.min(ratios, axis=1, keepdims=True) * (sol - cur)

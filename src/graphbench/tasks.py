@@ -8,12 +8,13 @@ import warnings
 import numpy as np
 from scipy import sparse
 
-from .core_graph import Graph, connected_components, eigendecompose, laplacian, matrix_exponential
+from .core_graph import Graph, check_integer, connected_components, eigendecompose, laplacian
+from .core_graph import matrix_exponential
 from .metrics import _integer_labels, snr_db
 
-# Eigenvalues this close to zero (absolute, or relative to lambda_max in
-# denoise) count as the Laplacian's null space: eigh returns them as +-1e-16,
-# and Lanczos as ~1e-13.
+# Eigenvalues this close to zero, relative to lambda_max, count as the
+# Laplacian's null space in denoise: eigh returns them as +-1e-16, and
+# Lanczos as ~1e-13.
 NULL_SPACE_TOL = 1e-8
 
 KMEANS_RESTARTS = 10
@@ -37,15 +38,22 @@ def spectral_embed(g: Graph, C: int) -> np.ndarray:
     no single eigenvector is the privileged constant; skipping one would
     trade an indicator dimension for a high-frequency one and break exact
     component recovery, so the full low-frequency basis 0..C-1 is used
-    instead. Each column is sign-fixed so its largest-magnitude entry is
-    positive.
+    instead. Its null space, whose basis and pair order the eigensolver
+    leaves to round-off, is spanned by the normalised indicators of the
+    components in connected_components order. Each column is sign-fixed so
+    its largest-magnitude entry is positive.
     """
+    check_integer("C", C)
     if not 1 <= C < g.n:
         raise ValueError("need 1 <= C and C + 1 <= n")
     # index C + 1 is computed only for the multiplicity check at the boundary
     vals, vecs = eigendecompose(laplacian(g), lowest=C + 2)
-    lo = 0 if np.sum(np.abs(vals) < NULL_SPACE_TOL) >= 2 else 1
+    components = connected_components(g)
+    names, sizes = np.unique(components, return_counts=True)
+    lo = 0 if names.size >= 2 else 1
     cols = vecs[:, lo : lo + C].copy()
+    if lo == 0:
+        cols[:, : min(names.size, C)] = (components[:, None] == names[:C]) / np.sqrt(sizes[:C])
     upper = lo + C
     if upper < vals.size and abs(vals[upper] - vals[upper - 1]) < 1e-10:
         warnings.warn("eigenvalue multiplicity across the embedding boundary: basis ambiguous")
@@ -92,6 +100,7 @@ def kmeans(points, C: int, seed) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     X = sparse.csr_matrix(points)
     n = X.shape[0]
+    check_integer("C", C)
     if C < 1:
         raise ValueError("need at least 1 cluster")
     if n < C:
@@ -168,6 +177,7 @@ def spectral_cluster(g: Graph, C: int, seed=0) -> np.ndarray:
 
     Returns the cluster index in 0..C-1 of each vertex.
     """
+    check_integer("C", C)
     if C == 1:
         return np.zeros(g.n, dtype=int)
     return discretize(spectral_embed(g, C), seed=seed)

@@ -245,7 +245,7 @@ class TestPropertyTier:
             {"method": "cmeans-baseline"},
             {"method": "naive", "similarity": "cosine", "k": 4},
             {"method": "naive", "similarity": "rbf", "k": 4,
-             "adjacency_variant": "sym"},
+             "adjacency_variant": "sym_norm"},
         ]))
         reports = []
         for tag, jobs in (("a", "1"), ("b", "1"), ("c", "8")):

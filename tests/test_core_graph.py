@@ -240,6 +240,11 @@ class TestPartialEigendecompose:
         with pytest.raises(ValueError):
             eigendecompose(laplacian(triangle()), lowest=0)
 
+    @pytest.mark.parametrize("lowest", [1.5, 2.0, True])
+    def test_rejects_a_non_integer_request(self, lowest):
+        with pytest.raises(ValueError, match=f"^lowest must be an integer, got {lowest!r}$"):
+            eigendecompose(laplacian(triangle()), lowest=lowest)
+
     @pytest.mark.parametrize("lowest", [None, 2])
     @pytest.mark.parametrize("form", ["dense", "sparse"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])

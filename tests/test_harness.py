@@ -1348,7 +1348,7 @@ class TestCli:
             "--method", "naive",
             "--similarity", "cosine",
             "--k", "3",
-            "--variant", "sym",
+            "--variant", "sym_norm",
             "--out", str(out),
         )
         assert proc.returncode == 0, proc.stderr
@@ -1561,6 +1561,11 @@ class TestCli:
                 "unknown adjacency variant 'bogus'",
             ),
             (
+                "ucv",
+                '[{"method": "naive", "similarity": "cosine", "k": 5, "adjacency_variant": "sym"}]',
+                "unknown adjacency variant 'sym'",
+            ),
+            (
                 "dgs",
                 '[{"task": "dgs", "method": "cmeans-baseline"}]',
                 "method 'cmeans-baseline' is not a baseline of task 'dgs'",
@@ -1607,7 +1612,7 @@ class TestCli:
             (
                 "dgs",
                 '[{"task": "dgs", "method": "smooth", "similarity": "cosine", "k": 5}]',
-                "dgs supports only the rbf similarity",
+                "method 'smooth' takes no similarity",
             ),
             (
                 "ucv",
@@ -1658,6 +1663,7 @@ class TestCli:
             "negative-seed",
             "zero-splits",
             "unknown-variant",
+            "variant-alias",
             "cmeans-on-dgs",
             "cmeans-on-dgs-after-a-graph",
             "logreg-on-ucv",
@@ -1715,24 +1721,63 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "option, env, reason",
-        [
-            (["--seed", "-1"], None, "seed must be >= 0, got -1"),
-            ([], "-2", "seed must be >= 0, got -2"),
-            ([], "abc", "GRAPHBENCH_SEED='abc' is not an integer"),
-        ],
-        ids=["seed-option", "negative-env", "non-integer-env"],
+        "option, reason",
+        [(["--seed", "-1"], "seed must be >= 0, got -1")],
+        ids=["seed-option"],
     )
-    def test_run_bad_master_seed_is_error(self, tmp_path, monkeypatch, capsys, option, env, reason):
-        if env is None:
-            monkeypatch.delenv("GRAPHBENCH_SEED", raising=False)
-        else:
-            monkeypatch.setenv("GRAPHBENCH_SEED", env)
+    def test_run_bad_master_seed_is_error(self, tmp_path, monkeypatch, capsys, option, reason):
         code, grids = self.run_in_process(
             tmp_path, monkeypatch, *option, "--report", str(tmp_path / "r.csv")
         )
         assert code == 1 and grids == []
         assert capsys.readouterr().err == f"error: bad grid spec: {reason}\n"
+
+    def test_run_master_seed_comes_only_from_the_option(self, tmp_path, monkeypatch):
+        write_blob_dataset(tmp_path / "d")
+        grid_file = tmp_path / "grid.json"
+        grid_file.write_text('[{"method": "naive", "similarity": "cosine", "k": 3, "n_splits": 5}]')
+        monkeypatch.setenv("GRAPHBENCH_SEED", "5")
+        reports = []
+        for option in ([], ["--seed", "0"], ["--seed", "5"]):
+            report = tmp_path / f"r{len(reports)}.csv"
+            run = ["run", "--task", "sscv-lp", "--data", str(tmp_path / "d")]
+            assert cli.main([*run, "--grid", str(grid_file), "--report", str(report), *option]) == 0
+            reports.append(report.read_bytes())
+        assert reports[0] == reports[1] != reports[2]
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (
+                ["infer", "--data", "d", "--method", "naive", "--k", "3", "--out", "g.tsv",
+                 "--variant", "bogus"],
+                "error: argument --variant: invalid choice: 'bogus'",
+            ),
+            (
+                ["run", "--task", "ucv", "--data", "d", "--report", "r.csv", "--jobs", "x"],
+                "error: argument --jobs: invalid int value: 'x'",
+            ),
+            (
+                ["run", "--task", "ucv", "--data", "d", "--report", "r.csv", "--bogus"],
+                "error: unrecognized arguments: --bogus",
+            ),
+        ],
+        ids=["bad-choice", "bad-int", "unknown-option"],
+    )
+    def test_usage_error_is_one_line_and_exit_1(self, tmp_path, monkeypatch, capsys, args, message):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(args)
+        assert exit_.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(message) and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["run", "--help"])
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: graphbench run")
 
     def test_infer_unwritable_out_is_error(self, tmp_path):
         write_blob_dataset(tmp_path / "d")
@@ -1771,7 +1816,7 @@ class TestCli:
         grid_file.write_text(
             '[{"method": "cmeans-baseline"}, '
             '{"method": "naive", "similarity": "cosine", "k": 2, '
-            '"adjacency_variant": "sym"}]'
+            '"adjacency_variant": "sym_norm"}]'
         )
         report = tmp_path / "r.csv"
         proc = self.run_cli(
@@ -1810,7 +1855,7 @@ class TestCli:
         grid_file.write_text(
             '[{"method": "cmeans-baseline"}, '
             '{"method": "naive", "similarity": "rbf", "k": 3, '
-            '"adjacency_variant": "augsym"}]'
+            '"adjacency_variant": "augmented_sym_norm"}]'
         )
         reports = []
         for jobs in ("1", "2"):
@@ -1835,7 +1880,7 @@ class TestCli:
         grid_file.write_text(
             '[{"method": "cmeans-baseline"}, '
             '{"method": "naive", "similarity": "cosine", "k": 2}, '
-            '{"method": "naive", "similarity": "cosine", "k": 2, "adjacency_variant": "sym"}]'
+            '{"method": "naive", "similarity": "cosine", "k": 2, "adjacency_variant": "sym_norm"}]'
         )
         reports = []
         for timing in ([], ["--timing"]):
@@ -1858,8 +1903,9 @@ class TestCli:
             data = gen.cora_like(tmp_path / "d", 0, 200, 1433, 40, 0.42)
             points = [
                 {"method": harness.BASELINES[task]},
-                {"method": "naive", "similarity": "cosine", "k": 10, "adjacency_variant": "sym"},
-                {"method": "naive", "similarity": "rbf", "k": 10, "adjacency_variant": "augsym"},
+                {"method": "naive", "similarity": "cosine", "k": 10, "adjacency_variant": "sym_norm"},
+                {"method": "naive", "similarity": "rbf", "k": 10,
+                 "adjacency_variant": "augmented_sym_norm"},
                 {"method": "nnk", "similarity": "cosine", "k": 10},
             ]
             if task != "ucv":
@@ -1868,7 +1914,7 @@ class TestCli:
             data = gen.road_like(tmp_path / "d", 0, 150, 4.0, 2.0)
             points = [
                 {"method": "reference-graph"},
-                {"method": "naive", "similarity": "rbf", "k": 10, "adjacency_variant": "sym"},
+                {"method": "naive", "similarity": "rbf", "k": 10, "adjacency_variant": "sym_norm"},
                 {"method": "naive", "similarity": "rbf", "k": None},
                 {"method": "nnk", "similarity": "rbf", "k": 10},
             ]
@@ -1958,12 +2004,11 @@ class TestRunConfig:
             ),
             (
                 dict(task="dgs", method="smooth", similarity="cosine", k=5),
-                "dgs supports only the rbf similarity",
+                "method 'smooth' takes no similarity",
             ),
             (
                 dict(task="ucv", method="smooth", similarity="cosine", k=5),
-                "method 'smooth' reads squared distances: its similarity must be none or 'rbf', "
-                "got 'cosine'",
+                "method 'smooth' takes no similarity",
             ),
             (
                 dict(task="ucv", method="naive", similarity="cosine", k=5, gamma=3.0),
@@ -1974,8 +2019,12 @@ class TestRunConfig:
                 "method 'cmeans-baseline' takes no k",
             ),
             (
-                dict(task="ucv", method="smooth", similarity="rbf", k=5, gamma=3.0),
-                "gamma applies only to naive and nnk with the rbf similarity",
+                dict(task="ucv", method="smooth", k=5, gamma=3.0),
+                "method 'smooth' takes no gamma",
+            ),
+            (
+                dict(task="dgs", method="smooth", similarity="rbf", k=5),
+                "method 'smooth' takes no similarity",
             ),
             (
                 dict(task="sscv-lp", method="logreg-baseline", similarity="rbf"),
@@ -2012,6 +2061,7 @@ class TestRunConfig:
             "cosine-gamma",
             "cmeans-k",
             "smooth-gamma",
+            "dgs-smooth-rbf",
             "logreg-similarity",
             "reference-gamma",
             "naive-sigma",
@@ -2025,7 +2075,7 @@ class TestRunConfig:
 
     def test_accepts_the_edges_of_each_rule(self):
         # full_grid's points cover the rest of what each rule lets through
-        RunConfig("dgs", "smooth", "rbf", 5)
+        RunConfig("dgs", "smooth", k=5)
         RunConfig("sscv-sgc", "logreg-baseline", split_fraction=0.001)
         RunConfig("sscv-sgc", "logreg-baseline", split_fraction=0.999)
 

@@ -763,6 +763,17 @@ class TestStackedSolve:
             assert np.all(grad[t > 0] <= 1e-7) and np.all(np.abs(grad[t > 1e-10]) <= 1e-6)
             assert np.all(grad[t == 0] >= -1e-8)
 
+    def test_singular_passive_block_converges(self):
+        # K = A A' of rank 6 with b in its range: the least-norm passive solve sends the
+        # weight just freed back to 0, and without the nearest-theta step the loop cycles
+        rng = np.random.default_rng(221)
+        A = rng.standard_normal((8, 6))
+        K, b = A @ A.T, A @ rng.standard_normal(6)
+        theta, ok = nnls_solve(K, b)
+        grad = K @ theta - b
+        assert ok is True and np.all(theta >= 0)
+        assert np.all(np.abs(grad[theta > 1e-10]) <= 1e-6) and np.all(grad[theta == 0] >= -1e-8)
+
     def test_empty_stacks(self):
         theta, ok = nnls_solve(np.zeros((0, 3, 3)), np.zeros((0, 3)))
         assert theta.shape == (0, 3) and ok is True

@@ -124,6 +124,33 @@ class TestSpectralEmbed:
         with pytest.raises(ValueError, match=r"^need 1 <= C and C \+ 1 <= n$"):
             spectral_embed(g, C)
 
+    @pytest.mark.parametrize("C", [1.5, 2.0, True])
+    @pytest.mark.parametrize("embed", [spectral_embed, spectral_cluster])
+    def test_rejects_a_non_integer_C(self, embed, C):
+        g, _ = clique_union([4])
+        with pytest.raises(ValueError, match=f"^C must be an integer, got {C!r}$"):
+            embed(g, C)
+
+    def test_null_space_does_not_follow_the_eigensolver(self, monkeypatch):
+        # the order of eigendecompose's zero pairs follows their round-off, and each
+        # vector's sign and the basis of the null space are arbitrary; three paths
+        # have a simple nonzero spectrum, so the rest of the embedding is unique
+        g = Graph(15, [(v, v + 1, 1.0) for v in range(14) if v not in (3, 8)])
+        want = spectral_embed(g, 4)
+        indicators = (connected_components(g)[:, None] == [0, 4, 9]) / np.sqrt([4, 5, 6])
+        assert np.array_equal(want[:, :3], indicators)
+        real = tasks_module.eigendecompose
+
+        def reordered(A, lowest=None):
+            vals, vecs = real(A, lowest)
+            rotation = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))[0]
+            vecs[:, :3] = -vecs[:, 2::-1] @ rotation
+            vals[:3] = [-1e-14, 1e-14, 2e-14]
+            return vals, vecs
+
+        monkeypatch.setattr(tasks_module, "eigendecompose", reordered)
+        assert np.array_equal(spectral_embed(g, 4), want)
+
     def test_skip_first_flag(self):
         g, _ = clique_union([5])
         with pytest.warns(UserWarning, match=MULTIPLICITY):
@@ -205,7 +232,15 @@ class TestKmeans:
         assignment = kmeans(np.array([[0.0], [5.0]]), 2, seed=0)
         assert assignment[0] != assignment[1]
 
-    @pytest.mark.parametrize("C, reason", [(0, "need at least 1 cluster"), (4, "need at least C points")])
+    @pytest.mark.parametrize(
+        "C, reason",
+        [
+            (0, "need at least 1 cluster"),
+            (4, "need at least C points"),
+            (1.5, "C must be an integer, got 1.5"),
+            (2.0, "C must be an integer, got 2.0"),
+        ],
+    )
     def test_rejects_a_cluster_count_outside_1_to_n(self, C, reason):
         with pytest.raises(ValueError, match=f"^{reason}$"):
             kmeans(np.array([[0.0], [2.0], [4.0]]), C, seed=0)
@@ -455,9 +490,11 @@ class TestLanczosSpectrum:
         owners = components[np.argmax(support, axis=0)]
         assert np.unique(owners).size == n_components
         assert np.array_equal(support, components[:, None] == owners)
-        # eigh's basis of the null space changes with the BLAS thread count, so the
-        # reference spans it by the same normalised component indicators, in the same order
-        indicators = support / np.sqrt(support.sum(axis=0))
+        # eigh's basis of the null space changes with the BLAS thread count, and the order
+        # of the zero pairs with the kernel, so spectral_embed and the reference both span
+        # it by the normalised component indicators, in connected_components order
+        member = components[:, None] == np.unique(components)
+        indicators = member / np.sqrt(member.sum(axis=0))
         got = ami(spectral_cluster(g, C), labels)
         want = ami(full_spectrum_cluster(g, C, null_space=indicators), labels)
         assert got == pytest.approx(want, abs=1e-12)
