@@ -15,7 +15,6 @@ from .core_graph import (
 )
 from .inference import (
     knn_select,
-    naive_graph,
     nnk_graph,
     nnls_solve,
     similarity_matrix,

@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import math
 import multiprocessing
-import numbers
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -18,7 +17,8 @@ import numpy as np
 from . import metrics, tasks
 from .core_graph import VARIANTS, Graph, check_integer, normalize, read_graph
 from .inference import DEFAULT_SIGMA, SIMILARITY_KINDS
-from .inference import check_k_below_n, naive_graph, nnk_graph, similarity_matrix, smooth_graph
+from .inference import check_k, knn_select, nnk_graph, similarity_matrix, smooth_graph
+from .similarity import check_positive_finite
 
 TABLE1_K = (5, 10, 20, 30, 40, 50, 100, 200, 500, 1000)
 TASKS = ("ucv", "sscv-lp", "sscv-sgc", "dgs")
@@ -200,10 +200,6 @@ def load_dataset(path) -> DatasetBundle:
     return bundle
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
-
-
 @dataclass(frozen=True)
 class RunConfig:
     task: str
@@ -237,15 +233,15 @@ class RunConfig:
             check_integer("k", self.k)
             if self.k < 1:
                 raise ValueError("k must be >= 1")
-        if not (_is_real(self.sigma) and self.sigma > 0):
-            raise ValueError(f"sigma must be a positive number, got {self.sigma!r}")
-        if self.gamma is not None and not (_is_real(self.gamma) and self.gamma > 0):
-            raise ValueError(f"gamma must be None or a positive number, got {self.gamma!r}")
+        check_positive_finite("sigma", self.sigma)
+        if self.gamma is not None:
+            check_positive_finite("gamma", self.gamma)
         for name in ("seed", "n_splits"):
             check_integer(name, getattr(self, name))
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not (_is_real(self.split_fraction) and 0 < self.split_fraction < 1):
+        check_positive_finite("split_fraction", self.split_fraction)
+        if self.split_fraction >= 1:
             raise ValueError(f"split_fraction must be in (0, 1), got {self.split_fraction!r}")
         if self.n_splits < 1:
             raise ValueError(f"n_splits must be >= 1, got {self.n_splits}")
@@ -327,7 +323,7 @@ def build_graph(M: np.ndarray, cfg: RunConfig, solves: Optional[dict] = None) ->
     if cfg.method not in GRAPH_METHODS:
         raise ValueError(f"method {cfg.method!r} does not build a graph")
     if cfg.method == "naive":
-        return naive_graph(M, cfg.k)
+        return knn_select(M, cfg.k)
     if cfg.method == "nnk":
         return nnk_graph(M, cfg.similarity, cfg.k, cfg.sigma)
     return smooth_graph(M, cfg.k, cfg.sigma, solves)
@@ -363,7 +359,7 @@ class GridCache:
         raises the builder's error before the matrix is computed.
         """
         if cfg.graph_key != self._key:
-            check_k_below_n(cfg.method, cfg.k, bundle.n)  # before the n x n matrix exists
+            check_k(cfg.method, cfg.k, bundle.n)  # before the n x n matrix exists
             key = cfg.matrix_key
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")

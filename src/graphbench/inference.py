@@ -45,12 +45,10 @@ def _knn_indices(S: np.ndarray, k: int) -> np.ndarray:
 
     Equals the first k columns of a stable argsort of -S with the diagonal set
     to +inf. Works in blocks of rows, selects by partition and sorts only the
-    k picks. S must be finite; knn_select and nnk_graph check it first.
+    k picks. S must be finite and 1 <= k < n; knn_select and nnk_graph check both first.
     """
     n = S.shape[0]
     out = np.empty((n, k), dtype=np.intp)
-    if k == 0:
-        return out
     for start in range(0, n, KNN_BLOCK_ROWS):
         M = -S[start : start + KNN_BLOCK_ROWS]
         b = M.shape[0]
@@ -71,39 +69,42 @@ def _undirected(n: int, rows: np.ndarray, cols: np.ndarray, **unique_args):
     return keys // n, keys % n, extra
 
 
-def check_k_below_n(method: str, k: Optional[int], n: int) -> None:
-    """Raise the ValueError ``method``'s builder raises for a k not below the n vertices.
+def check_k(method: str, k, n: int) -> None:
+    """Raise a ValueError naming k unless it is a k of ``method``'s builder on n vertices.
 
-    None, knn_select's dense k, always passes. A k-NN k must be an integer;
-    smooth's k is a target mean degree and may be any real. A caller can check
-    a point before it computes the n x n matrix the builder would reject it with.
+    None asks knn_select (method "naive") for the dense graph and is no other
+    method's k. The k-NN methods take an integer k, smooth a target mean
+    degree, any real but a bool; and 1 <= k < n for all. A caller can check a
+    point before it computes the n x n matrix the builder would reject it with.
     """
     if k is None:
-        return
-    if method != "smooth":
-        check_integer("k", k)
-    if k < n:
+        if method != "naive":
+            raise ValueError(f"method {method!r} needs k")
         return
     if method == "smooth":
-        raise ValueError(f"target mean degree k={k} must satisfy 1 <= k < n")
-    raise ValueError(f"k={k} must be smaller than n={n}")
+        check_positive_finite("k", k)
+    else:
+        check_integer("k", k)
+    if not 1 <= k < n:
+        raise ValueError(f"k must satisfy 1 <= k < n={n}, got {k!r}")
 
 
-def _builder_input(M, kind: str, method: str, k, sigma: Optional[float] = None):
+def _builder_input(M, kind: str, method: Optional[str], k=None, sigma=None):
     """M as a float array, and n, after the checks every builder makes.
 
-    In order: the edge-weight floor sigma (if given) positive, then finite; the
-    ``kind`` matrix M square, 2-D and not empty; k below n (check_k_below_n);
-    M finite.
+    In order: the edge-weight floor sigma of nnk and smooth a positive finite
+    number; the ``kind`` matrix M square, 2-D and not empty; check_k, unless
+    method is None (the smoothness solver, which reads neither); M finite.
     """
-    if sigma is not None:
+    if method in ("nnk", "smooth"):
         check_positive_finite("sigma", sigma)
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"{kind} matrix must be square and 2-D, got shape {M.shape}")
     if M.shape[0] == 0:
         raise ValueError(f"{kind} matrix is empty")
-    check_k_below_n(method, k, M.shape[0])
+    if method is not None:
+        check_k(method, k, M.shape[0])
     if not np.all(np.isfinite(M)):
         raise ValueError(f"{kind} matrix has non-finite entries")
     return M, M.shape[0]
@@ -118,8 +119,6 @@ def knn_select(S: np.ndarray, k: Optional[int]) -> Graph:
     """
     S, n = _builder_input(S, "similarity", "naive", k)
     k = n - 1 if k is None else k
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
     rows = np.repeat(np.arange(n), k)
     cols = _knn_indices(S, k).ravel()
     keep = S[rows, cols] > 0
@@ -132,7 +131,7 @@ def knn_select(S: np.ndarray, k: Optional[int]) -> Graph:
 def similarity_matrix(X, kind: str, gamma: Optional[float] = None) -> np.ndarray:
     """The matrix a graph builder starts from, between the rows of X.
 
-    ``kind`` is a similarity of SIMILARITY_KINDS, which naive_graph and
+    ``kind`` is a similarity of SIMILARITY_KINDS, which knn_select and
     nnk_graph read (rbf with ``gamma`` None uses 1 / the number of
     features), or "sqeuclidean", the squared distances smooth_graph reads.
     """
@@ -149,13 +148,6 @@ def similarity_matrix(X, kind: str, gamma: Optional[float] = None) -> np.ndarray
     if gamma is None:
         gamma = 1.0 / X.shape[1]
     return rbf_kernel(Z, gamma)
-
-
-def naive_graph(S, k: Optional[int]) -> Graph:
-    """k-NN sparsification of a similarity matrix (the dense graph when k is None)."""
-    if k is not None and k < 1:
-        raise ValueError("k must be positive")
-    return knn_select(S, k)
 
 
 def _pinv_solve(K: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -285,8 +277,6 @@ def nnk_graph(S, similarity: str, k: int, sigma: float = DEFAULT_SIGMA) -> Graph
     """
     if similarity not in SIMILARITY_KINDS:
         raise ValueError(f"unknown kernel similarity {similarity!r}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
     S, n = _builder_input(S, "similarity", "nnk", k, sigma)
     S = _nnk_kernel(S, similarity)
     nbrs = _knn_indices(S, k)
@@ -364,7 +354,7 @@ def learn_log_degree_weights(
     `warnings` column of grids whose solves hit the cap.
     """
     check_positive_finite("beta", beta)
-    Z, n = _builder_input(Z, "distance", "smooth", None)
+    Z, n = _builder_input(Z, "distance", None)
     if np.any(Z < 0):
         raise ValueError("distance matrix must be non-negative")
     iu, ju = np.triu_indices(n, k=1)
@@ -424,7 +414,7 @@ def learn_log_degree_weights(
     return W
 
 
-def smooth_graph(Z, k: int, sigma: float = DEFAULT_SIGMA, solves: Optional[dict] = None) -> Graph:
+def smooth_graph(Z, k: float, sigma: float = DEFAULT_SIGMA, solves: Optional[dict] = None) -> Graph:
     """Smoothness-based graph with mean degree calibrated to k, edges above sigma.
 
     Works on the unit-mean rescaling of Z with alpha = beta = 1 and bisects a
@@ -438,8 +428,6 @@ def smooth_graph(Z, k: int, sigma: float = DEFAULT_SIGMA, solves: Optional[dict]
     solved once across them, whatever their k. Every bisection starts from
     the same range, so the ends and the first steps recur from call to call.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     Z, n = _builder_input(Z, "distance", "smooth", k, sigma)
     off_mean = (Z.sum() - np.trace(Z)) / max(n * (n - 1), 1)
     Zu = Z / off_mean if off_mean > 0 else Z

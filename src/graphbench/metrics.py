@@ -117,9 +117,14 @@ def snr_db(clean, test) -> float:
     if clean.shape != test.shape:
         raise ValueError(f"clean {clean.shape} and test {test.shape} differ in shape")
     sig = float(clean @ clean)
+    err = float(np.sum((clean - test) ** 2))
+    # a non-finite entry makes sig or err non-finite, so the entries are read only then
+    if not math.isfinite(sig + err):
+        for name, signal in (("clean", clean), ("test", test)):
+            if not np.all(np.isfinite(signal)):
+                raise ValueError(f"{name} signal has non-finite entries")
     if sig == 0:
         raise ValueError("clean signal has zero power, SNR undefined")
-    err = float(np.sum((clean - test) ** 2))
     if err == 0:
         return math.inf
     return 10.0 * math.log10(sig / err)
@@ -128,6 +133,8 @@ def snr_db(clean, test) -> float:
 def add_noise_to_snr(clean, target_db: float, seed) -> np.ndarray:
     """Add seeded Gaussian noise rescaled so snr_db(clean, noisy) == target_db."""
     clean = np.asarray(clean, dtype=float)
+    if not np.all(np.isfinite(clean)):
+        raise ValueError("clean signal has non-finite entries")
     sig = float(clean @ clean)
     if sig == 0:
         raise ValueError("clean signal has zero power")

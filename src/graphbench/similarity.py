@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -51,11 +52,10 @@ def covariance_similarity(X) -> np.ndarray:
 
 
 def check_positive_finite(name: str, value: float) -> None:
-    """Raise a ValueError naming ``name`` unless value is a positive finite number."""
-    if not value > 0:
-        raise ValueError(f"{name} must be positive")
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite")
+    """Raise a ValueError naming ``name`` unless value is a finite real > 0 (a bool is not one)."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
 
 
 def rbf_kernel(Z, gamma: float) -> np.ndarray:

@@ -98,6 +98,8 @@ def kmeans(points, C: int, seed) -> np.ndarray:
     Returns the cluster index in 0..C-1 of each point; works on a CSR copy of ``points``.
     """
     points = np.asarray(points, dtype=float)
+    if not np.all(np.isfinite(points)):
+        raise ValueError("points must be finite")
     X = sparse.csr_matrix(points)
     n = X.shape[0]
     check_integer("C", C)

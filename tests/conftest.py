@@ -3,6 +3,10 @@
 pyproject.toml's pytest ``pythonpath`` only reaches this process, so in a
 fresh checkout ``python -m graphbench.cli`` subprocesses would not find the
 package.
+
+Hypothesis draws the same examples on every run and keeps no example
+database, so a run's verdict depends only on the tree, not on earlier runs
+in the same checkout.
 """
 
 import multiprocessing
@@ -10,8 +14,12 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+settings.register_profile("tree", derandomize=True, database=None)
+settings.load_profile("tree")
 
 
 @pytest.fixture(autouse=True, scope="session")

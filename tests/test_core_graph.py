@@ -25,7 +25,7 @@ from graphbench.core_graph import (
     read_graph,
     write_graph,
 )
-from graphbench.inference import naive_graph, similarity_matrix
+from graphbench.inference import knn_select, similarity_matrix
 
 
 def path3():
@@ -440,7 +440,7 @@ def dense_knn_graphs(draw):
     """The naive graph at k=None on rbf similarities: every vertex pair an edge."""
     n = draw(st.integers(2, 8))
     X = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((n, 3))
-    return naive_graph(similarity_matrix(X, "rbf"), None)
+    return knn_select(similarity_matrix(X, "rbf"), None)
 
 
 def reference_laplacian(n, edges):

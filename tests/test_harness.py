@@ -1590,7 +1590,7 @@ class TestCli:
                 "sscv-lp",
                 '[{"task": "sscv-lp", "method": "naive", "similarity": "cosine", "k": 5,'
                 ' "split_fraction": 0}]',
-                "split_fraction must be in (0, 1), got 0",
+                "split_fraction must be a positive finite number, got 0",
             ),
             (
                 "sscv-lp",
@@ -1635,17 +1635,17 @@ class TestCli:
             (
                 "ucv",
                 '[{"method": "nnk", "similarity": "cosine", "k": 5, "sigma": -1}]',
-                "sigma must be a positive number, got -1",
+                "sigma must be a positive finite number, got -1",
             ),
             (
                 "ucv",
                 '[{"method": "naive", "similarity": "rbf", "k": 5, "gamma": -1}]',
-                "gamma must be None or a positive number, got -1",
+                "gamma must be a positive finite number, got -1",
             ),
             (
                 "ucv",
                 '[{"method": "naive", "similarity": "cosine", "k": 5, "gamma": "x"}]',
-                "gamma must be None or a positive number, got 'x'",
+                "gamma must be a positive finite number, got 'x'",
             ),
             (
                 "sscv-lp",
@@ -1943,20 +1943,32 @@ class TestRunConfig:
         [
             (dict(n_splits=0), "n_splits must be >= 1, got 0"),
             (dict(adjacency_variant="bogus"), "unknown adjacency variant 'bogus'"),
-            (dict(split_fraction=0), "split_fraction must be in (0, 1), got 0"),
+            (dict(split_fraction=0), "split_fraction must be a positive finite number, got 0"),
             (dict(split_fraction=1), "split_fraction must be in (0, 1), got 1"),
-            (dict(split_fraction=-0.5), "split_fraction must be in (0, 1), got -0.5"),
+            (
+                dict(split_fraction=-0.5),
+                "split_fraction must be a positive finite number, got -0.5",
+            ),
             (dict(k="5"), "k must be an integer, got '5'"),
             (dict(k=5.5), "k must be an integer, got 5.5"),
             (dict(k=True), "k must be an integer, got True"),
             (dict(k=0), "k must be >= 1"),
             (dict(method="nnk", k=None), "method 'nnk' needs k"),
             (dict(method="smooth", similarity=None, k=None), "method 'smooth' needs k"),
-            (dict(sigma=-1), "sigma must be a positive number, got -1"),
-            (dict(gamma=-1), "gamma must be None or a positive number, got -1"),
-            (dict(gamma="x"), "gamma must be None or a positive number, got 'x'"),
+            (dict(sigma=-1), "sigma must be a positive finite number, got -1"),
+            (dict(gamma=-1), "gamma must be a positive finite number, got -1"),
+            (dict(gamma="x"), "gamma must be a positive finite number, got 'x'"),
             (dict(seed="3"), "seed must be an integer, got '3'"),
             (dict(n_splits="3"), "n_splits must be an integer, got '3'"),
+            (dict(sigma=True), "sigma must be a positive finite number, got True"),
+            (dict(sigma=None), "sigma must be a positive finite number, got None"),
+            (dict(sigma=math.inf), "sigma must be a positive finite number, got inf"),
+            (dict(gamma=True), "gamma must be a positive finite number, got True"),
+            (dict(gamma=math.nan), "gamma must be a positive finite number, got nan"),
+            (
+                dict(split_fraction=math.nan),
+                "split_fraction must be a positive finite number, got nan",
+            ),
         ],
         ids=[
             "zero-splits",
@@ -1975,6 +1987,12 @@ class TestRunConfig:
             "string-gamma",
             "string-seed",
             "string-splits",
+            "boolean-sigma",
+            "none-sigma",
+            "inf-sigma",
+            "boolean-gamma",
+            "nan-gamma",
+            "nan-split-fraction",
         ],
     )
     def test_rejects_out_of_range_fields(self, options, reason):

@@ -10,7 +10,7 @@ from scipy import sparse
 
 import graphbench.inference as inference_module
 from graphbench.core_graph import from_arrays, from_dense
-from graphbench.harness import load_dataset
+from graphbench.harness import RunConfig, build_graph, load_dataset
 from graphbench.inference import (
     DEFAULT_SIGMA,
     KNN_BLOCK_ROWS,
@@ -18,7 +18,6 @@ from graphbench.inference import (
     CalibrationError,
     knn_select,
     learn_log_degree_weights,
-    naive_graph,
     nnk_graph,
     nnls_solve,
     similarity_matrix,
@@ -33,7 +32,12 @@ def edge_set(g):
 
 
 def naive_on(X, kind, k, gamma=None):
-    return naive_graph(similarity_matrix(X, kind, gamma), k)
+    return knn_select(similarity_matrix(X, kind, gamma), k)
+
+
+def naive_point(M, k):
+    """The naive method's graph on M as a grid point builds it."""
+    return build_graph(M, RunConfig("ucv", "naive", "rbf", k))
 
 
 def nnk_on(X, kind, k, sigma=DEFAULT_SIGMA, gamma=None):
@@ -49,31 +53,52 @@ def smooth_on(X, k, sigma=DEFAULT_SIGMA):
     [
         (lambda X: naive_on(X, "euclid", 3), "unknown similarity 'euclid'"),
         (lambda X: nnk_graph(np.eye(6), "euclid", 3), "unknown kernel similarity 'euclid'"),
-        (lambda X: naive_on(X, "rbf", 0), "k must be positive"),
-        (lambda X: nnk_on(X, "rbf", 0), "k must be >= 1"),
-        (lambda X: smooth_on(X, 0), "k must be >= 1"),
-        (lambda X: nnk_on(X, "rbf", 3, sigma=0.0), "sigma must be positive"),
-        (lambda X: nnk_on(X, "rbf", 3, sigma=-1.0), "sigma must be positive"),
-        (lambda X: smooth_on(X, 3, sigma=0.0), "sigma must be positive"),
-        (lambda X: smooth_on(X, 3, sigma=-1.0), "sigma must be positive"),
+        (lambda X: naive_on(X, "rbf", 0), "k must satisfy 1 <= k < n=6, got 0"),
+        (lambda X: nnk_on(X, "rbf", 0), "k must satisfy 1 <= k < n=6, got 0"),
+        (lambda X: smooth_on(X, 0), "k must be a positive finite number, got 0"),
+        (
+            lambda X: nnk_on(X, "rbf", 3, sigma=0.0),
+            "sigma must be a positive finite number, got 0.0",
+        ),
+        (
+            lambda X: nnk_on(X, "rbf", 3, sigma=-1.0),
+            "sigma must be a positive finite number, got -1.0",
+        ),
+        (lambda X: smooth_on(X, 3, sigma=0.0), "sigma must be a positive finite number, got 0.0"),
+        (lambda X: smooth_on(X, 3, sigma=-1.0), "sigma must be a positive finite number, got -1.0"),
         (lambda X: knn_select(similarity_matrix(X, "rbf"), 1.5), "k must be an integer, got 1.5"),
         (lambda X: naive_on(X, "rbf", 1.5), "k must be an integer, got 1.5"),
         (lambda X: naive_on(X, "rbf", True), "k must be an integer, got True"),
         (lambda X: nnk_on(X, "rbf", 1.5), "k must be an integer, got 1.5"),
         (lambda X: nnk_on(X, "rbf", True), "k must be an integer, got True"),
-        (lambda X: knn_select(similarity_matrix(X, "rbf"), -1), "k must be >= 0, got -1"),
+        (
+            lambda X: knn_select(similarity_matrix(X, "rbf"), -1),
+            "k must satisfy 1 <= k < n=6, got -1",
+        ),
         (lambda X: from_dense(np.where(np.eye(6), 0, np.nan)), "adjacency has non-finite entries"),
-        (lambda X: rbf_kernel(pairwise_sq_euclidean(X), math.nan), "gamma must be positive"),
-        (lambda X: rbf_kernel(pairwise_sq_euclidean(X), math.inf), "gamma must be finite"),
-        (lambda X: similarity_matrix(X, "rbf", math.nan), "gamma must be positive"),
-        (lambda X: similarity_matrix(X, "rbf", math.inf), "gamma must be finite"),
+        (
+            lambda X: rbf_kernel(pairwise_sq_euclidean(X), math.nan),
+            "gamma must be a positive finite number, got nan",
+        ),
+        (
+            lambda X: rbf_kernel(pairwise_sq_euclidean(X), math.inf),
+            "gamma must be a positive finite number, got inf",
+        ),
+        (
+            lambda X: similarity_matrix(X, "rbf", math.nan),
+            "gamma must be a positive finite number, got nan",
+        ),
+        (
+            lambda X: similarity_matrix(X, "rbf", math.inf),
+            "gamma must be a positive finite number, got inf",
+        ),
         (lambda X: from_dense([[0, 1], [1, 0]], threshold=math.nan), "threshold must be finite"),
         (
             lambda X: rbf_kernel([[0, math.nan], [math.nan, 0]], 1.0),
             "distance matrix has non-finite entries",
         ),
         (lambda X: knn_select(np.zeros((0, 0)), None), "similarity matrix is empty"),
-        (lambda X: naive_graph(np.zeros((0, 0)), None), "similarity matrix is empty"),
+        (lambda X: naive_point(np.zeros((0, 0)), None), "similarity matrix is empty"),
         (lambda X: nnk_graph(np.zeros((0, 0)), "rbf", 1), "similarity matrix is empty"),
         (lambda X: smooth_graph(np.zeros((0, 0)), 1), "distance matrix is empty"),
         (lambda X: learn_log_degree_weights(np.zeros((0, 0))), "distance matrix is empty"),
@@ -87,19 +112,40 @@ def smooth_on(X, k, sigma=DEFAULT_SIGMA):
         ),
         (
             lambda X: learn_log_degree_weights(pairwise_sq_euclidean(X), beta=math.nan),
-            "beta must be positive",
+            "beta must be a positive finite number, got nan",
         ),
         (
             lambda X: learn_log_degree_weights(pairwise_sq_euclidean(X), beta=-1.0),
-            "beta must be positive",
+            "beta must be a positive finite number, got -1.0",
         ),
         (
             lambda X: learn_log_degree_weights(pairwise_sq_euclidean(X), beta=0.0),
-            "beta must be positive",
+            "beta must be a positive finite number, got 0.0",
         ),
         (
             lambda X: learn_log_degree_weights(pairwise_sq_euclidean(X), beta=math.inf),
-            "beta must be finite",
+            "beta must be a positive finite number, got inf",
+        ),
+        (
+            lambda X: learn_log_degree_weights(pairwise_sq_euclidean(X), beta=None),
+            "beta must be a positive finite number, got None",
+        ),
+        (lambda X: nnk_on(X, "rbf", None), "method 'nnk' needs k"),
+        (lambda X: smooth_on(X, None), "method 'smooth' needs k"),
+        (lambda X: smooth_on(X, "3"), "k must be a positive finite number, got '3'"),
+        (lambda X: smooth_on(X, True), "k must be a positive finite number, got True"),
+        (
+            lambda X: nnk_on(X, "rbf", 3, sigma=None),
+            "sigma must be a positive finite number, got None",
+        ),
+        (
+            lambda X: nnk_on(X, "rbf", 3, sigma=True),
+            "sigma must be a positive finite number, got True",
+        ),
+        (lambda X: smooth_on(X, 3, sigma=None), "sigma must be a positive finite number, got None"),
+        (
+            lambda X: rbf_kernel(pairwise_sq_euclidean(X), True),
+            "gamma must be a positive finite number, got True",
         ),
     ],
     ids=[
@@ -136,6 +182,15 @@ def smooth_on(X, k, sigma=DEFAULT_SIGMA):
         "learn-negative-beta",
         "learn-zero-beta",
         "learn-inf-beta",
+        "learn-none-beta",
+        "nnk-none-k",
+        "smooth-none-k",
+        "smooth-string-k",
+        "smooth-bool-k",
+        "nnk-none-sigma",
+        "nnk-bool-sigma",
+        "smooth-none-sigma",
+        "rbf_kernel-bool-gamma",
     ],
 )
 def test_solver_rejects_bad_argument(build, reason):
@@ -146,7 +201,7 @@ def test_solver_rejects_bad_argument(build, reason):
 
 def test_numpy_integer_k_builds_the_graph_of_the_python_int():
     S = similarity_matrix(np.random.default_rng(0).standard_normal((6, 2)), "rbf")
-    for build in (knn_select, naive_graph, lambda S, k: nnk_graph(S, "rbf", k)):
+    for build in (knn_select, lambda S, k: nnk_graph(S, "rbf", k)):
         assert build(S, np.int64(2)).edges.tobytes() == build(S, 2).edges.tobytes()
 
 
@@ -159,8 +214,8 @@ def test_smooth_k_is_a_mean_degree_and_may_be_fractional():
     "build",
     [
         lambda M: knn_select(M, 1),
-        lambda M: naive_graph(M, 1),
-        lambda M: naive_graph(M, None),
+        lambda M: naive_point(M, 1),
+        lambda M: knn_select(M, None),
         lambda M: nnk_graph(M, "rbf", 1),
         lambda M: smooth_graph(M, 1),
         lambda M: learn_log_degree_weights(M),
@@ -179,7 +234,10 @@ def test_builders_reject_a_matrix_that_is_not_square(build, M):
 
 @pytest.mark.parametrize(
     "sigma, reason",
-    [(math.nan, "sigma must be positive"), (math.inf, "sigma must be finite")],
+    [
+        (math.nan, "sigma must be a positive finite number, got nan"),
+        (math.inf, "sigma must be a positive finite number, got inf"),
+    ],
     ids=["nan", "inf"],
 )
 @pytest.mark.parametrize(
@@ -286,9 +344,9 @@ class TestKnnSelect:
         g = knn_select(S, 2)
         assert edge_set(g) == {(0, 2)}
 
-    def test_k_zero_selects_nothing(self):
-        g = knn_select(np.full((3, 3), 0.5), 0)
-        assert (g.n, g.n_edges) == (3, 0)
+    def test_k_zero_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^k must satisfy 1 <= k < n=3, got 0$"):
+            knn_select(np.full((3, 3), 0.5), 0)
 
     def test_min_neighbor_count_at_least_k(self):
         rng = np.random.default_rng(21)
@@ -310,7 +368,7 @@ def knn_reference(S, k):
 def tied_similarities(draw):
     """(S, k): a small matrix of few distinct values, so most rows have ties."""
     n = draw(st.integers(2, 12))
-    k = draw(st.integers(0, n - 1))
+    k = draw(st.integers(1, n - 1))
     values = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])
     S = np.array(draw(st.lists(values, min_size=n * n, max_size=n * n))).reshape(n, n)
     return S, k
@@ -338,7 +396,7 @@ class TestKnnIndices:
         for work in ("_nnk_kernel", "learn_log_degree_weights"):
             monkeypatch.setattr(inference_module, work, None)
         S = np.array(S)
-        builds = [knn_select, naive_graph]
+        builds = [knn_select]
         builds += [lambda S, k, kind=kind: nnk_graph(S, kind, k) for kind in SIMILARITY_KINDS]
         for build in builds:
             with pytest.raises(ValueError, match="^similarity matrix has non-finite entries$"):

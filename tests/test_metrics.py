@@ -210,6 +210,20 @@ class TestSnr:
         with pytest.raises(ValueError):
             snr_db([0.0, 0.0], [1.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "clean, test, name",
+        [
+            ([1.0, 2.0], [1.0, math.nan], "test"),
+            ([1.0, 2.0], [math.inf, 2.0], "test"),
+            ([1.0, math.nan], [1.0, 2.0], "clean"),
+            ([-math.inf, 2.0], [1.0, 2.0], "clean"),
+        ],
+        ids=["nan-test", "inf-test", "nan-clean", "inf-clean"],
+    )
+    def test_non_finite_signal_rejected(self, clean, test, name):
+        with pytest.raises(ValueError, match=f"^{name} signal has non-finite entries$"):
+            snr_db(clean, test)
+
     def test_monotone_in_noise_scale(self):
         rng = np.random.default_rng(44)
         clean = rng.standard_normal(50)
@@ -233,6 +247,11 @@ class TestAddNoise:
     def test_rejects_a_target_that_is_not_finite_or_plus_inf(self, target_db):
         with pytest.raises(ValueError, match="^target_db must be a finite number or \\+inf"):
             add_noise_to_snr(np.array([1.0, 2.0]), target_db, 0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_rejects_a_clean_signal_that_is_not_finite(self, bad):
+        with pytest.raises(ValueError, match="^clean signal has non-finite entries$"):
+            add_noise_to_snr(np.array([1.0, bad]), 7.0, 0)
 
     def test_different_seeds_same_snr(self):
         clean = np.arange(1.0, 21.0)

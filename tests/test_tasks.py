@@ -245,6 +245,11 @@ class TestKmeans:
         with pytest.raises(ValueError, match=f"^{reason}$"):
             kmeans(np.array([[0.0], [2.0], [4.0]]), C, seed=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_rejects_a_point_that_is_not_finite(self, bad):
+        with pytest.raises(ValueError, match="^points must be finite$"):
+            kmeans(np.array([[0.0], [2.0], [bad]]), 2, seed=0)
+
     def test_separated_blobs_all_seeds(self):
         pts, truth = _blobs()
         for seed in range(50):
