@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -18,6 +19,34 @@ def check_integer(name: str, value) -> None:
     """Raise a ValueError naming ``name`` unless ``value`` is an integer (a bool is not)."""
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def check_positive_finite(name: str, value) -> None:
+    """Raise a ValueError naming ``name`` unless value is a finite real > 0 (a bool is not one)."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    # compared, not passed to math.isfinite, which overflows on an int beyond the float range
+    if not (real and 0 < value <= sys.float_info.max):
+        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+
+
+def finite_array(name: str, values) -> np.ndarray:
+    """``values`` as a float array; a ValueError naming ``name`` when an entry is NaN or ±inf."""
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} has non-finite entries")
+    return values
+
+
+def integer_array(name: str, values) -> np.ndarray:
+    """``values`` as ints; a ValueError naming ``name`` when one is not an integer."""
+    values = np.asarray(values)
+    if values.dtype.kind == "f":
+        bad = values[~np.isfinite(values) | (values != np.floor(values))]
+        if bad.size:
+            raise ValueError(f"{name} must be integers, got {bad[0]}")
+    elif values.dtype.kind not in "biu":
+        raise ValueError(f"{name} must be integers, got dtype {values.dtype}")
+    return values.astype(int)
 
 
 class IsolatedVertexWarning(UserWarning):
@@ -45,6 +74,9 @@ class Graph:
     variant: str = "raw"
 
     def __post_init__(self):
+        check_integer("n", self.n)
+        if self.n < 0:
+            raise ValueError(f"n must be >= 0, got {self.n}")
         if self.diagonal is None:
             self.diagonal = np.zeros(self.n)
         self.diagonal = np.asarray(self.diagonal, dtype=float)
@@ -110,12 +142,10 @@ def from_dense(A: np.ndarray, threshold: float = 0.0) -> Graph:
     """Build a raw Graph from a dense symmetric matrix, dropping weights <= threshold."""
     if not np.isfinite(threshold):
         raise ValueError("threshold must be finite")
-    A = np.asarray(A, dtype=float)
+    A = finite_array("adjacency", A)
     n = A.shape[0]
     if A.shape != (n, n):
         raise ValueError("adjacency must be square")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("adjacency has non-finite entries")
     if np.max(np.abs(A - A.T), initial=0.0) > SYMMETRY_TOL:
         raise ValueError("adjacency must be symmetric")
     i, j = np.nonzero(np.triu(A > threshold, k=1))
@@ -209,8 +239,7 @@ def eigendecompose(A, lowest: int | None = None) -> tuple[np.ndarray, np.ndarray
     if full and sparse.issparse(A):
         A = A.toarray()  # checked in the dense form, which eigh needs anyway
     entries = (lambda M: M.data) if sparse.issparse(A) else (lambda M: M)
-    if not np.isfinite(entries(A)).all():
-        raise ValueError("operator has non-finite entries")
+    finite_array("operator", entries(A))
     if np.max(np.abs(entries(A - A.T)), initial=0.0) > SYMMETRY_TOL:
         raise ValueError("operator must be symmetric")
     if full:

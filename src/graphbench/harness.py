@@ -15,10 +15,9 @@ from typing import Optional
 import numpy as np
 
 from . import metrics, tasks
-from .core_graph import VARIANTS, Graph, check_integer, normalize, read_graph
+from .core_graph import VARIANTS, Graph, check_integer, check_positive_finite, normalize, read_graph
 from .inference import DEFAULT_SIGMA, SIMILARITY_KINDS
 from .inference import check_k, knn_select, nnk_graph, similarity_matrix, smooth_graph
-from .similarity import check_positive_finite
 
 TABLE1_K = (5, 10, 20, 30, 40, 50, 100, 200, 500, 1000)
 TASKS = ("ucv", "sscv-lp", "sscv-sgc", "dgs")
@@ -296,6 +295,8 @@ class RunResult:
 
 def split_generator(n: int, fraction: float, n_splits: int, master_seed: int):
     """Reproducible observed-masks; split i derives its RNG from (master_seed, i)."""
+    check_integer("n", n)
+    check_integer("n_splits", n_splits)
     if not 0 < fraction < 1:
         raise ValueError("fraction must be in (0, 1)")
     if n_splits < 1:

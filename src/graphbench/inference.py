@@ -10,14 +10,9 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import _sparsetools
 
-from .core_graph import Graph, check_integer, from_arrays, from_dense
-from .similarity import (
-    check_positive_finite,
-    cosine_similarity,
-    covariance_similarity,
-    pairwise_sq_euclidean,
-    rbf_kernel,
-)
+from .core_graph import Graph, check_integer, check_positive_finite, finite_array, from_arrays
+from .core_graph import from_dense
+from .similarity import cosine_similarity, covariance_similarity, pairwise_sq_euclidean, rbf_kernel
 
 SIMILARITY_KINDS = ("cosine", "covariance", "rbf")
 
@@ -105,9 +100,7 @@ def _builder_input(M, kind: str, method: Optional[str], k=None, sigma=None):
         raise ValueError(f"{kind} matrix is empty")
     if method is not None:
         check_k(method, k, M.shape[0])
-    if not np.all(np.isfinite(M)):
-        raise ValueError(f"{kind} matrix has non-finite entries")
-    return M, M.shape[0]
+    return finite_array(f"{kind} matrix", M), M.shape[0]
 
 
 def knn_select(S: np.ndarray, k: Optional[int]) -> Graph:
@@ -182,15 +175,12 @@ def nnls_solve(K_SS: np.ndarray, k_Si: np.ndarray):
     one stacked solve (see _pinv_solve), never padded, so each problem's
     theta is bit-identical whatever else is in the stack.
     """
-    K = np.asarray(K_SS, dtype=float)
-    b = np.asarray(k_Si, dtype=float)
+    K, b = finite_array("K", K_SS), finite_array("b", k_Si)
     if b.ndim not in (1, 2) or K.shape != b.shape + b.shape[-1:]:
         raise ValueError(
             f"K of shape {K.shape} does not match b of shape {b.shape}: "
             "need (m, m) with (m,), or (R, m, m) with (R, m)"
         )
-    if not (np.all(np.isfinite(K)) and np.all(np.isfinite(b))):
-        raise ValueError("K and b must have finite entries")
     single = b.ndim == 1
     if single:
         K, b = K[None], b[None]

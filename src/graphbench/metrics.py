@@ -6,22 +6,12 @@ import math
 
 import numpy as np
 
-
-def _integer_labels(values, name: str) -> np.ndarray:
-    """``values`` as ints; a ValueError naming ``name`` when one is not an integer."""
-    values = np.asarray(values)
-    if values.dtype.kind == "f":
-        bad = values[~np.isfinite(values) | (values != np.floor(values))]
-        if bad.size:
-            raise ValueError(f"{name} must be integers, got {bad[0]}")
-    elif values.dtype.kind not in "biu":
-        raise ValueError(f"{name} must be integers, got dtype {values.dtype}")
-    return values.astype(int)
+from .core_graph import finite_array, integer_array
 
 
 def contingency_table(u, v) -> np.ndarray:
     """R x S count table between two label vectors."""
-    u, v = _integer_labels(u, "u"), _integer_labels(v, "v")
+    u, v = integer_array("u", u), integer_array("v", v)
     if u.shape != v.shape or u.ndim != 1:
         raise ValueError("partitions must be 1-D vectors of equal length")
     ru, ui = np.unique(u, return_inverse=True)
@@ -98,9 +88,10 @@ def ami(u, v) -> float:
 
 
 def accuracy(pred, truth, mask) -> float:
-    """Fraction of correct predictions over masked entries; both label vectors must be integers."""
-    pred, truth = _integer_labels(pred, "pred"), _integer_labels(truth, "truth")
-    mask = np.asarray(mask, dtype=bool)
+    """Fraction of correct predictions over a boolean mask; both label vectors must be integers."""
+    pred, truth, mask = integer_array("pred", pred), integer_array("truth", truth), np.asarray(mask)
+    if mask.dtype != bool:
+        raise ValueError(f"mask must be bool, got dtype {mask.dtype}")
     if not pred.shape == truth.shape == mask.shape:
         raise ValueError(
             f"pred {pred.shape}, truth {truth.shape} and mask {mask.shape} differ in shape"
@@ -120,9 +111,8 @@ def snr_db(clean, test) -> float:
     err = float(np.sum((clean - test) ** 2))
     # a non-finite entry makes sig or err non-finite, so the entries are read only then
     if not math.isfinite(sig + err):
-        for name, signal in (("clean", clean), ("test", test)):
-            if not np.all(np.isfinite(signal)):
-                raise ValueError(f"{name} signal has non-finite entries")
+        finite_array("clean signal", clean)
+        finite_array("test signal", test)
     if sig == 0:
         raise ValueError("clean signal has zero power, SNR undefined")
     if err == 0:
@@ -132,9 +122,7 @@ def snr_db(clean, test) -> float:
 
 def add_noise_to_snr(clean, target_db: float, seed) -> np.ndarray:
     """Add seeded Gaussian noise rescaled so snr_db(clean, noisy) == target_db."""
-    clean = np.asarray(clean, dtype=float)
-    if not np.all(np.isfinite(clean)):
-        raise ValueError("clean signal has non-finite entries")
+    clean = finite_array("clean signal", clean)
     sig = float(clean @ clean)
     if sig == 0:
         raise ValueError("clean signal has zero power")

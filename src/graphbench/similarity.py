@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import math
-import numbers
-
 import numpy as np
+
+from .core_graph import check_positive_finite, finite_array
 
 
 def _check_features(X: np.ndarray) -> np.ndarray:
@@ -13,9 +12,7 @@ def _check_features(X: np.ndarray) -> np.ndarray:
     X = np.ascontiguousarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError("feature matrix must be 2-D")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("feature matrix contains non-finite entries")
-    return X
+    return finite_array("feature matrix", X)
 
 
 def pairwise_sq_euclidean(X) -> np.ndarray:
@@ -51,19 +48,10 @@ def covariance_similarity(X) -> np.ndarray:
     return (Xc @ Xc.T) / (X.shape[1] - 1)
 
 
-def check_positive_finite(name: str, value: float) -> None:
-    """Raise a ValueError naming ``name`` unless value is a finite real > 0 (a bool is not one)."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (real and math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
-
-
 def rbf_kernel(Z, gamma: float) -> np.ndarray:
     """exp(-gamma * Z) applied entrywise to a squared-distance matrix, with a unit diagonal."""
     check_positive_finite("gamma", gamma)
-    Z = np.asarray(Z, dtype=float)
-    if not np.all(np.isfinite(Z)):
-        raise ValueError("distance matrix has non-finite entries")
+    Z = finite_array("distance matrix", Z)
     if np.any(Z < 0):
         raise ValueError("distance matrix must be non-negative")
     S = np.exp(-gamma * Z)

@@ -8,9 +8,9 @@ import warnings
 import numpy as np
 from scipy import sparse
 
-from .core_graph import Graph, check_integer, connected_components, eigendecompose, laplacian
-from .core_graph import matrix_exponential
-from .metrics import _integer_labels, snr_db
+from .core_graph import Graph, check_integer, connected_components, eigendecompose, finite_array
+from .core_graph import integer_array, laplacian, matrix_exponential
+from .metrics import snr_db
 
 # Eigenvalues this close to zero, relative to lambda_max, count as the
 # Laplacian's null space in denoise: eigh returns them as +-1e-16, and
@@ -97,9 +97,7 @@ def kmeans(points, C: int, seed) -> np.ndarray:
 
     Returns the cluster index in 0..C-1 of each point; works on a CSR copy of ``points``.
     """
-    points = np.asarray(points, dtype=float)
-    if not np.all(np.isfinite(points)):
-        raise ValueError("points must be finite")
+    points = finite_array("points", points)
     X = sparse.csr_matrix(points)
     n = X.shape[0]
     check_integer("C", C)
@@ -134,12 +132,10 @@ def discretize(embedding, seed=0) -> np.ndarray:
     Restarted from several seeded random rotations; the run with the highest
     alignment objective wins.
     """
-    X = np.asarray(embedding, dtype=float)
+    X = finite_array("embedding", embedding)
     n, C = X.shape
     if n < 1 or C < 2:
         raise ValueError(f"discretization needs n >= 1 rows and C >= 2 columns, got {X.shape}")
-    if not np.isfinite(X).all():
-        raise ValueError("discretization needs a finite embedding")
     norms = np.linalg.norm(X, axis=1)
     zero_rows = norms == 0
     if zero_rows.any():
@@ -187,7 +183,7 @@ def spectral_cluster(g: Graph, C: int, seed=0) -> np.ndarray:
 
 def _head_input(n: int, labels, masks) -> tuple[np.ndarray, np.ndarray, int]:
     """``labels`` (a class >= 0 per vertex), ``masks`` ((S, n) bools, none all False), C."""
-    labels, masks = _integer_labels(labels, "labels"), np.asarray(masks)
+    labels, masks = integer_array("labels", labels), np.asarray(masks)
     if labels.shape != (n,):
         raise ValueError(f"labels must have shape ({n},), got {labels.shape}")
     if labels.min(initial=0) < 0:
@@ -313,13 +309,11 @@ def sgc_predict(g: Graph | None, X, labels, masks, seed) -> list[np.ndarray]:
     drawn by ``[seed, i, 7]`` learns the observed ``labels`` (0..C-1), which those vertices keep.
     ``X`` must be a finite 2-D array with a row per vertex of ``g``, else ValueError.
     """
-    X = np.asarray(X, dtype=float)
+    X = finite_array("X", X)
     if X.ndim != 2:
         raise ValueError(f"X must be 2-D, got shape {X.shape}")
     if g is not None and X.shape[0] != g.n:
         raise ValueError(f"X must have a row per vertex ({g.n}), got {X.shape[0]}")
-    if not np.isfinite(X).all():
-        raise ValueError("X has non-finite entries")
     labels, masks, C = _head_input(len(X), labels, masks)
     Xhat = X if g is None else diffuse_features(g, X)
     preds = []
@@ -334,6 +328,11 @@ def sgc_predict(g: Graph | None, X, labels, masks, seed) -> list[np.ndarray]:
 def simoncelli_response(lambda_norm: float, tau: float) -> float:
     """Low-pass spectral response: flat to tau/2, cosine-log roll-off to tau, zero after."""
     lam = float(lambda_norm)
+    # comparisons, as denoise calls this once per eigenvalue in a roll-off band: NaN fails both
+    if not tau >= 0:
+        raise ValueError(f"tau must be >= 0, got {tau!r}")
+    if lam != lam:
+        raise ValueError("lambda_norm must not be NaN")
     if tau == 0:
         return 1.0 if lam == 0 else 0.0
     if lam <= tau / 2.0:
@@ -351,11 +350,11 @@ def denoise(g: Graph, x_noisy, tau) -> np.ndarray:
     equals the scalar call bit for bit. tau = 0 keeps only the null space:
     the mean of x over each connected component.
     """
-    x = np.asarray(x_noisy, dtype=float)
+    if not isinstance(g, Graph):
+        raise ValueError(f"g must be a Graph, got {type(g).__name__}")
+    x = finite_array("noisy signal", x_noisy)
     if x.shape != (g.n,):
         raise ValueError("signal length must equal vertex count")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("noisy signal has non-finite entries")
     taus = np.asarray(tau, dtype=float)
     if taus.ndim > 1:
         raise ValueError("tau must be a number or a 1-D sequence")
@@ -382,9 +381,7 @@ def denoise(g: Graph, x_noisy, tau) -> np.ndarray:
 
 def best_tau_denoise(g: Graph, x_noisy, x_clean) -> tuple[float, float]:
     """Sweep tau over 0..1 in 0.025 steps; return (tau, SNR) maximizing output SNR."""
-    x_clean = np.asarray(x_clean, dtype=float)
-    if not np.all(np.isfinite(x_clean)):
-        raise ValueError("clean signal has non-finite entries")
+    x_clean = finite_array("clean signal", x_clean)
     if float(x_clean @ x_clean) == 0:
         raise ValueError("clean signal has zero power")
     taus = np.round(np.arange(0, 41) * 0.025, 6)

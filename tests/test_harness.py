@@ -435,6 +435,19 @@ class TestSplitGenerator:
         with pytest.raises(ValueError, match=r"^n_splits must be >= 1, got 0$"):
             split_generator(30, 0.1, 0, 0)
 
+    @pytest.mark.parametrize(
+        "n, n_splits, message",
+        [
+            (10.0, 2, "n must be an integer, got 10.0"),
+            (10, 1.5, "n_splits must be an integer, got 1.5"),
+            (10, True, "n_splits must be an integer, got True"),
+        ],
+        ids=["float-n", "fractional-splits", "boolean-splits"],
+    )
+    def test_rejects_a_count_that_is_not_an_integer(self, n, n_splits, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            split_generator(n, 0.5, n_splits, 0)
+
     def test_rejects_observing_every_vertex(self):
         with pytest.raises(ValueError, match=r"^fraction 0\.999 observes all 30 vertices$"):
             split_generator(30, 0.999, 1, 0)
@@ -1969,6 +1982,7 @@ class TestRunConfig:
                 dict(split_fraction=math.nan),
                 "split_fraction must be a positive finite number, got nan",
             ),
+            (dict(sigma=10**400), f"sigma must be a positive finite number, got {10**400}"),
         ],
         ids=[
             "zero-splits",
@@ -1993,6 +2007,7 @@ class TestRunConfig:
             "boolean-gamma",
             "nan-gamma",
             "nan-split-fraction",
+            "huge-int-sigma",
         ],
     )
     def test_rejects_out_of_range_fields(self, options, reason):

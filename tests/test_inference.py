@@ -147,6 +147,11 @@ def smooth_on(X, k, sigma=DEFAULT_SIGMA):
             lambda X: rbf_kernel(pairwise_sq_euclidean(X), True),
             "gamma must be a positive finite number, got True",
         ),
+        (lambda X: smooth_on(X, 10**400), f"k must be a positive finite number, got {10**400}"),
+        (
+            lambda X: learn_log_degree_weights(pairwise_sq_euclidean(X), beta=10**400),
+            f"beta must be a positive finite number, got {10**400}",
+        ),
     ],
     ids=[
         "naive-similarity",
@@ -191,6 +196,8 @@ def smooth_on(X, k, sigma=DEFAULT_SIGMA):
         "nnk-bool-sigma",
         "smooth-none-sigma",
         "rbf_kernel-bool-gamma",
+        "smooth-huge-int-k",
+        "learn-huge-int-beta",
     ],
 )
 def test_solver_rejects_bad_argument(build, reason):
@@ -535,9 +542,11 @@ class TestNnlsSolve:
         with pytest.raises(ValueError, match=f"^{message}"):
             nnls_solve(np.ones(K_shape), np.ones(b_shape))
 
-    @pytest.mark.parametrize("K, b", [([[math.nan]], [1.0]), ([[1.0]], [math.inf])], ids=["K", "b"])
-    def test_rejects_non_finite_input(self, K, b):
-        with pytest.raises(ValueError, match="^K and b must have finite entries$"):
+    @pytest.mark.parametrize(
+        "K, b, name", [([[math.nan]], [1.0], "K"), ([[1.0]], [math.inf], "b")], ids=["K", "b"]
+    )
+    def test_rejects_non_finite_input(self, K, b, name):
+        with pytest.raises(ValueError, match=f"^{name} has non-finite entries$"):
             nnls_solve(np.array(K), np.array(b))
 
     def test_unbounded_problem_is_finite_and_not_converged(self):

@@ -247,7 +247,7 @@ class TestKmeans:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_rejects_a_point_that_is_not_finite(self, bad):
-        with pytest.raises(ValueError, match="^points must be finite$"):
+        with pytest.raises(ValueError, match="^points has non-finite entries$"):
             kmeans(np.array([[0.0], [2.0], [bad]]), 2, seed=0)
 
     def test_separated_blobs_all_seeds(self):
@@ -350,7 +350,7 @@ class TestDiscretize:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_needs_a_finite_embedding(self, bad):
-        with pytest.raises(ValueError, match="discretization needs a finite embedding"):
+        with pytest.raises(ValueError, match="^embedding has non-finite entries$"):
             discretize([[bad, 1.0], [1.0, 0.0], [0.0, 1.0]])
 
 
