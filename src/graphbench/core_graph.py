@@ -21,6 +21,12 @@ def check_integer(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def check_graph(g) -> None:
+    """Raise a ValueError naming ``g`` unless it is a Graph."""
+    if not isinstance(g, Graph):
+        raise ValueError(f"g must be a Graph, got {type(g).__name__}")
+
+
 def check_positive_finite(name: str, value) -> None:
     """Raise a ValueError naming ``name`` unless value is a finite real > 0 (a bool is not one)."""
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
@@ -86,6 +92,10 @@ class Graph:
             raise ValueError("diagonal length must equal vertex count")
         if not np.all(np.isfinite(self.diagonal) & (self.diagonal >= 0)):
             raise ValueError("self-loop weights must be finite and >= 0")
+        if not (isinstance(self.edges, np.ndarray) and self.edges.dtype == EDGE_DTYPE):
+            # the indices are read before the int64 cast, which would truncate 0.7 to 0
+            loose = np.array(self.edges, dtype=[("i", object), ("j", object), ("w", float)])
+            integer_array("edge indices", loose[["i", "j"]].tolist())
         self.edges = np.array(self.edges, dtype=EDGE_DTYPE)
         if self.edges.ndim != 1:
             raise ValueError("edges must be (i, j, w) triples")
@@ -134,7 +144,7 @@ def _symmetric_csr(n: int, i, j, w, diagonal) -> sparse.csr_matrix:
 def from_arrays(n: int, i, j, w, diagonal=None, variant: str = "raw") -> Graph:
     """Build a Graph from parallel arrays of edge endpoints (i < j) and weights."""
     edges = np.empty(len(w), dtype=EDGE_DTYPE)
-    edges["i"], edges["j"], edges["w"] = i, j, w
+    edges["i"], edges["j"], edges["w"] = integer_array("i", i), integer_array("j", j), w
     return Graph(n, edges, diagonal, variant)
 
 
@@ -173,6 +183,7 @@ def normalize(g: Graph, target_variant: str) -> Graph:
     degrees of the matrix being normalized. Degree-zero vertices keep a zero
     row and trigger an IsolatedVertexWarning.
     """
+    check_graph(g)
     if g.variant != "raw":
         raise ValueError("normalize expects a raw-variant graph")
     if target_variant not in VARIANTS:

@@ -102,22 +102,36 @@ def accuracy(pred, truth, mask) -> float:
 
 
 def snr_db(clean, test) -> float:
-    """10 log10 of clean power over error power; +inf when test equals clean."""
+    """10 log10 of clean power over error power; +inf when test equals clean.
+
+    A power beyond the float range is summed at its vector's scale (see _log10_power).
+    """
     clean = np.asarray(clean, dtype=float)
     test = np.asarray(test, dtype=float)
     if clean.shape != test.shape:
         raise ValueError(f"clean {clean.shape} and test {test.shape} differ in shape")
-    sig = float(clean @ clean)
-    err = float(np.sum((clean - test) ** 2))
+    with np.errstate(over="ignore"):
+        sig = float(clean @ clean)
+        err = float(np.sum((clean - test) ** 2))
     # a non-finite entry makes sig or err non-finite, so the entries are read only then
-    if not math.isfinite(sig + err):
+    overflow = not math.isfinite(sig + err)
+    if overflow:
         finite_array("clean signal", clean)
         finite_array("test signal", test)
     if sig == 0:
         raise ValueError("clean signal has zero power, SNR undefined")
     if err == 0:
         return math.inf
+    if overflow:  # every entry is finite, so a sum overflowed
+        # the error's halves cannot overflow, and 2 log10(2) restores their power
+        return 10.0 * (_log10_power(clean) - _log10_power(clean / 2 - test / 2) - 2 * math.log10(2))
     return 10.0 * math.log10(sig / err)
+
+
+def _log10_power(v: np.ndarray) -> float:
+    """log10 of v's power, summed at the scale of v's largest magnitude so that it cannot overflow."""
+    scale = float(np.max(np.abs(v)))
+    return math.log10(float(np.sum((v / scale) ** 2))) + 2 * math.log10(scale)
 
 
 def add_noise_to_snr(clean, target_db: float, seed) -> np.ndarray:

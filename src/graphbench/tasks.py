@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 
 import numpy as np
 from scipy import sparse
 
-from .core_graph import Graph, check_integer, connected_components, eigendecompose, finite_array
-from .core_graph import integer_array, laplacian, matrix_exponential
+from .core_graph import Graph, check_graph, check_integer, connected_components, eigendecompose
+from .core_graph import finite_array, integer_array, laplacian, matrix_exponential
 from .metrics import snr_db
 
 # Eigenvalues this close to zero, relative to lambda_max, count as the
@@ -43,6 +44,7 @@ def spectral_embed(g: Graph, C: int) -> np.ndarray:
     components in connected_components order. Each column is sign-fixed so
     its largest-magnitude entry is positive.
     """
+    check_graph(g)
     check_integer("C", C)
     if not 1 <= C < g.n:
         raise ValueError("need 1 <= C and C + 1 <= n")
@@ -175,6 +177,7 @@ def spectral_cluster(g: Graph, C: int, seed=0) -> np.ndarray:
 
     Returns the cluster index in 0..C-1 of each vertex.
     """
+    check_graph(g)
     check_integer("C", C)
     if C == 1:
         return np.zeros(g.n, dtype=int)
@@ -207,6 +210,7 @@ def propagate_labels(g: Graph, labels, masks) -> list[np.ndarray]:
     vertex gets the majority observed class (lowest index on ties). Bad labels
     or masks raise ValueError (see _head_input).
     """
+    check_graph(g)
     labels, masks, C = _head_input(g.n, labels, masks)
     E = matrix_exponential(g.to_sparse().toarray())
     components = connected_components(g)
@@ -309,6 +313,8 @@ def sgc_predict(g: Graph | None, X, labels, masks, seed) -> list[np.ndarray]:
     drawn by ``[seed, i, 7]`` learns the observed ``labels`` (0..C-1), which those vertices keep.
     ``X`` must be a finite 2-D array with a row per vertex of ``g``, else ValueError.
     """
+    if g is not None:
+        check_graph(g)
     X = finite_array("X", X)
     if X.ndim != 2:
         raise ValueError(f"X must be 2-D, got shape {X.shape}")
@@ -325,21 +331,21 @@ def sgc_predict(g: Graph | None, X, labels, masks, seed) -> list[np.ndarray]:
     return preds
 
 
-def simoncelli_response(lambda_norm: float, tau: float) -> float:
-    """Low-pass spectral response: flat to tau/2, cosine-log roll-off to tau, zero after."""
-    lam = float(lambda_norm)
-    # comparisons, as denoise calls this once per eigenvalue in a roll-off band: NaN fails both
-    if not tau >= 0:
-        raise ValueError(f"tau must be >= 0, got {tau!r}")
-    if lam != lam:
+def simoncelli_response(lambda_norm, tau) -> float | np.ndarray:
+    """Low-pass response per normalised eigenvalue: 1 to tau/2, cosine-log roll-off to 0 at tau.
+
+    At tau = 0 only lambda = 0 passes. An array of lambda_norm's shape, or a float for a scalar.
+    """
+    if not 0 <= tau <= sys.float_info.max:  # NaN fails, and an int beyond float range
+        raise ValueError(f"tau must be finite and >= 0, got {tau!r}")
+    lam = np.array(lambda_norm, dtype=float, ndmin=1)
+    if np.isnan(lam).any():
         raise ValueError("lambda_norm must not be NaN")
-    if tau == 0:
-        return 1.0 if lam == 0 else 0.0
-    if lam <= tau / 2.0:
-        return 1.0
-    if lam > tau:
-        return 0.0
-    return math.cos(math.pi / 2.0 * math.log2(2.0 * lam / tau))
+    gains = (lam == 0 if tau == 0 else lam <= tau / 2.0).astype(float)
+    band = (lam > tau / 2.0) & (lam <= tau)  # empty at tau = 0
+    # math.log2 per entry: numpy's log2 can differ from it in the last bit
+    gains[band] = [math.cos(math.pi / 2.0 * math.log2(2.0 * l / tau)) for l in lam[band].tolist()]
+    return gains if np.ndim(lambda_norm) else float(gains[0])
 
 
 def denoise(g: Graph, x_noisy, tau) -> np.ndarray:
@@ -350,8 +356,7 @@ def denoise(g: Graph, x_noisy, tau) -> np.ndarray:
     equals the scalar call bit for bit. tau = 0 keeps only the null space:
     the mean of x over each connected component.
     """
-    if not isinstance(g, Graph):
-        raise ValueError(f"g must be a Graph, got {type(g).__name__}")
+    check_graph(g)
     x = finite_array("noisy signal", x_noisy)
     if x.shape != (g.n,):
         raise ValueError("signal length must equal vertex count")
@@ -371,11 +376,8 @@ def denoise(g: Graph, x_noisy, tau) -> np.ndarray:
         coeffs = F.T @ x
         out = np.empty((taus.size, g.n))
         for r, t in enumerate(taus.ravel().tolist()):
-            gains = (lam == 0 if t == 0 else lam <= t / 2.0).astype(float)
-            band = np.flatnonzero((lam > t / 2.0) & (lam <= t))  # the roll-off band (t/2, t]
-            gains[band] = [simoncelli_response(l, t) for l in lam[band].tolist()]
             # one matrix-vector product per cutoff: a batched product may round differently
-            out[r] = F @ (gains * coeffs)
+            out[r] = F @ (simoncelli_response(lam, t) * coeffs)
     return out[0] if taus.ndim == 0 else out
 
 

@@ -1,4 +1,4 @@
-"""Every array or number argument of graphbench's exports has a rule that raises its ValueError.
+"""Each array, number or graph argument of graphbench's exports has a rule raising its ValueError.
 
 A row calls one callable with one argument NaN, ±inf or outside its rule and
 expects the message of that rule, which names the argument. Each callable
@@ -84,6 +84,12 @@ ROWS = [
         lambda: Graph(2, [], [INF, 0.0], "augmented"),
         "self-loop weights must be finite and >= 0",
     ),
+    (
+        Graph,
+        "edges",
+        lambda: Graph(3, [(0.7, 1.9, 1.0)]),
+        "edge indices must be integers, got 0.7",
+    ),
     (Graph, "variant", lambda: Graph(2, variant="bogus"), "unknown variant 'bogus'"),
     (from_arrays, "n", lambda: from_arrays(1.5, [], [], []), "n must be an integer, got 1.5"),
     (
@@ -92,6 +98,7 @@ ROWS = [
         lambda: from_arrays(3, [-1], [1], [1.0]),
         "bad edge (-1, 1, 1.0): need 0 <= i < j < n",
     ),
+    (from_arrays, "i", lambda: from_arrays(2, [0.5], [1], [1.0]), "i must be integers, got 0.5"),
     (
         from_arrays,
         "j",
@@ -148,6 +155,7 @@ ROWS = [
         lambda: matrix_exponential(spoiled(L, NAN, (1, 2))),
         "operator has non-finite entries",
     ),
+    (normalize, "g", lambda: normalize(None, "raw"), "g must be a Graph, got NoneType"),
     (normalize, "target_variant", lambda: normalize(path(), "bogus"), "unknown variant 'bogus'"),
     (
         knn_select,
@@ -330,6 +338,12 @@ ROWS = [
     (kmeans, "C", lambda: kmeans(X, 0, 0), "need at least 1 cluster"),
     (
         propagate_labels,
+        "g",
+        lambda: propagate_labels(None, [0, 1], [[True, False]]),
+        "g must be a Graph, got NoneType",
+    ),
+    (
+        propagate_labels,
         "labels",
         lambda: propagate_labels(path(), [0, 0.5, 1, 1], MASKS),
         "labels must be integers, got 0.5",
@@ -339,6 +353,13 @@ ROWS = [
         "masks",
         lambda: propagate_labels(path(), LABELS, [[NAN, 1.0, 0.0, 0.0]]),
         "masks must be bool of shape (S, 4), got float64 (1, 4)",
+    ),
+    (
+        # None asks for the logistic-regression baseline
+        sgc_predict,
+        "g",
+        lambda: sgc_predict(L, X[:4], LABELS, MASKS, 0),
+        "g must be a Graph, got ndarray",
     ),
     (
         sgc_predict,
@@ -368,16 +389,29 @@ ROWS = [
         simoncelli_response,
         "tau",
         lambda: simoncelli_response(0.3, NAN),
-        "tau must be >= 0, got nan",
+        "tau must be finite and >= 0, got nan",
     ),
     (
         simoncelli_response,
         "tau",
         lambda: simoncelli_response(0.3, -0.5),
-        "tau must be >= 0, got -0.5",
+        "tau must be finite and >= 0, got -0.5",
+    ),
+    (
+        simoncelli_response,
+        "tau",
+        lambda: simoncelli_response(0.5, INF),
+        "tau must be finite and >= 0, got inf",
+    ),
+    (
+        spectral_cluster,
+        "g",
+        lambda: spectral_cluster(None, 1),
+        "g must be a Graph, got NoneType",
     ),
     (spectral_cluster, "C", lambda: spectral_cluster(path(), 1.5), "C must be an integer, got 1.5"),
     (spectral_cluster, "C", lambda: spectral_cluster(path(), 4), "need 1 <= C and C + 1 <= n"),
+    (spectral_embed, "g", lambda: spectral_embed(None, 2), "g must be a Graph, got NoneType"),
     (spectral_embed, "C", lambda: spectral_embed(path(), True), "C must be an integer, got True"),
     (spectral_embed, "C", lambda: spectral_embed(path(), 0), "need 1 <= C and C + 1 <= n"),
 ]
@@ -392,14 +426,8 @@ EXEMPT = {
 }
 
 # arguments of tabled callables that are not arrays or numbers
-GRAPH = "a Graph, whose constructor holds the rules"
 SEED = "a seed, which numpy.random.default_rng checks"
 EXEMPT_ARGUMENTS = {
-    ("normalize", "g"): GRAPH,
-    ("propagate_labels", "g"): GRAPH,
-    ("sgc_predict", "g"): GRAPH + "; None asks for the logistic-regression baseline",
-    ("spectral_cluster", "g"): GRAPH,
-    ("spectral_embed", "g"): GRAPH,
     ("add_noise_to_snr", "seed"): SEED,
     ("discretize", "seed"): SEED,
     ("kmeans", "seed"): SEED,

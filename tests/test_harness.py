@@ -597,6 +597,15 @@ def inline_pools(monkeypatch):
     return pools
 
 
+def use_start_method(monkeypatch, method):
+    """Make run_grid's pool start its workers by ``method``, whatever the platform's default.
+
+    A harness function that a test wraps reaches the workers only when they fork.
+    """
+    context = multiprocessing.get_context(method)
+    monkeypatch.setattr(harness.multiprocessing, "get_context", lambda: context)
+
+
 @contextmanager
 def deadline(seconds):
     """Fail the block with TimeoutError, instead of hanging, once it has run ``seconds``."""
@@ -746,6 +755,18 @@ class TestRunGrid:
         grid += [RunConfig("ucv", "nnk", "cosine", 3), RunConfig("ucv", "cmeans-baseline", seed=2)]
         return load_dataset(tmp_path / "d"), grid
 
+    @pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
+    def test_pool_matches_serial_under_each_start_method(self, tmp_path, monkeypatch, method):
+        # each method runs, whichever is the platform's default: fork lets the workers
+        # inherit _start_worker's arguments, forkserver (Linux's default from Python 3.14)
+        # and spawn (macOS's) pickle them
+        bundle, grid = self.pool_grid(tmp_path)
+        serial, _ = run_grid(bundle, grid)
+        use_start_method(monkeypatch, method)
+        pooled, _ = run_grid(bundle, grid, jobs=2)
+        assert [outcome(r) for r in pooled] == [outcome(r) for r in serial]
+        assert multiprocessing.active_children() == []
+
     def test_reports_match_across_one_two_and_three_jobs(self, tmp_path):
         bundle, grid = self.pool_grid(tmp_path)
         reports = []
@@ -759,6 +780,7 @@ class TestRunGrid:
         assert reports[2] == reports[0]
 
     def test_each_group_runs_once_under_fast_thread_switches(self, tmp_path, monkeypatch):
+        use_start_method(monkeypatch, "fork")
         bundle, grid = self.pool_grid(tmp_path)
         serial = [outcome(r) for r in run_grid(bundle, grid)[0]]
         runs, run_group = multiprocessing.Value("i", 0), harness._run_group
@@ -782,6 +804,7 @@ class TestRunGrid:
             sys.setswitchinterval(interval)
 
     def test_a_worker_that_dies_raises_broken_process_pool(self, tmp_path, monkeypatch):
+        use_start_method(monkeypatch, "fork")
         bundle, grid = self.pool_grid(tmp_path)
         parent, run_group = os.getpid(), harness._run_group
 
@@ -795,6 +818,7 @@ class TestRunGrid:
             run_grid(bundle, grid, jobs=3)
 
     def test_a_worker_that_raises_stops_the_claims(self, tmp_path, monkeypatch):
+        use_start_method(monkeypatch, "fork")
         bundle, grid = self.pool_grid(tmp_path)
         parent, run_group, run_claimed = os.getpid(), harness._run_group, harness._run_claimed
         worker_raised, ours = multiprocessing.Event(), []
@@ -833,6 +857,7 @@ class TestRunGrid:
         assert claims.value == 1
 
     def test_an_exception_in_this_processs_share_propagates(self, tmp_path, monkeypatch):
+        use_start_method(monkeypatch, "fork")
         bundle, grid = self.pool_grid(tmp_path)
         parent, run_group = os.getpid(), harness._run_group
         workers_ran = multiprocessing.Value("i", 0)

@@ -224,6 +224,15 @@ class TestSnr:
         with pytest.raises(ValueError, match=f"^{name} signal has non-finite entries$"):
             snr_db(clean, test)
 
+    @pytest.mark.parametrize(
+        "clean, test, expected",
+        [([1e200, 1.0], [1e200, 2.0], 4000.0), ([1.0, 0.0], [1e200, 0.0], -4000.0)],
+        ids=["clean-power", "error-power"],
+    )
+    def test_power_beyond_the_float_range(self, clean, test, expected):
+        # each power overflows a float, but their ratio does not; pytest turns a warning into an error
+        assert snr_db(clean, test) == pytest.approx(expected, rel=1e-12)
+
     def test_monotone_in_noise_scale(self):
         rng = np.random.default_rng(44)
         clean = rng.standard_normal(50)

@@ -1020,6 +1020,18 @@ class TestSimoncelli:
         assert simoncelli_response(0.0, 0.0) == 1.0
         assert simoncelli_response(0.3, 0.0) == 0.0
 
+    @pytest.mark.parametrize("tau", [0.0, 0.3, 0.8, 1.0])
+    def test_array_equals_scalar_calls_bit_for_bit(self, tau):
+        # 0, tau/2, tau and points inside each band, with lambda = 0 where tau is 0
+        lam = np.array([0.0, tau / 2, tau, 0.1 * tau, 0.6 * tau, 0.9 * tau, 1.5 * tau + 0.1, 1.0])
+        gains = simoncelli_response(lam, tau)
+        assert gains.shape == lam.shape
+        scalars = [simoncelli_response(l, tau) for l in lam.tolist()]
+        assert all(type(value) is float for value in scalars)
+        assert gains.tobytes() == np.array(scalars).tobytes()
+        square = simoncelli_response(lam.reshape(2, 4), tau)
+        assert square.tobytes() == gains.tobytes()
+
     def test_monotone_in_lambda(self):
         tau = 0.7
         lams = np.linspace(0, 1, 200)
