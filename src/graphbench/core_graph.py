@@ -21,6 +21,13 @@ def check_integer(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def check_seed(seed) -> None:
+    """Raise a ValueError unless ``seed`` is an integer >= 0, a seed numpy's generators take."""
+    check_integer("seed", seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 def check_graph(g) -> None:
     """Raise a ValueError naming ``g`` unless it is a Graph."""
     if not isinstance(g, Graph):
@@ -44,14 +51,21 @@ def finite_array(name: str, values) -> np.ndarray:
 
 
 def integer_array(name: str, values) -> np.ndarray:
-    """``values`` as ints; a ValueError naming ``name`` when one is not an integer."""
+    """``values`` as int64; a ValueError naming ``name`` and its first non-int64 value."""
     values = np.asarray(values)
-    if values.dtype.kind == "f":
+    if values.dtype == object and all(isinstance(v, numbers.Integral) for v in values.flat):
+        outside = [v for v in values.flat if not -(2**63) <= v < 2**63]  # numpy's object ints
+    elif values.dtype.kind == "f":
         bad = values[~np.isfinite(values) | (values != np.floor(values))]
         if bad.size:
             raise ValueError(f"{name} must be integers, got {bad[0]}")
-    elif values.dtype.kind not in "biu":
+        outside = values[(values < -(2.0**63)) | (values >= 2.0**63)]
+    elif values.dtype.kind in "biu":
+        outside = values[values > np.iinfo(np.int64).max]
+    else:
         raise ValueError(f"{name} must be integers, got dtype {values.dtype}")
+    if len(outside):
+        raise ValueError(f"{name} must lie within int64, got {outside[0]}")
     return values.astype(int)
 
 
@@ -93,9 +107,12 @@ class Graph:
         if not np.all(np.isfinite(self.diagonal) & (self.diagonal >= 0)):
             raise ValueError("self-loop weights must be finite and >= 0")
         if not (isinstance(self.edges, np.ndarray) and self.edges.dtype == EDGE_DTYPE):
-            # the indices are read before the int64 cast, which would truncate 0.7 to 0
-            loose = np.array(self.edges, dtype=[("i", object), ("j", object), ("w", float)])
-            integer_array("edge indices", loose[["i", "j"]].tolist())
+            # the indices are read as floats before the int64 cast, which would truncate 0.7 to 0
+            try:
+                indices = np.asarray(self.edges, dtype=float).reshape(-1, 3)[:, :2]
+            except (TypeError, ValueError):
+                raise ValueError("edges must be (i, j, w) triples") from None
+            integer_array("edge indices", indices)
         self.edges = np.array(self.edges, dtype=EDGE_DTYPE)
         if self.edges.ndim != 1:
             raise ValueError("edges must be (i, j, w) triples")
@@ -225,46 +242,40 @@ def laplacian(g: Graph) -> sparse.csr_matrix:
 
 
 def eigendecompose(A, lowest: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric eigendecomposition of a dense or scipy.sparse operator.
+    """Symmetric eigendecomposition of a dense or scipy.sparse operator, block by block.
 
-    Returns (eigenvalues ascending, eigenvectors as columns). Without
-    ``lowest``, or with ``lowest`` >= the dimension, np.linalg.eigh
-    decomposes the dense form. Otherwise the pairs 0..lowest-1 come from
-    each connected block of the off-diagonal pattern, so no copy of an
+    Returns the ``lowest`` pairs, or all: (eigenvalues ascending, eigenvectors
+    as columns). The pairs come from each connected block of the off-diagonal
+    pattern, whose spectra together are the operator's, so no copy of an
     eigenvalue repeated across blocks (a disconnected Laplacian's zero) is
-    missed. A block within the Lanczos basis, max(5 lowest, 20) vectors,
-    gets np.linalg.eigh; a larger block B gets ARPACK's implicitly restarted
+    missed. A block within the Lanczos basis, max(5 lowest, 20) vectors, gets
+    np.linalg.eigh; a larger block B gets ARPACK's implicitly restarted
     Lanczos on c I - B, with c, B's largest absolute row sum, bounding its
-    spectrum, and a fixed start vector. A solve that does not converge
-    raises ArpackNoConvergence. The blocks' pairs are merged by a stable
-    sort, each eigenvector zero outside its block.
+    spectrum, and a fixed start vector. A solve that does not converge raises
+    ArpackNoConvergence. The blocks' pairs are merged by a stable sort, each
+    eigenvector zero outside its block.
     """
     if lowest is not None:
         check_integer("lowest", lowest)
         if lowest < 1:
             raise ValueError(f"lowest must be >= 1, got {lowest}")
-    A = sparse.csr_matrix(A, dtype=float) if sparse.issparse(A) else np.asarray(A, dtype=float)
+    A = A if sparse.issparse(A) else np.asarray(A, dtype=float)  # the CSR cast reads 1-D as a row
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("operator must be square")
-    full = lowest is None or lowest >= A.shape[0]
-    if full and sparse.issparse(A):
-        A = A.toarray()  # checked in the dense form, which eigh needs anyway
-    entries = (lambda M: M.data) if sparse.issparse(A) else (lambda M: M)
-    finite_array("operator", entries(A))
-    if np.max(np.abs(entries(A - A.T)), initial=0.0) > SYMMETRY_TOL:
-        raise ValueError("operator must be symmetric")
-    if full:
-        return np.linalg.eigh(A)
+    A = sparse.csr_matrix(A, dtype=float)
     n = A.shape[0]
-    A = sparse.csr_matrix(A)
+    lowest = n if lowest is None else min(lowest, n)
+    finite_array("operator", A.data)
+    if np.max(np.abs((A - A.T).data), initial=0.0) > SYMMETRY_TOL:
+        raise ValueError("operator must be symmetric")
     block = _min_labels(n, *A.nonzero())
     # scipy's default basis, max(2 lowest + 1, 20), restarts more often: on the
     # Cora-shaped Laplacians of the ucv benchmark (lowest = 9) it needed ~2x the matvecs
     basis = max(5 * lowest, 20)
-    pairs = []  # (eigenvalue, block's vertices, eigenvector on the block)
+    blocks = []  # (block's vertices, its lowest eigenvalues, their eigenvectors on the block)
     sizes = np.unique(block, return_counts=True)[1]
     for idx in np.split(np.argsort(block, kind="stable"), np.cumsum(sizes)[:-1]):
-        B = A[idx][:, idx]
+        B = A[idx][:, idx] if idx.size < n else A  # one block holds every vertex in order
         if basis >= idx.size:
             w, V = np.linalg.eigh(B.toarray())
         else:
@@ -276,18 +287,23 @@ def eigendecompose(A, lowest: int | None = None) -> tuple[np.ndarray, np.ndarray
             shifted = c * sparse.identity(idx.size) - B
             mu, V = eigsh(shifted, lowest, which="LA", ncv=basis, tol=1e-12, v0=v0)
             w = c - mu
-        pairs += [(w[r], idx, V[:, r]) for r in range(min(lowest, w.size))]
-    pairs = sorted(pairs, key=lambda pair: pair[0])[:lowest]
+        blocks.append((idx, w[:lowest], V[:, :lowest]))
+    vals = np.concatenate([w for _, w, _ in blocks])
+    order = np.argsort(vals, kind="stable")[:lowest]
+    column = np.full(vals.size, -1)  # each pair's column in the result, -1 if not kept
+    column[order] = np.arange(order.size)
     vecs = np.zeros((n, lowest))
-    for r, (_, idx, v) in enumerate(pairs):
-        vecs[idx, r] = v
-    return np.array([pair[0] for pair in pairs]), vecs
+    for idx, w, V in blocks:
+        cols, column = column[: w.size], column[w.size :]
+        vecs[np.ix_(idx, cols[cols >= 0])] = V[:, cols >= 0]
+    return vals[order], vecs
 
 
-def matrix_exponential(A: np.ndarray) -> np.ndarray:
+def matrix_exponential(A) -> np.ndarray:
     """exp(A - lambda_max I) = e^(-lambda_max) exp(A) for symmetric A, via spectral calculus.
 
-    lambda_max is the largest eigenvalue of the same decomposition. The
+    A is any operator eigendecompose reads, dense or sparse; the result is
+    dense. lambda_max is the largest eigenvalue of the same decomposition. The
     spectral norm is 1, so the result stays finite where exp(A) overflows
     (lambda_max above ~709), and the positive factor moves no row's argmax.
     Spectral weights below the smallest normal float are flushed to zero:
@@ -315,10 +331,11 @@ def _min_labels(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """
     comp = np.arange(n)
     while True:
-        prev, comp = comp, comp.copy()
-        np.minimum.at(comp, i, prev[j])
-        np.minimum.at(comp, j, prev[i])
-        comp = comp[comp]
+        prev = comp.copy()
+        np.minimum.at(comp, i, comp[j])
+        np.minimum.at(comp, j, comp[i])
+        while not np.array_equal(comp, comp[comp]):  # jump until every label is a root
+            comp = comp[comp]
         if np.array_equal(comp, prev):
             return comp
 

@@ -15,7 +15,8 @@ from typing import Optional
 import numpy as np
 
 from . import metrics, tasks
-from .core_graph import VARIANTS, Graph, check_integer, check_positive_finite, normalize, read_graph
+from .core_graph import VARIANTS, Graph, check_integer, check_positive_finite, check_seed
+from .core_graph import normalize, read_graph
 from .inference import DEFAULT_SIGMA, SIMILARITY_KINDS
 from .inference import check_k, knn_select, nnk_graph, similarity_matrix, smooth_graph
 
@@ -235,10 +236,8 @@ class RunConfig:
         check_positive_finite("sigma", self.sigma)
         if self.gamma is not None:
             check_positive_finite("gamma", self.gamma)
-        for name in ("seed", "n_splits"):
-            check_integer(name, getattr(self, name))
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_seed(self.seed)
+        check_integer("n_splits", self.n_splits)
         check_positive_finite("split_fraction", self.split_fraction)
         if self.split_fraction >= 1:
             raise ValueError(f"split_fraction must be in (0, 1), got {self.split_fraction!r}")

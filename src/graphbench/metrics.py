@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
-from .core_graph import finite_array, integer_array
+from .core_graph import check_seed, finite_array, integer_array
 
 
 def contingency_table(u, v) -> np.ndarray:
@@ -104,7 +105,8 @@ def accuracy(pred, truth, mask) -> float:
 def snr_db(clean, test) -> float:
     """10 log10 of clean power over error power; +inf when test equals clean.
 
-    A power beyond the float range is summed at its vector's scale (see _log10_power).
+    Where a power or their ratio leaves the normal float range, the powers are
+    compared at their vectors' scales instead (see _log10_power).
     """
     clean = np.asarray(clean, dtype=float)
     test = np.asarray(test, dtype=float)
@@ -114,18 +116,26 @@ def snr_db(clean, test) -> float:
         sig = float(clean @ clean)
         err = float(np.sum((clean - test) ** 2))
     # a non-finite entry makes sig or err non-finite, so the entries are read only then
-    overflow = not math.isfinite(sig + err)
-    if overflow:
+    if not math.isfinite(sig + err):
         finite_array("clean signal", clean)
         finite_array("test signal", test)
-    if sig == 0:
+    if _is_normal(sig) and _is_normal(err) and _is_normal(sig / err):
+        return 10.0 * math.log10(sig / err)
+    if not clean.any():
         raise ValueError("clean signal has zero power, SNR undefined")
-    if err == 0:
+    if np.array_equal(clean, test):
         return math.inf
-    if overflow:  # every entry is finite, so a sum overflowed
-        # the error's halves cannot overflow, and 2 log10(2) restores their power
-        return 10.0 * (_log10_power(clean) - _log10_power(clean / 2 - test / 2) - 2 * math.log10(2))
-    return 10.0 * math.log10(sig / err)
+    with np.errstate(over="ignore"):
+        error = clean - test
+    if np.isfinite(error).all():
+        return 10.0 * (_log10_power(clean) - _log10_power(error))
+    # the error's halves cannot overflow, and 2 log10(2) restores their power
+    return 10.0 * (_log10_power(clean) - _log10_power(clean / 2 - test / 2) - 2 * math.log10(2))
+
+
+def _is_normal(x: float) -> bool:
+    """Whether x > 0 is a normal float: neither 0, subnormal nor inf."""
+    return sys.float_info.min <= x <= sys.float_info.max
 
 
 def _log10_power(v: np.ndarray) -> float:
@@ -142,6 +152,7 @@ def add_noise_to_snr(clean, target_db: float, seed) -> np.ndarray:
         raise ValueError("clean signal has zero power")
     if math.isnan(target_db) or target_db == -math.inf:
         raise ValueError(f"target_db must be a finite number or +inf, got {target_db!r}")
+    check_seed(seed)
     if math.isinf(target_db):
         return clean.copy()
     rng = np.random.default_rng(seed)

@@ -9,13 +9,12 @@ import warnings
 import numpy as np
 from scipy import sparse
 
-from .core_graph import Graph, check_graph, check_integer, connected_components, eigendecompose
-from .core_graph import finite_array, integer_array, laplacian, matrix_exponential
+from .core_graph import Graph, check_graph, check_integer, check_seed, connected_components
+from .core_graph import eigendecompose, finite_array, integer_array, laplacian, matrix_exponential
 from .metrics import snr_db
 
-# Eigenvalues this close to zero, relative to lambda_max, count as the
-# Laplacian's null space in denoise: eigh returns them as +-1e-16, and
-# Lanczos as ~1e-13.
+# Eigenvalues this close to zero, relative to lambda_max, count as the Laplacian's
+# null space in denoise, where np.linalg.eigh returns them as +-1e-16.
 NULL_SPACE_TOL = 1e-8
 
 KMEANS_RESTARTS = 10
@@ -107,6 +106,7 @@ def kmeans(points, C: int, seed) -> np.ndarray:
         raise ValueError("need at least 1 cluster")
     if n < C:
         raise ValueError("need at least C points")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     sq = np.einsum("ij,ij->i", points, points)
     best_assign, best_wcss = None, np.inf
@@ -138,6 +138,7 @@ def discretize(embedding, seed=0) -> np.ndarray:
     n, C = X.shape
     if n < 1 or C < 2:
         raise ValueError(f"discretization needs n >= 1 rows and C >= 2 columns, got {X.shape}")
+    check_seed(seed)
     norms = np.linalg.norm(X, axis=1)
     zero_rows = norms == 0
     if zero_rows.any():
@@ -179,6 +180,7 @@ def spectral_cluster(g: Graph, C: int, seed=0) -> np.ndarray:
     """
     check_graph(g)
     check_integer("C", C)
+    check_seed(seed)
     if C == 1:
         return np.zeros(g.n, dtype=int)
     return discretize(spectral_embed(g, C), seed=seed)
@@ -212,7 +214,7 @@ def propagate_labels(g: Graph, labels, masks) -> list[np.ndarray]:
     """
     check_graph(g)
     labels, masks, C = _head_input(g.n, labels, masks)
-    E = matrix_exponential(g.to_sparse().toarray())
+    E = matrix_exponential(g.to_sparse())
     components = connected_components(g)
     preds = []
     for observed in masks:
@@ -321,6 +323,7 @@ def sgc_predict(g: Graph | None, X, labels, masks, seed) -> list[np.ndarray]:
     if g is not None and X.shape[0] != g.n:
         raise ValueError(f"X must have a row per vertex ({g.n}), got {X.shape[0]}")
     labels, masks, C = _head_input(len(X), labels, masks)
+    check_seed(seed)
     Xhat = X if g is None else diffuse_features(g, X)
     preds = []
     for i, observed in enumerate(masks):

@@ -67,6 +67,8 @@ L = path().to_sparse().toarray()
 LABELS = [0, 0, 1, 1]
 MASKS = [[True, False, True, False]]
 SIGNAL = np.array([1.0, 2.0, 3.0, 4.0])
+SEED_TYPE = "seed must be an integer, got 1.5"
+SEED_SIGN = "seed must be >= 0, got -1"
 
 # (callable, argument, call, message)
 ROWS = [
@@ -90,6 +92,13 @@ ROWS = [
         lambda: Graph(3, [(0.7, 1.9, 1.0)]),
         "edge indices must be integers, got 0.7",
     ),
+    (
+        Graph,
+        "edges",
+        lambda: Graph(3, [(0, 10**30, 1.0)]),
+        "edge indices must lie within int64, got 1e+30",
+    ),
+    (Graph, "edges", lambda: Graph(3, [(0, 1)]), "edges must be (i, j, w) triples"),
     (Graph, "variant", lambda: Graph(2, variant="bogus"), "unknown variant 'bogus'"),
     (from_arrays, "n", lambda: from_arrays(1.5, [], [], []), "n must be an integer, got 1.5"),
     (
@@ -99,6 +108,12 @@ ROWS = [
         "bad edge (-1, 1, 1.0): need 0 <= i < j < n",
     ),
     (from_arrays, "i", lambda: from_arrays(2, [0.5], [1], [1.0]), "i must be integers, got 0.5"),
+    (
+        from_arrays,
+        "i",
+        lambda: from_arrays(3, [10**30], [1], [1.0]),
+        f"i must lie within int64, got {10**30}",
+    ),
     (
         from_arrays,
         "j",
@@ -141,6 +156,14 @@ ROWS = [
         "A",
         lambda: eigendecompose(sparse.csr_matrix(spoiled(L, NAN, (0, 1))), lowest=2),
         "operator has non-finite entries",
+    ),
+    # a vector is no 1 x 1 operator, though a CSR cast would read it as a row
+    (eigendecompose, "A", lambda: eigendecompose([1.0]), "operator must be square"),
+    (
+        eigendecompose,
+        "A",
+        lambda: eigendecompose(sparse.csr_matrix(spoiled(L, 2.0, (0, 1))[::-1])),
+        "operator must be symmetric",
     ),
     (
         eigendecompose,
@@ -254,6 +277,12 @@ ROWS = [
     ),
     (
         accuracy,
+        "pred",
+        lambda: accuracy([10**30], [0], [True]),
+        f"pred must lie within int64, got {10**30}",
+    ),
+    (
+        accuracy,
         "truth",
         lambda: accuracy([0, 1], [NAN, 1], [True, True]),
         "truth must be integers, got nan",
@@ -276,6 +305,8 @@ ROWS = [
         lambda: add_noise_to_snr(SIGNAL, NAN, 0),
         "target_db must be a finite number or +inf, got nan",
     ),
+    (add_noise_to_snr, "seed", lambda: add_noise_to_snr(SIGNAL, 10.0, 1.5), SEED_TYPE),
+    (add_noise_to_snr, "seed", lambda: add_noise_to_snr(SIGNAL, 10.0, -1), SEED_SIGN),
     (ami, "u", lambda: ami([0, NAN, 1], [0, 1, 1]), "u must be integers, got nan"),
     (ami, "v", lambda: ami([0, 1, 1], [0, 0.5, 1]), "v must be integers, got 0.5"),
     (
@@ -328,6 +359,8 @@ ROWS = [
         lambda: discretize(spoiled(np.eye(3, 2), NAN, (2, 1))),
         "embedding has non-finite entries",
     ),
+    (discretize, "seed", lambda: discretize(np.eye(3, 2), 1.5), SEED_TYPE),
+    (discretize, "seed", lambda: discretize(np.eye(3, 2), -1), SEED_SIGN),
     (
         kmeans,
         "points",
@@ -336,6 +369,8 @@ ROWS = [
     ),
     (kmeans, "C", lambda: kmeans(X, 1.5, 0), "C must be an integer, got 1.5"),
     (kmeans, "C", lambda: kmeans(X, 0, 0), "need at least 1 cluster"),
+    (kmeans, "seed", lambda: kmeans(X, 2, 1.5), SEED_TYPE),
+    (kmeans, "seed", lambda: kmeans(X, 2, -1), SEED_SIGN),
     (
         propagate_labels,
         "g",
@@ -379,6 +414,8 @@ ROWS = [
         lambda: sgc_predict(path(), X[:4], LABELS, [[False] * 4], 0),
         "masks must each observe a vertex; mask 0 observes none",
     ),
+    (sgc_predict, "seed", lambda: sgc_predict(path(), X[:4], LABELS, MASKS, 1.5), SEED_TYPE),
+    (sgc_predict, "seed", lambda: sgc_predict(None, X[:4], LABELS, MASKS, -1), SEED_SIGN),
     (
         simoncelli_response,
         "lambda_norm",
@@ -411,6 +448,9 @@ ROWS = [
     ),
     (spectral_cluster, "C", lambda: spectral_cluster(path(), 1.5), "C must be an integer, got 1.5"),
     (spectral_cluster, "C", lambda: spectral_cluster(path(), 4), "need 1 <= C and C + 1 <= n"),
+    (spectral_cluster, "seed", lambda: spectral_cluster(path(), 2, 1.5), SEED_TYPE),
+    # C = 1 needs no discretization, and still checks its seed
+    (spectral_cluster, "seed", lambda: spectral_cluster(path(), 1, -1), SEED_SIGN),
     (spectral_embed, "g", lambda: spectral_embed(None, 2), "g must be a Graph, got NoneType"),
     (spectral_embed, "C", lambda: spectral_embed(path(), True), "C must be an integer, got True"),
     (spectral_embed, "C", lambda: spectral_embed(path(), 0), "need 1 <= C and C + 1 <= n"),
@@ -426,13 +466,7 @@ EXEMPT = {
 }
 
 # arguments of tabled callables that are not arrays or numbers
-SEED = "a seed, which numpy.random.default_rng checks"
 EXEMPT_ARGUMENTS = {
-    ("add_noise_to_snr", "seed"): SEED,
-    ("discretize", "seed"): SEED,
-    ("kmeans", "seed"): SEED,
-    ("sgc_predict", "seed"): SEED,
-    ("spectral_cluster", "seed"): SEED,
     ("smooth_graph", "solves"): "a dict that memoises solves, not an input value",
 }
 

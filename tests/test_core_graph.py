@@ -271,6 +271,57 @@ class TestPartialEigendecompose:
         assert proc.stdout.strip() == "[False, False, False]"
 
 
+class TestBlockSpectra:
+    """The full call decomposes each connected block on its own: a block-diagonal operator's
+    spectrum is the union of its blocks' spectra (von Luxburg, Stat. Comput. 2007, section 3)."""
+
+    @staticmethod
+    def blocks_graph(sizes, seed):
+        """A Graph whose components have the given sizes, each a weighted path with chords,
+        under a random vertex order."""
+        rng = np.random.default_rng(seed)
+        label = rng.permutation(sum(sizes))
+        edges, start = set(), 0
+        for size in sizes:
+            for a in range(start, start + size - 1):
+                edges.add((a, a + 1))
+                b = int(rng.integers(a + 1, start + size))
+                edges.add((a, b))
+            start += size
+        pairs = sorted({tuple(sorted((int(label[a]), int(label[b])))) for a, b in edges})
+        return Graph(start, [(i, j, float(rng.uniform(0.1, 2.0))) for i, j in pairs])
+
+    @pytest.mark.parametrize("form", ["dense", "sparse"])
+    def test_connected_operator_is_eigh_bit_for_bit(self, form):
+        M = np.random.default_rng(11).standard_normal((30, 30))
+        for dense in ((M + M.T) / 2, laplacian(self.blocks_graph([60], 11)).toarray()):
+            want_vals, want_vecs = np.linalg.eigh(dense)
+            vals, vecs = eigendecompose(sparse.csr_matrix(dense) if form == "sparse" else dense)
+            assert vals.tobytes() == want_vals.tobytes()
+            assert vecs.tobytes() == want_vecs.tobytes()
+
+    @pytest.mark.parametrize("form", ["dense", "sparse"])
+    def test_disconnected_operator_splits_into_its_blocks(self, form):
+        sizes = [1, 9, 4, 1, 6, 2, 12]
+        g = self.blocks_graph(sizes, 12)
+        components = connected_components(g)
+        assert np.unique(components).size == len(sizes)
+        L = laplacian(g)
+        shift = sparse.diags(np.random.default_rng(12).uniform(-1.0, 1.0, g.n))
+        for A in (L, (L + shift).tocsr()):
+            dense = A.toarray()
+            vals, V = eigendecompose(A if form == "sparse" else dense)
+            assert vals.shape == (g.n,) and V.shape == (g.n, g.n)
+            assert np.all(np.diff(vals) >= 0)
+            for r in range(g.n):  # zero outside the block of its largest entry
+                block = components == components[np.argmax(np.abs(V[:, r]))]
+                assert np.all(V[~block, r] == 0.0)
+            rel = np.linalg.norm((V * vals) @ V.T - dense) / np.linalg.norm(dense)
+            assert rel < 1e-10
+        vals, _ = eigendecompose(L if form == "sparse" else L.toarray())
+        assert np.sum(np.abs(vals) < 1e-10 * vals[-1]) == len(sizes)
+
+
 class TestMatrixExponential:
     def test_zero(self):
         assert np.allclose(matrix_exponential(np.zeros((3, 3))), np.eye(3))

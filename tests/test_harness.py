@@ -66,6 +66,59 @@ def load_perfbench_module(name):
     return module
 
 
+def openblas_on_avx2() -> bool:
+    """Whether numpy's BLAS is OpenBLAS on a CPU with AVX2, as OPENBLAS_CORETYPE=Haswell needs."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        flags = Path("/proc/cpuinfo").read_text().split()
+    except (TypeError, KeyError, OSError):  # numpy before 1.26 has no mode="dicts"
+        return False
+    return "openblas" in blas.lower() and "avx2" in flags
+
+
+def small_grid_reports(tmp_path, task, envs) -> list[tuple[bytes, bytes]]:
+    """The CSV and best-score bytes of one small grid of ``task`` through `graphbench run`, in
+    a subprocess per entry of ``envs``: variables to set, or to unset where the value is None."""
+    gen = load_perfbench_module("gen")
+    if task != "dgs":
+        data = gen.cora_like(tmp_path / "d", 0, 200, 1433, 40, 0.42)
+        points = [
+            {"method": harness.BASELINES[task]},
+            {"method": "naive", "similarity": "cosine", "k": 10, "adjacency_variant": "sym_norm"},
+            {"method": "naive", "similarity": "rbf", "k": 10,
+             "adjacency_variant": "augmented_sym_norm"},
+            {"method": "nnk", "similarity": "cosine", "k": 10},
+        ]
+        if task != "ucv":
+            points = [dict(point, n_splits=10) for point in points]
+    else:
+        data = gen.road_like(tmp_path / "d", 0, 150, 4.0, 2.0)
+        points = [
+            {"method": "reference-graph"},
+            {"method": "naive", "similarity": "rbf", "k": 10, "adjacency_variant": "sym_norm"},
+            {"method": "naive", "similarity": "rbf", "k": None},
+            {"method": "nnk", "similarity": "rbf", "k": 10},
+        ]
+    grid_file = tmp_path / "grid.json"
+    grid_file.write_text(json.dumps(points))
+    reports = []
+    for r, overrides in enumerate(envs):
+        report = tmp_path / f"r{r}.csv"
+        env = {**os.environ, **overrides}
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "graphbench.cli", "run", "--task", task,
+                "--data", str(data), "--grid", str(grid_file), "--report", str(report),
+            ],
+            capture_output=True,
+            text=True,
+            env={name: value for name, value in env.items() if value is not None},
+        )
+        assert proc.returncode == 0, proc.stderr
+        reports.append((report.read_bytes(), Path(f"{report}.best.txt").read_bytes()))
+    return reports
+
+
 def write_blob_dataset(root, n_per=10, seed=0, name="blobs"):
     rng = np.random.default_rng(seed)
     centers = np.array([[8.0, 0.0, 0.0], [0.0, 8.0, 0.0], [0.0, 0.0, 8.0]])
@@ -1936,43 +1989,27 @@ class TestCli:
 
     @pytest.mark.parametrize("task", TASKS)
     def test_reports_byte_identical_across_blas_threads(self, tmp_path, task):
-        gen = load_perfbench_module("gen")
-        if task != "dgs":
-            data = gen.cora_like(tmp_path / "d", 0, 200, 1433, 40, 0.42)
-            points = [
-                {"method": harness.BASELINES[task]},
-                {"method": "naive", "similarity": "cosine", "k": 10, "adjacency_variant": "sym_norm"},
-                {"method": "naive", "similarity": "rbf", "k": 10,
-                 "adjacency_variant": "augmented_sym_norm"},
-                {"method": "nnk", "similarity": "cosine", "k": 10},
-            ]
-            if task != "ucv":
-                points = [dict(point, n_splits=10) for point in points]
-        else:
-            data = gen.road_like(tmp_path / "d", 0, 150, 4.0, 2.0)
-            points = [
-                {"method": "reference-graph"},
-                {"method": "naive", "similarity": "rbf", "k": 10, "adjacency_variant": "sym_norm"},
-                {"method": "naive", "similarity": "rbf", "k": None},
-                {"method": "nnk", "similarity": "rbf", "k": 10},
-            ]
-        grid_file = tmp_path / "grid.json"
-        grid_file.write_text(json.dumps(points))
-        reports = []
-        for threads in ("1", "2"):
-            report = tmp_path / f"r{threads}.csv"
-            proc = subprocess.run(
-                [
-                    sys.executable, "-m", "graphbench.cli", "run", "--task", task,
-                    "--data", str(data), "--grid", str(grid_file), "--report", str(report),
-                ],
-                capture_output=True,
-                text=True,
-                env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
-            )
-            assert proc.returncode == 0, proc.stderr
-            reports.append((report.read_bytes(), Path(f"{report}.best.txt").read_bytes()))
-        assert reports[0] == reports[1]
+        envs = [{"OPENBLAS_NUM_THREADS": threads} for threads in ("1", "2")]
+        first, second = small_grid_reports(tmp_path, task, envs)
+        assert first == second
+
+    @pytest.mark.skipif(not openblas_on_avx2(), reason="needs numpy on OpenBLAS and AVX2")
+    @pytest.mark.parametrize(
+        "task",
+        [
+            # the cosine graphs' bits follow the kernel's GEMM (ROADMAP item 4), and label
+            # propagation also reads a dense eigh (ROADMAP item 2)
+            pytest.param("ucv", marks=pytest.mark.xfail(reason="ROADMAP item 4", strict=False)),
+            pytest.param("sscv-lp", marks=pytest.mark.xfail(reason="ROADMAP items 4, 2", strict=False)),
+            pytest.param("sscv-sgc", marks=pytest.mark.xfail(reason="ROADMAP item 4", strict=False)),
+            "dgs",
+        ],
+    )
+    def test_reports_byte_identical_across_blas_kernels(self, tmp_path, task):
+        # the kernel OpenBLAS picks for this CPU, then its AVX2 kernel
+        envs = [{"OPENBLAS_CORETYPE": None}, {"OPENBLAS_CORETYPE": "Haswell"}]
+        default, haswell = small_grid_reports(tmp_path, task, envs)
+        assert default == haswell
 
 
 class TestRunConfig:

@@ -226,11 +226,28 @@ class TestSnr:
 
     @pytest.mark.parametrize(
         "clean, test, expected",
-        [([1e200, 1.0], [1e200, 2.0], 4000.0), ([1.0, 0.0], [1e200, 0.0], -4000.0)],
-        ids=["clean-power", "error-power"],
+        [
+            ([1e200, 1.0], [1e200, 2.0], 4000.0),
+            ([1.0, 0.0], [1e200, 0.0], -4000.0),
+            ([1e154, 0.0], [1e154, 1e-154], 6160.0),
+            ([1e-170, 1e-170], [0.0, 1e-170], 10 * math.log10(2)),
+            ([1.0, 0.0], [1.0, 5e-324], -20 * math.log10(5e-324)),
+            ([1e308, -1e308], [-1e308, 1e308], -20 * math.log10(2)),
+            ([1e-170], [1e-170], math.inf),
+        ],
+        ids=[
+            "clean-power",
+            "error-power",
+            "ratio",
+            "clean-underflow",
+            "error-underflow",
+            "error-entries",
+            "equal-underflow",
+        ],
     )
     def test_power_beyond_the_float_range(self, clean, test, expected):
-        # each power overflows a float, but their ratio does not; pytest turns a warning into an error
+        # a power overflows or underflows a float, or their ratio does; the vectors are still
+        # apart, or equal for the last row; pytest turns a warning into an error
         assert snr_db(clean, test) == pytest.approx(expected, rel=1e-12)
 
     def test_monotone_in_noise_scale(self):

@@ -616,6 +616,7 @@ class TestLabelPropagate:
             warnings.simplefilter("always")
             got = propagate_labels(g, labels, masks)
         assert len(calls) == 1
+        assert sparse.issparse(calls[0]) and calls[0].format == "csr"  # the head densifies nothing
         assert len(got) == len(want) == 20
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
         assert [str(w.message) for w in got_warnings] == [str(w.message) for w in want_warnings]
@@ -1086,7 +1087,7 @@ class TestDenoise:
         clean = np.concatenate([np.ones(20), -np.ones(20)])
         improved = 0
         for draw in range(100):
-            noisy = add_noise_to_snr(clean, 7.0, seed=[100, draw])
+            noisy = add_noise_to_snr(clean, 7.0, seed=draw)
             out = denoise(g, noisy, 0.5)
             if snr_db(clean, out) > snr_db(clean, noisy):
                 improved += 1
