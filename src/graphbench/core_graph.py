@@ -82,10 +82,11 @@ class Graph:
 
     ``edges`` is a NumPy structured array of ``EDGE_DTYPE``: one record per
     undirected edge, with fields ``i``, ``j`` (int64, 0 <= i < j < n) and
-    ``w`` (float64, finite and > 0). The constructor accepts that array or
-    a list of (i, j, w) tuples and keeps the given order; records
-    unpack as ``for i, j, w in g.edges``. Self-loop weights live in
-    ``diagonal`` (finite and >= 0; all zeros unless augmented).
+    ``w`` (float64, finite and > 0). The constructor accepts that array, or
+    (i, j, w) triples as a list of tuples or lists or an (m, 3) array, and
+    keeps the given order; records unpack as ``for i, j, w in g.edges``.
+    Self-loop weights live in ``diagonal`` (finite and >= 0; all zeros
+    unless augmented).
     """
 
     n: int
@@ -107,13 +108,19 @@ class Graph:
         if not np.all(np.isfinite(self.diagonal) & (self.diagonal >= 0)):
             raise ValueError("self-loop weights must be finite and >= 0")
         if not (isinstance(self.edges, np.ndarray) and self.edges.dtype == EDGE_DTYPE):
-            # the indices are read as floats before the int64 cast, which would truncate 0.7 to 0
+            # read once as floats: an int64 cast would truncate an index of 0.7 to 0
             try:
-                indices = np.asarray(self.edges, dtype=float).reshape(-1, 3)[:, :2]
+                triples = np.asarray(self.edges, dtype=float)
             except (TypeError, ValueError):
                 raise ValueError("edges must be (i, j, w) triples") from None
-            integer_array("edge indices", indices)
-        self.edges = np.array(self.edges, dtype=EDGE_DTYPE)
+            triples = triples.reshape(0, 3) if triples.size == 0 else triples
+            if triples.ndim != 2 or triples.shape[1] != 3:
+                raise ValueError("edges must be (i, j, w) triples")
+            index = integer_array("edge indices", triples[:, :2])
+            self.edges = np.empty(len(triples), dtype=EDGE_DTYPE)
+            self.edges["i"], self.edges["j"], self.edges["w"] = *index.T, triples[:, 2]
+        else:
+            self.edges = np.array(self.edges)
         if self.edges.ndim != 1:
             raise ValueError("edges must be (i, j, w) triples")
         i, j, w = _columns(self.edges)
@@ -268,7 +275,7 @@ def eigendecompose(A, lowest: int | None = None) -> tuple[np.ndarray, np.ndarray
     finite_array("operator", A.data)
     if np.max(np.abs((A - A.T).data), initial=0.0) > SYMMETRY_TOL:
         raise ValueError("operator must be symmetric")
-    block = _min_labels(n, *A.nonzero())
+    block = _block_labels(A)
     # scipy's default basis, max(2 lowest + 1, 20), restarts more often: on the
     # Cora-shaped Laplacians of the ucv benchmark (lowest = 9) it needed ~2x the matvecs
     basis = max(5 * lowest, 20)
@@ -300,18 +307,23 @@ def eigendecompose(A, lowest: int | None = None) -> tuple[np.ndarray, np.ndarray
 
 
 def matrix_exponential(A) -> np.ndarray:
-    """exp(A - lambda_max I) = e^(-lambda_max) exp(A) for symmetric A, via spectral calculus.
+    """exp(A) for symmetric A, each connected block B shifted: e^(-lambda_max(B)) exp(B).
 
     A is any operator eigendecompose reads, dense or sparse; the result is
-    dense. lambda_max is the largest eigenvalue of the same decomposition. The
-    spectral norm is 1, so the result stays finite where exp(A) overflows
-    (lambda_max above ~709), and the positive factor moves no row's argmax.
-    Spectral weights below the smallest normal float are flushed to zero:
-    next to the top weight 1 they add nothing, and subnormal operands made
-    the product ~100x slower (n=1000, lambda_max 723).
+    dense. Each block's spectral norm is 1, so the result stays finite where
+    exp(A) overflows (lambda_max above ~709), a light block keeps its weights
+    next to a heavy one, and the factor, constant on each block, moves no
+    vertex's class in propagate_labels. Spectral weights below the smallest
+    normal float are flushed to zero: next to their block's top weight 1 they
+    add nothing, and subnormal operands made the product ~100x slower
+    (n=1000, lambda_max 723).
     """
     vals, F = eigendecompose(A)
-    weights = np.exp(vals - vals[-1])
+    # each eigenvector is zero outside its block, so its largest entry names the block
+    block = _block_labels(sparse.csr_matrix(A, dtype=float))[np.argmax(np.abs(F), axis=0)]
+    top = np.full(vals.size, -np.inf)
+    np.maximum.at(top, block, vals)
+    weights = np.exp(vals - top[block])
     weights[weights < np.finfo(float).tiny] = 0.0
     E = (F * weights) @ F.T
     return (E + E.T) / 2.0
@@ -321,6 +333,13 @@ def connected_components(g: Graph) -> np.ndarray:
     """Each vertex's connected component, named by the lowest vertex index in it."""
     i, j, _ = _columns(g.edges)
     return _min_labels(g.n, i, j)
+
+
+def _block_labels(A: sparse.csr_matrix) -> np.ndarray:
+    """Each row's connected block of symmetric A's off-diagonal pattern, read from one triangle."""
+    i, j = A.nonzero()
+    upper = i < j
+    return _min_labels(A.shape[0], i[upper], j[upper])
 
 
 def _min_labels(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:

@@ -145,19 +145,29 @@ def _log10_power(v: np.ndarray) -> float:
 
 
 def add_noise_to_snr(clean, target_db: float, seed) -> np.ndarray:
-    """Add seeded Gaussian noise rescaled so snr_db(clean, noisy) == target_db."""
+    """Add seeded Gaussian noise rescaled so snr_db(clean, noisy) == target_db.
+
+    Where clean's power is not a normal float, the noise is sized at the scale
+    of clean's largest magnitude (as _log10_power does). A noisy entry beyond
+    the float range raises ValueError.
+    """
     clean = finite_array("clean signal", clean)
-    sig = float(clean @ clean)
-    if sig == 0:
+    if not clean.any():
         raise ValueError("clean signal has zero power")
     if math.isnan(target_db) or target_db == -math.inf:
         raise ValueError(f"target_db must be a finite number or +inf, got {target_db!r}")
     check_seed(seed)
     if math.isinf(target_db):
         return clean.copy()
+    with np.errstate(over="ignore"):
+        sig, scale = float(clean @ clean), 1.0
+    if not _is_normal(sig):
+        scale = float(np.max(np.abs(clean)))
+        sig = float((clean / scale) @ (clean / scale))
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(clean.shape)
     noise -= noise.mean()
     target_power = sig / 10.0 ** (target_db / 10.0)
-    noise *= math.sqrt(target_power / float(noise @ noise))
-    return clean + noise
+    with np.errstate(over="ignore"):
+        noise *= scale * math.sqrt(target_power / float(noise @ noise))
+        return finite_array("noisy signal", clean + noise)

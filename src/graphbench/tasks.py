@@ -13,10 +13,6 @@ from .core_graph import Graph, check_graph, check_integer, check_seed, connected
 from .core_graph import eigendecompose, finite_array, integer_array, laplacian, matrix_exponential
 from .metrics import snr_db
 
-# Eigenvalues this close to zero, relative to lambda_max, count as the Laplacian's
-# null space in denoise, where np.linalg.eigh returns them as +-1e-16.
-NULL_SPACE_TOL = 1e-8
-
 KMEANS_RESTARTS = 10
 KMEANS_MAX_ITER = 300
 DISCRETIZE_RESTARTS = 30
@@ -30,17 +26,30 @@ ADAM_EPS = 1e-8
 SGC_EPOCHS = 100
 
 
+def _laplacian_spectrum(g: Graph, lowest: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """eigendecompose(laplacian(g), lowest), its first c pairs exact for c components.
+
+    Eigenvalue 0 occurs once per component, its eigenspace spanned by the components'
+    indicators (von Luxburg, Stat. Comput. 2007, Prop. 2): those pairs become 0 and the
+    normalised indicators in connected_components order, not the eigensolver's round-off.
+    """
+    vals, vecs = eigendecompose(laplacian(g), lowest)
+    components = connected_components(g)
+    names, sizes = np.unique(components, return_counts=True)
+    c = min(names.size, vals.size)
+    vals[:c] = 0.0
+    vecs[:, :c] = (components[:, None] == names[:c]) / np.sqrt(sizes[:c])
+    return vals, vecs
+
+
 def spectral_embed(g: Graph, C: int) -> np.ndarray:
     """Embed vertices on low-frequency Laplacian eigenvectors.
 
-    Keeps eigenvector indices 1..C (the near-constant index-0 vector
-    skipped). On a disconnected graph the zero eigenvalue is degenerate and
-    no single eigenvector is the privileged constant; skipping one would
-    trade an indicator dimension for a high-frequency one and break exact
-    component recovery, so the full low-frequency basis 0..C-1 is used
-    instead. Its null space, whose basis and pair order the eigensolver
-    leaves to round-off, is spanned by the normalised indicators of the
-    components in connected_components order. Each column is sign-fixed so
+    Keeps eigenvector indices 1..C, the constant index-0 vector skipped. On a
+    disconnected graph the zero eigenvalue is degenerate and no eigenvector is
+    the privileged constant; skipping one would trade an indicator dimension for
+    a high-frequency one, so the basis 0..C-1 is used, its null space the
+    component indicators of _laplacian_spectrum. Each column is sign-fixed so
     its largest-magnitude entry is positive.
     """
     check_graph(g)
@@ -48,13 +57,9 @@ def spectral_embed(g: Graph, C: int) -> np.ndarray:
     if not 1 <= C < g.n:
         raise ValueError("need 1 <= C and C + 1 <= n")
     # index C + 1 is computed only for the multiplicity check at the boundary
-    vals, vecs = eigendecompose(laplacian(g), lowest=C + 2)
-    components = connected_components(g)
-    names, sizes = np.unique(components, return_counts=True)
-    lo = 0 if names.size >= 2 else 1
+    vals, vecs = _laplacian_spectrum(g, lowest=C + 2)
+    lo = 0 if vals[1] == 0 else 1  # a second exact zero: the graph is disconnected
     cols = vecs[:, lo : lo + C].copy()
-    if lo == 0:
-        cols[:, : min(names.size, C)] = (components[:, None] == names[:C]) / np.sqrt(sizes[:C])
     upper = lo + C
     if upper < vals.size and abs(vals[upper] - vals[upper - 1]) < 1e-10:
         warnings.warn("eigenvalue multiplicity across the embedding boundary: basis ambiguous")
@@ -369,25 +374,20 @@ def denoise(g: Graph, x_noisy, tau) -> np.ndarray:
     bad = ~(np.isfinite(taus) & (taus >= 0))
     if bad.any():
         raise ValueError(f"cutoffs must be finite and >= 0, got {taus[bad].tolist()}")
-    vals, F = eigendecompose(laplacian(g))
-    lambda_max = vals[-1]
-    if lambda_max <= 0:
-        out = np.tile(x, (taus.size, 1))  # empty graph: all-pass
-    else:
-        lam = vals / lambda_max
-        lam[np.abs(lam) <= NULL_SPACE_TOL] = 0.0
-        coeffs = F.T @ x
-        out = np.empty((taus.size, g.n))
-        for r, t in enumerate(taus.ravel().tolist()):
-            # one matrix-vector product per cutoff: a batched product may round differently
-            out[r] = F @ (simoncelli_response(lam, t) * coeffs)
+    vals, F = _laplacian_spectrum(g)
+    lam = np.divide(vals, vals[-1], out=np.zeros(g.n), where=vals > 0)
+    coeffs = F.T @ x
+    out = np.empty((taus.size, g.n))
+    for r, t in enumerate(taus.ravel().tolist()):
+        # one matrix-vector product per cutoff: a batched product may round differently
+        out[r] = F @ (simoncelli_response(lam, t) * coeffs)
     return out[0] if taus.ndim == 0 else out
 
 
 def best_tau_denoise(g: Graph, x_noisy, x_clean) -> tuple[float, float]:
     """Sweep tau over 0..1 in 0.025 steps; return (tau, SNR) maximizing output SNR."""
     x_clean = finite_array("clean signal", x_clean)
-    if float(x_clean @ x_clean) == 0:
+    if not x_clean.any():
         raise ValueError("clean signal has zero power")
     taus = np.round(np.arange(0, 41) * 0.025, 6)
     best_tau, best_snr = None, -math.inf

@@ -99,6 +99,7 @@ ROWS = [
         "edge indices must lie within int64, got 1e+30",
     ),
     (Graph, "edges", lambda: Graph(3, [(0, 1)]), "edges must be (i, j, w) triples"),
+    (Graph, "edges", lambda: Graph(8, [(0, 1, 1.0, 5, 6, 7)]), "edges must be (i, j, w) triples"),
     (Graph, "variant", lambda: Graph(2, variant="bogus"), "unknown variant 'bogus'"),
     (from_arrays, "n", lambda: from_arrays(1.5, [], [], []), "n must be an integer, got 1.5"),
     (

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from graphbench.core_graph import (
+    EDGE_DTYPE,
     VARIANTS,
     Graph,
     IsolatedVertexWarning,
@@ -65,6 +66,22 @@ class TestGraphInvariants:
     def test_dense_is_symmetric(self):
         A = triangle(0.3).to_sparse().toarray()
         assert np.array_equal(A, A.T)
+
+    def test_lists_and_arrays_of_triples_read_like_tuples(self):
+        tuples = [(0, 2, 0.5), (1, 2, 3.0), (0, 1, 1e-300)]
+        want = Graph(3, tuples).edges
+        assert want.tolist() == tuples
+        for edges in ([list(t) for t in tuples], np.array(tuples), [np.array(t) for t in tuples]):
+            got = Graph(3, edges).edges
+            assert got.dtype == EDGE_DTYPE and got.tobytes() == want.tobytes()
+        assert Graph(3, np.empty((0, 3))).n_edges == Graph(3, []).n_edges == 0
+
+    @pytest.mark.parametrize(
+        "edges", [[(0, 1, 1.0, 5, 6, 7)], [0, 1, 1.0], [[0, 1, 1.0], [1, 2]], np.ones((2, 4))]
+    )
+    def test_rejects_what_is_not_a_list_of_triples(self, edges):
+        with pytest.raises(ValueError, match=r"^edges must be \(i, j, w\) triples$"):
+            Graph(8, edges)
 
 
 class TestDegrees:
@@ -340,8 +357,20 @@ class TestMatrixExponential:
         assert E[0, 1] == pytest.approx(math.sinh(1.0) / math.e, abs=1e-12)
 
     def test_diagonal(self):
+        # two one-vertex blocks, each shifted by its own eigenvalue
         E = matrix_exponential(np.diag([1.0, -2.0]))
-        assert np.allclose(E, np.diag([1.0, np.exp(-3.0)]))
+        assert np.allclose(E, np.eye(2))
+
+    def test_each_block_shifted_by_its_own_top_eigenvalue(self):
+        # a heavy triangle next to a light path: one global shift, e^-400, would flush the path
+        heavy, light = 200.0 * (np.ones((3, 3)) - np.eye(3)), np.array([[0.0, 1.0], [1.0, 0.0]])
+        A = np.zeros((5, 5))
+        A[:3, :3], A[3:, 3:] = heavy, light
+        E = matrix_exponential(sparse.csr_matrix(A))
+        assert np.array_equal(E[:3, 3:], np.zeros((3, 2)))
+        assert np.max(np.abs(E[3:, 3:] - matrix_exponential(light))) < 1e-15
+        assert np.max(np.abs(E[:3, :3] - matrix_exponential(heavy))) < 1e-15
+        assert E[3, 4] == pytest.approx(math.sinh(1.0) / math.e, abs=1e-12)
 
     def test_permutation_commutes(self):
         rng = np.random.default_rng(4)

@@ -289,3 +289,19 @@ class TestAddNoise:
     def test_reproducible(self):
         clean = np.arange(1.0, 11.0)
         assert np.array_equal(add_noise_to_snr(clean, 7.0, 9), add_noise_to_snr(clean, 7.0, 9))
+
+    @pytest.mark.parametrize(
+        "clean", [[1e-170, 1e-170], [1e-160] * 4, [1e200, 1e200, -1e200], [1e155, 0.0, 1.0]]
+    )
+    def test_a_power_outside_the_normal_range_is_sized_at_the_signal_scale(self, clean):
+        noisy = add_noise_to_snr(clean, 7.0, 0)
+        assert np.isfinite(noisy).all()
+        assert snr_db(clean, noisy) == pytest.approx(7.0, abs=1e-9)
+
+    def test_only_an_all_zero_signal_has_zero_power(self):
+        with pytest.raises(ValueError, match="^clean signal has zero power$"):
+            add_noise_to_snr(np.zeros(3), 7.0, 0)
+
+    def test_a_noisy_entry_beyond_the_float_range_raises(self):
+        with pytest.raises(ValueError, match="^noisy signal has non-finite entries$"):
+            add_noise_to_snr([1e308, 1e308, -1e308], -10.0, 0)

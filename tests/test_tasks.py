@@ -391,7 +391,7 @@ def full_spectrum_cluster(g, C, seed=0, null_space=None):
     space, which is arbitrary once that space has two or more dimensions.
     """
     vals, vecs = np.linalg.eigh(laplacian(g).toarray())
-    lo = 0 if np.sum(np.abs(vals) < tasks_module.NULL_SPACE_TOL) >= 2 else 1
+    lo = 0 if np.unique(connected_components(g)).size >= 2 else 1
     if null_space is not None:
         vecs[:, : null_space.shape[1]] = null_space
     emb = vecs[:, lo : lo + C].copy()
@@ -448,6 +448,33 @@ class TestPartialSpectrum:
                     assert round(got, 6) == round(want, 6), (seed, method, similarity, variant)
 
 
+class TestLaplacianSpectrum:
+    def test_null_space_is_exact_zeros_and_component_indicators(self):
+        cliques, _ = clique_union([3, 4, 5])
+        g = Graph(14, cliques.edges)  # two isolated vertices, 12 and 13
+        components = connected_components(g)
+        names = np.unique(components)
+        for lowest in (None, 3, 8):
+            vals, vecs = tasks_module._laplacian_spectrum(g, lowest)
+            c = min(names.size, vals.size)
+            assert np.count_nonzero(vals == 0) == c and np.all(vals[:c] == 0)
+            member = components[:, None] == names[:c]
+            assert np.array_equal(vecs[:, :c], member / np.sqrt(member.sum(axis=0)))
+            assert np.all(vals[c:] > 0.5)
+
+    def test_connected_graph_keeps_the_solver_pairs_bit_for_bit(self):
+        rng = np.random.default_rng(94)
+        A = rng.random((30, 30)) * (rng.random((30, 30)) < 0.3)
+        g = from_dense(np.triu(A, 1) + np.triu(A, 1).T)
+        assert np.all(connected_components(g) == 0)
+        for lowest in (None, 4):
+            vals, vecs = tasks_module._laplacian_spectrum(g, lowest)
+            want_vals, want_vecs = core_graph_module.eigendecompose(laplacian(g), lowest)
+            assert vals[0] == 0 and np.array_equal(vecs[:, 0], np.full(30, 1 / np.sqrt(30)))
+            assert np.array_equal(vals[1:], want_vals[1:])
+            assert np.array_equal(vecs[:, 1:], want_vecs[:, 1:])
+
+
 class TestLanczosSpectrum:
     """The partial spectrum of Cora-shaped Laplacians, whose blocks go through eigsh."""
 
@@ -489,7 +516,7 @@ class TestLanczosSpectrum:
         assert calls == [150, 150, 150]
         full = np.linalg.eigvalsh(L.toarray())
         assert np.max(np.abs(vals - full[: C + 2])) < 1e-10
-        assert np.sum(np.abs(vals) < tasks_module.NULL_SPACE_TOL) == n_components
+        assert np.sum(np.abs(vals) < 1e-8) == n_components
         # each zero's eigenvector covers one component and nothing else
         support = np.abs(vecs[:, :n_components]) > 0
         owners = components[np.argmax(support, axis=0)]
@@ -549,6 +576,15 @@ class TestLabelPropagate:
         g, _ = clique_union([3])
         (pred,) = propagate_labels(g, [0, 1, 0], [[True, True, False]])
         assert pred[2] == 0
+
+    def test_a_light_component_keeps_its_labels_next_to_a_heavy_one(self):
+        # a 6-clique of weight 200 beside a unit-weight path: one global shift, e^-998,
+        # would flush the path's exponential to 0 and give its vertices class 0
+        clique = [(i, j, 200.0) for i in range(6) for j in range(i + 1, 6)]
+        g = Graph(14, clique + [(v, v + 1, 1.0) for v in range(6, 13)])
+        observed = np.isin(np.arange(14), [0, 6, 13])
+        (pred,) = propagate_labels(g, [0] * 6 + [1] * 4 + [2] * 4, [observed])
+        assert pred[7:13].tolist() == [1, 1, 1, 2, 2, 2]
 
     def test_shifted_operator_stays_finite_past_exp_overflow(self):
         # two 5-cliques of weight 200 joined by a unit edge: lambda_max > 800,
@@ -1115,6 +1151,12 @@ class TestBestTau:
         with pytest.raises(ValueError):
             best_tau_denoise(g, np.ones(6), np.zeros(6))
 
+    def test_a_clean_power_that_underflows_is_scored(self):
+        # the clean power 2e-340 underflows to 0, but the signal is not zero
+        tau, snr = best_tau_denoise(path_graph(2), [0, 1e-170], [1e-170, 1e-170])
+        assert tau == 0.0
+        assert snr == pytest.approx(snr_db([1e-170, 1e-170], [5e-171, 5e-171]), abs=1e-9)
+
     def test_seeded_instance_interior_optimum(self):
         g = two_block_graph(20)
         clean = np.concatenate([np.ones(20), -np.ones(20)])
@@ -1164,9 +1206,8 @@ class TestDenoiseSweep:
         A = rng.random((30, 30)) * (rng.random((30, 30)) < 0.3)
         g = from_dense(np.triu(A, 1) + np.triu(A, 1).T)
         x = rng.standard_normal(30)
-        vals, F = core_graph_module.eigendecompose(laplacian(g))
-        lam = vals / vals[-1]
-        lam[np.abs(lam) <= tasks_module.NULL_SPACE_TOL] = 0.0
+        vals, F = tasks_module._laplacian_spectrum(g)
+        lam = np.divide(vals, vals[-1], out=np.zeros(30), where=vals > 0)
         rows = denoise(g, x, BENCH_TAUS)
         for r, tau in enumerate(BENCH_TAUS.tolist()):
             gains = np.array([simoncelli_response(l, tau) for l in lam])
@@ -1176,9 +1217,9 @@ class TestDenoiseSweep:
         calls = []
         real = tasks_module.eigendecompose
 
-        def counting(A):
+        def counting(A, lowest=None):
             calls.append(1)
-            return real(A)
+            return real(A, lowest)
 
         monkeypatch.setattr(tasks_module, "eigendecompose", counting)
         g = two_block_graph(10)
@@ -1195,6 +1236,12 @@ class TestDenoiseSweep:
     def test_tau_zero_on_path_graph_gives_mean(self):
         x = np.array([3.0, -1.0, 4.0, 1.0, -5.0])
         assert np.allclose(denoise(path_graph(5), x, 0.0), x.mean(), atol=1e-12)
+
+    def test_tau_zero_gives_the_mean_across_a_weak_bridge(self):
+        # a connected graph whose Fiedler value lies far below 1e-8 lambda_max
+        cliques, _ = clique_union([5, 5])
+        g = Graph(10, [*cliques.edges.tolist(), (4, 5, 1e-9)])
+        assert np.allclose(denoise(g, np.arange(10.0), 0.0), 4.5, atol=1e-12)
 
     def test_tau_zero_gives_component_means(self):
         g, labels = clique_union([3, 4, 5])
