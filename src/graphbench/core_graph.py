@@ -248,19 +248,20 @@ def laplacian(g: Graph) -> sparse.csr_matrix:
     return _symmetric_csr(g.n, i, j, -w, _add_edge_weights(np.zeros(g.n), g.edges))
 
 
-def eigendecompose(A, lowest: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def eigendecompose(A, lowest: int | None = None) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Symmetric eigendecomposition of a dense or scipy.sparse operator, block by block.
 
-    Returns the ``lowest`` pairs, or all: (eigenvalues ascending, eigenvectors
-    as columns). The pairs come from each connected block of the off-diagonal
-    pattern, whose spectra together are the operator's, so no copy of an
-    eigenvalue repeated across blocks (a disconnected Laplacian's zero) is
-    missed. A block within the Lanczos basis, max(5 lowest, 20) vectors, gets
-    np.linalg.eigh; a larger block B gets ARPACK's implicitly restarted
-    Lanczos on c I - B, with c, B's largest absolute row sum, bounding its
-    spectrum, and a fixed start vector. A solve that does not converge raises
-    ArpackNoConvergence. The blocks' pairs are merged by a stable sort, each
-    eigenvector zero outside its block.
+    Returns one (vertices, eigenvalues, eigenvectors) triple per connected block
+    of the off-diagonal pattern, in the order of each block's lowest vertex: the
+    block's ``lowest`` pairs, or all, eigenvalues ascending and eigenvectors as
+    columns on the block's vertices alone. The blocks' spectra together are the
+    operator's, so no copy of an eigenvalue repeated across blocks (a
+    disconnected Laplacian's zero) is missed; a caller that needs one global
+    order merges them. A block within the Lanczos basis, max(5 lowest, 20)
+    vectors, gets np.linalg.eigh; a larger block B gets ARPACK's implicitly
+    restarted Lanczos on c I - B, with c, B's largest absolute row sum,
+    bounding its spectrum, and a fixed start vector. A solve that does not
+    converge raises ArpackNoConvergence.
     """
     if lowest is not None:
         check_integer("lowest", lowest)
@@ -279,9 +280,10 @@ def eigendecompose(A, lowest: int | None = None) -> tuple[np.ndarray, np.ndarray
     # scipy's default basis, max(2 lowest + 1, 20), restarts more often: on the
     # Cora-shaped Laplacians of the ucv benchmark (lowest = 9) it needed ~2x the matvecs
     basis = max(5 * lowest, 20)
-    blocks = []  # (block's vertices, its lowest eigenvalues, their eigenvectors on the block)
+    blocks = []
     sizes = np.unique(block, return_counts=True)[1]
-    for idx in np.split(np.argsort(block, kind="stable"), np.cumsum(sizes)[:-1]):
+    # split after every block, so the last piece is empty (and the only one when n = 0)
+    for idx in np.split(np.argsort(block, kind="stable"), np.cumsum(sizes))[:-1]:
         B = A[idx][:, idx] if idx.size < n else A  # one block holds every vertex in order
         if basis >= idx.size:
             w, V = np.linalg.eigh(B.toarray())
@@ -293,39 +295,29 @@ def eigendecompose(A, lowest: int | None = None) -> tuple[np.ndarray, np.ndarray
             v0 = np.random.default_rng(0).uniform(-1.0, 1.0, idx.size)
             shifted = c * sparse.identity(idx.size) - B
             mu, V = eigsh(shifted, lowest, which="LA", ncv=basis, tol=1e-12, v0=v0)
-            w = c - mu
+            w, V = c - mu[::-1], V[:, ::-1]  # eigsh's mu ascend
         blocks.append((idx, w[:lowest], V[:, :lowest]))
-    vals = np.concatenate([w for _, w, _ in blocks])
-    order = np.argsort(vals, kind="stable")[:lowest]
-    column = np.full(vals.size, -1)  # each pair's column in the result, -1 if not kept
-    column[order] = np.arange(order.size)
-    vecs = np.zeros((n, lowest))
-    for idx, w, V in blocks:
-        cols, column = column[: w.size], column[w.size :]
-        vecs[np.ix_(idx, cols[cols >= 0])] = V[:, cols >= 0]
-    return vals[order], vecs
+    return blocks
 
 
 def matrix_exponential(A) -> np.ndarray:
     """exp(A) for symmetric A, each connected block B shifted: e^(-lambda_max(B)) exp(B).
 
     A is any operator eigendecompose reads, dense or sparse; the result is
-    dense. Each block's spectral norm is 1, so the result stays finite where
-    exp(A) overflows (lambda_max above ~709), a light block keeps its weights
-    next to a heavy one, and the factor, constant on each block, moves no
-    vertex's class in propagate_labels. Spectral weights below the smallest
-    normal float are flushed to zero: next to their block's top weight 1 they
-    add nothing, and subnormal operands made the product ~100x slower
-    (n=1000, lambda_max 723).
+    dense, each block's exponential built from its own pairs. Each block's
+    spectral norm is 1, so the result stays finite where exp(A) overflows
+    (lambda_max above ~709), a light block keeps its weights next to a heavy
+    one, and the factor, constant on each block, moves no vertex's class in
+    propagate_labels. Spectral weights below the smallest normal float are
+    flushed to zero: next to their block's top weight 1 they add nothing, and
+    subnormal operands made the product ~100x slower (n=1000, lambda_max 723).
     """
-    vals, F = eigendecompose(A)
-    # each eigenvector is zero outside its block, so its largest entry names the block
-    block = _block_labels(sparse.csr_matrix(A, dtype=float))[np.argmax(np.abs(F), axis=0)]
-    top = np.full(vals.size, -np.inf)
-    np.maximum.at(top, block, vals)
-    weights = np.exp(vals - top[block])
-    weights[weights < np.finfo(float).tiny] = 0.0
-    E = (F * weights) @ F.T
+    blocks = eigendecompose(A)
+    E = np.zeros(np.shape(A))
+    for idx, vals, F in blocks:
+        weights = np.exp(vals - vals[-1])
+        weights[weights < np.finfo(float).tiny] = 0.0
+        E[np.ix_(idx, idx)] = (F * weights) @ F.T
     return (E + E.T) / 2.0
 
 

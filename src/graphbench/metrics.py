@@ -154,6 +154,8 @@ def add_noise_to_snr(clean, target_db: float, seed) -> np.ndarray:
     clean = finite_array("clean signal", clean)
     if not clean.any():
         raise ValueError("clean signal has zero power")
+    if clean.size < 2:  # centred noise on one entry is 0, whatever its scale
+        raise ValueError(f"clean signal needs at least 2 entries, got length {clean.size}")
     if math.isnan(target_db) or target_db == -math.inf:
         raise ValueError(f"target_db must be a finite number or +inf, got {target_db!r}")
     check_seed(seed)

@@ -27,19 +27,26 @@ SGC_EPOCHS = 100
 
 
 def _laplacian_spectrum(g: Graph, lowest: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """eigendecompose(laplacian(g), lowest), its first c pairs exact for c components.
+    """The ``lowest`` Laplacian pairs of g, or all, merged from its components' spectra.
 
     Eigenvalue 0 occurs once per component, its eigenspace spanned by the components'
-    indicators (von Luxburg, Stat. Comput. 2007, Prop. 2): those pairs become 0 and the
-    normalised indicators in connected_components order, not the eigensolver's round-off.
+    indicators (von Luxburg, Stat. Comput. 2007, Prop. 2): each component's first pair
+    from eigendecompose becomes 0 and its normalised indicator, not the eigensolver's
+    round-off, before one stable sort merges the components' pairs by value. So the
+    zeros come first, in component order, and each eigenvector is zero off its component.
     """
-    vals, vecs = eigendecompose(laplacian(g), lowest)
-    components = connected_components(g)
-    names, sizes = np.unique(components, return_counts=True)
-    c = min(names.size, vals.size)
-    vals[:c] = 0.0
-    vecs[:, :c] = (components[:, None] == names[:c]) / np.sqrt(sizes[:c])
-    return vals, vecs
+    blocks = eigendecompose(laplacian(g), lowest)
+    for idx, w, V in blocks:
+        w[0], V[:, 0] = 0.0, 1.0 / np.sqrt(idx.size)
+    vals = np.concatenate([np.empty(0)] + [w for _, w, _ in blocks])  # Graph(0) has no block
+    order = np.argsort(vals, kind="stable")[:lowest]
+    column = np.full(vals.size, -1)  # each pair's column in the result, -1 if not kept
+    column[order] = np.arange(order.size)
+    vecs = np.zeros((g.n, order.size))
+    for idx, w, V in blocks:
+        cols, column = column[: w.size], column[w.size :]
+        vecs[np.ix_(idx, cols[cols >= 0])] = V[:, cols >= 0]
+    return vals[order], vecs
 
 
 def spectral_embed(g: Graph, C: int) -> np.ndarray:
@@ -375,7 +382,7 @@ def denoise(g: Graph, x_noisy, tau) -> np.ndarray:
     if bad.any():
         raise ValueError(f"cutoffs must be finite and >= 0, got {taus[bad].tolist()}")
     vals, F = _laplacian_spectrum(g)
-    lam = np.divide(vals, vals[-1], out=np.zeros(g.n), where=vals > 0)
+    lam = np.divide(vals, vals.max(initial=0.0), out=np.zeros(g.n), where=vals > 0)
     coeffs = F.T @ x
     out = np.empty((taus.size, g.n))
     for r, t in enumerate(taus.ravel().tolist()):

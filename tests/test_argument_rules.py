@@ -302,6 +302,12 @@ ROWS = [
     ),
     (
         add_noise_to_snr,
+        "clean",
+        lambda: add_noise_to_snr([2.0], 10.0, 0),
+        "clean signal needs at least 2 entries, got length 1",
+    ),
+    (
+        add_noise_to_snr,
         "target_db",
         lambda: add_noise_to_snr(SIGNAL, NAN, 0),
         "target_db must be a finite number or +inf, got nan",

@@ -37,6 +37,18 @@ def triangle(w=1.0):
     return Graph(3, [(0, 1, w), (0, 2, w), (1, 2, w)])
 
 
+def merged(blocks, n):
+    """eigendecompose's blocks as one spectrum: eigenvalues by a stable sort, eigenvectors n-wide."""
+    vals = np.concatenate([np.empty(0)] + [w for _, w, _ in blocks])
+    vecs = np.zeros((n, vals.size))
+    start = 0
+    for idx, w, V in blocks:
+        vecs[idx, start : start + w.size] = V
+        start += w.size
+    order = np.argsort(vals, kind="stable")
+    return vals[order], vecs[:, order]
+
+
 class TestGraphInvariants:
     def test_rejects_self_edge(self):
         with pytest.raises(ValueError):
@@ -163,15 +175,15 @@ class TestLaplacian:
 
 class TestEigendecompose:
     def test_k2(self):
-        vals, _ = eigendecompose(laplacian(Graph(2, [(0, 1, 1.0)])))
+        vals, _ = merged(eigendecompose(laplacian(Graph(2, [(0, 1, 1.0)]))), 2)
         assert np.allclose(vals, [0, 2])
 
     def test_triangle(self):
-        vals, _ = eigendecompose(laplacian(triangle()))
+        vals, _ = merged(eigendecompose(laplacian(triangle())), 3)
         assert np.allclose(vals, [0, 3, 3])
 
     def test_zero_operator(self):
-        vals, V = eigendecompose(np.zeros((4, 4)))
+        vals, V = merged(eigendecompose(np.zeros((4, 4))), 4)
         assert np.allclose(vals, 0)
         assert np.allclose(V.T @ V, np.eye(4))
 
@@ -184,7 +196,7 @@ class TestEigendecompose:
         for n in (5, 40, 300):
             M = rng.standard_normal((n, n))
             A = (M + M.T) / 2
-            vals, V = eigendecompose(A)
+            vals, V = merged(eigendecompose(A), n)
             rel = np.linalg.norm((V * vals) @ V.T - A) / np.linalg.norm(A)
             assert rel < 1e-6
             G = V.T @ V
@@ -212,7 +224,7 @@ class TestEigendecompose:
                         parent[find(i)] = find(j)
             n_comp = len({find(i) for i in range(n)})
             g = Graph(n, edges)
-            vals, _ = eigendecompose(laplacian(g))
+            vals, _ = merged(eigendecompose(laplacian(g)), n)
             assert int(np.sum(np.abs(vals) < 1e-6)) == n_comp
 
 
@@ -229,9 +241,12 @@ class TestPartialEigendecompose:
     def test_lowest_eigenpairs_match_full_call(self):
         for A in self.operators():
             n = A.shape[0]
-            full, _ = eigendecompose(A)
+            full, _ = merged(eigendecompose(A), n)
             for m in sorted({1, 2, n // 2, n - 1} - {0}):
-                vals, V = eigendecompose(A, lowest=m)
+                blocks = eigendecompose(A, lowest=m)
+                assert all(w.size <= m and np.all(np.diff(w) >= 0) for _, w, _ in blocks)
+                vals, V = merged(blocks, n)
+                vals, V = vals[:m], V[:, :m]
                 assert vals.shape == (m,) and V.shape == (n, m)
                 assert np.all(np.abs(vals - full[:m]) <= 1e-12 * np.maximum(1.0, np.abs(full[:m])))
                 assert np.max(np.abs(V.T @ V - np.eye(m))) < 1e-10
@@ -242,11 +257,12 @@ class TestPartialEigendecompose:
     def test_lowest_at_least_n_is_the_full_call(self):
         for A in self.operators():
             n = A.shape[0]
-            full_vals, full_vecs = eigendecompose(A)
+            full = eigendecompose(A)
             for m in (n, n + 3):
-                vals, vecs = eigendecompose(A, lowest=m)
-                assert np.array_equal(vals, full_vals)
-                assert np.array_equal(vecs, full_vecs)
+                blocks = eigendecompose(A, lowest=m)
+                assert len(blocks) == len(full)
+                for got, want in zip(blocks, full):
+                    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     def test_rejects_asymmetric(self):
         A = np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 1.0]])
@@ -313,7 +329,8 @@ class TestBlockSpectra:
         M = np.random.default_rng(11).standard_normal((30, 30))
         for dense in ((M + M.T) / 2, laplacian(self.blocks_graph([60], 11)).toarray()):
             want_vals, want_vecs = np.linalg.eigh(dense)
-            vals, vecs = eigendecompose(sparse.csr_matrix(dense) if form == "sparse" else dense)
+            [(idx, vals, vecs)] = eigendecompose(sparse.csr_matrix(dense) if form == "sparse" else dense)
+            assert np.array_equal(idx, np.arange(dense.shape[0]))
             assert vals.tobytes() == want_vals.tobytes()
             assert vecs.tobytes() == want_vecs.tobytes()
 
@@ -325,18 +342,40 @@ class TestBlockSpectra:
         assert np.unique(components).size == len(sizes)
         L = laplacian(g)
         shift = sparse.diags(np.random.default_rng(12).uniform(-1.0, 1.0, g.n))
+        # the components, in the order of their lowest vertex
+        names = np.unique(components)
         for A in (L, (L + shift).tocsr()):
             dense = A.toarray()
-            vals, V = eigendecompose(A if form == "sparse" else dense)
-            assert vals.shape == (g.n,) and V.shape == (g.n, g.n)
-            assert np.all(np.diff(vals) >= 0)
-            for r in range(g.n):  # zero outside the block of its largest entry
-                block = components == components[np.argmax(np.abs(V[:, r]))]
-                assert np.all(V[~block, r] == 0.0)
+            blocks = eigendecompose(A if form == "sparse" else dense)
+            assert [idx.tolist() for idx, _, _ in blocks] == [
+                np.flatnonzero(components == name).tolist() for name in names
+            ]
+            for idx, w, V in blocks:  # each block's spectrum on its own vertices
+                assert w.shape == idx.shape and V.shape == (idx.size, idx.size)
+                assert np.all(np.diff(w) >= 0)
+                block = dense[np.ix_(idx, idx)]
+                assert np.linalg.norm((V * w) @ V.T - block) <= 1e-10 * np.linalg.norm(block)
+            vals, V = merged(blocks, g.n)
             rel = np.linalg.norm((V * vals) @ V.T - dense) / np.linalg.norm(dense)
             assert rel < 1e-10
-        vals, _ = eigendecompose(L if form == "sparse" else L.toarray())
+        vals, _ = merged(eigendecompose(L if form == "sparse" else L.toarray()), g.n)
         assert np.sum(np.abs(vals) < 1e-10 * vals[-1]) == len(sizes)
+
+    def test_a_block_past_the_lanczos_basis_ascends(self):
+        # 30 vertices, past max(5 * 2, 20): the block goes through eigsh
+        g = self.blocks_graph([30, 3], 13)
+        L, components = laplacian(g), connected_components(g)
+        for idx, w, V in eigendecompose(L, lowest=2):
+            want = np.linalg.eigvalsh(L[idx][:, idx].toarray())[:2]
+            assert np.all(np.abs(w - want) < 1e-10)
+            assert np.all(np.diff(w) >= 0)
+            assert np.all(components[idx] == components[idx[0]])
+            residual = L[idx][:, idx] @ V - V * w
+            assert np.max(np.abs(residual)) < 1e-10
+
+    def test_an_empty_operator_has_no_block(self):
+        assert eigendecompose(np.zeros((0, 0))) == []
+        assert eigendecompose(sparse.csr_matrix((0, 0)), lowest=3) == []
 
 
 class TestMatrixExponential:
@@ -387,6 +426,40 @@ class TestMatrixExponential:
         M = rng.standard_normal((6, 6))
         E = matrix_exponential((M + M.T) / 2)
         assert np.linalg.eigvalsh(E).min() > 0
+
+    def test_empty_operator_gives_an_empty_exponential(self):
+        for A in (np.zeros((0, 0)), sparse.csr_matrix((0, 0))):
+            assert matrix_exponential(A).shape == (0, 0)
+
+    def test_each_component_matches_its_own_shifted_exponential(self):
+        # three weighted components of sizes 5, 1 and 7, their vertices interleaved
+        g = TestBlockSpectra.blocks_graph([5, 1, 7], 14)
+        components = connected_components(g)
+        assert np.unique(components).size == 3
+        W = g.to_sparse().toarray()
+        want = np.zeros_like(W)
+        for name in np.unique(components):
+            idx = np.flatnonzero(components == name)
+            w, V = np.linalg.eigh(W[np.ix_(idx, idx)])
+            want[np.ix_(idx, idx)] = (V * np.exp(w - w[-1])) @ V.T
+        for A in (g.to_sparse(), W):
+            assert np.max(np.abs(matrix_exponential(A) - want)) < 1e-14
+
+    def test_connected_operator_keeps_the_one_block_formula_bit_for_bit(self):
+        g = Graph(5, [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 2.0), (3, 4, 0.25), (0, 4, 1.5), (1, 3, 0.75)])
+        E = matrix_exponential(g.to_sparse())
+        # e^(-lambda_max) exp(W) from one eigh of the whole operator, symmetrised
+        w, V = np.linalg.eigh(g.to_sparse().toarray())
+        want = (V * np.exp(w - w[-1])) @ V.T
+        assert E.tobytes() == ((want + want.T) / 2.0).tobytes()
+        # E's upper triangle row by row, as one OpenBLAS kernel computes it; others move the last bits
+        upper = [
+            0.26425509826377225, 0.1660917024334, 0.08442439339332167, 0.10597650687436772,
+            0.2100861463658656, 0.22486500841363477, 0.2001720116063899, 0.22070279191603642,
+            0.10738977780171566, 0.3745871301288985, 0.3761601727748261, 0.06321790223936344,
+            0.40237817428220624, 0.0834908721914155, 0.21032466420835588,
+        ]
+        assert np.max(np.abs(E[np.triu_indices(5)] - upper)) < 2e-15
 
 
 class TestConnectedComponents:

@@ -302,6 +302,11 @@ class TestAddNoise:
         with pytest.raises(ValueError, match="^clean signal has zero power$"):
             add_noise_to_snr(np.zeros(3), 7.0, 0)
 
+    def test_a_one_entry_signal_raises(self):
+        # centred noise on one entry is identically 0, so no scale reaches the target
+        with pytest.raises(ValueError, match="^clean signal needs at least 2 entries, got length 1$"):
+            add_noise_to_snr([2.0], 7.0, 0)
+
     def test_a_noisy_entry_beyond_the_float_range_raises(self):
         with pytest.raises(ValueError, match="^noisy signal has non-finite entries$"):
             add_noise_to_snr([1e308, 1e308, -1e308], -10.0, 0)

@@ -78,7 +78,7 @@ class TestSpectralEmbed:
         g, _ = clique_union([4])
         from graphbench.core_graph import eigendecompose
 
-        vals, _ = eigendecompose(laplacian(g))
+        [(_, vals, _)] = eigendecompose(laplacian(g))
         assert np.allclose(vals[1:], 4.0)
         with pytest.warns(UserWarning, match=MULTIPLICITY):
             emb = spectral_embed(g, 2)
@@ -132,23 +132,22 @@ class TestSpectralEmbed:
             embed(g, C)
 
     def test_null_space_does_not_follow_the_eigensolver(self, monkeypatch):
-        # the order of eigendecompose's zero pairs follows their round-off, and each
-        # vector's sign and the basis of the null space are arbitrary; three paths
-        # have a simple nonzero spectrum, so the rest of the embedding is unique
+        # each component's zero pair carries round-off, and its vector's sign is arbitrary;
+        # three paths have a simple nonzero spectrum, so the rest of the embedding is unique
         g = Graph(15, [(v, v + 1, 1.0) for v in range(14) if v not in (3, 8)])
         want = spectral_embed(g, 4)
         indicators = (connected_components(g)[:, None] == [0, 4, 9]) / np.sqrt([4, 5, 6])
         assert np.array_equal(want[:, :3], indicators)
         real = tasks_module.eigendecompose
 
-        def reordered(A, lowest=None):
-            vals, vecs = real(A, lowest)
-            rotation = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))[0]
-            vecs[:, :3] = -vecs[:, 2::-1] @ rotation
-            vals[:3] = [-1e-14, 1e-14, 2e-14]
-            return vals, vecs
+        def perturbed(A, lowest=None):
+            blocks = real(A, lowest)
+            # 0.3 lies above the 6-path's Fiedler value, 2 - 2 cos(pi / 6) ~ 0.27
+            for (_, w, V), noise in zip(blocks, [0.3, -1e-14, 2e-14]):
+                w[0], V[:, 0] = noise, -V[:, 0]
+            return blocks
 
-        monkeypatch.setattr(tasks_module, "eigendecompose", reordered)
+        monkeypatch.setattr(tasks_module, "eigendecompose", perturbed)
         assert np.array_equal(spectral_embed(g, 4), want)
 
     def test_skip_first_flag(self):
@@ -469,10 +468,53 @@ class TestLaplacianSpectrum:
         assert np.all(connected_components(g) == 0)
         for lowest in (None, 4):
             vals, vecs = tasks_module._laplacian_spectrum(g, lowest)
-            want_vals, want_vecs = core_graph_module.eigendecompose(laplacian(g), lowest)
+            [(_, want_vals, want_vecs)] = core_graph_module.eigendecompose(laplacian(g), lowest)
             assert vals[0] == 0 and np.array_equal(vecs[:, 0], np.full(30, 1 / np.sqrt(30)))
             assert np.array_equal(vals[1:], want_vals[1:])
             assert np.array_equal(vecs[:, 1:], want_vecs[:, 1:])
+
+
+    @staticmethod
+    def light_path_beside_heavy_clique():
+        """A weight-1e-15 path 0-1-2 beside a 6-clique on 3..8 with weights near 1e4, and its edges."""
+        w = np.random.default_rng(0).uniform(0.5e4, 1.5e4, 15)
+        clique = [(i, j) for i in range(3, 9) for j in range(i + 1, 9)]
+        edges = [(0, 1, 1e-15), (1, 2, 1e-15)] + [(i, j, x) for (i, j), x in zip(clique, w)]
+        return Graph(9, edges), edges
+
+    def test_a_light_component_keeps_its_own_pairs(self):
+        # the clique's round-off pair lies above the path's 1e-15, so an overwrite of the first
+        # two merged pairs gave the clique's indicator twice and lost the path's pairs
+        g, _ = self.light_path_beside_heavy_clique()
+        vals, vecs = tasks_module._laplacian_spectrum(g)
+        assert np.count_nonzero(vals == 0) == 2 and np.all(vals[:2] == 0)
+        member = connected_components(g)[:, None] == [0, 3]
+        assert np.array_equal(vecs[:, :2], member / np.sqrt([3, 6]))
+        # 1e-15 times the unit 3-path's Laplacian, whose eigenvalues are 0, 1 and 3
+        assert np.all(np.abs(vals[2:4] - [1e-15, 3e-15]) < 1e-25)
+        assert np.all(vecs[3:, 2:4] == 0)
+        assert np.all(vals[4:] > 1e3)
+
+    def test_a_light_component_keeps_an_orthonormal_basis(self):
+        g, _ = self.light_path_beside_heavy_clique()
+        _, vecs = tasks_module._laplacian_spectrum(g)
+        assert np.max(np.abs(vecs.T @ vecs - np.eye(9))) < 1e-12
+
+    def test_denoise_keeps_the_light_component_apart(self):
+        # tau = 0.025 passes the path's band and each component's mean, and stops the clique's
+        g, _ = self.light_path_beside_heavy_clique()
+        out = denoise(g, np.arange(9.0), 0.025)
+        assert np.max(np.abs(out - ([0.0, 1.0, 2.0] + [5.5] * 6))) < 1e-12
+
+    def test_denoise_commutes_with_a_relabelling(self):
+        g, edges = self.light_path_beside_heavy_clique()
+        perm = np.random.default_rng(0).permutation(9)  # vertex v becomes perm[v]
+        relabelled = Graph(9, [(min(perm[i], perm[j]), max(perm[i], perm[j]), w) for i, j, w in edges])
+        x = np.arange(9.0)
+        y = np.empty(9)
+        y[perm] = x
+        out = denoise(relabelled, y, 0.025)[perm]
+        assert np.max(np.abs(out - denoise(g, x, 0.025))) < 1e-12
 
 
 class TestLanczosSpectrum:
@@ -512,16 +554,19 @@ class TestLanczosSpectrum:
         assert n_components == 5 < C + 2
         calls = self.counting_eigsh(monkeypatch)
         L = laplacian(g)
-        vals, vecs = core_graph_module.eigendecompose(L, lowest=C + 2)
+        blocks = core_graph_module.eigendecompose(L, lowest=C + 2)
         assert calls == [150, 150, 150]
+        # one block per component, in the order of its lowest vertex
+        assert [idx.tolist() for idx, _, _ in blocks] == [
+            np.flatnonzero(components == name).tolist() for name in np.unique(components)
+        ]
+        vals = np.sort(np.concatenate([w for _, w, _ in blocks]))[: C + 2]
         full = np.linalg.eigvalsh(L.toarray())
         assert np.max(np.abs(vals - full[: C + 2])) < 1e-10
-        assert np.sum(np.abs(vals) < 1e-8) == n_components
-        # each zero's eigenvector covers one component and nothing else
-        support = np.abs(vecs[:, :n_components]) > 0
-        owners = components[np.argmax(support, axis=0)]
-        assert np.unique(owners).size == n_components
-        assert np.array_equal(support, components[:, None] == owners)
+        for idx, w, V in blocks:
+            # each component's one zero comes first, its eigenvector covering the whole component
+            assert np.sum(np.abs(w) < 1e-8) == 1 and abs(w[0]) < 1e-8
+            assert np.all(np.abs(V[:, 0]) > 0)
         # eigh's basis of the null space changes with the BLAS thread count, and the order
         # of the zero pairs with the kernel, so spectral_embed and the reference both span
         # it by the normalised component indicators, in connected_components order
@@ -537,7 +582,7 @@ class TestLanczosSpectrum:
         calls = self.counting_eigsh(monkeypatch)
 
         def digest():
-            vals, vecs = core_graph_module.eigendecompose(L, lowest=9)
+            [(_, vals, vecs)] = core_graph_module.eigendecompose(L, lowest=9)
             return hashlib.sha256(vals.tobytes() + vecs.tobytes()).hexdigest()
 
         first = digest()
@@ -552,7 +597,7 @@ class TestLanczosSpectrum:
         sparse.save_npz(tmp_path / "L.npz", L)
         code = (
             "import hashlib; from scipy import sparse; from graphbench.core_graph import eigendecompose; "
-            f"vals, vecs = eigendecompose(sparse.load_npz({str(tmp_path / 'L.npz')!r}), lowest=9); "
+            f"[(_, vals, vecs)] = eigendecompose(sparse.load_npz({str(tmp_path / 'L.npz')!r}), lowest=9); "
             "print(hashlib.sha256(vals.tobytes() + vecs.tobytes()).hexdigest())"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -1117,6 +1162,10 @@ class TestDenoise:
         x = rng.standard_normal(12)
         for tau in (0.1, 0.5, 0.9):
             assert np.linalg.norm(denoise(g, x, tau)) <= np.linalg.norm(x) + 1e-10
+
+    def test_an_empty_graph_gives_an_empty_signal(self):
+        assert denoise(Graph(0), [], 0.5).shape == (0,)
+        assert denoise(Graph(0), [], [0.0, 0.5, 1.0]).shape == (3, 0)
 
     def test_monte_carlo_snr_improvement(self):
         g = two_block_graph(20)
