@@ -296,6 +296,7 @@ def split_generator(n: int, fraction: float, n_splits: int, master_seed: int):
     """Reproducible observed-masks; split i derives its RNG from (master_seed, i)."""
     check_integer("n", n)
     check_integer("n_splits", n_splits)
+    check_seed(master_seed)
     if not 0 < fraction < 1:
         raise ValueError("fraction must be in (0, 1)")
     if n_splits < 1:

@@ -23,6 +23,9 @@ KKT_TOL = 1e-8
 
 LOG_DEGREE_ALPHA = 1.0
 PDS_STEP_SIZE = 0.5
+PDS_MAX_ITER = 10000
+PDS_REL_TOL = 1e-6
+PDS_PATIENCE = 50
 
 # Rows per block in _knn_indices: bounds its temporaries to a few n-wide arrays.
 KNN_BLOCK_ROWS = 256
@@ -309,20 +312,14 @@ def nnk_graph(S, similarity: str, k: int, sigma: float = DEFAULT_SIGMA) -> Graph
     return g
 
 
-def learn_log_degree_weights(
-    Z: np.ndarray,
-    beta: float = 1.0,
-    max_iter: int = 10000,
-    rel_tol: float = 1e-6,
-    patience: int = 50,
-) -> np.ndarray:
+def learn_log_degree_weights(Z: np.ndarray, beta: float = 1.0) -> np.ndarray:
     """Learn edge weights from squared distances under the log-degree smoothness model.
 
     Minimizes sum_ij W_ij Z_ij - alpha * sum_i log(sum_j W_ij)
     + (beta/2) * sum_ij W_ij^2, alpha = LOG_DEGREE_ALPHA, over symmetric
     non-negative W with zero diagonal, using forward-backward-forward
     primal-dual iterations with step PDS_STEP_SIZE. Stops when the relative
-    objective decrease over `patience` iterations falls below `rel_tol`.
+    objective decrease over PDS_PATIENCE iterations falls below PDS_REL_TOL.
     Returns the dense weight matrix. Z must be square, finite and
     non-negative, and beta positive and finite.
 
@@ -338,9 +335,9 @@ def learn_log_degree_weights(
     the iterates; the byte-for-byte tests against an S-based solver would
     catch that.
 
-    On reaching `max_iter` without meeting the stopping rule it returns the
-    last iterate as it is, and says nothing. Reporting non-convergence waits
-    for the run trace (ROADMAP item 8): a warning would change the CSV
+    After PDS_MAX_ITER iterations without meeting the stopping rule it returns
+    the last iterate as it is, and says nothing. Reporting non-convergence
+    waits for the run trace (ROADMAP item 8): a warning would change the CSV
     `warnings` column of grids whose solves hit the cap.
     """
     check_positive_finite("beta", beta)
@@ -384,7 +381,7 @@ def learn_log_degree_weights(
     # finite there and the stopping rule passes over it
     with np.errstate(divide="ignore", invalid="ignore"):
         history = [objective(x[:m], Kx[m:])]
-        for it in range(max_iter):
+        for it in range(PDS_MAX_ITER):
             T = x - gamma * Kx
             np.maximum(T[:m] - gamma_two_z, 0.0, out=pp[:m])
             y = T[m:]
@@ -392,10 +389,10 @@ def learn_log_degree_weights(
             x = (x - T) + (pp - gamma * product(pp))
             Kx = product(x)
             history.append(objective(x[:m], Kx[m:]))
-            if it >= patience:
-                prev, cur = history[-1 - patience], history[-1]
+            if it >= PDS_PATIENCE:
+                prev, cur = history[-1 - PDS_PATIENCE], history[-1]
                 if math.isfinite(cur) and math.isfinite(prev):
-                    if (prev - cur) / max(abs(cur), 1.0) < rel_tol:
+                    if (prev - cur) / max(abs(cur), 1.0) < PDS_REL_TOL:
                         break
     W = np.zeros((n, n))
     wpos = np.maximum(x[:m], 0.0)

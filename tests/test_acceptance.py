@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from graphbench import inference
 from graphbench.core_graph import normalize
 from graphbench.harness import (
     DGS_INPUT_SNR_DB,
@@ -191,16 +192,14 @@ class TestPropertyTier:
             ref = np.atleast_1d(nnls_oracle(K, b))
             assert quad_objective(K, b, theta) <= quad_objective(K, b, ref) + 1e-5
 
-    def test_criterion_6_two_node_closed_form(self):
+    def test_criterion_6_two_node_closed_form(self, monkeypatch):
+        monkeypatch.setattr(inference, "PDS_REL_TOL", 1e-14)
+        monkeypatch.setattr(inference, "PDS_MAX_ITER", 200000)
+        monkeypatch.setattr(inference, "PDS_PATIENCE", 200)
         rng = np.random.default_rng(11)
         for _ in range(50):
             z = float(rng.uniform(0.05, 5.0))
-            W = learn_log_degree_weights(
-                np.array([[0.0, z], [z, 0.0]]),
-                rel_tol=1e-14,
-                max_iter=200000,
-                patience=200,
-            )
+            W = learn_log_degree_weights(np.array([[0.0, z], [z, 0.0]]))
             expected = (-z + np.sqrt(z * z + 4.0)) / 2.0
             assert abs(W[0, 1] - expected) < 1e-8
             obj = lambda w: 2 * z * w - 2 * np.log(max(w, 1e-300)) + w**2

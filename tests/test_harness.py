@@ -505,6 +505,20 @@ class TestSplitGenerator:
         with pytest.raises(ValueError, match=r"^fraction 0\.999 observes all 30 vertices$"):
             split_generator(30, 0.999, 1, 0)
 
+    @pytest.mark.parametrize(
+        "seed, message",
+        [
+            (True, "seed must be an integer, got True"),
+            (1.5, "seed must be an integer, got 1.5"),
+            (None, "seed must be an integer, got None"),
+            (-1, "seed must be >= 0, got -1"),
+        ],
+        ids=["boolean-seed", "fractional-seed", "no-seed", "negative-seed"],
+    )
+    def test_rejects_a_master_seed_outside_the_seed_rule(self, seed, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            split_generator(30, 0.1, 2, seed)
+
 
 class TestRunTask1:
     def test_cmeans_baseline_perfect_blobs(self, tmp_path):

@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -1003,18 +1004,20 @@ class TestSmoothLearner:
         W_ref, _ = sparse_operator_log_degree_weights(Z, beta=beta)
         assert learn_log_degree_weights(Z, beta=beta).tobytes() == W_ref.tobytes()
 
-    def test_bit_identical_at_iteration_cap(self):
+    def test_bit_identical_at_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(inference_module, "PDS_MAX_ITER", 300)
         Z = random_sq_distances(40, seed=41)
         W_ref, iterations = sparse_operator_log_degree_weights(Z, beta=1e-4, max_iter=300)
         assert iterations == 300  # stopped by the cap, not by rel_tol
-        W = learn_log_degree_weights(Z, beta=1e-4, max_iter=300)
+        W = learn_log_degree_weights(Z, beta=1e-4)
         assert W.tobytes() == W_ref.tobytes()
 
-    def test_bit_identical_on_rel_tol_stop(self):
+    def test_bit_identical_on_rel_tol_stop(self, monkeypatch):
+        monkeypatch.setattr(inference_module, "PDS_REL_TOL", 1e-3)
         Z = random_sq_distances(7, seed=42)
         W_ref, iterations = sparse_operator_log_degree_weights(Z, rel_tol=1e-3)
         assert iterations < 10000  # stopped by rel_tol, not by the cap
-        assert learn_log_degree_weights(Z, rel_tol=1e-3).tobytes() == W_ref.tobytes()
+        assert learn_log_degree_weights(Z).tobytes() == W_ref.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1030,7 +1033,8 @@ class TestSmoothLearner:
         Z = 10.0**scale_exp * random_sq_distances(n, seed)
         beta = 10.0**beta_exp
         W_ref, _ = sparse_operator_log_degree_weights(Z, beta=beta, max_iter=max_iter)
-        W = learn_log_degree_weights(Z, beta=beta, max_iter=max_iter)
+        with patch.object(inference_module, "PDS_MAX_ITER", max_iter):
+            W = learn_log_degree_weights(Z, beta=beta)
         assert W.tobytes() == W_ref.tobytes()
 
 
