@@ -249,7 +249,7 @@ def laplacian(g: Graph) -> sparse.csr_matrix:
 
 
 def eigendecompose(A, lowest: int | None = None) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Symmetric eigendecomposition of a dense or scipy.sparse operator, block by block.
+    """Symmetric eigendecomposition of a square scipy.sparse operator, block by block.
 
     Returns one (vertices, eigenvalues, eigenvectors) triple per connected block
     of the off-diagonal pattern, in the order of each block's lowest vertex: the
@@ -267,7 +267,8 @@ def eigendecompose(A, lowest: int | None = None) -> list[tuple[np.ndarray, np.nd
         check_integer("lowest", lowest)
         if lowest < 1:
             raise ValueError(f"lowest must be >= 1, got {lowest}")
-    A = A if sparse.issparse(A) else np.asarray(A, dtype=float)  # the CSR cast reads 1-D as a row
+    if not sparse.issparse(A):
+        raise ValueError(f"A must be a scipy.sparse operator, got {type(A).__name__}")
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("operator must be square")
     A = sparse.csr_matrix(A, dtype=float)
@@ -303,7 +304,7 @@ def eigendecompose(A, lowest: int | None = None) -> list[tuple[np.ndarray, np.nd
 def matrix_exponential(A) -> np.ndarray:
     """exp(A) for symmetric A, each connected block B shifted: e^(-lambda_max(B)) exp(B).
 
-    A is any operator eigendecompose reads, dense or sparse; the result is
+    A is a square scipy.sparse operator, as eigendecompose reads; the result is
     dense, each block's exponential built from its own pairs. Each block's
     spectral norm is 1, so the result stays finite where exp(A) overflows
     (lambda_max above ~709), a light block keeps its weights next to a heavy
@@ -313,7 +314,7 @@ def matrix_exponential(A) -> np.ndarray:
     subnormal operands made the product ~100x slower (n=1000, lambda_max 723).
     """
     blocks = eigendecompose(A)
-    E = np.zeros(np.shape(A))
+    E = np.zeros(A.shape)
     for idx, vals, F in blocks:
         weights = np.exp(vals - vals[-1])
         weights[weights < np.finfo(float).tiny] = 0.0

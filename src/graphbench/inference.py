@@ -164,10 +164,10 @@ def _pinv_solve(K: np.ndarray, b: np.ndarray) -> np.ndarray:
 def nnls_solve(K_SS: np.ndarray, k_Si: np.ndarray):
     """Minimize 0.5 t'Kt - t'b over t >= 0 by an active-set (Lawson-Hanson) method.
 
-    Takes one problem, K (m, m) and b (m,), or a stack of them, K (R, m, m)
-    and b (R, m). Returns (theta, converged): theta shaped like b, and
-    converged True when every problem converged. A problem that hits the
-    iteration cap, max(10 m, 30), keeps its best iterate so far.
+    Takes a stack of R problems, K (R, m, m) and b (R, m). Returns (theta,
+    converged): theta shaped like b, and converged True when every problem
+    converged. A problem that hits the iteration cap, max(10 m, 30), keeps
+    its best iterate so far.
 
     The first step solves the whole block from theta = 0. Where every weight
     is positive, KKT holds with no inactive variable and the problem ends;
@@ -179,14 +179,10 @@ def nnls_solve(K_SS: np.ndarray, k_Si: np.ndarray):
     theta is bit-identical whatever else is in the stack.
     """
     K, b = finite_array("K", K_SS), finite_array("b", k_Si)
-    if b.ndim not in (1, 2) or K.shape != b.shape + b.shape[-1:]:
+    if b.ndim != 2 or K.shape != b.shape + b.shape[-1:]:
         raise ValueError(
-            f"K of shape {K.shape} does not match b of shape {b.shape}: "
-            "need (m, m) with (m,), or (R, m, m) with (R, m)"
+            f"K of shape {K.shape} does not match b of shape {b.shape}: need (R, m, m) with (R, m)"
         )
-    single = b.ndim == 1
-    if single:
-        K, b = K[None], b[None]
     R, m = b.shape
     theta = np.zeros((R, m))
     passive = np.ones((R, m), dtype=bool)
@@ -237,7 +233,7 @@ def nnls_solve(K_SS: np.ndarray, k_Si: np.ndarray):
             passive[rows] = theta[rows] > 0
             inner[rows] += 1
             at_outer[rows] = feasible | (inner[rows] == max_iter) | ~passive[rows].any(axis=1)
-    return (theta[0] if single else theta), bool(converged.all())
+    return theta, bool(converged.all())
 
 
 def _nnk_kernel(S: np.ndarray, kind: str) -> np.ndarray:
@@ -290,7 +286,7 @@ def nnk_graph(S, similarity: str, k: int, sigma: float = DEFAULT_SIGMA) -> Graph
             if not ok:
                 # answers do not depend on the stack: solve alone to find who falls back
                 for q in range(t.shape[0]):
-                    tq, ok_q = nnls_solve(K_SS[q], k_Si[q])
+                    [tq], ok_q = nnls_solve(K_SS[q : q + 1], k_Si[q : q + 1])
                     t[q] = tq if ok_q else k_Si[q]  # plain k-NN weights for this vertex
                     fallbacks += not ok_q
             theta[r, c] = t

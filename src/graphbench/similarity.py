@@ -52,6 +52,8 @@ def rbf_kernel(Z, gamma: float) -> np.ndarray:
     """exp(-gamma * Z) applied entrywise to a squared-distance matrix, with a unit diagonal."""
     check_positive_finite("gamma", gamma)
     Z = finite_array("distance matrix", Z)
+    if Z.ndim != 2 or Z.shape[0] != Z.shape[1]:
+        raise ValueError(f"distance matrix must be square and 2-D, got shape {Z.shape}")
     if np.any(Z < 0):
         raise ValueError("distance matrix must be non-negative")
     S = np.exp(-gamma * Z)

@@ -246,11 +246,11 @@ def propagate_labels(g: Graph, labels, masks) -> list[np.ndarray]:
 
 
 def train_logistic_regression(
-    X: np.ndarray, labels: np.ndarray, C: int, seed, init_weights=None
+    X: np.ndarray, labels: np.ndarray, C: int, init_weights
 ) -> tuple[np.ndarray, np.ndarray]:
     """SGC_EPOCHS of full-batch softmax regression with Adam; returns (weights, bias).
 
-    ``seed`` draws the initial weights unless ``init_weights`` gives them.
+    Training starts from the (F, C) weights ``init_weights`` and a zero bias.
     The weights and bias are the rows of one (F+1)-by-C parameter array,
     which each Adam step updates in place. A non-finite softmax, which would
     make the cross-entropy loss non-finite, raises FloatingPointError.
@@ -263,15 +263,10 @@ def train_logistic_regression(
         raise ValueError(f"labels must lie in 0..{C - 1}, got {labels.min()}..{labels.max()}")
     theta = np.zeros((F + 1, C))
     W, b = theta[:F], theta[F]
-    if init_weights is not None:
-        init = np.asarray(init_weights, dtype=float)
-        if init.shape != (F, C):
-            raise ValueError(f"init_weights must have shape ({F}, {C}), got {init.shape}")
-        W[...] = init
-    else:
-        rng = np.random.default_rng(seed)
-        s = 1.0 / math.sqrt(F)
-        W[...] = rng.uniform(-s, s, size=(F, C))
+    init = np.asarray(init_weights, dtype=float)
+    if init.shape != (F, C):
+        raise ValueError(f"init_weights must have shape ({F}, {C}), got {init.shape}")
+    W[...] = init
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     grad = np.empty_like(theta)
@@ -324,7 +319,8 @@ def sgc_predict(g: Graph | None, X, labels, masks, seed) -> list[np.ndarray]:
     """SGC on ``g`` (the logistic-regression baseline when None); a class vector per mask.
 
     ``X`` diffuses once (see diffuse_features). Per mask i, a logistic regression from weights
-    drawn by ``[seed, i, 7]`` learns the observed ``labels`` (0..C-1), which those vertices keep.
+    drawn uniformly in +-1/sqrt(F) by ``[seed, i, 7]`` learns the observed ``labels`` (0..C-1),
+    which those vertices keep.
     ``X`` must be a finite 2-D array with a row per vertex of ``g``, else ValueError.
     """
     if g is not None:
@@ -339,45 +335,48 @@ def sgc_predict(g: Graph | None, X, labels, masks, seed) -> list[np.ndarray]:
     Xhat = X if g is None else diffuse_features(g, X)
     preds = []
     for i, observed in enumerate(masks):
-        W, b = train_logistic_regression(Xhat[observed], labels[observed], C, [seed, i, 7])
+        s = 1.0 / math.sqrt(X.shape[1])
+        W0 = np.random.default_rng([seed, i, 7]).uniform(-s, s, size=(X.shape[1], C))
+        W, b = train_logistic_regression(Xhat[observed], labels[observed], C, W0)
         pred = labels.copy()
         pred[~observed] = np.argmax((Xhat @ W + b)[~observed], axis=1)
         preds.append(pred)
     return preds
 
 
-def simoncelli_response(lambda_norm, tau) -> float | np.ndarray:
+def simoncelli_response(lambda_norm, tau) -> np.ndarray:
     """Low-pass response per normalised eigenvalue: 1 to tau/2, cosine-log roll-off to 0 at tau.
 
-    At tau = 0 only lambda = 0 passes. An array of lambda_norm's shape, or a float for a scalar.
+    At tau = 0 only lambda = 0 passes. ``lambda_norm`` is a 1-D array; the result has its shape.
     """
     if not 0 <= tau <= sys.float_info.max:  # NaN fails, and an int beyond float range
         raise ValueError(f"tau must be finite and >= 0, got {tau!r}")
-    lam = np.array(lambda_norm, dtype=float, ndmin=1)
+    lam = np.asarray(lambda_norm, dtype=float)
+    if lam.ndim != 1:
+        raise ValueError(f"lambda_norm must be a 1-D array, got shape {lam.shape}")
     if np.isnan(lam).any():
         raise ValueError("lambda_norm must not be NaN")
     gains = (lam == 0 if tau == 0 else lam <= tau / 2.0).astype(float)
     band = (lam > tau / 2.0) & (lam <= tau)  # empty at tau = 0
     # math.log2 per entry: numpy's log2 can differ from it in the last bit
     gains[band] = [math.cos(math.pi / 2.0 * math.log2(2.0 * l / tau)) for l in lam[band].tolist()]
-    return gains if np.ndim(lambda_norm) else float(gains[0])
+    return gains
 
 
 def denoise(g: Graph, x_noisy, tau) -> np.ndarray:
     """Filter a graph signal through the low-pass response in the Laplacian basis.
 
-    tau is one cutoff, or a 1-D sequence of cutoffs; a sequence returns one
-    filtered row per cutoff, all from a single eigendecomposition. Each row
-    equals the scalar call bit for bit. tau = 0 keeps only the null space:
-    the mean of x over each connected component.
+    tau is a 1-D sequence of cutoffs; one filtered row returns per cutoff,
+    all from a single eigendecomposition. A cutoff of 0 keeps only the null
+    space: the mean of x over each connected component.
     """
     check_graph(g)
     x = finite_array("noisy signal", x_noisy)
     if x.shape != (g.n,):
         raise ValueError("signal length must equal vertex count")
     taus = np.asarray(tau, dtype=float)
-    if taus.ndim > 1:
-        raise ValueError("tau must be a number or a 1-D sequence")
+    if taus.ndim != 1:
+        raise ValueError(f"tau must be a 1-D sequence of cutoffs, got shape {taus.shape}")
     bad = ~(np.isfinite(taus) & (taus >= 0))
     if bad.any():
         raise ValueError(f"cutoffs must be finite and >= 0, got {taus[bad].tolist()}")
@@ -385,10 +384,10 @@ def denoise(g: Graph, x_noisy, tau) -> np.ndarray:
     lam = np.divide(vals, vals.max(initial=0.0), out=np.zeros(g.n), where=vals > 0)
     coeffs = F.T @ x
     out = np.empty((taus.size, g.n))
-    for r, t in enumerate(taus.ravel().tolist()):
+    for r, t in enumerate(taus.tolist()):
         # one matrix-vector product per cutoff: a batched product may round differently
         out[r] = F @ (simoncelli_response(lam, t) * coeffs)
-    return out[0] if taus.ndim == 0 else out
+    return out
 
 
 def best_tau_denoise(g: Graph, x_noisy, x_clean) -> tuple[float, float]:

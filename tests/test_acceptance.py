@@ -41,7 +41,7 @@ from graphbench.tasks import (
 from test_harness import load_perfbench_module
 from test_inference import golden_section, nnls_oracle, quad_objective
 from test_metrics import ami_oracle
-from test_tasks import clique_union, two_block_graph
+from test_tasks import clique_union, drawn_start, two_block_graph
 
 DATA_ROOT = os.environ.get("GRAPHBENCH_DATA")
 
@@ -75,7 +75,7 @@ class TestReproductionTier:
                 bundle.features[mask],
                 bundle.labels[mask],
                 bundle.C,
-                [bundle.seed, i, 7],
+                drawn_start([bundle.seed, i, 7], bundle.features.shape[1], bundle.C),
             )
             pred = np.argmax(bundle.features[~mask] @ W + b, axis=1)
             accs.append(float(np.mean(pred == bundle.labels[~mask])))
@@ -188,7 +188,7 @@ class TestPropertyTier:
             A = rng.standard_normal((m, m + 1))
             K = A @ A.T + 1e-6 * np.eye(m)
             b = rng.uniform(0.0, 1.0, m)
-            theta, _ = nnls_solve(K, b)
+            [theta], _ = nnls_solve(K[None], b[None])
             ref = np.atleast_1d(nnls_oracle(K, b))
             assert quad_objective(K, b, theta) <= quad_objective(K, b, ref) + 1e-5
 
@@ -214,14 +214,15 @@ class TestPropertyTier:
     def test_criterion_8_filter_properties(self):
         rng = np.random.default_rng(13)
         for tau in rng.uniform(0.01, 1.0, 100):
-            assert abs(simoncelli_response(tau / 2.0, tau) - 1.0) < 1e-12
-            assert abs(simoncelli_response(tau, tau)) < 1e-12
+            half, full = simoncelli_response(np.array([tau / 2.0, tau]), tau)
+            assert abs(half - 1.0) < 1e-12
+            assert abs(full) < 1e-12
         g = two_block_graph()
         x = rng.standard_normal(g.n)
         y = rng.standard_normal(g.n)
         a, b = 1.7, -0.4
-        combo = denoise(g, a * x + b * y, 0.3)
-        parts = a * denoise(g, x, 0.3) + b * denoise(g, y, 0.3)
+        combo = denoise(g, a * x + b * y, [0.3])[0]
+        parts = a * denoise(g, x, [0.3])[0] + b * denoise(g, y, [0.3])[0]
         assert np.max(np.abs(combo - parts)) < 1e-8
         clean = np.concatenate([np.ones(20), -np.ones(20)])
         noisy = add_noise_to_snr(clean, 7.0, seed=0)

@@ -149,7 +149,7 @@ ROWS = [
     (
         eigendecompose,
         "A",
-        lambda: eigendecompose(spoiled(L, INF, (0, 1))),
+        lambda: eigendecompose(sparse.csr_matrix(spoiled(L, INF, (0, 1)))),
         "operator has non-finite entries",
     ),
     (
@@ -158,8 +158,18 @@ ROWS = [
         lambda: eigendecompose(sparse.csr_matrix(spoiled(L, NAN, (0, 1))), lowest=2),
         "operator has non-finite entries",
     ),
-    # a vector is no 1 x 1 operator, though a CSR cast would read it as a row
-    (eigendecompose, "A", lambda: eigendecompose([1.0]), "operator must be square"),
+    (
+        eigendecompose,
+        "A",
+        lambda: eigendecompose(sparse.csr_matrix((1, 2))),
+        "operator must be square",
+    ),
+    (
+        eigendecompose,
+        "A",
+        lambda: eigendecompose(L),
+        "A must be a scipy.sparse operator, got ndarray",
+    ),
     (
         eigendecompose,
         "A",
@@ -169,15 +179,26 @@ ROWS = [
     (
         eigendecompose,
         "lowest",
-        lambda: eigendecompose(L, 1.5),
+        lambda: eigendecompose(sparse.csr_matrix(L), 1.5),
         "lowest must be an integer, got 1.5",
     ),
-    (eigendecompose, "lowest", lambda: eigendecompose(L, 0), "lowest must be >= 1, got 0"),
+    (
+        eigendecompose,
+        "lowest",
+        lambda: eigendecompose(sparse.csr_matrix(L), 0),
+        "lowest must be >= 1, got 0",
+    ),
     (
         matrix_exponential,
         "A",
-        lambda: matrix_exponential(spoiled(L, NAN, (1, 2))),
+        lambda: matrix_exponential(sparse.csr_matrix(spoiled(L, NAN, (1, 2)))),
         "operator has non-finite entries",
+    ),
+    (
+        matrix_exponential,
+        "A",
+        lambda: matrix_exponential(L),
+        "A must be a scipy.sparse operator, got ndarray",
     ),
     (normalize, "g", lambda: normalize(None, "raw"), "g must be a Graph, got NoneType"),
     (normalize, "target_variant", lambda: normalize(path(), "bogus"), "unknown variant 'bogus'"),
@@ -214,8 +235,15 @@ ROWS = [
         lambda: nnk_graph(S, "rbf", 2, sigma=HUGE),
         f"sigma must be a positive finite number, got {HUGE}",
     ),
-    (nnls_solve, "K_SS", lambda: nnls_solve([[NAN]], [1.0]), "K has non-finite entries"),
-    (nnls_solve, "k_Si", lambda: nnls_solve([[1.0]], [INF]), "b has non-finite entries"),
+    (nnls_solve, "K_SS", lambda: nnls_solve([[[NAN]]], [[1.0]]), "K has non-finite entries"),
+    (nnls_solve, "k_Si", lambda: nnls_solve([[[1.0]]], [[INF]]), "b has non-finite entries"),
+    (
+        # one problem goes as a stack of one
+        nnls_solve,
+        "K_SS",
+        lambda: nnls_solve([[1.0]], [1.0]),
+        "K of shape (1, 1) does not match b of shape (1,): need (R, m, m) with (R, m)",
+    ),
     (
         similarity_matrix,
         "X",
@@ -239,6 +267,24 @@ ROWS = [
         "Z",
         lambda: rbf_kernel(spoiled(Z, NAN, (0, 1)), 1.0),
         "distance matrix has non-finite entries",
+    ),
+    (
+        rbf_kernel,
+        "Z",
+        lambda: rbf_kernel(np.ones((2, 3)), 1.0),
+        "distance matrix must be square and 2-D, got shape (2, 3)",
+    ),
+    (
+        rbf_kernel,
+        "Z",
+        lambda: rbf_kernel(np.ones(3), 1.0),
+        "distance matrix must be square and 2-D, got shape (3,)",
+    ),
+    (
+        rbf_kernel,
+        "Z",
+        lambda: rbf_kernel(0.5, 1.0),
+        "distance matrix must be square and 2-D, got shape ()",
     ),
     (
         rbf_kernel,
@@ -347,18 +393,24 @@ ROWS = [
         lambda: best_tau_denoise(path(), SIGNAL[:3], spoiled(SIGNAL, NAN, (1,))),
         "clean signal has non-finite entries",
     ),
-    (denoise, "g", lambda: denoise(None, SIGNAL, 0.5), "g must be a Graph, got NoneType"),
+    (denoise, "g", lambda: denoise(None, SIGNAL, [0.5]), "g must be a Graph, got NoneType"),
     (
         denoise,
         "x_noisy",
-        lambda: denoise(path(), spoiled(SIGNAL, -INF, (0,)), 0.5),
+        lambda: denoise(path(), spoiled(SIGNAL, -INF, (0,)), [0.5]),
         "noisy signal has non-finite entries",
     ),
     (
         denoise,
         "tau",
-        lambda: denoise(path(), SIGNAL, NAN),
+        lambda: denoise(path(), SIGNAL, [NAN]),
         "cutoffs must be finite and >= 0, got [nan]",
+    ),
+    (
+        denoise,
+        "tau",
+        lambda: denoise(path(), SIGNAL, 0.5),
+        "tau must be a 1-D sequence of cutoffs, got shape ()",
     ),
     (
         discretize,
@@ -426,25 +478,37 @@ ROWS = [
     (
         simoncelli_response,
         "lambda_norm",
-        lambda: simoncelli_response(NAN, 0.5),
+        lambda: simoncelli_response(np.array([NAN]), 0.5),
         "lambda_norm must not be NaN",
     ),
     (
         simoncelli_response,
+        "lambda_norm",
+        lambda: simoncelli_response(0.3, 0.5),
+        "lambda_norm must be a 1-D array, got shape ()",
+    ),
+    (
+        simoncelli_response,
+        "lambda_norm",
+        lambda: simoncelli_response(np.full((2, 2), 0.3), 0.5),
+        "lambda_norm must be a 1-D array, got shape (2, 2)",
+    ),
+    (
+        simoncelli_response,
         "tau",
-        lambda: simoncelli_response(0.3, NAN),
+        lambda: simoncelli_response(np.array([0.3]), NAN),
         "tau must be finite and >= 0, got nan",
     ),
     (
         simoncelli_response,
         "tau",
-        lambda: simoncelli_response(0.3, -0.5),
+        lambda: simoncelli_response(np.array([0.3]), -0.5),
         "tau must be finite and >= 0, got -0.5",
     ),
     (
         simoncelli_response,
         "tau",
-        lambda: simoncelli_response(0.5, INF),
+        lambda: simoncelli_response(np.array([0.5]), INF),
         "tau must be finite and >= 0, got inf",
     ),
     (

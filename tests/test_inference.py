@@ -267,6 +267,12 @@ def quad_objective(K, b, t):
     return 0.5 * t @ K @ t - t @ b
 
 
+def solve_one(K, b):
+    """nnls_solve on a stack of one problem, K (m, m) and b (m,): its (theta, converged)."""
+    [theta], ok = nnls_solve(np.asarray(K)[None], np.asarray(b)[None])
+    return theta, ok
+
+
 def nnls_oracle(K, b, resolution=1e-3):
     """Independent minimizer of 0.5 t'Kt - t'b over t >= 0.
 
@@ -490,11 +496,11 @@ class TestNaiveGraph:
 
 class TestNnlsSolve:
     def test_scalar_positive(self):
-        t, ok = nnls_solve(np.array([[1.0]]), np.array([0.7]))
+        t, ok = solve_one(np.array([[1.0]]), np.array([0.7]))
         assert ok and t[0] == pytest.approx(0.7)
 
     def test_scalar_clipped(self):
-        t, ok = nnls_solve(np.array([[1.0]]), np.array([-0.3]))
+        t, ok = solve_one(np.array([[1.0]]), np.array([-0.3]))
         assert ok and t[0] == 0.0
 
     def test_random_psd_vs_oracle(self):
@@ -504,7 +510,7 @@ class TestNnlsSolve:
             A = rng.standard_normal((m, m + 1))
             K = A @ A.T
             b = rng.standard_normal(m)
-            t, ok = nnls_solve(K, b)
+            t, ok = solve_one(K, b)
             assert ok
             t_oracle = np.atleast_1d(nnls_oracle(K, b))
             assert quad_objective(K, b, t) <= quad_objective(K, b, t_oracle) + 1e-5
@@ -516,7 +522,7 @@ class TestNnlsSolve:
             A = rng.standard_normal((m, m + 2))
             K = A @ A.T
             b = rng.standard_normal(m)
-            t, ok = nnls_solve(K, b)
+            t, ok = solve_one(K, b)
             assert ok
             grad = K @ t - b
             assert np.all(grad[t > 0] <= 1e-7) and np.all(np.abs(grad[t > 1e-10]) <= 1e-6)
@@ -529,7 +535,7 @@ class TestNnlsSolve:
             A = rng.standard_normal((m, m))
             K = A @ A.T + 0.1 * np.eye(m)
             b = rng.standard_normal(m)
-            t, _ = nnls_solve(K, b)
+            t, _ = solve_one(K, b)
             assert quad_objective(K, b, t) <= 0.0 + 1e-12  # zeros vector gives 0
             clipped = np.maximum(np.linalg.solve(K, b), 0)
             assert quad_objective(K, b, t) <= quad_objective(K, b, clipped) + 1e-10
@@ -544,7 +550,9 @@ class TestNnlsSolve:
             nnls_solve(np.ones(K_shape), np.ones(b_shape))
 
     @pytest.mark.parametrize(
-        "K, b, name", [([[math.nan]], [1.0], "K"), ([[1.0]], [math.inf], "b")], ids=["K", "b"]
+        "K, b, name",
+        [([[[math.nan]]], [[1.0]], "K"), ([[[1.0]]], [[math.inf]], "b")],
+        ids=["K", "b"],
     )
     def test_rejects_non_finite_input(self, K, b, name):
         with pytest.raises(ValueError, match=f"^{name} has non-finite entries$"):
@@ -552,12 +560,12 @@ class TestNnlsSolve:
 
     def test_unbounded_problem_is_finite_and_not_converged(self):
         # 0.5 t'Kt - t'b falls without bound along t_2: no minimizer exists
-        t, ok = nnls_solve(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([1.0, 1.0]))
+        t, ok = solve_one(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([1.0, 1.0]))
         assert ok is False and t.tolist() == [1.0, 0.0]
 
     def test_whole_block_solve_with_a_zero_weight_backs_off_and_converges(self):
         # the whole-block solve (1, 0) is not positive; the loop then frees t_1 alone
-        t, ok = nnls_solve(np.eye(2), np.array([1.0, 0.0]))
+        t, ok = solve_one(np.eye(2), np.array([1.0, 0.0]))
         assert ok is True and t.tolist() == [1.0, 0.0]
 
     def test_pseudo_inverse_drops_the_eigenvalues_lstsq_drops(self):
@@ -790,7 +798,7 @@ class TestWholeBlockFirstStep:
         theta, _ = nnls_solve(K, b)
         for q in np.flatnonzero(np.all(whole > 0, axis=1)):
             assert theta[q].tobytes() == whole[q].tobytes()
-            t, ok = nnls_solve(K[q], b[q])
+            t, ok = solve_one(K[q], b[q])
             assert ok is True and t.tobytes() == whole[q].tobytes()
 
     def test_one_call_per_chunk_reaches_every_vertex(self, monkeypatch, nnk_bundles):
@@ -822,7 +830,7 @@ class TestStackedSolve:
         K, b = stack
         theta, ok = nnls_solve(K, b)
         assert theta.shape == b.shape
-        solo = [nnls_solve(K[q], b[q]) for q in range(len(b))]
+        solo = [solve_one(K[q], b[q]) for q in range(len(b))]
         assert ok is all(ok_q for _, ok_q in solo)
         for q, (t, ok_q) in enumerate(solo):
             assert theta[q].tobytes() == t.tobytes()
@@ -837,7 +845,7 @@ class TestStackedSolve:
         rng = np.random.default_rng(221)
         A = rng.standard_normal((8, 6))
         K, b = A @ A.T, A @ rng.standard_normal(6)
-        theta, ok = nnls_solve(K, b)
+        theta, ok = solve_one(K, b)
         grad = K @ theta - b
         assert ok is True and np.all(theta >= 0)
         assert np.all(np.abs(grad[theta > 1e-10]) <= 1e-6) and np.all(grad[theta == 0] >= -1e-8)
